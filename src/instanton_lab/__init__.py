@@ -43,6 +43,7 @@ from .cohomology import (
 from .errors import (
     InfeasibleError,
     InstantonLabError,
+    MalformedDataError,
     UnknownVarietyError,
     UnsupportedBundleError,
     VarietyMismatchError,

@@ -9,14 +9,20 @@ a generic curve (Euler characteristics only), smooth curves, and prime Fano
 An entry packages the Chow-ring presentation together with the polarization
 class h, the canonical class K_X, chi(O_X) and, on 3-folds, c_2 of the
 cotangent sheaf (needed by Riemann-Roch).  Entries are immutable values.
+
+Line bundles are written as integer coordinates over the ring's degree-one
+generators, so the Picard rank is the number of generators, and the twist
+vector and the canonical coordinates are read off the degree-one
+coefficients of h and K_X; nothing per variety kind is tabulated twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import chow
-from .chow import ChowClass, ChowRingPresentation, cyclic_numerical_ring, preset_ring
+from .chow import ChowClass, ChowRingPresentation
 from .errors import UnknownVarietyError
 
 
@@ -41,7 +47,6 @@ class VarietyCatalogEntry:
     deg_g: int | None = None
     curve_model: str | None = None
     deg_h: int | None = None
-    fano_index: int | None = None
 
     @property
     def n(self) -> int:
@@ -56,7 +61,19 @@ class VarietyCatalogEntry:
 
     def picard_rank(self) -> int:
         """Picard rank as modeled (the length of line-bundle coordinate tuples)."""
-        return {"flag3": 2, "triple_p1": 3, "scroll_p1": 2, "scroll_generic": 2}.get(self.kind, 1)
+        return len(self.ring.generators)
+
+    def _degree_one_coords(self, cls: ChowClass) -> tuple[int, ...]:
+        ring = self.ring
+        return tuple(cls.coefficient(ring.monomial(**{g: 1})) for g in ring.generators)
+
+    @cached_property
+    def _h_coords(self) -> tuple[int, ...]:
+        return self._degree_one_coords(self.polarization)
+
+    @cached_property
+    def _canonical_coords(self) -> tuple[int, ...]:
+        return self._degree_one_coords(self.canonical)
 
     def __post_init__(self) -> None:
         if self.hn() <= 0:
@@ -67,7 +84,7 @@ def projective_space(n: int, u: int = 1) -> VarietyCatalogEntry:
     """P^n, polarized by O(u)."""
     if n < 1 or u < 1:
         raise UnknownVarietyError(f"projective_space({n}) with h=O({u}) is not a catalog entry")
-    ring = preset_ring(f"projective_space({n})")
+    ring = chow.projective_space_ring(n)
     H = ring.gen("H")
     entry_id = ring.variety_id if u == 1 else f"projective_space({n};h={u})"
     return VarietyCatalogEntry(
@@ -81,7 +98,6 @@ def projective_space(n: int, u: int = 1) -> VarietyCatalogEntry:
         c2_omega=6 * H * H if n == 3 else None,
         is_acm=True,
         u=u,
-        fano_index=n + 1 if u == 1 else None,
     )
 
 
@@ -89,7 +105,7 @@ def quadric(n: int, u: int = 1) -> VarietyCatalogEntry:
     """Smooth quadric hypersurface in P^(n+1), numerical Chow model."""
     if n < 2 or u < 1:
         raise UnknownVarietyError(f"quadric({n}) with h=O({u}) is not a catalog entry")
-    ring = preset_ring(f"quadric({n})")
+    ring = chow.quadric_ring(n)
     H = ring.gen("H")
     entry_id = ring.variety_id if u == 1 else f"quadric({n};h={u})"
     return VarietyCatalogEntry(
@@ -103,13 +119,12 @@ def quadric(n: int, u: int = 1) -> VarietyCatalogEntry:
         c2_omega=4 * H * H if n == 3 else None,
         is_acm=True,
         u=u,
-        fano_index=n if u == 1 else None,
     )
 
 
 def flag3() -> VarietyCatalogEntry:
     """The flag 3-fold (incidence divisor in P^2 x P^2), h = h1 + h2."""
-    ring = preset_ring("flag3")
+    ring = chow.flag3_ring()
     h1, h2 = ring.gen("h1"), ring.gen("h2")
     return VarietyCatalogEntry(
         variety_id="flag3",
@@ -121,13 +136,12 @@ def flag3() -> VarietyCatalogEntry:
         chi_O=1,
         c2_omega=6 * (h1 * h2),
         is_acm=True,
-        fano_index=2,
     )
 
 
 def triple_p1() -> VarietyCatalogEntry:
     """P^1 x P^1 x P^1 with h = h1 + h2 + h3."""
-    ring = preset_ring("triple_p1")
+    ring = chow.triple_p1_ring()
     h1, h2, h3 = (ring.gen(g) for g in ring.generators)
     return VarietyCatalogEntry(
         variety_id="triple_p1",
@@ -139,7 +153,6 @@ def triple_p1() -> VarietyCatalogEntry:
         chi_O=1,
         c2_omega=4 * (h1 * h2 + h1 * h3 + h2 * h3),
         is_acm=True,
-        fano_index=2,
     )
 
 
@@ -155,7 +168,7 @@ def scroll_p1(degrees: tuple[int, ...]) -> VarietyCatalogEntry:
     if n < 2 or any(a < 1 for a in degrees):
         raise UnknownVarietyError(f"scroll over P^1 needs >= 2 split degrees, all >= 1: {degrees}")
     d = sum(degrees)
-    ring = preset_ring(f"scroll({n},{d})")
+    ring = chow.scroll_ring(n, d)
     h, f = ring.gen("h"), ring.gen("f")
     return VarietyCatalogEntry(
         variety_id=f"scroll_p1({','.join(map(str, degrees))})",
@@ -177,7 +190,7 @@ def scroll_generic(n: int, genus: int, deg_g: int) -> VarietyCatalogEntry:
     """Scroll over a genus-g curve; only Euler characteristics are certified exact."""
     if n < 2 or genus < 0 or deg_g < 1:
         raise UnknownVarietyError(f"scroll({n}) over genus {genus} of degree {deg_g} is not admissible")
-    ring = preset_ring(f"scroll({n},{deg_g})")
+    ring = chow.scroll_ring(n, deg_g)
     h, f = ring.gen("h"), ring.gen("f")
     return VarietyCatalogEntry(
         variety_id=f"scroll_generic({n};g={genus};deg={deg_g})",
@@ -206,7 +219,7 @@ def curve(genus: int, deg_h: int, model: str = "generic") -> VarietyCatalogEntry
         raise UnknownVarietyError("the exact_p1 curve model requires genus 0")
     if genus < 0 or deg_h < 1:
         raise UnknownVarietyError(f"curve(genus={genus}, deg_h={deg_h}) is not admissible")
-    ring = preset_ring(f"curve({genus})")
+    ring = chow.curve_ring(genus)
     P = ring.gen("H")
     return VarietyCatalogEntry(
         variety_id=f"curve({genus};deg={deg_h};{model})",
@@ -231,7 +244,7 @@ def prime_fano(genus: int) -> VarietyCatalogEntry:
     """
     if genus < 3:
         raise UnknownVarietyError("prime Fano 3-folds have genus >= 3")
-    ring = cyclic_numerical_ring(3, 2 * genus - 2, f"prime_fano({genus})")
+    ring = chow.prime_fano_ring(genus)
     H = ring.gen("H")
     return VarietyCatalogEntry(
         variety_id=ring.variety_id,
@@ -244,7 +257,6 @@ def prime_fano(genus: int) -> VarietyCatalogEntry:
         c2_omega_dot_h=24,
         is_acm=True,
         genus=genus,
-        fano_index=1,
     )
 
 
@@ -269,39 +281,12 @@ def check_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[i
 def twist_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...], t: int) -> tuple[int, ...]:
     """Coordinates of ``L(t h)``."""
     coords = check_coords(entry, coords)
-    kind = entry.kind
-    if kind in ("projective_space", "quadric", "prime_fano"):
-        return (coords[0] + t * entry.u,)
-    if kind == "flag3":
-        return (coords[0] + t, coords[1] + t)
-    if kind == "triple_p1":
-        return (coords[0] + t, coords[1] + t, coords[2] + t)
-    if kind in ("scroll_p1", "scroll_generic"):
-        return (coords[0] + t, coords[1])
-    if kind == "curve":
-        return (coords[0] + t * entry.deg_h,)
-    raise UnknownVarietyError(entry.kind)
+    return tuple([c + t * v for c, v in zip(coords, entry._h_coords)])
 
 
 def canonical_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:
     """Coordinates of K_X in the entry's divisor basis."""
-    kind = entry.kind
-    n = entry.dimension
-    if kind == "projective_space":
-        return (-(n + 1),)
-    if kind == "quadric":
-        return (-n,)
-    if kind == "prime_fano":
-        return (-1,)
-    if kind == "flag3":
-        return (-2, -2)
-    if kind == "triple_p1":
-        return (-2, -2, -2)
-    if kind in ("scroll_p1", "scroll_generic"):
-        return (-n, entry.deg_g + 2 * (entry.genus or 0) - 2)
-    if kind == "curve":
-        return (2 * entry.genus - 2,)
-    raise UnknownVarietyError(entry.kind)
+    return entry._canonical_coords
 
 
 def line_bundle_class(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> ChowClass:

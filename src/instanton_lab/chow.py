@@ -282,8 +282,8 @@ _REGISTRY: dict[str, ChowRingPresentation] = {}
 
 
 def _register(ring: ChowRingPresentation) -> ChowRingPresentation:
-    _REGISTRY[ring.variety_id] = ring
-    return ring
+    """Keep one presentation per ring id: the first one registered wins."""
+    return _REGISTRY.setdefault(ring.variety_id, ring)
 
 
 def cyclic_numerical_ring(n: int, top_value: int, variety_id: str) -> ChowRingPresentation:
@@ -292,8 +292,6 @@ def cyclic_numerical_ring(n: int, top_value: int, variety_id: str) -> ChowRingPr
     The shared numerical model for projective spaces, quadrics and other
     cyclic entries: only powers of the ample generator are represented.
     """
-    if variety_id in _REGISTRY:
-        return _REGISTRY[variety_id]
     return _register(
         ChowRingPresentation(
             variety_id=variety_id,
@@ -305,90 +303,109 @@ def cyclic_numerical_ring(n: int, top_value: int, variety_id: str) -> ChowRingPr
     )
 
 
-def _flag3_ring() -> ChowRingPresentation:
+def projective_space_ring(n: int) -> ChowRingPresentation:
+    return cyclic_numerical_ring(n, 1, f"projective_space({n})")
+
+
+def quadric_ring(n: int) -> ChowRingPresentation:
+    return cyclic_numerical_ring(n, 2, f"quadric({n})")
+
+
+def curve_ring(genus: int) -> ChowRingPresentation:
+    return cyclic_numerical_ring(1, 1, f"curve({genus})")
+
+
+def prime_fano_ring(genus: int) -> ChowRingPresentation:
+    return cyclic_numerical_ring(3, 2 * genus - 2, f"prime_fano({genus})")
+
+
+def flag3_ring() -> ChowRingPresentation:
     # Z[h1,h2]/(h1^3, h2^3, h1^2 - h1 h2 + h2^2); normal forms have h1-exponent <= 1.
-    return ChowRingPresentation(
-        variety_id="flag3",
-        generators=("h1", "h2"),
-        relations=(
-            RewriteRule((3, 0), ()),
-            RewriteRule((0, 3), ()),
-            RewriteRule((2, 0), (((0, 2), -1), ((1, 1), 1))),
-        ),
-        top_degree=3,
-        degree_map=(((1, 2), 1),),
+    return _register(
+        ChowRingPresentation(
+            variety_id="flag3",
+            generators=("h1", "h2"),
+            relations=(
+                RewriteRule((3, 0), ()),
+                RewriteRule((0, 3), ()),
+                RewriteRule((2, 0), (((0, 2), -1), ((1, 1), 1))),
+            ),
+            top_degree=3,
+            degree_map=(((1, 2), 1),),
+        )
     )
 
 
-def _triple_p1_ring() -> ChowRingPresentation:
-    return ChowRingPresentation(
-        variety_id="triple_p1",
-        generators=("h1", "h2", "h3"),
-        relations=(
-            RewriteRule((2, 0, 0), ()),
-            RewriteRule((0, 2, 0), ()),
-            RewriteRule((0, 0, 2), ()),
-        ),
-        top_degree=3,
-        degree_map=(((1, 1, 1), 1),),
+def triple_p1_ring() -> ChowRingPresentation:
+    return _register(
+        ChowRingPresentation(
+            variety_id="triple_p1",
+            generators=("h1", "h2", "h3"),
+            relations=(
+                RewriteRule((2, 0, 0), ()),
+                RewriteRule((0, 2, 0), ()),
+                RewriteRule((0, 0, 2), ()),
+            ),
+            top_degree=3,
+            degree_map=(((1, 1, 1), 1),),
+        )
     )
 
 
-def _scroll_ring(n: int, deg_g: int) -> ChowRingPresentation:
+def scroll_ring(n: int, deg_g: int) -> ChowRingPresentation:
     # Z[h,f]/(f^2, h^n - deg_g * f h^(n-1)); the intersection numbers are
     # h^n = deg_g, f h^(n-1) = 1, f^2 = 0.
-    lhs_h = tuple([n, 0])
-    return ChowRingPresentation(
-        variety_id=f"scroll({n},{deg_g})",
-        generators=("h", "f"),
-        relations=(
-            RewriteRule((0, 2), ()),
-            RewriteRule(lhs_h, (((n - 1, 1), deg_g),)),
-        ),
-        top_degree=n,
-        degree_map=(((n - 1, 1), 1),),
+    return _register(
+        ChowRingPresentation(
+            variety_id=f"scroll({n},{deg_g})",
+            generators=("h", "f"),
+            relations=(
+                RewriteRule((0, 2), ()),
+                RewriteRule((n, 0), (((n - 1, 1), deg_g),)),
+            ),
+            top_degree=n,
+            degree_map=(((n - 1, 1), 1),),
+        )
     )
 
 
-_ID_RE = re.compile(r"^(?P<name>[a-z_0-9]+?)\((?P<args>[-0-9,]+)\)$")
+#: ring-id name -> (builder, lower bound of each integer argument)
+_PRESETS = {
+    "projective_space": (projective_space_ring, (1,)),
+    "quadric": (quadric_ring, (2,)),
+    "quadric_numerical": (quadric_ring, (2,)),
+    "flag3": (flag3_ring, ()),
+    "triple_p1": (triple_p1_ring, ()),
+    "scroll": (scroll_ring, (2, 1)),
+    "curve": (curve_ring, (0,)),
+    "prime_fano": (prime_fano_ring, (3,)),
+}
+
+_ID_RE = re.compile(r"^(?P<name>[a-z_0-9]+?)(?:\((?P<args>-?\d+(?:,-?\d+)*)\))?$")
 
 
 def preset_ring(variety_id: str) -> ChowRingPresentation:
-    """Presentation for one of the catalog keys.
+    """Presentation for a ring id, built on first use.
 
-    Accepted keys: ``projective_space(n)``, ``quadric(n)`` (alias
+    Accepted ids: ``projective_space(n)``, ``quadric(n)`` (alias
     ``quadric_numerical(n)``), ``flag3``, ``triple_p1``, ``scroll(n,deg_g)``,
-    ``curve(g)``.  The degree map fixes the polarization degrees
-    ``h^n = 1`` on projective space, ``2`` on the quadric, ``6`` on the two
-    sextic del Pezzo entries and ``deg_g`` on scrolls.
+    ``curve(g)`` and ``prime_fano(g)``, plus any id registered through
+    :func:`cyclic_numerical_ring`.  The degree map fixes the polarization
+    degrees ``h^n = 1`` on projective space, ``2`` on the quadric, ``6`` on
+    the two sextic del Pezzo entries, ``deg_g`` on scrolls and ``2g - 2`` on
+    prime Fano 3-folds.
     """
-    if variety_id in _REGISTRY:
-        return _REGISTRY[variety_id]
-    if variety_id == "flag3":
-        return _register(_flag3_ring())
-    if variety_id == "triple_p1":
-        return _register(_triple_p1_ring())
+    ring = _REGISTRY.get(variety_id)
+    if ring is not None:
+        return ring
     m = _ID_RE.match(variety_id)
-    if m:
-        name = m.group("name")
-        args = [int(x) for x in m.group("args").split(",")]
-        if name == "projective_space" and len(args) == 1 and args[0] >= 1:
-            return cyclic_numerical_ring(args[0], 1, variety_id)
-        if name in ("quadric", "quadric_numerical") and len(args) == 1 and args[0] >= 2:
-            return cyclic_numerical_ring(args[0], 2, f"quadric({args[0]})")
-        if name == "scroll" and len(args) == 2 and args[0] >= 2 and args[1] >= 1:
-            return _register(_scroll_ring(args[0], args[1]))
-        if name == "curve" and len(args) == 1 and args[0] >= 0:
-            return cyclic_numerical_ring(1, 1, variety_id)
+    if m and m.group("name") in _PRESETS:
+        build, lower = _PRESETS[m.group("name")]
+        args = [int(x) for x in m.group("args").split(",")] if m.group("args") else []
+        if len(args) == len(lower) and all(a >= lo for a, lo in zip(args, lower)):
+            return build(*args)
     raise UnknownVarietyError(f"unknown variety key {variety_id!r}")
 
 
-def ring_for(variety_id: str) -> ChowRingPresentation:
-    """Resolve a registered ring, building catalog presets on demand."""
-    if variety_id in _REGISTRY:
-        return _REGISTRY[variety_id]
-    m = _ID_RE.match(variety_id)
-    if m and m.group("name") == "prime_fano":
-        g = int(m.group("args"))
-        return cyclic_numerical_ring(3, 2 * g - 2, variety_id)
-    return preset_ring(variety_id)
+#: the name ``ChowClass.ring`` resolves through; ``bench/tracing.py`` counts its calls
+ring_for = preset_ring

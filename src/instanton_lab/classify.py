@@ -14,7 +14,6 @@ deformation-theoretic dimension counts.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,12 +93,15 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def _scan(candidates: list[tuple[int, ...]], worker, jobs: int) -> list:
-    """Deterministic map over candidates, optionally on a thread pool."""
-    if jobs <= 1:
-        return [worker(c) for c in candidates]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, candidates))
+def _scan(entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int) -> list[FoundLine]:
+    """Check each candidate's table on the window (-3, 0); the members, in candidate order."""
+    found = []
+    for coords in candidates:
+        table = build_table(entry, coords, (-3, 0), with_chern=False)
+        q = instanton.check_instanton(table).quantum(defect)
+        if q is not None:
+            found.append(FoundLine(coords, defect, q))
+    return found
 
 
 def _assemble_report(
@@ -153,7 +155,7 @@ def _assemble_report(
     )
 
 
-def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0, jobs: int = 1) -> ClassificationReport:
+def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0) -> ClassificationReport:
     """Enumerate instanton line bundles on the flag 3-fold over ``[-box, box]^2``.
 
     Candidates are canonicalized under the swap of the two rulings
@@ -168,14 +170,7 @@ def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0, jobs: int = 1) 
     candidates = sorted(
         {tuple(sorted((a1, a2))) for a1 in range(-box, box + 1) for a2 in range(-box, box + 1)}
     )
-
-    def worker(coords: tuple[int, ...]) -> FoundLine | None:
-        table = build_table(entry, coords, (-3, 0), with_chern=False)
-        verdict = instanton.check_instanton(table)
-        q = verdict.quantum(defect)
-        return FoundLine(coords, defect, q) if q is not None else None
-
-    found = [f for f in _scan(candidates, worker, jobs) if f is not None]
+    found = _scan(entry, candidates, defect)
 
     def formula(a: int) -> Fraction:
         return Fraction(2 - defect, 2) * a * (a + 2 - defect)
@@ -189,7 +184,7 @@ def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0, jobs: int = 1) 
     return _assemble_report("flag3", defect, box, found, expected, boundary)
 
 
-def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0, jobs: int = 1) -> ClassificationReport:
+def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0) -> ClassificationReport:
     """Enumerate instanton line bundles on P^1 x P^1 x P^1 over ``[-box, box]^3``.
 
     Non-ordinary candidates must come back empty (the degree condition on c1
@@ -201,14 +196,7 @@ def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0, jobs: int = 1)
     entry = catalog.triple_p1()
     rng = range(-box, box + 1)
     candidates = sorted({tuple(sorted(c)) for c in itertools.product(rng, rng, rng)})
-
-    def worker(coords: tuple[int, ...]) -> FoundLine | None:
-        table = build_table(entry, coords, (-3, 0), with_chern=False)
-        verdict = instanton.check_instanton(table)
-        q = verdict.quantum(defect)
-        return FoundLine(coords, defect, q) if q is not None else None
-
-    found = [f for f in _scan(candidates, worker, jobs) if f is not None]
+    found = _scan(entry, candidates, defect)
     if defect == 1:
         expected: list[FoundLine] = []
         boundary: list[FoundLine] = []

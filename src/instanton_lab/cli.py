@@ -220,9 +220,9 @@ def cmd_monad(args) -> int:
 def cmd_classify(args) -> int:
     target = args.target
     if target == "flag":
-        report = classify.classify_flag_lines(_default_box(args), args.defect, jobs=args.jobs)
+        report = classify.classify_flag_lines(_default_box(args), args.defect)
     elif target == "segre":
-        report = classify.classify_segre_lines(_default_box(args), args.defect, jobs=args.jobs)
+        report = classify.classify_segre_lines(_default_box(args), args.defect)
     elif target == "cyclic":
         decision = classify.classify_cyclic_lines(args.n, args.u, args.v, args.defect)
         payload = {
@@ -317,10 +317,8 @@ def cmd_veronese(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--md", action="store_true", help="markdown output (default)")
     common.add_argument("--box", type=int, default=None, help="enumeration box half-width")
     common.add_argument("--window", type=str, default=None, help="twist window a:b")
-    common.add_argument("--jobs", type=int, default=1, help="parallel enumeration degree")
 
     parser = argparse.ArgumentParser(
         prog="instanton-lab",

@@ -33,3 +33,7 @@ class UnsupportedBundleError(InstantonLabError, ValueError):
 
 class InfeasibleError(InstantonLabError, ValueError):
     """Parity, divisibility or consistency obstruction in exact data."""
+
+
+class MalformedDataError(InstantonLabError, ValueError):
+    """Serialized input does not have the structure its reader expects."""

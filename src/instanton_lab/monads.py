@@ -17,7 +17,7 @@ from . import chow
 from .catalog import VarietyCatalogEntry, canonical_twist_coords, twist_coords
 from .chow import ChowClass
 from .cohomology import line_bundle_cohomology
-from .errors import InfeasibleError
+from .errors import InfeasibleError, MalformedDataError
 from .rr import ChernData
 
 
@@ -129,7 +129,8 @@ class MonadShape:
     @staticmethod
     def from_json(data: dict) -> "MonadShape":
         terms = tuple(tuple(Summand.from_json(s) for s in term) for term in data["terms"])
-        assert len(terms) == 3
+        if len(terms) != 3:
+            raise MalformedDataError(f"a monad shape has 3 terms, got {len(terms)}")
         return MonadShape(
             terms,
             tuple(Constraint.from_json(c) for c in data["constraints"]),

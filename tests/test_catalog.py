@@ -14,8 +14,23 @@ ENTRIES = [
     catalog.scroll_p1((1, 1, 2)),
     catalog.scroll_generic(3, 2, 5),
     catalog.curve(2, 3, "generic"),
+    catalog.curve(0, 2, "exact_p1"),
     catalog.prime_fano(5),
 ]
+
+#: literal (picard rank, coordinates of h, coordinates of K_X) per entry
+COORDS = {
+    "projective_space(3)": (1, (1,), (-4,)),
+    "projective_space(3;h=2)": (1, (2,), (-4,)),
+    "quadric(4)": (1, (1,), (-4,)),
+    "flag3": (2, (1, 1), (-2, -2)),
+    "triple_p1": (3, (1, 1, 1), (-2, -2, -2)),
+    "scroll_p1(1,1,2)": (2, (1, 0), (-3, 2)),
+    "scroll_generic(3;g=2;deg=5)": (2, (1, 0), (-3, 7)),
+    "curve(2;deg=3;generic)": (1, (3,), (2,)),
+    "curve(0;deg=2;exact_p1)": (1, (2,), (-2,)),
+    "prime_fano(5)": (1, (1,), (-1,)),
+}
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
@@ -32,6 +47,14 @@ def test_scroll_degree_is_sum_of_splits():
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
 def test_canonical_coords_match_canonical_class(entry):
     assert catalog.line_bundle_class(entry, catalog.canonical_coords(entry)) == entry.canonical
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
+def test_coords_match_literals(entry):
+    rank, h, K = COORDS[entry.variety_id]
+    assert entry.picard_rank() == rank
+    assert catalog.twist_coords(entry, (0,) * rank, 1) == h
+    assert catalog.canonical_coords(entry) == K
 
 
 def test_canonical_twist_coords():

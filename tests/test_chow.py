@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +82,17 @@ def test_quadric_alias():
 def test_unknown_variety():
     with pytest.raises(UnknownVarietyError):
         preset_ring("grassmannian(2,4)")
+    with pytest.raises(UnknownVarietyError):
+        preset_ring("prime_fano(2)")
+
+
+def test_preset_ring_needs_no_catalog_entry():
+    """A fresh interpreter resolves a prime Fano ring id before any entry exists."""
+    src = str(Path(chow.__file__).resolve().parents[1])
+    code = "from instanton_lab.chow import preset_ring; print(preset_ring('prime_fano(7)').degree_map)"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "(((3,), 12),)"
 
 
 def test_variety_mismatch():

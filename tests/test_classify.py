@@ -43,12 +43,6 @@ def test_classify_flag_defect1():
     assert [f.coordinates for f in report.boundary] == [(0, 1)]
 
 
-def test_classify_flag_jobs_deterministic():
-    a = classify_flag_lines(box=4, defect=0, jobs=1)
-    b = classify_flag_lines(box=4, defect=0, jobs=4)
-    assert a == b
-
-
 def test_classify_segre():
     report = classify_segre_lines(box=5, defect=0)
     coords = {f.coordinates: f.quantum for f in report.found}

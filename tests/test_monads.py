@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from instanton_lab import catalog, rr
-from instanton_lab.errors import InfeasibleError
+from instanton_lab.errors import InfeasibleError, MalformedDataError
 from instanton_lab.monads import (
     monad_acm,
     monad_p1p3,
@@ -245,3 +245,12 @@ def test_monad_shape_json_roundtrip():
         monad_acm(catalog.quadric(3), 1, 2, h1E=1, hn1E=1),
     ):
         assert MonadShape.from_json(shape.to_json()) == shape
+
+
+def test_monad_shape_from_json_rejects_two_terms():
+    from instanton_lab.monads import MonadShape
+
+    data = monad_pn(3, 0, 2, -2).to_json()
+    data["terms"] = data["terms"][:2]
+    with pytest.raises(MalformedDataError):
+        MonadShape.from_json(data)
