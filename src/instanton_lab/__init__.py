@@ -28,7 +28,6 @@ from .chow import ChowClass, ChowRingPresentation, integrate, multiply, preset_r
 from .cohomology import (
     CohomologyTable,
     CohVector,
-    LineBundleSpec,
     bott_pn,
     build_table,
     coh_curve,

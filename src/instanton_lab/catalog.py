@@ -18,6 +18,7 @@ coefficients of h and K_X; nothing per variety kind is tabulated twice.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -258,6 +259,35 @@ def prime_fano(genus: int) -> VarietyCatalogEntry:
         is_acm=True,
         genus=genus,
     )
+
+
+#: the constructors' entry-id formats that are not ring ids themselves
+_ENTRY_ID_RE = re.compile(
+    r"(?P<cyclic>projective_space|quadric)\((?P<n>\d+);h=[1-9]\d*\)"
+    r"|scroll_p1\((?P<degrees>[1-9]\d*(?:,[1-9]\d*)+)\)"
+    r"|scroll_generic\((?P<scroll_n>\d+);g=\d+;deg=(?P<deg_g>\d+)\)"
+    r"|curve\((?P<genus>\d+);deg=[1-9]\d*;(?:exact_p1|generic)\)"
+)
+
+
+def entry_ring(entry_id: str) -> ChowRingPresentation:
+    """Chow ring of the catalog entry with this id, the inverse of the id formats above.
+
+    Entry ids that are ring ids (``flag3``, ``projective_space(3)``,
+    ``prime_fano(5)``, ...) go to :func:`chow.preset_ring` as they are; any
+    other id raises :class:`UnknownVarietyError`.
+    """
+    m = _ENTRY_ID_RE.fullmatch(entry_id)
+    if m is None:
+        return chow.preset_ring(entry_id)
+    if m["cyclic"]:
+        return chow.preset_ring(f"{m['cyclic']}({m['n']})")
+    if m["degrees"]:
+        degrees = [int(a) for a in m["degrees"].split(",")]
+        return chow.preset_ring(f"scroll({len(degrees)},{sum(degrees)})")
+    if m["scroll_n"]:
+        return chow.preset_ring(f"scroll({m['scroll_n']},{m['deg_g']})")
+    return chow.preset_ring(f"curve({m['genus']})")
 
 
 # --------------------------------------------------------------------------

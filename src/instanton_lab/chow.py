@@ -3,8 +3,13 @@
 Each catalog variety gets a finite presentation of (the numerical shadow of)
 its Chow ring: degree-one generators, monomial rewrite rules, and a degree
 map on the top graded piece.  A :class:`ChowClass` is an integer combination
-of normal-form monomials; products are normalized eagerly so classes are
-always reduced, and intersection numbers come from :func:`integrate`.
+of normal-form monomials that holds its presentation; products are
+normalized eagerly so classes are always reduced, and intersection numbers
+come from :func:`integrate`.
+
+There is one presentation object per ring id, and classes combine only when
+they hold the same object.  Ring ids are parsed (by :func:`preset_ring`) only
+when classes are read back from JSON.
 
 The presentations shipped here are complete rewrite systems: rewriting any
 monomial of degree above the variety dimension reaches zero, and all rewrite
@@ -53,18 +58,18 @@ class RewriteRule:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChowRingPresentation:
-    """Presentation of the (numerical) Chow ring of one catalog variety."""
+    """Presentation of the (numerical) Chow ring of one catalog variety.
+
+    Presentations compare by identity: the registry keeps one per ring id.
+    """
 
     variety_id: str
     generators: tuple[str, ...]
     relations: tuple[RewriteRule, ...]
     top_degree: int
     degree_map: Terms
-
-    def degree(self, mono: Monomial) -> int:
-        return sum(mono)
 
     def monomial(self, **exponents: int) -> Monomial:
         exps = [0] * len(self.generators)
@@ -73,34 +78,34 @@ class ChowRingPresentation:
         return tuple(exps)
 
     def gen(self, name: str) -> "ChowClass":
-        return ChowClass(self.variety_id, ((self.monomial(**{name: 1}), 1),))
+        return ChowClass(self, ((self.monomial(**{name: 1}), 1),))
 
     def gens(self) -> tuple["ChowClass", ...]:
         return tuple(self.gen(name) for name in self.generators)
 
     def one(self) -> "ChowClass":
-        return ChowClass(self.variety_id, (((0,) * len(self.generators), 1),))
+        return ChowClass(self, (((0,) * len(self.generators), 1),))
 
     def zero(self) -> "ChowClass":
-        return ChowClass(self.variety_id, ())
+        return ChowClass(self, ())
 
     def from_dict(self, terms: Mapping[Monomial, int]) -> "ChowClass":
         acc: dict[Monomial, int] = {}
         for mono, coeff in terms.items():
             for m, c in self.normalize_monomial(mono).items():
                 acc[m] = acc.get(m, 0) + c * coeff
-        return ChowClass(self.variety_id, _freeze(acc))
+        return ChowClass(self, _freeze(acc))
 
     def is_normal(self, mono: Monomial) -> bool:
         return not any(rule.divides(mono) for rule in self.relations)
 
-    def normalize_monomial(self, mono: Monomial, truncate: bool = True) -> dict[Monomial, int]:
+    def normalize_monomial(self, mono: Monomial) -> dict[Monomial, int]:
         """Reduce ``mono`` to a combination of normal-form monomials.
 
         Applies the first applicable rule at each step (a fixed order, so the
         result is deterministic; confluence of the presets is a separate
-        tested invariant).  With ``truncate`` the components of degree above
-        ``top_degree`` are dropped, which is how every preset behaves anyway.
+        tested invariant).  Components of degree above ``top_degree`` are
+        dropped, which is how every preset behaves anyway.
         """
         pending: dict[Monomial, int] = {mono: 1}
         done: dict[Monomial, int] = {}
@@ -112,7 +117,7 @@ class ChowRingPresentation:
             m, c = pending.popitem()
             if c == 0:
                 continue
-            if truncate and self.degree(m) > self.top_degree:
+            if sum(m) > self.top_degree:
                 continue
             for rule in self.relations:
                 if rule.divides(m):
@@ -122,12 +127,6 @@ class ChowRingPresentation:
             else:
                 done[m] = done.get(m, 0) + c
         return {m: c for m, c in done.items() if c != 0}
-
-    def degree_value(self, mono: Monomial) -> int:
-        for m, v in self.degree_map:
-            if m == mono:
-                return v
-        raise KeyError(f"{mono} is not a top-degree normal monomial of {self.variety_id}")
 
 
 def all_normal_forms(ring: ChowRingPresentation, mono: Monomial) -> set[Terms]:
@@ -163,12 +162,12 @@ def all_normal_forms(ring: ChowRingPresentation, mono: Monomial) -> set[Terms]:
 class ChowClass:
     """Integer combination of normal-form monomials, graded by degree."""
 
-    variety_id: str
+    ring: ChowRingPresentation
     terms: Terms
 
     @property
-    def ring(self) -> ChowRingPresentation:
-        return ring_for(self.variety_id)
+    def variety_id(self) -> str:
+        return self.ring.variety_id
 
     def coefficient(self, mono: Monomial) -> int:
         for m, c in self.terms:
@@ -177,34 +176,32 @@ class ChowClass:
         return 0
 
     def component(self, r: int) -> "ChowClass":
-        ring = self.ring
-        return ChowClass(self.variety_id, tuple((m, c) for m, c in self.terms if ring.degree(m) == r))
+        return ChowClass(self.ring, tuple((m, c) for m, c in self.terms if sum(m) == r))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_homogeneous(self, r: int) -> bool:
-        ring = self.ring
-        return all(ring.degree(m) == r for m, _ in self.terms)
+        return all(sum(m) == r for m, _ in self.terms)
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
         acc = {m: c for m, c in self.terms}
         for m, c in other.terms:
             acc[m] = acc.get(m, 0) + c
-        return ChowClass(self.variety_id, _freeze(acc))
+        return ChowClass(self.ring, _freeze(acc))
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.variety_id, tuple((m, -c) for m, c in self.terms))
+        return ChowClass(self.ring, tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other: "ChowClass | int") -> "ChowClass":
         if isinstance(other, int):
             if other == 0:
-                return ChowClass(self.variety_id, ())
-            return ChowClass(self.variety_id, tuple((m, c * other) for m, c in self.terms))
+                return ChowClass(self.ring, ())
+            return ChowClass(self.ring, tuple((m, c * other) for m, c in self.terms))
         return multiply(self, other)
 
     __rmul__ = __mul__
@@ -218,7 +215,7 @@ class ChowClass:
         return out
 
     def _check(self, other: "ChowClass") -> None:
-        if self.variety_id != other.variety_id:
+        if self.ring is not other.ring:
             raise VarietyMismatchError(
                 f"classes on {self.variety_id!r} and {other.variety_id!r} cannot be combined"
             )
@@ -261,17 +258,14 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
             raw = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
             for m, c in ring.normalize_monomial(raw).items():
                 acc[m] = acc.get(m, 0) + c1 * c2 * c
-    return ChowClass(a.variety_id, _freeze(acc))
+    return ChowClass(ring, _freeze(acc))
 
 
 def integrate(a: ChowClass) -> int:
     """Degree of the top-dimensional component of ``a``; lower degrees are ignored."""
     ring = a.ring
-    total = 0
-    for m, c in a.terms:
-        if ring.degree(m) == ring.top_degree:
-            total += c * ring.degree_value(m)
-    return total
+    values = dict(ring.degree_map)
+    return sum(c * values[m] for m, c in a.terms if sum(m) == ring.top_degree)
 
 
 # --------------------------------------------------------------------------
@@ -407,5 +401,6 @@ def preset_ring(variety_id: str) -> ChowRingPresentation:
     raise UnknownVarietyError(f"unknown variety key {variety_id!r}")
 
 
-#: the name ``ChowClass.ring`` resolves through; ``bench/tracing.py`` counts its calls
+#: the name :meth:`ChowClass.from_json` resolves ring ids through;
+#: ``bench/tracing.py`` counts its calls
 ring_for = preset_ring

@@ -562,8 +562,7 @@ def scroll_construction_report(
     theta_deg = g - 1
     D = (d + theta_deg) * f
     detE = h + (d + 2 * g - 2) * f
-    Z = k * (h * f)
-    chern = rr.ChernData(2, detE, chow.multiply(D, detE - D) + Z, ring.zero())
+    chern = serre_construction_chern(entry, D, detE, k * (h * f))
 
     # chi-additivity: -chi(E(-h)) = -chi(O(-h + (g+theta) f)) - chi(O(theta f)) + chi(O_Z)
     exact = entry.kind == "scroll_p1"

@@ -18,7 +18,7 @@ are the raw material the instanton checker consumes.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 
 from . import rr
@@ -26,6 +26,7 @@ from .catalog import (
     VarietyCatalogEntry,
     canonical_coords,
     check_coords,
+    entry_ring,
     line_bundle_class,
     twist_coords,
 )
@@ -187,8 +188,9 @@ def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
     """Cohomology of ``O(t h + a f)`` on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1.
 
     For ``t >= 0`` the pushforward splits into line bundles on P^1 indexed by
-    degree-t multisets of the split degrees; for ``1-n <= t <= -1`` everything
-    vanishes; below that, Serre duality against ``omega = O(-n h + (d-2) f)``.
+    degree-t multisets of the split degrees, counted here by degree sum; for
+    ``1-n <= t <= -1`` everything vanishes; below that, Serre duality against
+    ``omega = O(-n h + (d-2) f)``.
     """
     degrees = tuple(degrees)
     n = len(degrees)
@@ -198,13 +200,20 @@ def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
     if 1 - n <= t <= -1:
         return zero_vector(n)
     if t >= 0:
+        # count[k][s]: size-k multisets of the split degrees with degree sum s,
+        # built with one pass per split degree
+        top = t * max(degrees)
+        count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(t)]
+        for x in degrees:
+            for k in range(1, t + 1):
+                count[k] = list(map(operator.add, count[k], [0] * x + count[k - 1][: top + 1 - x]))
         dims = [0] * (n + 1)
-        for multiset in itertools.combinations_with_replacement(range(n), t):
-            deg = a + sum(degrees[i] for i in multiset)
+        for s, mult in enumerate(count[t]):
+            deg = a + s
             if deg >= 0:
-                dims[0] += deg + 1
+                dims[0] += mult * (deg + 1)
             else:
-                dims[1] += -deg - 1
+                dims[1] += mult * (-deg - 1)
         return CohVector(tuple(dims))
     dual = coh_scroll_p1(degrees, -n - t, d - 2 - a)
     return serre_dual_vector(dual)
@@ -263,27 +272,6 @@ def coh_cyclic_fano_index1(entry: VarietyCatalogEntry, m: int) -> CohVector:
 # --------------------------------------------------------------------------
 # Bundle descriptors and tables
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LineBundleSpec:
-    """A line bundle in the divisor basis of one catalog variety.
-
-    ``coordinates`` is (t) on cyclic entries, (a1, a2) on the flag,
-    (a1, a2, a3) on the triple product, (t, a) = t h + a f on scrolls and the
-    plain degree (d) on curves.  On curves, ``theta`` switches to the twist
-    family ``O(theta + s h)`` with ``s = coordinates[0]``.
-    """
-
-    variety_id: str
-    coordinates: tuple[int, ...]
-    theta: bool = False
-
-    def to_json(self) -> dict:
-        out: dict = {"variety": self.variety_id, "coordinates": list(self.coordinates)}
-        if self.theta:
-            out["theta"] = True
-        return out
 
 
 def line_bundle_cohomology(
@@ -408,7 +396,7 @@ class CohomologyTable:
         rows = tuple(CohVector(tuple(r["h"])) for r in rows_sorted)
         chern = None
         if data.get("chern"):
-            chern = ChernData.from_json(data["variety"], data["chern"])
+            chern = ChernData.from_json(entry_ring(data["variety"]).variety_id, data["chern"])
         return CohomologyTable(
             variety_id=data["variety"],
             dimension=len(rows[0]) - 1,

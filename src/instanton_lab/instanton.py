@@ -247,13 +247,7 @@ def direct_sum(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
     rows = tuple(t1.row(t) + t2.row(t) for t in range(tmin, tmax + 1))
     chern = None
     if t1.chern is not None and t2.chern is not None:
-        a, b = t1.chern, t2.chern
-        have_c2 = a.c2 is not None and b.c2 is not None
-        c2 = a.c2 + b.c2 + a.c1 * b.c1 if have_c2 else None
-        c3 = None
-        if have_c2 and a.c3 is not None and b.c3 is not None:
-            c3 = a.c3 + b.c3 + a.c1 * b.c2 + a.c2 * b.c1
-        chern = rr.ChernData(a.rank + b.rank, a.c1 + b.c1, c2, c3)
+        chern = rr.whitney_sum(t1.chern, t2.chern)
     return CohomologyTable(
         variety_id=t1.variety_id,
         dimension=t1.dimension,

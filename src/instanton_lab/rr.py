@@ -40,7 +40,7 @@ class ChernData:
             raise ValueError("c1 must be homogeneous of degree 1")
         for cls, deg in ((self.c2, 2), (self.c3, 3)):
             if cls is not None:
-                if cls.variety_id != self.c1.variety_id:
+                if cls.ring is not self.c1.ring:
                     raise ValueError("Chern classes live on different varieties")
                 if not cls.is_homogeneous(deg):
                     raise ValueError(f"c{deg} must be homogeneous of degree {deg}")
@@ -65,30 +65,34 @@ class ChernData:
         return ChernData(data["rank"], ChowClass.from_json(variety_id, data["c1"]), cls("c2"), cls("c3"))
 
 
+def whitney_sum(a: ChernData, b: ChernData) -> ChernData:
+    """Chern data of ``A (+) B``: ``c(A (+) B) = c(A) c(B)`` through c3.
+
+    A class missing on either side is missing from the sum.
+    """
+    c2 = c3 = None
+    if a.c2 is not None and b.c2 is not None:
+        c2 = a.c2 + a.c1 * b.c1 + b.c2
+        if a.c3 is not None and b.c3 is not None:
+            c3 = a.c3 + a.c2 * b.c1 + a.c1 * b.c2 + b.c3
+    return ChernData(a.rank + b.rank, a.c1 + b.c1, c2, c3)
+
+
 def chern_of_line_bundle_sum(summands: list[tuple[ChowClass, int]]) -> ChernData:
     """Whitney Chern data of a direct sum of line bundles ``(+) O(D_i)^m_i``."""
     if not summands:
         raise ValueError("empty direct sum has no Chern data")
-    ring = summands[0][0].ring
-    total = [ring.one(), ring.zero(), ring.zero(), ring.zero()]
-    rank = 0
+    total = None
     for D, m in summands:
         if m < 0:
             raise ValueError("multiplicities must be nonnegative")
-        rank += m
-        # (1 + D)^m truncated in degrees <= 3
-        factor = [ring.one(), binom(m, 1) * D, binom(m, 2) * D * D, binom(m, 3) * D * D * D]
-        total = [
-            sum((total[i] * factor[k - i] for i in range(k + 1)), start=ring.zero())
-            for k in range(4)
-        ]
-    n = ring.top_degree
-    return ChernData(
-        rank,
-        total[1],
-        total[2] if n >= 2 else None,
-        total[3] if n >= 3 else None,
-    )
+        n, zero = D.ring.top_degree, D.ring.zero()
+        line = ChernData(1, D, zero if n >= 2 else None, zero if n >= 3 else None)
+        for _ in range(m):
+            total = line if total is None else whitney_sum(total, line)
+    if total is None:
+        raise ValueError("rank must be positive")
+    return total
 
 
 def twist(c: ChernData, D: ChowClass) -> ChernData:
@@ -284,10 +288,10 @@ def chern_poly_instanton_pn(n: int, rank: int, defect: int, quantum: int) -> tup
     """Chern classes ``(c1, ..., cn)`` of an instanton sheaf on P^n.
 
     Expands the rational Chern polynomial of the defining monad as a power
-    series truncated in degree n, under the identification ``A^i(P^n) = Z``:
-    ``1/(1-t^2)^q`` for defect 0, ``(1-t)^(r/2+q) (1+t)^(-q) (1-2t)^(-q)``
-    for defect 1 on n >= 3, and ``(1-t)^(r/2) (1-t^2)^(-q)`` for defect 1 on
-    the plane.
+    series in ``t = H`` in the Chow ring of P^n, which truncates it in degree
+    n (``A^i(P^n) = Z``): ``1/(1-t^2)^q`` for defect 0,
+    ``(1-t)^(r/2+q) (1+t)^(-q) (1-2t)^(-q)`` for defect 1 on n >= 3, and
+    ``(1-t)^(r/2) (1-t^2)^(-q)`` for defect 1 on the plane.
     """
     if defect not in (0, 1):
         raise ValueError("defect must be 0 or 1")
@@ -296,31 +300,20 @@ def chern_poly_instanton_pn(n: int, rank: int, defect: int, quantum: int) -> tup
     if defect and rank % 2:
         raise InfeasibleError("non-ordinary instanton sheaves on P^n have even rank")
 
-    def series_binomial(scale: int, exponent: int, step: int = 1) -> list[int]:
-        # power series of (1 + scale*t^step)^exponent, truncated in degree n
-        coeffs = [0] * (n + 1)
-        for j in range(0, n // step + 1):
-            coeffs[j * step] = binom(exponent, j) * scale**j
-        return coeffs
+    ring = chow.projective_space_ring(n)
 
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if i + j <= n and bj:
-                        out[i + j] += ai * bj
-        return out
+    def series_binomial(scale: int, exponent: int, step: int = 1) -> ChowClass:
+        # power series of (1 + scale*H^step)^exponent in A(P^n)
+        return ring.from_dict({(j * step,): binom(exponent, j) * scale**j for j in range(n // step + 1)})
 
     if defect == 0:
         total = series_binomial(-1, -quantum, step=2)
     elif n >= 3:
         total = series_binomial(-1, rank // 2 + quantum)
-        total = mul(total, series_binomial(1, -quantum))
-        total = mul(total, series_binomial(-2, -quantum))
+        total = total * series_binomial(1, -quantum) * series_binomial(-2, -quantum)
     else:
-        total = mul(series_binomial(-1, rank // 2), series_binomial(-1, -quantum, step=2))
-    return tuple(total[1 : n + 1])
+        total = series_binomial(-1, rank // 2) * series_binomial(-1, -quantum, step=2)
+    return tuple(total.coefficient((k,)) for k in range(1, n + 1))
 
 
 def quantum_chern_identity(

@@ -57,6 +57,29 @@ def test_coords_match_literals(entry):
     assert catalog.canonical_coords(entry) == K
 
 
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
+def test_entry_ring_inverts_entry_ids(entry):
+    assert catalog.entry_ring(entry.variety_id) is entry.ring
+
+
+@pytest.mark.parametrize(
+    "entry_id",
+    [
+        "projective_space(3;h=0)",
+        "scroll_p1(0,1)",
+        "scroll_p1(2)",
+        "scroll_generic(1;g=0;deg=3)",
+        "curve(2;deg=3;theta)",
+        "curve(-1;deg=3;generic)",
+        "prime_fano(2)",
+        "grassmannian(2,4)",
+    ],
+)
+def test_entry_ring_rejects_other_ids(entry_id):
+    with pytest.raises(UnknownVarietyError):
+        catalog.entry_ring(entry_id)
+
+
 def test_canonical_twist_coords():
     p3 = catalog.projective_space(3)
     assert catalog.canonical_twist_coords(p3, 3) == (-1,)

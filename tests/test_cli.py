@@ -70,6 +70,18 @@ def test_check_from_table_file(tmp_path, capsys):
     assert code == 0 and "(0, 3)" in out
 
 
+def test_check_reads_scroll_table_written_by_cohom(tmp_path, capsys):
+    """The table's id is an entry id (``scroll_p1(1,1,1)``), not a ring id."""
+    code, out, _ = run(
+        capsys, "cohom", "--variety", "scroll-p1:1,1,1", "--bundle", "h:0,f:2", "--json"
+    )
+    assert code == 0
+    path = tmp_path / "table.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "check", "--table", str(path))
+    assert code == 0 and "(0, 0)" in out
+
+
 def test_chi_command(capsys):
     code, out, _ = run(capsys, "chi", "--variety", "flag3", "--bundle", "-1,3", "--twist", "-1")
     assert code == 0 and "chi(E(-1h)) = -3" in out

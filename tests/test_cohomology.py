@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +127,24 @@ def test_scroll_chi_consistency():
                 assert coh_scroll_p1(degrees, t, a).chi() == chi_scroll_line(entry, t, a)
 
 
+@given(st.integers(-12, 12), st.integers(-12, 12))
+def test_scroll_111_matches_p1_times_p2(t, a):
+    """scroll_p1(1,1,1) is P^1 x P^2, with O(t h + a f) = O(t + a, t)."""
+    assert coh_scroll_p1((1, 1, 1), t, a) == coh_product([(1, t + a), (2, t)])
+
+
+@given(st.integers(-12, 12))
+def test_quadric_surface_matches_p1_times_p1(t):
+    assert coh_quadric(2, t) == coh_product([(1, t), (1, t)])
+
+
+def test_scroll_engine_is_polynomial_in_the_twist():
+    """C(47, 7) ~ 6e7 multisets: only counting by degree sum finishes here."""
+    degrees = (1, 1, 2, 2, 3, 3, 4, 5)
+    entry = catalog.scroll_p1(degrees)
+    assert coh_scroll_p1(degrees, 40, -60).chi() == chi_scroll_line(entry, 40, -60)
+
+
 def test_coh_curve_examples():
     assert coh_curve(0, 3, "exact_p1").dims == (4, 0)
     assert coh_curve(2, 1, "theta").dims == (0, 0)
@@ -230,6 +249,32 @@ def test_table_json_roundtrip():
     entry = catalog.flag3()
     table = build_table(entry, [((-1, 3), 1), ((0, 2), 2)], (-3, 1))
     again = CohomologyTable.from_json(table.to_json())
+    assert again == table
+
+
+ROUND_TRIPS = [
+    (catalog.scroll_p1((1, 1, 2)), [((0, 1), 1), ((-1, 0), 2)], (-4, 1), False),
+    (catalog.scroll_generic(3, 2, 5), (0, 1), (-2, -1), False),
+    (catalog.curve(2, 3, "generic"), (2,), (-2, 1), False),
+    (catalog.curve(2, 3, "generic"), (1,), (-2, 1), True),
+    (catalog.curve(0, 2, "exact_p1"), (1,), (-2, 1), False),
+    (catalog.projective_space(3, u=2), (1,), (-4, 1), False),
+    (catalog.quadric(4, u=2), [((0,), 1), ((1,), 1)], (-5, 1), False),
+    (catalog.prime_fano(5), (1,), (-4, 1), False),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, bundles, window, theta",
+    ROUND_TRIPS,
+    ids=[e.variety_id + ("-theta" if theta else "") for e, _, _, theta in ROUND_TRIPS],
+)
+def test_table_json_roundtrip_on_entry_ids(entry, bundles, window, theta):
+    """Entry ids that are not ring ids resolve to the entry's ring."""
+    table = build_table(entry, bundles, window, theta=theta)
+    data = json.loads(json.dumps(table.to_json()))
+    again = CohomologyTable.from_json(data)
+    assert again.to_json() == table.to_json()
     assert again == table
 
 

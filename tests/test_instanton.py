@@ -169,6 +169,21 @@ def test_direct_sum_with_zero_window_mismatch():
         direct_sum(t1, build_table(catalog.projective_space(3), (0,), (-4, 0)))
 
 
+WHITNEY_SUMS = [
+    (catalog.flag3(), [((-1, 3), 1)], [((0, 2), 2), ((1, -1), 1)]),
+    (catalog.triple_p1(), [((-1, 1, 3), 2)], [((0, 1, 2), 1)]),
+    (catalog.scroll_p1((1, 1, 2)), [((0, 1), 1)], [((-1, 2), 1), ((1, -1), 1)]),
+    (catalog.scroll_p1((1, 2, 3, 3)), [((1, -2), 1), ((0, 1), 1)], [((-1, 3), 2)]),
+]
+
+
+@pytest.mark.parametrize("entry, b1, b2", WHITNEY_SUMS, ids=[e.variety_id for e, _, _ in WHITNEY_SUMS])
+def test_direct_sum_chern_is_whitney(entry, b1, b2):
+    w = (-entry.dimension - 1, 1)
+    summed = direct_sum(build_table(entry, b1, w), build_table(entry, b2, w))
+    assert summed.chern.to_json() == build_table(entry, b1 + b2, w).chern.to_json()
+
+
 def test_ulrich_dual_table_p3_self_dual():
     table = build_table(catalog.projective_space(3), (0,), (-5, 1))
     dualized = ulrich_dual_table(table, catalog.projective_space(3), 0)

@@ -186,6 +186,65 @@ def test_chern_poly_higher_coefficient():
         assert classes[3] == binom(q + 1, 2)
 
 
+#: (n, rank, defect, quantum) -> (c1, ..., cn), pinned from the previous
+#: truncated-polynomial implementation
+CHERN_POLY_PN = {
+    (2, 2, 0, 0): (0, 0),
+    (2, 2, 0, 1): (0, 1),
+    (2, 2, 0, 2): (0, 2),
+    (2, 2, 0, 3): (0, 3),
+    (2, 4, 0, 0): (0, 0),
+    (2, 4, 0, 1): (0, 1),
+    (2, 4, 0, 2): (0, 2),
+    (2, 4, 0, 3): (0, 3),
+    (2, 2, 1, 0): (-1, 0),
+    (2, 2, 1, 1): (-1, 1),
+    (2, 2, 1, 2): (-1, 2),
+    (2, 2, 1, 3): (-1, 3),
+    (2, 4, 1, 0): (-2, 1),
+    (2, 4, 1, 1): (-2, 2),
+    (2, 4, 1, 2): (-2, 3),
+    (2, 4, 1, 3): (-2, 4),
+    (3, 2, 0, 0): (0, 0, 0),
+    (3, 2, 0, 1): (0, 1, 0),
+    (3, 2, 0, 2): (0, 2, 0),
+    (3, 2, 0, 3): (0, 3, 0),
+    (3, 4, 0, 0): (0, 0, 0),
+    (3, 4, 0, 1): (0, 1, 0),
+    (3, 4, 0, 2): (0, 2, 0),
+    (3, 4, 0, 3): (0, 3, 0),
+    (3, 2, 1, 0): (-1, 0, 0),
+    (3, 2, 1, 1): (-1, 2, 0),
+    (3, 2, 1, 2): (-1, 4, 0),
+    (3, 2, 1, 3): (-1, 6, 0),
+    (3, 4, 1, 0): (-2, 1, 0),
+    (3, 4, 1, 1): (-2, 3, -2),
+    (3, 4, 1, 2): (-2, 5, -4),
+    (3, 4, 1, 3): (-2, 7, -6),
+    (4, 2, 0, 0): (0, 0, 0, 0),
+    (4, 2, 0, 1): (0, 1, 0, 1),
+    (4, 2, 0, 2): (0, 2, 0, 3),
+    (4, 2, 0, 3): (0, 3, 0, 6),
+    (4, 4, 0, 0): (0, 0, 0, 0),
+    (4, 4, 0, 1): (0, 1, 0, 1),
+    (4, 4, 0, 2): (0, 2, 0, 3),
+    (4, 4, 0, 3): (0, 3, 0, 6),
+    (4, 2, 1, 0): (-1, 0, 0, 0),
+    (4, 2, 1, 1): (-1, 2, 0, 4),
+    (4, 2, 1, 2): (-1, 4, 0, 12),
+    (4, 2, 1, 3): (-1, 6, 0, 24),
+    (4, 4, 1, 0): (-2, 1, 0, 0),
+    (4, 4, 1, 1): (-2, 3, -2, 4),
+    (4, 4, 1, 2): (-2, 5, -4, 12),
+    (4, 4, 1, 3): (-2, 7, -6, 24),
+}
+
+
+@pytest.mark.parametrize("key", CHERN_POLY_PN)
+def test_chern_poly_pinned(key):
+    assert rr.chern_poly_instanton_pn(*key) == CHERN_POLY_PN[key]
+
+
 def test_quantum_chern_identity():
     p3 = catalog.projective_space(3)
     H = p3.ring.gen("H")
