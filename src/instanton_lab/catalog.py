@@ -53,8 +53,16 @@ class VarietyCatalogEntry:
     def n(self) -> int:
         return self.dimension
 
+    @cached_property
+    def _h_powers(self) -> tuple[ChowClass, ...]:
+        powers = [self.ring.one()]
+        for _ in range(self.dimension):
+            powers.append(powers[-1] * self.polarization)
+        return tuple(powers)
+
     def h_power(self, k: int) -> ChowClass:
-        return self.polarization**k
+        """``h^k``; the powers ``0 <= k <= n`` are computed once per entry."""
+        return self._h_powers[k] if 0 <= k <= self.dimension else self.polarization**k
 
     def hn(self) -> int:
         """Degree of the polarization, ``integrate(h^n)``."""
@@ -354,6 +362,9 @@ def parse_variety(text: str) -> VarietyCatalogEntry:
             opts[k] = v
         else:
             plain.append(chunk)
+    missing = [k for k in {"scroll": ("n", "deg"), "fano": ("g",)}.get(head, ()) if k not in opts]
+    if missing:
+        raise UnknownVarietyError(f"variety {text!r} needs {missing[0]}=")
     if head in ("flag3", "flag"):
         return flag3()
     if head in ("triple-p1", "p1p1p1", "p1xp1xp1"):

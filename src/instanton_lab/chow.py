@@ -175,9 +175,6 @@ class ChowClass:
                 return c
         return 0
 
-    def component(self, r: int) -> "ChowClass":
-        return ChowClass(self.ring, tuple((m, c) for m, c in self.terms if sum(m) == r))
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -782,7 +782,8 @@ def segre_stable_example(s: int) -> SegreStableReport:
     # only in degree 1, so the ideal-sheaf sequence forces every entry
     vec_first = coh_product([(1, 0), (1, -1), (1, 2)])
     vec_second = coh_product([(1, 0), (1, 1), (1, -2)])
-    assert vec_first.is_zero() and vec_second.support() == (1,)
+    if not (vec_first.is_zero() and vec_second.support() == (1,)):
+        raise RuntimeError(f"O(0,-1,2), O(0,1,-2) have cohomology {vec_first}, {vec_second}")
     h_vec = (0, s + vec_second[1], 0, 0)
     consistent = q_oracle == h_vec[1] and h_vec[0] == h_vec[2] == h_vec[3] == 0
 

@@ -1,11 +1,17 @@
 """Command-line front-end.
 
-Subcommands: cohom, check, chi, monad, classify {flag|segre|cyclic},
-stability, scroll, fano, resolution-check, veronese.  Output is exact
-(integers, or rationals rendered ``p/q``) in markdown-ish text or JSON.
-Exit codes: 0 success / verdict-positive, 1 verdict-negative or
-classification mismatch, 2 input or window errors.  The environment variable
-``INSTANTON_LAB_BOX`` overrides the default enumeration box.
+Subcommands: cohom, check, chi, monad {pn|acm|quadric|space1|quadric1|scroll3|p1p3},
+classify {flag|segre|cyclic}, stability, scroll, fano, resolution-check,
+veronese.  Output is exact (integers, or rationals rendered ``p/q``) in
+markdown-ish text, or JSON with ``--json``.  Each leaf declares only the
+options its handler reads and names the handler with ``set_defaults``, so
+argparse does all the dispatch and rejects any other option: ``--json`` goes
+after the leaf, ``--window`` belongs to cohom, check and chi, ``--box`` to
+classify flag and segre.  Exit codes: 0 success / verdict-positive,
+1 verdict-negative or classification mismatch, 2 input or window errors
+(missing, conflicting or unrecognized options included), 3 an internal error,
+with its traceback on stderr.  The environment variable ``INSTANTON_LAB_BOX``
+overrides the default enumeration box.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ import sys
 
 from . import catalog, classify, instanton, monads, rr
 from .cohomology import CohomologyTable, build_table
-from .errors import InstantonLabError, UnknownVarietyError, WindowError
+from .errors import InstantonLabError, WindowError
 from .instanton import BettiShape, chi_polynomial
 from .util import render_rational
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def parse_bundle(entry, text: str) -> tuple[list[tuple[tuple[int, ...], int]], bool]:
@@ -50,7 +57,10 @@ def parse_bundle(entry, text: str) -> tuple[list[tuple[tuple[int, ...], int]], b
             coords = (int(chunk.split(":", 1)[1]),)
         elif chunk.lower().startswith("h:"):
             body = dict(p.split(":") for p in chunk.lower().split(","))
-            coords = (int(body["h"]), int(body.get("f", 0)))
+            gens = entry.ring.generators
+            if not body.keys() <= set(gens):
+                raise ValueError(f"{entry.variety_id} has divisor classes {gens}, not {tuple(body)}")
+            coords = tuple(int(body.get(g, 0)) for g in gens)
         else:
             coords = tuple(int(x) for x in chunk.split(","))
         summands.append((catalog.check_coords(entry, coords), mult))
@@ -85,11 +95,28 @@ def render_table(table: CohomologyTable) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, payload_json: dict, text: str) -> None:
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _emit(args, payload_json: dict, text: str) -> int:
+    """Print the JSON payload under ``--json``, else the text; returns ``EXIT_OK``."""
     if args.json:
         print(json.dumps(payload_json, indent=2, sort_keys=True))
     else:
         print(text)
+    return EXIT_OK
+
+
+def _emit_multiplicities(args, report: monads.ScrollMonadReport) -> int:
+    names = ", ".join(f"s{i}" for i in range(1, len(report.multiplicities) + 1))
+    payload = {"multiplicities": list(report.multiplicities), "relation": report.relation}
+    return _emit(args, payload, f"({names}) = {report.multiplicities}   [{report.relation}]")
+
+
+def _emit_classification(args, report: classify.ClassificationReport) -> int:
+    _emit(args, report.to_json(), report.to_markdown())
+    return EXIT_OK if report.agreement in ("exact", "superset") else EXIT_NEGATIVE
 
 
 def _default_box(args) -> int:
@@ -112,16 +139,17 @@ def _table_from_args(args) -> tuple[CohomologyTable, object]:
 
 def cmd_cohom(args) -> int:
     table, _ = _table_from_args(args)
-    _emit(args, table.to_json(), render_table(table))
-    return EXIT_OK
+    return _emit(args, table.to_json(), render_table(table))
 
 
 def cmd_check(args) -> int:
-    if args.table:
+    if args.table is not None and (args.variety, args.bundle, args.window) == (None, None, None):
         with open(args.table) as fh:
             table = CohomologyTable.from_json(json.load(fh))
-    else:
+    elif args.table is None and args.variety is not None and args.bundle is not None:
         table, _ = _table_from_args(args)
+    else:
+        raise InstantonLabError("check needs --table, or --variety and --bundle (optionally --window)")
     verdict = instanton.check_instanton(table)
     pairs = str(list(verdict.admissible)) if verdict.admissible else "none"
     text = [f"admissible (defect, quantum) pairs: {pairs}"]
@@ -131,8 +159,7 @@ def cmd_check(args) -> int:
     for note in verdict.notes:
         text.append(f"  {note}")
     _emit(args, verdict.to_json(), "\n".join(text))
-    ok = verdict.passes(args.defect if args.defect is not None else None)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return EXIT_OK if verdict.passes(args.defect) else EXIT_NEGATIVE
 
 
 def cmd_chi(args) -> int:
@@ -149,96 +176,76 @@ def cmd_chi(args) -> int:
     if len(values) == 2 and values["engine"] != values["riemann_roch"]:
         raise InstantonLabError(f"engine and Riemann-Roch disagree: {values}")
     val = next(iter(values.values()))
-    _emit(args, {"twist": t, "chi": val, "routes": list(values)}, f"chi(E({t}h)) = {val}")
-    return EXIT_OK
+    return _emit(args, {"twist": t, "chi": val, "routes": list(values)}, f"chi(E({t}h)) = {val}")
 
 
-def cmd_monad(args) -> int:
-    kind = args.monad_kind
-    if kind == "pn":
-        chi0 = args.chi0
-        if chi0 is None:
-            if args.rank is None:
-                raise InstantonLabError("need --chi0 or --rank")
-            if args.defect == 0:
-                chi0 = args.rank - (args.n - 1) * args.quantum
-            else:
-                if args.rank % 2:
-                    raise InstantonLabError("non-ordinary rank must be even")
-                chi0 = args.rank // 2 - (args.n if args.n >= 3 else 1) * args.quantum
-        shape = monads.monad_pn(args.n, args.defect, args.quantum, chi0, args.h0, args.hn)
-        _emit(args, shape.to_json(), shape.to_markdown())
-        return EXIT_OK
-    if kind == "acm":
-        entry = catalog.parse_variety(args.variety)
-        shape = monads.monad_acm(entry, args.defect, args.quantum, args.h1 or 0, args.hn1 or 0)
-        _emit(args, shape.to_json(), shape.to_markdown())
-        return EXIT_OK
-    if kind == "quadric":
-        result = monads.monad_quadric_ordinary(args.n, args.rank, args.quantum)
-        payload = {"s_total": result.total, "split": result.split}
-        text = f"spinor multiplicity s = {result.total}"
-        if args.n % 2 == 0:
-            text += " (s' + s''; split undetermined without spinor pairings)"
+def cmd_monad_pn(args) -> int:
+    chi0 = args.chi0
+    if chi0 is None:
+        if args.defect == 0:
+            chi0 = args.rank - (args.n - 1) * args.quantum
         else:
-            shape = monads.monad_quadric_ordinary_shape(args.n, args.rank, args.quantum)
-            text += "\n" + shape.to_markdown()
-        _emit(args, payload, text)
-        return EXIT_OK
-    if kind == "space1":
-        shape = monads.monad_space_nonordinary(args.n, args.rank, args.quantum, args.a, args.c)
-        _emit(args, shape.to_json(), shape.to_markdown())
-        return EXIT_OK
-    if kind == "quadric1":
-        s = monads.monad_quadric_nonordinary(args.n, args.rank, args.quantum, args.a, args.c, args.b)
-        shape = monads.monad_quadric_nonordinary_shape(
-            args.n, args.rank, args.quantum, args.a, args.c, args.b
-        )
-        _emit(args, {"s": s, **shape.to_json()}, shape.to_markdown())
-        return EXIT_OK
-    if kind == "scroll3":
-        inputs = tuple(int(x) for x in args.inputs.split(","))
-        report = monads.monad_scroll3(args.deg, args.rank, args.quantum, inputs)
-        _emit(
-            args,
-            {"multiplicities": list(report.multiplicities), "relation": report.relation},
-            f"(s1, s2, s3) = {report.multiplicities}   [{report.relation}]",
-        )
-        return EXIT_OK
-    if kind == "p1p3":
-        inputs = tuple(int(x) for x in args.inputs.split(","))
-        report = monads.monad_p1p3(args.rank, args.quantum, inputs)
-        _emit(
-            args,
-            {"multiplicities": list(report.multiplicities), "relation": report.relation},
-            f"(s1, s2, s3, s4) = {report.multiplicities}   [{report.relation}]",
-        )
-        return EXIT_OK
-    raise InstantonLabError(f"unknown monad kind {kind}")
+            if args.rank % 2:
+                raise InstantonLabError("non-ordinary rank must be even")
+            chi0 = args.rank // 2 - (args.n if args.n >= 3 else 1) * args.quantum
+    shape = monads.monad_pn(args.n, args.defect, args.quantum, chi0, args.h0, args.hn)
+    return _emit(args, shape.to_json(), shape.to_markdown())
 
 
-def cmd_classify(args) -> int:
-    target = args.target
-    if target == "flag":
-        report = classify.classify_flag_lines(_default_box(args), args.defect)
-    elif target == "segre":
-        report = classify.classify_segre_lines(_default_box(args), args.defect)
-    elif target == "cyclic":
-        decision = classify.classify_cyclic_lines(args.n, args.u, args.v, args.defect)
-        payload = {
-            "assertion": decision.assertion,
-            "witness": decision.witness,
-            "steps": list(decision.steps),
-        }
-        text = [f"assertion: {decision.assertion}   witness: " + (
-            f"O({decision.witness}H)" if decision.witness is not None else "none")]
-        text.extend(f"  {s}" for s in decision.steps)
-        _emit(args, payload, "\n".join(text))
-        return EXIT_OK if decision.assertion is not None else EXIT_NEGATIVE
+def cmd_monad_acm(args) -> int:
+    entry = catalog.parse_variety(args.variety)
+    shape = monads.monad_acm(entry, args.defect, args.quantum, args.h1, args.hn1)
+    return _emit(args, shape.to_json(), shape.to_markdown())
+
+
+def cmd_monad_quadric(args) -> int:
+    result = monads.monad_quadric_ordinary(args.n, args.rank, args.quantum)
+    payload = {"s_total": result.total, "split": result.split}
+    text = f"spinor multiplicity s = {result.total}"
+    if args.n % 2 == 0:
+        text += " (s' + s''; split undetermined without spinor pairings)"
     else:
-        raise InstantonLabError(f"unknown classification target {target}")
-    _emit(args, report.to_json(), report.to_markdown())
-    return EXIT_OK if report.agreement in ("exact", "superset") else EXIT_NEGATIVE
+        shape = monads.monad_quadric_ordinary_shape(args.n, args.rank, args.quantum)
+        text += "\n" + shape.to_markdown()
+    return _emit(args, payload, text)
+
+
+def cmd_monad_space1(args) -> int:
+    shape = monads.monad_space_nonordinary(args.n, args.rank, args.quantum, args.a, args.c)
+    return _emit(args, shape.to_json(), shape.to_markdown())
+
+
+def cmd_monad_quadric1(args) -> int:
+    s = monads.monad_quadric_nonordinary(args.n, args.rank, args.quantum, args.a, args.c, args.b)
+    shape = monads.monad_quadric_nonordinary_shape(args.n, args.rank, args.quantum, args.a, args.c, args.b)
+    return _emit(args, {"s": s, **shape.to_json()}, shape.to_markdown())
+
+
+def cmd_monad_scroll3(args) -> int:
+    report = monads.monad_scroll3(args.deg, args.rank, args.quantum, _int_tuple(args.inputs))
+    return _emit_multiplicities(args, report)
+
+
+def cmd_monad_p1p3(args) -> int:
+    return _emit_multiplicities(args, monads.monad_p1p3(args.rank, args.quantum, _int_tuple(args.inputs)))
+
+
+def cmd_classify_flag(args) -> int:
+    return _emit_classification(args, classify.classify_flag_lines(_default_box(args), args.defect))
+
+
+def cmd_classify_segre(args) -> int:
+    return _emit_classification(args, classify.classify_segre_lines(_default_box(args), args.defect))
+
+
+def cmd_classify_cyclic(args) -> int:
+    decision = classify.classify_cyclic_lines(args.n, args.u, args.v, args.defect)
+    payload = {"assertion": decision.assertion, "witness": decision.witness, "steps": list(decision.steps)}
+    text = [f"assertion: {decision.assertion}   witness: " + (
+        f"O({decision.witness}H)" if decision.witness is not None else "none")]
+    text.extend(f"  {s}" for s in decision.steps)
+    _emit(args, payload, "\n".join(text))
+    return EXIT_OK if decision.assertion is not None else EXIT_NEGATIVE
 
 
 def cmd_stability(args) -> int:
@@ -255,15 +262,16 @@ def cmd_stability(args) -> int:
         verdict = classify.hoppe_rank2_from_eps(report.eps, args.h0_norm, args.h0_norm_minus)
         lines.append(f"section criterion: {verdict.status} ({verdict.rule})")
         payload["section_criterion"] = verdict.to_json()
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return _emit(args, payload, "\n".join(lines))
 
 
 def cmd_scroll(args) -> int:
-    if args.degrees:
-        scroll: object = tuple(int(x) for x in args.degrees.split(","))
+    if args.degrees is not None and (args.n, args.genus, args.deg) == (None, None, None):
+        scroll: object = _int_tuple(args.degrees)
+    elif args.degrees is None and args.n is not None and args.deg is not None:
+        scroll = catalog.scroll_generic(args.n, args.genus or 0, args.deg)
     else:
-        scroll = catalog.scroll_generic(args.n, args.genus, args.deg)
+        raise InstantonLabError("scroll needs --degrees, or --n and --deg (and optionally --genus)")
     report = classify.scroll_construction_report(scroll, args.k)
     text = [
         f"scroll {report.variety_id}: k = {report.k}",
@@ -275,8 +283,7 @@ def cmd_scroll(args) -> int:
     ]
     if report.h1_end_ulrich_pair is not None:
         text.append(f"non-split Ulrich pair variant: h^1(End) = {report.h1_end_ulrich_pair}")
-    _emit(args, report.to_json(), "\n".join(text))
-    return EXIT_OK
+    return _emit(args, report.to_json(), "\n".join(text))
 
 
 def cmd_fano(args) -> int:
@@ -288,13 +295,12 @@ def cmd_fano(args) -> int:
         f"backward (classical -> instanton): case {report.backward_case}"
         + (f", requires {report.backward_extra_vanishing}" if report.backward_extra_vanishing else ""),
     ]
-    _emit(args, report.to_json(), "\n".join(text))
-    return EXIT_OK
+    return _emit(args, report.to_json(), "\n".join(text))
 
 
 def cmd_resolution_check(args) -> int:
     beta: dict[tuple[int, int], int] = {}
-    for chunk in filter(None, (args.beta or "").split(";")):
+    for chunk in filter(None, args.beta.split(";")):
         pos, _, mult = chunk.partition(":")
         p, i = (int(x) for x in pos.split(","))
         beta[(p, i)] = int(mult)
@@ -309,139 +315,122 @@ def cmd_resolution_check(args) -> int:
 def cmd_veronese(args) -> int:
     q = instanton.veronese_quantum(args.n, args.rank, args.d, args.hn)
     payload = {"quantum": render_rational(q), "integral": q.denominator == 1}
-    _emit(args, payload, f"quantum number: {render_rational(q)}"
-          + ("" if q.denominator == 1 else "  (non-integral: infeasible)"))
-    return EXIT_OK
+    return _emit(args, payload, f"quantum number: {render_rational(q)}"
+                 + ("" if q.denominator == 1 else "  (non-integral: infeasible)"))
+
+
+def _leaf(group, name: str, func, help: str | None = None) -> argparse.ArgumentParser:
+    """A subcommand that runs ``func``; every leaf takes ``--json``."""
+    p = group.add_parser(name, help=help)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(func=func)
+    return p
+
+
+def _ints(p: argparse.ArgumentParser, *flags: str, default: int | None = None) -> None:
+    """Integer options: required, or optional when given a default."""
+    for flag in flags:
+        p.add_argument(flag, type=int, required=default is None, default=default)
+
+
+def _defect(p: argparse.ArgumentParser, **kw) -> None:
+    p.add_argument("--defect", type=int, choices=(0, 1), **kw)
+
+
+def _bundle_options(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--variety", required=required)
+    p.add_argument("--bundle", required=required)
+    p.add_argument("--window", type=str, default=None, help="twist window a:b")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--box", type=int, default=None, help="enumeration box half-width")
-    common.add_argument("--window", type=str, default=None, help="twist window a:b")
-
     parser = argparse.ArgumentParser(
         prog="instanton-lab",
         description="Exact cohomology, Chow-ring and instanton-sheaf computations on a fixed variety catalog.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cohom", parents=[common], help="cohomology table of a line-bundle sum")
-    p.add_argument("--variety", required=True)
-    p.add_argument("--bundle", required=True)
-    p.set_defaults(func=cmd_cohom)
+    p = _leaf(sub, "cohom", cmd_cohom, "cohomology table of a line-bundle sum")
+    _bundle_options(p)
 
-    p = sub.add_parser("check", parents=[common], help="run the instanton condition list")
-    p.add_argument("--variety")
-    p.add_argument("--bundle")
+    p = _leaf(sub, "check", cmd_check, "run the instanton condition list")
+    _bundle_options(p, required=False)
     p.add_argument("--table", help="JSON table file instead of --variety/--bundle")
-    p.add_argument("--defect", type=int, choices=(0, 1), default=None)
-    p.set_defaults(func=cmd_check)
+    _defect(p, default=None)
 
-    p = sub.add_parser("chi", parents=[common], help="exact Euler characteristic")
-    p.add_argument("--variety", required=True)
-    p.add_argument("--bundle", required=True)
+    p = _leaf(sub, "chi", cmd_chi, "exact Euler characteristic")
+    _bundle_options(p)
     p.add_argument("--twist", type=int, default=0)
-    p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("monad", parents=[common], help="synthesize monad shapes")
-    msub = p.add_subparsers(dest="monad_kind", required=True)
-    mp = msub.add_parser("pn", parents=[common])
-    mp.add_argument("--n", type=int, required=True)
-    mp.add_argument("--defect", type=int, choices=(0, 1), required=True)
-    mp.add_argument("--quantum", type=int, required=True)
-    mp.add_argument("--rank", type=int)
-    mp.add_argument("--chi0", type=int)
-    mp.add_argument("--h0", type=int, help="h^0(E), non-ordinary only")
-    mp.add_argument("--hn", type=int, help="h^n(E(-n)), non-ordinary only")
-    mp.set_defaults(func=cmd_monad)
-    mp = msub.add_parser("acm", parents=[common])
-    mp.add_argument("--variety", required=True)
-    mp.add_argument("--defect", type=int, choices=(0, 1), required=True)
-    mp.add_argument("--quantum", type=int, required=True)
-    mp.add_argument("--h1", type=int, help="h^1(E), defect 1 only")
-    mp.add_argument("--hn1", type=int, help="h^(n-1)(E(-n h)), defect 1 only")
-    mp.set_defaults(func=cmd_monad)
-    mp = msub.add_parser("quadric", parents=[common])
-    mp.add_argument("--n", type=int, required=True)
-    mp.add_argument("--rank", type=int, required=True)
-    mp.add_argument("--quantum", type=int, required=True)
-    mp.set_defaults(func=cmd_monad)
-    mp = msub.add_parser("space1", parents=[common])
-    mp.add_argument("--n", type=int, required=True)
-    mp.add_argument("--rank", type=int, required=True)
-    mp.add_argument("--quantum", type=int, required=True)
-    mp.add_argument("--a", type=int, default=0)
-    mp.add_argument("--c", type=int, default=0)
-    mp.set_defaults(func=cmd_monad)
-    mp = msub.add_parser("quadric1", parents=[common])
-    mp.add_argument("--n", type=int, required=True)
-    mp.add_argument("--rank", type=int, required=True)
-    mp.add_argument("--quantum", type=int, required=True)
-    mp.add_argument("--a", type=int, default=0)
-    mp.add_argument("--c", type=int, default=0)
-    mp.add_argument("--b", type=int, default=0)
-    mp.set_defaults(func=cmd_monad)
-    mp = msub.add_parser("scroll3", parents=[common])
-    mp.add_argument("--deg", type=int, required=True)
-    mp.add_argument("--rank", type=int, required=True)
-    mp.add_argument("--quantum", type=int, required=True)
-    mp.add_argument("--inputs", required=True, help="comma list x1,x2,x3")
-    mp.set_defaults(func=cmd_monad)
-    mp = msub.add_parser("p1p3", parents=[common])
-    mp.add_argument("--rank", type=int, required=True)
-    mp.add_argument("--quantum", type=int, required=True)
-    mp.add_argument("--inputs", required=True, help="comma list x1,x2,x3,x4")
-    mp.set_defaults(func=cmd_monad)
+    msub = sub.add_parser("monad", help="synthesize monad shapes")
+    msub = msub.add_subparsers(dest="monad_kind", required=True)
+    p = _leaf(msub, "pn", cmd_monad_pn)
+    _ints(p, "--n", "--quantum")
+    _defect(p, required=True)
+    rank_or_chi0 = p.add_mutually_exclusive_group(required=True)
+    rank_or_chi0.add_argument("--rank", type=int)
+    rank_or_chi0.add_argument("--chi0", type=int)
+    p.add_argument("--h0", type=int, help="h^0(E), non-ordinary only")
+    p.add_argument("--hn", type=int, help="h^n(E(-n)), non-ordinary only")
+    p = _leaf(msub, "acm", cmd_monad_acm)
+    p.add_argument("--variety", required=True)
+    _defect(p, required=True)
+    _ints(p, "--quantum")
+    p.add_argument("--h1", type=int, default=0, help="h^1(E), defect 1 only")
+    p.add_argument("--hn1", type=int, default=0, help="h^(n-1)(E(-n h)), defect 1 only")
+    p = _leaf(msub, "quadric", cmd_monad_quadric)
+    _ints(p, "--n", "--rank", "--quantum")
+    p = _leaf(msub, "space1", cmd_monad_space1)
+    _ints(p, "--n", "--rank", "--quantum")
+    _ints(p, "--a", "--c", default=0)
+    p = _leaf(msub, "quadric1", cmd_monad_quadric1)
+    _ints(p, "--n", "--rank", "--quantum")
+    _ints(p, "--a", "--c", "--b", default=0)
+    p = _leaf(msub, "scroll3", cmd_monad_scroll3)
+    _ints(p, "--deg", "--rank", "--quantum")
+    p.add_argument("--inputs", required=True, help="comma list x1,x2,x3")
+    p = _leaf(msub, "p1p3", cmd_monad_p1p3)
+    _ints(p, "--rank", "--quantum")
+    p.add_argument("--inputs", required=True, help="comma list x1,x2,x3,x4")
 
-    p = sub.add_parser("classify", parents=[common], help="brute-force classification runs")
-    p.add_argument("target", choices=("flag", "segre", "cyclic"))
-    p.add_argument("--defect", type=int, choices=(0, 1), default=0)
-    p.add_argument("--n", type=int)
-    p.add_argument("--u", type=int, default=1)
-    p.add_argument("--v", type=int)
-    p.set_defaults(func=cmd_classify)
+    csub = sub.add_parser("classify", help="brute-force classification runs")
+    csub = csub.add_subparsers(dest="target", required=True)
+    for name, func in (("flag", cmd_classify_flag), ("segre", cmd_classify_segre)):
+        p = _leaf(csub, name, func)
+        p.add_argument("--box", type=int, default=None, help="enumeration box half-width")
+        _defect(p, default=0)
+    p = _leaf(csub, "cyclic", cmd_classify_cyclic)
+    _defect(p, default=0)
+    _ints(p, "--n", "--v")
+    _ints(p, "--u", default=1)
 
-    p = sub.add_parser("stability", parents=[common], help="rank-two stability case analysis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", type=int, default=1)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--defect", type=int, choices=(0, 1), required=True)
+    p = _leaf(sub, "stability", cmd_stability, "rank-two stability case analysis")
+    _ints(p, "--n", "--v")
+    _ints(p, "--u", default=1)
+    _defect(p, required=True)
     p.add_argument("--h0-norm", dest="h0_norm", type=int)
     p.add_argument("--h0-norm-minus", dest="h0_norm_minus", type=int)
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("scroll", parents=[common], help="rank-two scroll construction report")
+    p = _leaf(sub, "scroll", cmd_scroll, "rank-two scroll construction report")
     p.add_argument("--degrees", help="split degrees, e.g. 1,1,1")
     p.add_argument("--n", type=int)
-    p.add_argument("--genus", type=int, default=0)
+    p.add_argument("--genus", type=int, help="genus of the base curve (default 0)")
     p.add_argument("--deg", type=int)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_scroll)
+    _ints(p, "--k")
 
-    p = sub.add_parser("fano", parents=[common], help="classical-instanton bridge on Fano 3-folds")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--defect", type=int, choices=(0, 1), required=True)
+    p = _leaf(sub, "fano", cmd_fano, "classical-instanton bridge on Fano 3-folds")
+    _ints(p, "--index")
+    _defect(p, required=True)
     p.add_argument("--epsilon", type=int, choices=(0, 1), required=True)
-    p.set_defaults(func=cmd_fano)
 
-    p = sub.add_parser("resolution-check", parents=[common], help="Betti-shape consistency check")
+    p = _leaf(sub, "resolution-check", cmd_resolution_check, "Betti-shape consistency check")
     p.add_argument("--ambient", type=int, required=True, help="ambient projective dimension N")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    _ints(p, "--v", "--w", "--n", "--quantum", "--chi0")
     p.add_argument("--beta", type=str, required=True, help="semicolon list p,i:mult")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--defect", type=int, choices=(0, 1), required=True)
-    p.add_argument("--quantum", type=int, required=True)
-    p.add_argument("--chi0", type=int, required=True)
-    p.set_defaults(func=cmd_resolution_check)
+    _defect(p, required=True)
 
-    p = sub.add_parser("veronese", parents=[common], help="quantum number of the d-th polarization twist")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--hn", type=int, required=True)
-    p.set_defaults(func=cmd_veronese)
+    p = _leaf(sub, "veronese", cmd_veronese, "quantum number of the d-th polarization twist")
+    _ints(p, "--n", "--rank", "--d", "--hn")
 
     return parser
 
@@ -481,9 +470,14 @@ def main(argv: list[str] | None = None) -> int:
         if exc.missing:
             print(f"missing twists: {list(exc.missing)}", file=sys.stderr)
         return EXIT_INPUT
-    except (InstantonLabError, UnknownVarietyError, ValueError, KeyError, OSError) as exc:
+    except (InstantonLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        import traceback  # imported only on an internal error: it costs CLI start-up time
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

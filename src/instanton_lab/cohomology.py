@@ -30,7 +30,7 @@ from .catalog import (
     line_bundle_class,
     twist_coords,
 )
-from .errors import UnsupportedBundleError, WindowError
+from .errors import MalformedDataError, UnsupportedBundleError, WindowError
 from .rr import ChernData
 from .util import binom
 
@@ -136,7 +136,6 @@ def coh_product(factors: list[tuple[int, int]]) -> CohVector:
     """Kunneth convolution for ``O(t_1, ..., t_r)`` on a product of projective spaces."""
     if not factors:
         raise ValueError("at least one factor")
-    total_dim = sum(n for n, _ in factors)
     acc = [1]
     for n, t in factors:
         vec = coh_projective_space(n, t)
@@ -147,7 +146,6 @@ def coh_product(factors: list[tuple[int, int]]) -> CohVector:
                     if vec[q]:
                         nxt[i + q] += a * vec[q]
         acc = nxt
-    assert len(acc) == total_dim + 1
     return CohVector(tuple(acc))
 
 
@@ -178,7 +176,8 @@ def coh_flag3(a1: int, a2: int) -> CohVector:
         ((-y, -x), 3),
     )
     hits = [(pq, length) for pq, length in orbit if pq[0] > 0 and pq[1] > 0]
-    assert len(hits) == 1, (a1, a2, hits)
+    if len(hits) != 1:
+        raise RuntimeError(f"the dotted Weyl orbit of ({a1}, {a2}) has {len(hits)} dominant points, not 1")
     (p, q), length = hits[0]
     dims[length] = weyl_dim_sl3(p - 1, q - 1)
     return CohVector(tuple(dims))
@@ -389,18 +388,22 @@ class CohomologyTable:
 
     @staticmethod
     def from_json(data: dict) -> "CohomologyTable":
-        rows_sorted = sorted(data["rows"], key=lambda r: r["t"])
-        tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
-        if [r["t"] for r in rows_sorted] != list(range(tmin, tmax + 1)):
-            raise ValueError("rows do not enumerate the window")
-        rows = tuple(CohVector(tuple(r["h"])) for r in rows_sorted)
-        chern = None
-        if data.get("chern"):
-            chern = ChernData.from_json(entry_ring(data["variety"]).variety_id, data["chern"])
+        try:
+            variety_id, rank = data["variety"], data["rank"]
+            tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
+            rows_sorted = sorted(data["rows"], key=lambda r: r["t"])
+            rows = tuple(CohVector(tuple(r["h"])) for r in rows_sorted)
+            chern = None
+            if data.get("chern"):
+                chern = ChernData.from_json(entry_ring(variety_id).variety_id, data["chern"])
+        except (KeyError, TypeError) as exc:
+            raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
+        if not rows or [r["t"] for r in rows_sorted] != list(range(tmin, tmax + 1)):
+            raise MalformedDataError("rows do not enumerate a non-empty window")
         return CohomologyTable(
-            variety_id=data["variety"],
+            variety_id=variety_id,
             dimension=len(rows[0]) - 1,
-            rank=data["rank"],
+            rank=rank,
             tmin=tmin,
             tmax=tmax,
             rows=rows,

@@ -148,12 +148,8 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
             is_wic = True
         elif q == 0 and (d == 0 or (table.h(1, 0) == 0 and table.h(n - 1, -n) == 0)):
             is_wic = True
-    natural = True
-    windows = [range(d - n, 0) for d, _ in admissible] or [range(-n, 0)]
-    for w in windows:
-        for t in w:
-            if len(table.row(t).support()) > 1:
-                natural = False
+    defects = [d for d, _ in admissible] or [0]
+    natural = all(natural_cohomology_window(table, d) for d in defects)
     return InstantonVerdict(tuple(admissible), is_ulrich, is_wic, natural, tuple(notes))
 
 

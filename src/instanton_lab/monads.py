@@ -86,12 +86,8 @@ class MonadShape:
     notes: tuple[str, ...] = ()
 
     def term_rank(self, i: int) -> int | None:
-        total = 0
-        for s in self.terms[i]:
-            r = s.total_rank()
-            if r is None:
-                return None
-        return sum(s.total_rank() for s in self.terms[i])
+        ranks = [s.total_rank() for s in self.terms[i]]
+        return None if None in ranks else sum(ranks)
 
     def cohomology_rank(self) -> int | None:
         """rk(M^0) - rk(M^-1) - rk(M^1), when all terms are determined."""

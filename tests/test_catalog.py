@@ -131,3 +131,10 @@ def test_invalid_entries_rejected():
         catalog.scroll_p1((0, 1, 1))
     with pytest.raises(UnknownVarietyError):
         catalog.prime_fano(2)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
+def test_h_powers_are_cached_powers_of_h(entry):
+    for k in range(entry.dimension + 2):
+        assert entry.h_power(k) == entry.polarization**k
+    assert entry.h_power(entry.dimension) is entry.h_power(entry.dimension)

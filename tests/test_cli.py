@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
 
+import pytest
+
+from instanton_lab import catalog, cli
 from instanton_lab.cli import main
-from instanton_lab.cohomology import CohomologyTable
+from instanton_lab.cohomology import CohomologyTable, build_table
+from instanton_lab.errors import MalformedDataError, UnknownVarietyError
 
 
 def run(capsys, *argv):
@@ -181,3 +186,121 @@ def test_monad_json_roundtrip_via_cli(capsys):
     )
     assert code == 0
     assert MonadShape.from_json(json.loads(out)) == monad_pn(3, 0, 2, -2)
+
+
+def test_json_goes_after_the_leaf(capsys):
+    pn = ("--n", "3", "--defect", "0", "--rank", "2", "--quantum", "2")
+    code, out, _ = run(capsys, "monad", "pn", *pn, "--json")
+    assert code == 0 and json.loads(out)["terms"]
+    code, out, err = run(capsys, "monad", "--json", "pn", *pn)
+    assert code == 2 and out == "" and "--json" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "cyclic", "--v", "-4"),
+        ("classify", "cyclic", "--n", "3"),
+        ("scroll", "--k", "1"),
+        ("scroll", "--n", "3", "--k", "1"),
+        ("scroll", "--degrees", "1,1,1", "--n", "3", "--deg", "4", "--k", "1"),
+        ("check",),
+        ("check", "--variety", "p3"),
+        ("check", "--bundle", "O:0"),
+        ("monad", "pn", "--n", "3", "--defect", "0", "--quantum", "2"),
+    ],
+    ids=" ".join,
+)
+def test_missing_or_conflicting_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "error" in err
+
+
+def test_check_table_excludes_variety_bundle_and_window(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()))
+    for extra in (("--variety", "flag3"), ("--bundle", "-1,3"), ("--window", "-4:0")):
+        code, out, err = run(capsys, "check", "--table", str(path), *extra)
+        assert code == 2 and out == "" and "check needs --table" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("veronese", "--n", "3", "--rank", "2", "--d", "2", "--hn", "2", "--window", "1:2"),
+        ("fano", "--index", "1", "--defect", "0", "--epsilon", "1", "--box", "3"),
+        ("classify", "cyclic", "--n", "3", "--v", "-3", "--defect", "1", "--box", "4"),
+        ("monad", "quadric", "--n", "3", "--rank", "2", "--quantum", "3", "--window", "0:1"),
+        ("cohom", "--variety", "p3", "--bundle", "O:0", "--box", "4"),
+    ],
+    ids=" ".join,
+)
+def test_unread_options_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_scroll_divisor_names_only_on_scrolls(capsys):
+    code, _, err = run(capsys, "cohom", "--variety", "flag3", "--bundle", "h:1")
+    assert code == 2 and "h1" in err
+    code, _, _ = run(capsys, "cohom", "--variety", "scroll-p1:1,1,1", "--bundle", "h:1,g:2")
+    assert code == 2
+
+
+@pytest.mark.parametrize("text, key", [("scroll:n=3", "deg="), ("scroll:deg=4", "n="), ("fano", "g=")])
+def test_parse_variety_names_the_missing_key(capsys, text, key):
+    with pytest.raises(UnknownVarietyError, match=key):
+        catalog.parse_variety(text)
+    code, _, err = run(capsys, "cohom", "--variety", text, "--bundle", "0")
+    assert code == 2 and key in err
+
+
+@pytest.mark.parametrize("key", ["rows", "window", "c1"])
+def test_table_missing_a_key_exits_2(tmp_path, capsys, key):
+    data = build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()
+    del (data["chern"] if key == "c1" else data)[key]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedDataError, match=key):
+        CohomologyTable.from_json(data)
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and key in err
+
+
+def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+    def broken(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "cmd_veronese", broken)
+    code, out, err = run(capsys, "veronese", "--n", "3", "--rank", "2", "--d", "2", "--hn", "2")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == "" and "Traceback" in err and "ZeroDivisionError" in err
+
+
+def _leaves(parser, path=(), options=()):
+    """(path, options along the path) for every leaf parser, help excluded."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = options + tuple(
+        a.option_strings[0]
+        for a in parser._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    )
+    if not subs:
+        return [(" ".join(path), options)]
+    return [
+        leaf
+        for sub in subs
+        for name, child in sub.choices.items()
+        for leaf in _leaves(child, path + (name,), options)
+    ]
+
+
+def test_parser_declares_each_option_once_where_it_is_read():
+    leaves = dict(_leaves(cli.build_parser()))
+    assert len(leaves) == 18
+    for path, options in leaves.items():
+        assert len(options) == len(set(options)), path
+        assert "--json" in options, path
+    assert {p for p, o in leaves.items() if "--box" in o} == {"classify flag", "classify segre"}
+    assert {p for p, o in leaves.items() if "--window" in o} == {"cohom", "check", "chi"}
