@@ -350,16 +350,19 @@ def parse_variety(text: str) -> VarietyCatalogEntry:
 
     Examples: ``p3``, ``p3:h=2``, ``q4``, ``flag3``, ``triple-p1``,
     ``scroll-p1:1,1,2``, ``scroll:n=3,g=1,deg=4``, ``curve:g=2,deg=4``,
-    ``curve:g=2,deg=4,model=generic``, ``fano:g=5``.
+    ``curve:g=2,deg=4,model=generic``, ``curve:g=0,deg=2,model=exact_p1``,
+    ``fano:g=5``.  The head and the option keys are read case-insensitively
+    with ``_`` as ``-``; option values are taken as written.
     """
-    text = text.strip().lower().replace("_", "-")
+    text = text.strip()
     head, _, rest = text.partition(":")
+    head = head.lower().replace("_", "-")
     opts: dict[str, str] = {}
     plain: list[str] = []
     for chunk in filter(None, rest.split(",")):
         if "=" in chunk:
             k, _, v = chunk.partition("=")
-            opts[k] = v
+            opts[k.lower().replace("_", "-")] = v
         else:
             plain.append(chunk)
     missing = [k for k in {"scroll": ("n", "deg"), "fano": ("g",)}.get(head, ()) if k not in opts]

@@ -2,10 +2,19 @@
 
 Each catalog variety gets a finite presentation of (the numerical shadow of)
 its Chow ring: degree-one generators, monomial rewrite rules, and a degree
-map on the top graded piece.  A :class:`ChowClass` is an integer combination
-of normal-form monomials that holds its presentation; products are
-normalized eagerly so classes are always reduced, and intersection numbers
-come from :func:`integrate`.
+map on the top graded piece.  The rules define the ring: the normal-form
+monomials of degree at most the variety dimension (those no rule divides)
+form a basis of it as a free Z-module, with at most a dozen elements.
+
+When a presentation is registered it tabulates itself once: its sorted
+basis, an integer structure-constant table giving the product of every pair
+of basis monomials as a sparse basis vector (one rewrite per pair), and the
+degree of each basis monomial.  A :class:`ChowClass` is its presentation
+plus a coefficient vector over that basis, so :func:`multiply` is a
+contraction with the table, :func:`integrate` a dot product with the degree
+vector, and sums and scalar multiples are index arithmetic.  Only
+:meth:`ChowRingPresentation.from_dict` (which reads JSON and arbitrary
+monomials) rewrites per call.
 
 There is one presentation object per ring id, and classes combine only when
 they hold the same object.  Ring ids are parsed (by :func:`preset_ring`) only
@@ -14,25 +23,25 @@ when classes are read back from JSON.
 The presentations shipped here are complete rewrite systems: rewriting any
 monomial of degree above the variety dimension reaches zero, and all rewrite
 orders agree (both facts are exercised by the test suite via
-:func:`all_normal_forms`).
+:func:`all_normal_forms`, and the table is tested against
+:meth:`ChowRingPresentation.normalize_monomial`).
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import UnknownVarietyError, VarietyMismatchError
+from .errors import MalformedDataError, UnknownVarietyError, VarietyMismatchError
 
 #: Exponent vector over a presentation's generators.
 Monomial = tuple[int, ...]
 
 Terms = tuple[tuple[Monomial, int], ...]
-
-
-def _freeze(terms: Mapping[Monomial, int]) -> Terms:
-    return tuple(sorted((m, c) for m, c in terms.items() if c != 0))
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,8 @@ class ChowRingPresentation:
     """Presentation of the (numerical) Chow ring of one catalog variety.
 
     Presentations compare by identity: the registry keeps one per ring id.
+    The basis, the multiplication table and the degree vector are computed
+    once, on first use.
     """
 
     variety_id: str
@@ -71,6 +82,45 @@ class ChowRingPresentation:
     top_degree: int
     degree_map: Terms
 
+    @cached_property
+    def basis(self) -> tuple[Monomial, ...]:
+        """Normal-form monomials of degree at most ``top_degree``, sorted."""
+        n = self.top_degree
+        candidates = itertools.product(range(n + 1), repeat=len(self.generators))
+        return tuple(m for m in candidates if sum(m) <= n and self.is_normal(m))
+
+    @cached_property
+    def index(self) -> dict[Monomial, int]:
+        """Position of each basis monomial."""
+        return {m: k for k, m in enumerate(self.basis)}
+
+    @cached_property
+    def grades(self) -> tuple[int, ...]:
+        """Degree of each basis monomial."""
+        return tuple(map(sum, self.basis))
+
+    @cached_property
+    def table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """``table[i][j]``: basis monomial i times basis monomial j, as ``((k, coeff), ...)``.
+
+        Built with one :meth:`normalize_monomial` call per pair.
+        """
+        index, basis = self.index, self.basis
+
+        def product(mi: Monomial, mj: Monomial) -> tuple[tuple[int, int], ...]:
+            form = self.normalize_monomial(tuple(map(operator.add, mi, mj)))
+            return tuple(sorted((index[m], c) for m, c in form.items()))
+
+        return tuple(tuple(product(mi, mj) for mj in basis) for mi in basis)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """``integrate`` of each basis monomial: the degree map, 0 below the top degree."""
+        values = dict(self.degree_map)
+        if set(values) != {m for m, g in zip(self.basis, self.grades) if g == self.top_degree}:
+            raise ValueError(f"the degree map of {self.variety_id!r} does not cover its top normal forms")
+        return tuple(values.get(m, 0) for m in self.basis)
+
     def monomial(self, **exponents: int) -> Monomial:
         exps = [0] * len(self.generators)
         for name, e in exponents.items():
@@ -78,23 +128,37 @@ class ChowRingPresentation:
         return tuple(exps)
 
     def gen(self, name: str) -> "ChowClass":
-        return ChowClass(self, ((self.monomial(**{name: 1}), 1),))
+        return self.from_dict({self.monomial(**{name: 1}): 1})
 
     def gens(self) -> tuple["ChowClass", ...]:
         return tuple(self.gen(name) for name in self.generators)
 
     def one(self) -> "ChowClass":
-        return ChowClass(self, (((0,) * len(self.generators), 1),))
+        return self.from_dict({(0,) * len(self.generators): 1})
 
     def zero(self) -> "ChowClass":
-        return ChowClass(self, ())
+        return ChowClass(self, (0,) * len(self.basis))
 
     def from_dict(self, terms: Mapping[Monomial, int]) -> "ChowClass":
-        acc: dict[Monomial, int] = {}
+        """The class ``sum(coeff * mono)``, rewriting monomials outside the basis.
+
+        Raises :class:`MalformedDataError` on a monomial that is not an
+        exponent vector over the generators.
+        """
+        index = self.index
+        coeffs = [0] * len(self.basis)
         for mono, coeff in terms.items():
+            k = index.get(mono)
+            if k is not None:
+                coeffs[k] += coeff
+                continue
+            if len(mono) != len(self.generators) or any(not isinstance(e, int) or e < 0 for e in mono):
+                raise MalformedDataError(
+                    f"{list(mono)} is not an exponent vector over {list(self.generators)} on {self.variety_id!r}"
+                )
             for m, c in self.normalize_monomial(mono).items():
-                acc[m] = acc.get(m, 0) + c * coeff
-        return ChowClass(self, _freeze(acc))
+                coeffs[index[m]] += c * coeff
+        return ChowClass(self, tuple(coeffs))
 
     def is_normal(self, mono: Monomial) -> bool:
         return not any(rule.divides(mono) for rule in self.relations)
@@ -152,53 +216,54 @@ def all_normal_forms(ring: ChowRingPresentation, mono: Monomial) -> set[Terms]:
                     nxt[m2] = nxt.get(m2, 0) + c * c2
                 reduce(nxt)
             return
-        results.add(_freeze(terms))
+        results.add(tuple(sorted((m, c) for m, c in terms.items() if c != 0)))
 
     reduce({mono: 1})
     return results
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChowClass:
-    """Integer combination of normal-form monomials, graded by degree."""
+    """Integer combination of normal-form monomials, graded by degree.
+
+    ``coeffs[k]`` is the coefficient of ``ring.basis[k]``.
+    """
 
     ring: ChowRingPresentation
-    terms: Terms
+    coeffs: tuple[int, ...]
 
     @property
     def variety_id(self) -> str:
         return self.ring.variety_id
 
+    @property
+    def terms(self) -> Terms:
+        """The nonzero ``(monomial, coefficient)`` pairs in monomial order."""
+        return tuple((m, c) for m, c in zip(self.ring.basis, self.coeffs) if c)
+
     def coefficient(self, mono: Monomial) -> int:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
+        k = self.ring.index.get(mono)
+        return 0 if k is None else self.coeffs[k]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.coeffs)
 
     def is_homogeneous(self, r: int) -> bool:
-        return all(sum(m) == r for m, _ in self.terms)
+        return all(g == r for g, c in zip(self.ring.grades, self.coeffs) if c)
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        acc = {m: c for m, c in self.terms}
-        for m, c in other.terms:
-            acc[m] = acc.get(m, 0) + c
-        return ChowClass(self.ring, _freeze(acc))
+        return ChowClass(self.ring, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ring, tuple((m, -c) for m, c in self.terms))
+        return ChowClass(self.ring, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "ChowClass | int") -> "ChowClass":
         if isinstance(other, int):
-            if other == 0:
-                return ChowClass(self.ring, ())
-            return ChowClass(self.ring, tuple((m, c * other) for m, c in self.terms))
+            return ChowClass(self.ring, tuple(c * other for c in self.coeffs))
         return multiply(self, other)
 
     __rmul__ = __mul__
@@ -227,7 +292,7 @@ class ChowClass:
 
     def __str__(self) -> str:
         ring = self.ring
-        if not self.terms:
+        if self.is_zero():
             return "0"
         parts = []
         for m, c in self.terms:
@@ -246,23 +311,25 @@ class ChowClass:
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Product in the Chow ring, in normal form (degrees above n drop to 0)."""
+    """Product in the Chow ring: a contraction with the ring's multiplication table."""
     a._check(b)
     ring = a.ring
-    acc: dict[Monomial, int] = {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            raw = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            for m, c in ring.normalize_monomial(raw).items():
-                acc[m] = acc.get(m, 0) + c1 * c2 * c
-    return ChowClass(ring, _freeze(acc))
+    table = ring.table
+    acc = [0] * len(ring.basis)
+    b_terms = [(j, c) for j, c in enumerate(b.coeffs) if c]
+    for i, ci in enumerate(a.coeffs):
+        if ci:
+            row = table[i]
+            for j, cj in b_terms:
+                cij = ci * cj
+                for k, t in row[j]:
+                    acc[k] += cij * t
+    return ChowClass(ring, tuple(acc))
 
 
 def integrate(a: ChowClass) -> int:
     """Degree of the top-dimensional component of ``a``; lower degrees are ignored."""
-    ring = a.ring
-    values = dict(ring.degree_map)
-    return sum(c * values[m] for m, c in a.terms if sum(m) == ring.top_degree)
+    return sum(map(operator.mul, a.coeffs, a.ring.degrees))
 
 
 # --------------------------------------------------------------------------
@@ -273,8 +340,15 @@ _REGISTRY: dict[str, ChowRingPresentation] = {}
 
 
 def _register(ring: ChowRingPresentation) -> ChowRingPresentation:
-    """Keep one presentation per ring id: the first one registered wins."""
-    return _REGISTRY.setdefault(ring.variety_id, ring)
+    """Keep one presentation per ring id: the first one registered wins.
+
+    The kept ring builds its multiplication table and degree vector here,
+    once.
+    """
+    kept = _REGISTRY.setdefault(ring.variety_id, ring)
+    if kept is ring:
+        ring.table, ring.degrees  # computed now, cached on the ring
+    return kept
 
 
 def cyclic_numerical_ring(n: int, top_value: int, variety_id: str) -> ChowRingPresentation:

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from instanton_lab import chow
 from instanton_lab.chow import all_normal_forms, integrate, multiply, preset_ring
-from instanton_lab.errors import UnknownVarietyError, VarietyMismatchError
+from instanton_lab.errors import MalformedDataError, UnknownVarietyError, VarietyMismatchError
+from instanton_lab.rr import chern_of_line_bundle_sum
 
 PRESETS = [
     "projective_space(2)",
@@ -162,3 +163,152 @@ def test_class_str_and_json_roundtrip():
     again = chow.ChowClass.from_json("flag3", cls.to_json())
     assert again == cls
     assert "h1" in str(cls)
+
+
+# --------------------------------------------------------------------------
+# The multiplication table against the rewrite rules it is built from
+# --------------------------------------------------------------------------
+
+
+def basis_class(ring, k):
+    return chow.ChowClass(ring, tuple(int(i == k) for i in range(len(ring.basis))))
+
+
+def rewrite_product(a, b):
+    """Reference product: rewrite every raw term pair with ``normalize_monomial``."""
+    ring = a.ring
+    acc = {}
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            raw = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            for m, c in ring.normalize_monomial(raw).items():
+                acc[m] = acc.get(m, 0) + c1 * c2 * c
+    return tuple(sorted((m, c) for m, c in acc.items() if c))
+
+
+@pytest.mark.parametrize("key", PRESETS)
+def test_basis_is_the_sorted_normal_forms(key):
+    ring = preset_ring(key)
+    normal = [m for m in monomials_up_to(ring, ring.top_degree) if ring.is_normal(m)]
+    assert list(ring.basis) == sorted(normal)
+    assert ring.grades == tuple(sum(m) for m in ring.basis)
+
+
+@pytest.mark.parametrize("key", PRESETS)
+def test_table_products_are_rewritten_exponent_sums(key):
+    ring = preset_ring(key)
+    for i, mi in enumerate(ring.basis):
+        for j, mj in enumerate(ring.basis):
+            raw = tuple(a + b for a, b in zip(mi, mj))
+            product = multiply(basis_class(ring, i), basis_class(ring, j))
+            assert dict(product.terms) == ring.normalize_monomial(raw), (key, mi, mj)
+
+
+@pytest.mark.parametrize("key", PRESETS)
+def test_integrate_is_the_degree_map_sum(key):
+    ring = preset_ring(key)
+    values = dict(ring.degree_map)
+    for k, m in enumerate(ring.basis):
+        expected = values[m] if sum(m) == ring.top_degree else 0
+        assert integrate(basis_class(ring, k)) == expected
+
+
+@given(data=st.data(), key=st.sampled_from(PRESETS))
+def test_multiply_equals_rewrite_reference(data, key):
+    a = data.draw(random_class(key))
+    b = data.draw(random_class(key))
+    assert multiply(a, b).terms == rewrite_product(a, b)
+    assert integrate(multiply(a, b)) == sum(
+        c * dict(a.ring.degree_map).get(m, 0) for m, c in rewrite_product(a, b)
+    )
+
+
+def test_products_never_rewrite(monkeypatch):
+    """Once the rings are built, a product only reads the table."""
+    rings = [preset_ring(key) for key in PRESETS]
+    bases = [[basis_class(ring, k) for k in range(len(ring.basis))] for ring in rings]
+
+    def refuse(self, mono):
+        raise AssertionError(f"{self.variety_id}: rewrote {mono} during a product")
+
+    monkeypatch.setattr(chow.ChowRingPresentation, "normalize_monomial", refuse)
+    for ring, basis in zip(rings, bases):
+        for a, b in itertools.product(basis, repeat=2):
+            integrate(multiply(a, b))
+        gens = ring.gens()
+        integrate(sum(gens, start=ring.zero()) ** ring.top_degree)
+
+
+@pytest.mark.parametrize("data", [[[[1, 0, 0], 1]], [[[1], 1]], [[[2, -1], 3]], [[["1", 0], 1]]])
+def test_from_json_rejects_malformed_monomials(data):
+    with pytest.raises(MalformedDataError):
+        chow.ChowClass.from_json("flag3", data)
+
+
+def test_from_json_rewrites_non_normal_monomials():
+    fl = preset_ring("flag3")
+    h1, h2 = fl.gens()
+    assert chow.ChowClass.from_json("flag3", [[[2, 0], 1], [[0, 4], 5]]) == h1 * h1
+
+
+# Literals copied from the rewrite-based implementation that preceded the
+# table: (label, to_json(), str()).
+PINNED = [
+    ('flag3: (h1+h2)^2', [[[1, 1], 3]], '3*h1*h2'),
+    ('flag3: h1^2', [[[0, 2], -1], [[1, 1], 1]], '-h2^2 + h1*h2'),
+    ('flag3: 2*h1*h2 - 3*h2^2 + h1', [[[0, 2], -3], [[1, 0], 1], [[1, 1], 2]], '-3*h2^2 + h1 + 2*h1*h2'),
+    ('flag3: c2 of O(h1-h2)^2 + O(2h2)', [[[0, 2], -4], [[1, 1], 3]], '-4*h2^2 + 3*h1*h2'),
+    ('flag3: c3 of O(h1-h2)^2 + O(2h2)', [[[1, 2], -2]], '-2*h1*h2^2'),
+    ('triple_p1: (g1+g2+g3)^2', [[[0, 1, 1], 2], [[1, 0, 1], 2], [[1, 1, 0], 2]], '2*h2*h3 + 2*h1*h3 + 2*h1*h2'),
+    ('triple_p1: c2', [[[0, 1, 1], 4], [[1, 0, 1], 2], [[1, 1, 0], -4]], '4*h2*h3 + 2*h1*h3 - 4*h1*h2'),
+    ('triple_p1: c3', [[[1, 1, 1], -4]], '-4*h1*h2*h3'),
+    ('scroll(3,3): h^3 + h*f - 1', [[[0, 0], -1], [[1, 1], 1], [[2, 1], 3]], '-1 + h*f + 3*h^2*f'),
+    ('scroll(3,3): c2', [[[1, 1], -2], [[2, 0], 1]], '-2*h*f + h^2'),
+    ('scroll(3,3): c3', [[[2, 1], 1]], 'h^2*f'),
+    ('projective_space(3): (1+H)^4', [[[0], 1], [[1], 4], [[2], 6], [[3], 4]], '1 + 4*H + 6*H^2 + 4*H^3'),
+    ('projective_space(3): c3', [[[3], 5]], '5*H^3'),
+    ('curve(2): (2+3H)^2', [[[0], 4], [[1], 12]], '4 + 12*H'),
+    ('curve(2): H^2', [], '0'),
+]
+
+
+def pinned_classes():
+    fl = preset_ring("flag3")
+    h1, h2 = fl.gens()
+    c_fl = chern_of_line_bundle_sum([(h1 - h2, 2), (2 * h2, 1)])
+    tp = preset_ring("triple_p1")
+    g1, g2, g3 = tp.gens()
+    c_tp = chern_of_line_bundle_sum([(g1 + 2 * g2 - g3, 1), (g3 - g1, 2)])
+    sc = preset_ring("scroll(3,3)")
+    h, f = sc.gens()
+    c_sc = chern_of_line_bundle_sum([(h - 2 * f, 2), (f, 1)])
+    p3 = preset_ring("projective_space(3)")
+    H = p3.gen("H")
+    cu = preset_ring("curve(2)")
+    Hc = cu.gen("H")
+    return [
+        (h1 + h2) ** 2,
+        h1 * h1,
+        2 * h1 * h2 - 3 * h2 * h2 + h1,
+        c_fl.c2,
+        c_fl.c3,
+        (g1 + g2 + g3) ** 2,
+        c_tp.c2,
+        c_tp.c3,
+        h**3 + h * f - sc.one(),
+        c_sc.c2,
+        c_sc.c3,
+        (p3.one() + H) ** 4,
+        chern_of_line_bundle_sum([(-H, 3), (2 * H, 1)]).c3,
+        (2 * cu.one() + 3 * Hc) ** 2,
+        Hc**2,
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED)), ids=[label for label, _, _ in PINNED])
+def test_json_and_str_pinned(index):
+    _, as_json, as_str = PINNED[index]
+    cls = pinned_classes()[index]
+    assert cls.to_json() == as_json
+    assert str(cls) == as_str
+    assert chow.ChowClass.from_json(cls.variety_id, as_json) == cls

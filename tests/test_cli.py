@@ -304,3 +304,48 @@ def test_parser_declares_each_option_once_where_it_is_read():
         assert "--json" in options, path
     assert {p for p, o in leaves.items() if "--box" in o} == {"classify flag", "classify segre"}
     assert {p for p, o in leaves.items() if "--window" in o} == {"cohom", "check", "chi"}
+
+
+@pytest.mark.parametrize("c1", [[[[1, 0, 0], 1]], [[[1], 1]], [[[-1, 2], 1]]])
+def test_check_table_with_malformed_chern_monomial_exits_2(tmp_path, capsys, c1):
+    """A c1 monomial that is not an exponent vector over (h1, h2) is bad input."""
+    data = build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()
+    data["chern"]["c1"] = c1
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedDataError, match="exponent vector"):
+        CohomologyTable.from_json(data)
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and "exponent vector" in err
+
+
+def test_exact_p1_curve_reachable_from_the_cli(capsys):
+    code, out, _ = run(
+        capsys, "cohom", "--variety", "curve:g=0,deg=2,model=exact_p1", "--bundle", "1", "--json"
+    )
+    assert code == 0
+    entry = catalog.curve(0, 2, "exact_p1")
+    assert json.loads(out) == build_table(entry, [((1,), 1)], (-2, 1)).to_json()
+
+
+@pytest.mark.parametrize(
+    "text, entry_id",
+    [
+        ("p3", "projective_space(3)"),
+        ("p3:h=2", "projective_space(3;h=2)"),
+        ("q4", "quadric(4)"),
+        ("flag3", "flag3"),
+        ("triple-p1", "triple_p1"),
+        ("triple_p1", "triple_p1"),
+        ("TRIPLE-P1", "triple_p1"),
+        ("scroll-p1:1,1,2", "scroll_p1(1,1,2)"),
+        ("scroll_p1:1,1,2", "scroll_p1(1,1,2)"),
+        ("scroll:n=3,g=1,deg=4", "scroll_generic(3;g=1;deg=4)"),
+        ("curve:g=2,deg=4", "curve(2;deg=4;generic)"),
+        ("curve:g=2,deg=4,model=generic", "curve(2;deg=4;generic)"),
+        ("curve:G=0,DEG=2,MODEL=exact_p1", "curve(0;deg=2;exact_p1)"),
+        ("fano:g=5", "prime_fano(5)"),
+    ],
+)
+def test_parse_variety_docstring_spellings(text, entry_id):
+    assert catalog.parse_variety(text).variety_id == entry_id
