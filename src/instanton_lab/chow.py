@@ -287,8 +287,22 @@ class ChowClass:
 
     @staticmethod
     def from_json(variety_id: str, data: Iterable) -> "ChowClass":
+        """Parse ``[[exponents, coefficient], ...]``, the inverse of :meth:`to_json`.
+
+        Raises :class:`MalformedDataError` on a repeated monomial or a
+        coefficient that is not an integer; :meth:`ChowRingPresentation.from_dict`
+        checks the monomials themselves.
+        """
         ring = ring_for(variety_id)
-        return ring.from_dict({tuple(m): c for m, c in data})
+        terms: dict[Monomial, int] = {}
+        for m, c in data:
+            mono = tuple(m)
+            if mono in terms:
+                raise MalformedDataError(f"monomial {list(mono)} is repeated on {variety_id!r}")
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise MalformedDataError(f"coefficient {c!r} of {list(mono)} is not an integer")
+            terms[mono] = c
+        return ring.from_dict(terms)
 
     def __str__(self) -> str:
         ring = self.ring

@@ -1,10 +1,11 @@
 """Brute-force classification, stability rules and worked example computations.
 
 The classification routines enumerate line bundles on the sextic del Pezzo
-entries over a lattice box, run the full instanton checker on each candidate
-through the exact cohomology engines, and compare the outcome against the
-closed-form families (exposing the boundary members explicitly rather than
-suppressing either side).  The remaining routines replay, as exact integer
+entries over a lattice box, evaluate the instanton condition list on each
+candidate through the exact cohomology engines (stopping at the first failing
+condition, with each twisted line bundle computed once per scan), and compare
+the outcome against the closed-form families (exposing the boundary members
+explicitly rather than suppressing either side).  The remaining routines replay, as exact integer
 decision procedures, the cyclic line-bundle trichotomy, the Hoppe-type
 rank-two stability criteria, the classical-vs-cohomological instanton bridge
 on Fano 3-folds, and the scroll/Serre constructions together with their
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, chow, cohomology, instanton, rr
-from .catalog import VarietyCatalogEntry
-from .cohomology import build_table, coh_product
+from .catalog import VarietyCatalogEntry, twist_coords
+# unused here, but bench/tests/test_bench.py reads classify.build_table
+from .cohomology import CohVector, build_table, coh_product, line_bundle_cohomology  # noqa: F401
 from .errors import InfeasibleError
 from .monads import serre_construction_chern
 from .rr import ChernData
@@ -94,11 +96,27 @@ class ClassificationReport:
 
 
 def _scan(entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int) -> list[FoundLine]:
-    """Check each candidate's table on the window (-3, 0); the members, in candidate order."""
+    """Evaluate the instanton condition list on each candidate; the members, in candidate order.
+
+    A candidate stops at its first failing condition, so only the rows its
+    conditions reach are computed.  Rows come from a dict of line-bundle
+    cohomology keyed by twisted coordinates and local to this call:
+    neighbouring candidates share most of their twisted bundles, so each
+    distinct bundle reaches its engine once per scan.
+    """
+    conditions = instanton.InstantonConditions(entry.dimension, defect)
+    cohomology_of: dict[tuple[int, ...], CohVector] = {}
     found = []
     for coords in candidates:
-        table = build_table(entry, coords, (-3, 0), with_chern=False)
-        q = instanton.check_instanton(table).quantum(defect)
+
+        def row(t: int, coords: tuple[int, ...] = coords) -> CohVector:
+            twisted = twist_coords(entry, coords, t)
+            vec = cohomology_of.get(twisted)
+            if vec is None:
+                vec = cohomology_of[twisted] = line_bundle_cohomology(entry, twisted)
+            return vec
+
+        q = conditions.quantum(row)
         if q is not None:
             found.append(FoundLine(coords, defect, q))
     return found
@@ -167,9 +185,7 @@ def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0) -> Classificati
     if box < 4:
         raise ValueError("box >= 4")
     entry = catalog.flag3()
-    candidates = sorted(
-        {tuple(sorted((a1, a2))) for a1 in range(-box, box + 1) for a2 in range(-box, box + 1)}
-    )
+    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), 2))
     found = _scan(entry, candidates, defect)
 
     def formula(a: int) -> Fraction:
@@ -194,8 +210,7 @@ def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0) -> Classificat
     if box < 4:
         raise ValueError("box >= 4")
     entry = catalog.triple_p1()
-    rng = range(-box, box + 1)
-    candidates = sorted({tuple(sorted(c)) for c in itertools.product(rng, rng, rng)})
+    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), 3))
     found = _scan(entry, candidates, defect)
     if defect == 1:
         expected: list[FoundLine] = []

@@ -20,13 +20,13 @@ implemented here as table operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import rr
 from .catalog import VarietyCatalogEntry
-from .cohomology import CohomologyTable, serre_dual_vector
+from .cohomology import CohomologyTable, CohVector, serre_dual_vector
 from .errors import InfeasibleError, VarietyMismatchError, WindowError
 from .util import binom
 
@@ -87,40 +87,59 @@ class InstantonVerdict:
         )
 
 
-def _conditions(table: CohomologyTable, defect: int) -> tuple[int | None, list[str]]:
-    """Evaluate the finite condition list for one defect.
+@dataclass(frozen=True)
+class InstantonConditions:
+    """The finite instanton condition list for one defect on an n-fold, as data.
 
-    Returns (quantum, failures); quantum is None when any condition fails.
+    ``checks`` holds the conditions in evaluation order: first the
+    vanishings ``("zero", i, t)``, meaning ``h^i(E(t h)) = 0``; then the q
+    equality ``("q", n - 1, defect - n)``, meaning ``h^1(E(-h)) =
+    h^(n-1)(E((defect - n) h))``; then, for defect 1 only, the chi equality
+    ``("chi", n, -n)``, meaning ``chi(E) = (-1)^n chi(E(-n h))``.  Every
+    twist lies in ``[-n, 0]``.  The list is read against a row oracle
+    ``t -> CohVector``: a table's ``row``, or a lazy memo over the engines.
     """
-    n = table.dimension
-    fails: list[str] = []
 
-    def check_zero(i: int, t: int) -> None:
-        v = table.h(i, t)
-        if v != 0:
-            fails.append(f"delta={defect}: h^{i}(E({t}h)) = {v} != 0")
+    n: int
+    defect: int
+    checks: tuple[tuple[str, int, int], ...] = field(init=False, repr=False)
 
-    check_zero(0, -1)
-    check_zero(n, defect - n)
-    for i in range(1, n - 1):
-        check_zero(i, -(i + 1))
-        check_zero(n - i, defect - n + i)
-    if defect:
-        for i in range(2, n - 1):
-            check_zero(i, -i)
-    q_left = table.h(1, -1) if n >= 1 else 0
-    q_right = table.h(n - 1, defect - n)
-    if q_left != q_right:
-        fails.append(
-            f"delta={defect}: h^1(E(-h)) = {q_left} != h^{n - 1}(E({defect - n}h)) = {q_right}"
-        )
-    if defect:
-        chi0, chin = table.chi_at(0), table.chi_at(-n)
-        if chi0 != (-1) ** n * chin:
-            fails.append(
-                f"delta={defect}: chi(E) = {chi0} != (-1)^{n} chi(E(-{n}h)) = {(-1) ** n * chin}"
-            )
-    return (q_left if not fails else None), fails
+    def __post_init__(self) -> None:
+        n, defect = self.n, self.defect
+        if n < 1 or defect not in (0, 1):
+            raise ValueError("need n >= 1 and defect in {0, 1}")
+        checks = [("zero", 0, -1), ("zero", n, defect - n)]
+        for i in range(1, n - 1):
+            checks += [("zero", i, -(i + 1)), ("zero", n - i, defect - n + i)]
+        if defect:
+            checks += [("zero", i, -i) for i in range(2, n - 1)]
+        checks.append(("q", n - 1, defect - n))
+        if defect:
+            checks.append(("chi", n, -n))
+        object.__setattr__(self, "checks", tuple(checks))
+
+    def failures(self, row: Callable[[int], CohVector]) -> Iterator[str]:
+        """Yield a note for each failing condition, in list order, lazily."""
+        defect = self.defect
+        for kind, i, t in self.checks:
+            if kind == "zero":
+                v = row(t)[i]
+                if v:
+                    yield f"delta={defect}: h^{i}(E({t}h)) = {v} != 0"
+            elif kind == "q":
+                left, right = row(-1)[1], row(t)[i]
+                if left != right:
+                    yield f"delta={defect}: h^1(E(-h)) = {left} != h^{i}(E({t}h)) = {right}"
+            else:
+                chi0, chin = row(0).chi(), (-1) ** i * row(t).chi()
+                if chi0 != chin:
+                    yield f"delta={defect}: chi(E) = {chi0} != (-1)^{i} chi(E({t}h)) = {chin}"
+
+    def quantum(self, row: Callable[[int], CohVector]) -> int | None:
+        """``h^1(E(-h))`` when every condition holds; None at the first failure."""
+        for _ in self.failures(row):
+            return None
+        return row(-1)[1]
 
 
 def check_instanton(table: CohomologyTable) -> InstantonVerdict:
@@ -135,11 +154,11 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
     admissible: list[tuple[int, int]] = []
     notes: list[str] = []
     for defect in (0, 1):
-        q, fails = _conditions(table, defect)
-        if q is not None:
-            admissible.append((defect, q))
-        else:
+        fails = list(InstantonConditions(n, defect).failures(table.row))
+        if fails:
             notes.extend(fails)
+        else:
+            admissible.append((defect, table.h(1, -1)))
     is_ulrich = (0, 0) in admissible
     is_wic = False
     for d, q in admissible:

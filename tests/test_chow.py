@@ -245,6 +245,21 @@ def test_from_json_rejects_malformed_monomials(data):
         chow.ChowClass.from_json("flag3", data)
 
 
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ([[[1, 0], 1], [[1, 0], 2]], r"monomial \[1, 0\] is repeated"),
+        ([[[1, 0], 1.5]], "1.5 of \\[1, 0\\] is not an integer"),
+        ([[[0, 1], 2.0]], "not an integer"),
+        ([[[0, 1], True]], "not an integer"),
+        ([[[0, 1], "2"]], "not an integer"),
+    ],
+)
+def test_from_json_rejects_repeated_monomials_and_non_integer_coefficients(data, match):
+    with pytest.raises(MalformedDataError, match=match):
+        chow.ChowClass.from_json("flag3", data)
+
+
 def test_from_json_rewrites_non_normal_monomials():
     fl = preset_ring("flag3")
     h1, h2 = fl.gens()

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instanton_lab import catalog, classify, instanton
 from instanton_lab.classify import (
@@ -52,6 +55,73 @@ def test_classify_segre():
     assert [f.coordinates for f in report.boundary] == [(0, 1, 2)]
     empty = classify_segre_lines(box=5, defect=1)
     assert empty.agreement == "exact" and not empty.found
+
+
+def reference_scan(entry, candidates, defect):
+    """The members by the table route: one full table and verdict per candidate."""
+    n = entry.dimension
+    found = []
+    for coords in candidates:
+        table = build_table(entry, coords, (-n, 0), with_chern=False)
+        q = instanton.check_instanton(table).quantum(defect)
+        if q is not None:
+            found.append(classify.FoundLine(coords, defect, q))
+    return found
+
+
+SCAN_ENTRIES = [
+    catalog.flag3(),
+    catalog.triple_p1(),
+    catalog.projective_space(2),
+    catalog.projective_space(3, 2),
+    catalog.projective_space(4),
+    catalog.quadric(2),
+    catalog.quadric(3, 2),
+    catalog.quadric(4),
+    catalog.scroll_p1((1, 1, 2)),
+]
+
+
+@st.composite
+def scans(draw):
+    entry = draw(st.sampled_from(SCAN_ENTRIES))
+    coords = st.tuples(*[st.integers(-4, 4)] * entry.picard_rank())
+    return entry, draw(st.lists(coords, max_size=12)), draw(st.sampled_from((0, 1)))
+
+
+@given(scans())
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_the_table_reference(scan):
+    entry, candidates, defect = scan
+    assert classify._scan(entry, candidates, defect) == reference_scan(entry, candidates, defect)
+
+
+@pytest.mark.parametrize("defect", [0, 1])
+@pytest.mark.parametrize("family, box", [("flag", 4), ("flag", 8), ("segre", 4), ("segre", 5)])
+def test_classification_matches_the_table_reference(family, box, defect):
+    """Members and their order against every sorted tuple of the box, checked by tables."""
+    entry, classify_lines = {
+        "flag": (catalog.flag3(), classify_flag_lines),
+        "segre": (catalog.triple_p1(), classify_segre_lines),
+    }[family]
+    rng = range(-box, box + 1)
+    candidates = sorted({tuple(sorted(c)) for c in itertools.product(rng, repeat=entry.picard_rank())})
+    report = classify_lines(box, defect)
+    assert list(report.found) == reference_scan(entry, candidates, defect)
+
+
+@pytest.mark.parametrize("defect", [0, 1])
+def test_segre_scan_computes_each_twisted_bundle_once(monkeypatch, defect):
+    engine = classify.line_bundle_cohomology
+    seen = []
+
+    def counted(entry, coords, *args, **kwargs):
+        seen.append(coords)
+        return engine(entry, coords, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "line_bundle_cohomology", counted)
+    classify_segre_lines(6, defect)
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_classify_cyclic_witnesses():

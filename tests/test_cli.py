@@ -319,6 +319,19 @@ def test_check_table_with_malformed_chern_monomial_exits_2(tmp_path, capsys, c1)
     assert code == 2 and out == "" and "exponent vector" in err
 
 
+@pytest.mark.parametrize(
+    "c1, message",
+    [([[[1, 0], 1], [[1, 0], 2]], "repeated"), ([[[1, 0], 1.5]], "not an integer")],
+)
+def test_check_table_with_repeated_or_fractional_chern_term_exits_2(tmp_path, capsys, c1, message):
+    data = build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()
+    data["chern"]["c1"] = c1
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and message in err
+
+
 def test_exact_p1_curve_reachable_from_the_cli(capsys):
     code, out, _ = run(
         capsys, "cohom", "--variety", "curve:g=0,deg=2,model=exact_p1", "--bundle", "1", "--json"

@@ -353,3 +353,132 @@ def test_natural_cohomology_window_requires_shifts():
     table = build_table(catalog.triple_p1(), (-1, 1, 3), (-1, 0))
     with pytest.raises(WindowError):
         natural_cohomology_window(table, 0)
+
+
+# Notes copied from the hand-written condition checker that preceded the
+# condition list: (entry, coordinates, notes) on the window [-n, 0].
+PINNED_NOTES = [
+    (
+        catalog.projective_space(3),
+        (1,),
+        (
+            "delta=0: h^0(E(-1h)) = 1 != 0",
+            "delta=1: h^0(E(-1h)) = 1 != 0",
+            "delta=1: chi(E) = 4 != (-1)^3 chi(E(-3h)) = 0",
+        ),
+    ),
+    (
+        catalog.flag3(),
+        (1, 1),
+        (
+            "delta=0: h^0(E(-1h)) = 1 != 0",
+            "delta=0: h^3(E(-3h)) = 1 != 0",
+            "delta=1: h^0(E(-1h)) = 1 != 0",
+            "delta=1: chi(E) = 8 != (-1)^3 chi(E(-3h)) = 1",
+        ),
+    ),
+    (
+        catalog.flag3(),
+        (-1, 3),
+        (
+            "delta=1: h^1(E(-h)) = 3 != h^2(E(-2h)) = 0",
+            "delta=1: chi(E) = 0 != (-1)^3 chi(E(-3h)) = -3",
+        ),
+    ),
+    (
+        catalog.triple_p1(),
+        (0, 0, 0),
+        (
+            "delta=0: h^3(E(-3h)) = 8 != 0",
+            "delta=1: h^3(E(-2h)) = 1 != 0",
+            "delta=1: chi(E) = 1 != (-1)^3 chi(E(-3h)) = 8",
+        ),
+    ),
+    (
+        catalog.curve(2, 4),
+        (1,),
+        (
+            "delta=0: h^1(E(-1h)) = 4 != 0",
+            "delta=0: h^1(E(-h)) = 4 != h^0(E(-1h)) = 0",
+            "delta=1: h^1(E(-h)) = 4 != h^0(E(0h)) = 0",
+            "delta=1: chi(E) = 0 != (-1)^1 chi(E(-1h)) = 4",
+        ),
+    ),
+    (
+        catalog.scroll_p1((1, 1, 1, 2)),
+        (1, -3),
+        (
+            "delta=0: h^1(E(-h)) = 2 != h^3(E(-4h)) = 0",
+            "delta=1: h^1(E(-h)) = 2 != h^3(E(-3h)) = 0",
+            "delta=1: chi(E) = -3 != (-1)^4 chi(E(-4h)) = 0",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, coords, notes", PINNED_NOTES, ids=[f"{e.variety_id}{c}" for e, c, _ in PINNED_NOTES]
+)
+def test_check_instanton_notes_pinned(entry, coords, notes):
+    n = entry.dimension
+    verdict = check_instanton(build_table(entry, coords, (-n, 0), with_chern=False))
+    assert verdict.notes == notes
+
+
+def test_check_instanton_notes_pinned_every_condition_failing():
+    """A 5-fold table that fails every condition, in list order."""
+    rows = tuple(CohVector(tuple(i + 1 - t for i in range(6))) for t in range(-5, 1))
+    verdict = check_instanton(CohomologyTable("projective_space(5)", 5, 1, -5, 0, rows))
+    assert verdict.notes == (
+        "delta=0: h^0(E(-1h)) = 2 != 0",
+        "delta=0: h^5(E(-5h)) = 11 != 0",
+        "delta=0: h^1(E(-2h)) = 4 != 0",
+        "delta=0: h^4(E(-4h)) = 9 != 0",
+        "delta=0: h^2(E(-3h)) = 6 != 0",
+        "delta=0: h^3(E(-3h)) = 7 != 0",
+        "delta=0: h^3(E(-4h)) = 8 != 0",
+        "delta=0: h^2(E(-2h)) = 5 != 0",
+        "delta=0: h^1(E(-h)) = 3 != h^4(E(-5h)) = 10",
+        "delta=1: h^0(E(-1h)) = 2 != 0",
+        "delta=1: h^5(E(-4h)) = 10 != 0",
+        "delta=1: h^1(E(-2h)) = 4 != 0",
+        "delta=1: h^4(E(-3h)) = 8 != 0",
+        "delta=1: h^2(E(-3h)) = 6 != 0",
+        "delta=1: h^3(E(-2h)) = 6 != 0",
+        "delta=1: h^3(E(-4h)) = 8 != 0",
+        "delta=1: h^2(E(-1h)) = 4 != 0",
+        "delta=1: h^2(E(-2h)) = 5 != 0",
+        "delta=1: h^3(E(-3h)) = 7 != 0",
+        "delta=1: h^1(E(-h)) = 3 != h^4(E(-4h)) = 9",
+        "delta=1: chi(E) = -3 != (-1)^5 chi(E(-5h)) = 3",
+    )
+
+
+def test_condition_list_order():
+    assert instanton.InstantonConditions(3, 0).checks == (
+        ("zero", 0, -1), ("zero", 3, -3), ("zero", 1, -2), ("zero", 2, -2), ("q", 2, -3),
+    )
+    assert instanton.InstantonConditions(4, 1).checks == (
+        ("zero", 0, -1), ("zero", 4, -3), ("zero", 1, -2), ("zero", 3, -2),
+        ("zero", 2, -3), ("zero", 2, -1), ("zero", 2, -2), ("q", 3, -3), ("chi", 4, -4),
+    )
+    for n in range(1, 8):
+        for defect in (0, 1):
+            assert all(-n <= t <= 0 for _, _, t in instanton.InstantonConditions(n, defect).checks)
+    with pytest.raises(ValueError):
+        instanton.InstantonConditions(3, 2)
+
+
+def test_condition_list_stops_at_the_first_failure():
+    """``quantum`` reads only the rows up to the first failing condition."""
+    table = build_table(catalog.projective_space(3), (1,), (-3, 0))
+    read = []
+
+    def row(t):
+        read.append(t)
+        return table.row(t)
+
+    assert instanton.InstantonConditions(3, 0).quantum(row) is None
+    assert read == [-1]
+    ulrich = build_table(catalog.flag3(), (0, 2), (-3, 0))
+    assert instanton.InstantonConditions(3, 0).quantum(ulrich.row) == 0
