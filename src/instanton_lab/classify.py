@@ -23,7 +23,6 @@ from .catalog import VarietyCatalogEntry, twist_coords
 # unused here, but bench/tests/test_bench.py reads classify.build_table
 from .cohomology import CohVector, build_table, coh_product, line_bundle_cohomology  # noqa: F401
 from .errors import InfeasibleError
-from .monads import serre_construction_chern
 from .rr import ChernData
 from .util import as_int
 
@@ -561,6 +560,8 @@ def scroll_construction_report(
     ``0 -> O((g + theta) f) -> E -> I_Z(h + theta f) -> 0`` with Z a union of
     k general fiber hyperplanes.
     """
+    from .monads import serre_construction_chern  # not at module level: scans need no monads
+
     if isinstance(scroll, tuple):
         entry = catalog.scroll_p1(scroll)
     else:
@@ -775,6 +776,8 @@ class SegreStableReport:
 
 def segre_stable_example(s: int) -> SegreStableReport:
     """Run the chi-additivity oracle on the unstable family member with s rulings."""
+    from .monads import serre_construction_chern
+
     if s < 0:
         raise ValueError("s >= 0")
     entry = catalog.triple_p1()

@@ -20,12 +20,19 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import catalog, classify, instanton, monads, rr
+# Only the modules every leaf runs are imported here; each handler imports
+# instanton, monads or classify where it calls them, so a call compiles no
+# module its subcommand does not run.
+from . import catalog, rr
 from .cohomology import CohomologyTable, build_table
 from .errors import InstantonLabError, WindowError
-from .instanton import BettiShape, chi_polynomial
 from .util import render_rational
+
+if TYPE_CHECKING:
+    from .classify import ClassificationReport
+    from .monads import ScrollMonadReport
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -108,18 +115,20 @@ def _emit(args, payload_json: dict, text: str) -> int:
     return EXIT_OK
 
 
-def _emit_multiplicities(args, report: monads.ScrollMonadReport) -> int:
+def _emit_multiplicities(args, report: ScrollMonadReport) -> int:
     names = ", ".join(f"s{i}" for i in range(1, len(report.multiplicities) + 1))
     payload = {"multiplicities": list(report.multiplicities), "relation": report.relation}
     return _emit(args, payload, f"({names}) = {report.multiplicities}   [{report.relation}]")
 
 
-def _emit_classification(args, report: classify.ClassificationReport) -> int:
+def _emit_classification(args, report: ClassificationReport) -> int:
     _emit(args, report.to_json(), report.to_markdown())
     return EXIT_OK if report.agreement in ("exact", "superset") else EXIT_NEGATIVE
 
 
 def _default_box(args) -> int:
+    from . import classify
+
     if args.box is not None:
         return args.box
     env = os.environ.get("INSTANTON_LAB_BOX")
@@ -143,6 +152,8 @@ def cmd_cohom(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import instanton
+
     if args.table is not None and (args.variety, args.bundle, args.window) == (None, None, None):
         with open(args.table) as fh:
             table = CohomologyTable.from_json(json.load(fh))
@@ -180,6 +191,8 @@ def cmd_chi(args) -> int:
 
 
 def cmd_monad_pn(args) -> int:
+    from . import monads
+
     chi0 = args.chi0
     if chi0 is None:
         if args.defect == 0:
@@ -193,12 +206,16 @@ def cmd_monad_pn(args) -> int:
 
 
 def cmd_monad_acm(args) -> int:
+    from . import monads
+
     entry = catalog.parse_variety(args.variety)
     shape = monads.monad_acm(entry, args.defect, args.quantum, args.h1, args.hn1)
     return _emit(args, shape.to_json(), shape.to_markdown())
 
 
 def cmd_monad_quadric(args) -> int:
+    from . import monads
+
     result = monads.monad_quadric_ordinary(args.n, args.rank, args.quantum)
     payload = {"s_total": result.total, "split": result.split}
     text = f"spinor multiplicity s = {result.total}"
@@ -211,34 +228,48 @@ def cmd_monad_quadric(args) -> int:
 
 
 def cmd_monad_space1(args) -> int:
+    from . import monads
+
     shape = monads.monad_space_nonordinary(args.n, args.rank, args.quantum, args.a, args.c)
     return _emit(args, shape.to_json(), shape.to_markdown())
 
 
 def cmd_monad_quadric1(args) -> int:
+    from . import monads
+
     s = monads.monad_quadric_nonordinary(args.n, args.rank, args.quantum, args.a, args.c, args.b)
     shape = monads.monad_quadric_nonordinary_shape(args.n, args.rank, args.quantum, args.a, args.c, args.b)
     return _emit(args, {"s": s, **shape.to_json()}, shape.to_markdown())
 
 
 def cmd_monad_scroll3(args) -> int:
+    from . import monads
+
     report = monads.monad_scroll3(args.deg, args.rank, args.quantum, _int_tuple(args.inputs))
     return _emit_multiplicities(args, report)
 
 
 def cmd_monad_p1p3(args) -> int:
+    from . import monads
+
     return _emit_multiplicities(args, monads.monad_p1p3(args.rank, args.quantum, _int_tuple(args.inputs)))
 
 
 def cmd_classify_flag(args) -> int:
+    from . import classify
+
     return _emit_classification(args, classify.classify_flag_lines(_default_box(args), args.defect))
 
 
 def cmd_classify_segre(args) -> int:
+    from . import classify
+
     return _emit_classification(args, classify.classify_segre_lines(_default_box(args), args.defect))
 
 
 def cmd_classify_cyclic(args) -> int:
+    from . import classify
+
     decision = classify.classify_cyclic_lines(args.n, args.u, args.v, args.defect)
     payload = {"assertion": decision.assertion, "witness": decision.witness, "steps": list(decision.steps)}
     text = [f"assertion: {decision.assertion}   witness: " + (
@@ -249,6 +280,8 @@ def cmd_classify_cyclic(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from . import classify
+
     report = classify.cyclic_rank2_stability_cases(args.n, args.u, args.v, args.defect)
     lines = [
         f"c1 = {report.eps} H, normalization twist {report.t_norm}",
@@ -266,6 +299,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_scroll(args) -> int:
+    from . import classify
+
     if args.degrees is not None and (args.n, args.genus, args.deg) == (None, None, None):
         scroll: object = _int_tuple(args.degrees)
     elif args.degrees is None and args.n is not None and args.deg is not None:
@@ -287,6 +322,8 @@ def cmd_scroll(args) -> int:
 
 
 def cmd_fano(args) -> int:
+    from . import classify
+
     report = classify.fano_instanton_bridge(args.index, args.defect, args.epsilon)
     text = [
         f"q_X^eps = {report.q_eps}, normalization twist {report.t_norm}",
@@ -299,13 +336,15 @@ def cmd_fano(args) -> int:
 
 
 def cmd_resolution_check(args) -> int:
+    from .instanton import BettiShape, betti_shape_check, chi_polynomial
+
     beta: dict[tuple[int, int], int] = {}
     for chunk in filter(None, args.beta.split(";")):
         pos, _, mult = chunk.partition(":")
         p, i = (int(x) for x in pos.split(","))
         beta[(p, i)] = int(mult)
     shape = BettiShape.from_dict(args.v, args.w, args.ambient, beta)
-    ok = instanton.betti_shape_check(
+    ok = betti_shape_check(
         shape, lambda t: chi_polynomial(args.n, args.defect, args.quantum, args.chi0, t)
     )
     _emit(args, {"consistent": ok}, f"resolution shape consistent: {ok}")
@@ -313,6 +352,8 @@ def cmd_resolution_check(args) -> int:
 
 
 def cmd_veronese(args) -> int:
+    from . import instanton
+
     q = instanton.veronese_quantum(args.n, args.rank, args.d, args.hn)
     payload = {"quantum": render_rational(q), "integral": q.denominator == 1}
     return _emit(args, payload, f"quantum number: {render_rational(q)}"

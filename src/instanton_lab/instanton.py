@@ -414,11 +414,14 @@ def veronese_quantum(n: int, rank: int, d: int, hn: int) -> Fraction:
     """Quantum number matching Ulrich-ness of ``E((n+1)(d-1)/2 h)`` for ``O(d h)``.
 
     The exact rational ``(n-1)^n rank (d^2 - 1) h^n / (2^n n!)``; integrality
-    is a feasibility requirement left to the caller.  Needs ``1 <= n <= 3``
-    and ``(n+1)(d-1)`` even.
+    is a feasibility requirement left to the caller.  Needs ``1 <= n <= 3``,
+    an ample twist (``d >= 1``), ``rank >= 1``, ``h^n >= 1`` and
+    ``(n+1)(d-1)`` even.
     """
     if not 1 <= n <= 3:
         raise ValueError("1 <= n <= 3")
+    if d < 1 or rank < 1 or hn < 1:
+        raise ValueError(f"need d, rank, hn >= 1 (O(dh) ample), got d={d}, rank={rank}, hn={hn}")
     if ((n + 1) * (d - 1)) % 2:
         raise InfeasibleError(f"(n+1)(d-1) = {(n + 1) * (d - 1)} must be even")
     return Fraction((n - 1) ** n * rank * (d * d - 1) * hn, 2**n * math.factorial(n))

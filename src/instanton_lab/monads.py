@@ -172,6 +172,8 @@ def monad_pn(
     if defect not in (0, 1):
         raise ValueError("defect must be 0 or 1")
     if defect == 0:
+        if h0E is not None or hnE is not None:
+            raise ValueError("h^0(E) and h^n(E(-n)) are inputs of the non-ordinary shape only")
         middle = chi0 + (n + 1) * quantum
         if middle < 0:
             raise InfeasibleError(f"middle multiplicity chi + (n+1) q = {middle} is negative")

@@ -170,6 +170,9 @@ def test_veronese_cli(capsys):
     assert code == 0 and "quantum number: 2" in out
     code, out, _ = run(capsys, "veronese", "--n", "2", "--rank", "1", "--d", "3", "--hn", "1")
     assert code == 0 and "1" in out
+    for d, rank in (("-1", "2"), ("3", "-2")):  # O(-h) is not ample; negative rank
+        code, out, err = run(capsys, "veronese", "--n", "3", "--rank", rank, "--d", d, "--hn", "1")
+        assert code == 2 and out == "" and "error" in err
 
 
 def test_bad_variety_exit(capsys):
@@ -208,6 +211,8 @@ def test_json_goes_after_the_leaf(capsys):
         ("check", "--variety", "p3"),
         ("check", "--bundle", "O:0"),
         ("monad", "pn", "--n", "3", "--defect", "0", "--quantum", "2"),
+        ("monad", "pn", "--n", "3", "--defect", "0", "--quantum", "1", "--chi0", "0",
+         "--h0", "7", "--hn", "9"),
     ],
     ids=" ".join,
 )

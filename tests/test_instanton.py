@@ -295,6 +295,10 @@ def test_veronese_quantum():
         veronese_quantum(2, 2, 2, 1)  # (n+1)(d-1) = 3 odd
     with pytest.raises(ValueError):
         veronese_quantum(4, 2, 3, 1)
+    # O(dh) must be ample, rank and h^n positive
+    for rank, d, hn in ((2, -1, 1), (2, 0, 1), (-2, 3, 1), (0, 3, 1), (2, 3, 0)):
+        with pytest.raises(ValueError):
+            veronese_quantum(3, rank, d, hn)
 
 
 def test_horrocks_gate():

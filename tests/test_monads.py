@@ -56,6 +56,9 @@ def test_monad_pn_errors():
         monad_pn(3, 0, 0, -1)
     with pytest.raises(ValueError):
         monad_pn(3, 1, 1, 0)  # missing h0/hn
+    for extra in ((7, 9), (7, None), (None, 9)):
+        with pytest.raises(ValueError):
+            monad_pn(3, 0, 1, 0, *extra)  # h0/hn belong to the non-ordinary shape
 
 
 def test_monad_pn_nonordinary_shape_n2_drops_high_differential():
