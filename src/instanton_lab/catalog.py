@@ -308,6 +308,9 @@ def entry_ring(entry_id: str) -> ChowRingPresentation:
 
 
 def check_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """``coords`` as a tuple of ints of the entry's Picard rank, or ``ValueError``."""
+    if type(coords) is tuple and len(coords) == entry.picard_rank() and all(type(c) is int for c in coords):
+        return coords
     coords = tuple(int(c) for c in coords)
     if len(coords) != entry.picard_rank():
         raise ValueError(

@@ -13,12 +13,17 @@ One closed-form engine per catalog family:
   non-effective theta-characteristic model for twists ``theta + s h``.
 
 Tables collect the cohomology vectors of one bundle over a twist window and
-are the raw material the instanton checker consumes.
+are the raw material the instanton checker consumes.  A table computes each
+summand's column over the window in one call and sums the columns as plain
+integers: a split scroll's column comes from one engine pass (one multiset
+count, however wide the window), the other families evaluate their closed
+forms twist by twist.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import rr
@@ -133,20 +138,30 @@ def coh_quadric(n: int, t: int) -> CohVector:
 
 
 def coh_product(factors: list[tuple[int, int]]) -> CohVector:
-    """Kunneth convolution for ``O(t_1, ..., t_r)`` on a product of projective spaces."""
+    """Kunneth convolution for ``O(t_1, ..., t_r)`` on a product of projective spaces.
+
+    ``O(t)`` on P^n has cohomology in one degree (0 or n) only, so the
+    convolution has a single term: the product of the factors' binomials in
+    the sum of their degrees.
+    """
     if not factors:
         raise ValueError("at least one factor")
-    acc = [1]
+    dim = degree = 0
+    h = 1
     for n, t in factors:
-        vec = coh_projective_space(n, t)
-        nxt = [0] * (len(acc) + n)
-        for i, a in enumerate(acc):
-            if a:
-                for q in range(n + 1):
-                    if vec[q]:
-                        nxt[i + q] += a * vec[q]
-        acc = nxt
-    return CohVector(tuple(acc))
+        if n < 1:
+            raise ValueError("n >= 1")
+        dim += n
+        if t >= 0:
+            h *= binom(t + n, n)
+        elif t <= -n - 1:
+            h *= binom(-t - 1, n)
+            degree += n
+        else:
+            h = 0
+    dims = [0] * (dim + 1)
+    dims[degree] = h
+    return CohVector(tuple(dims))
 
 
 def weyl_dim_sl3(m1: int, m2: int) -> int:
@@ -183,39 +198,54 @@ def coh_flag3(a1: int, a2: int) -> CohVector:
     return CohVector(tuple(dims))
 
 
-def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
-    """Cohomology of ``O(t h + a f)`` on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1.
+def coh_scroll_p1_window(degrees: tuple[int, ...], twists: Sequence[int], a: int) -> list[tuple[int, ...]]:
+    """Cohomology ``(h^0, ..., h^n)`` of ``O(t h + a f)`` for each ``t`` in ``twists``
+    on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1.
 
     For ``t >= 0`` the pushforward splits into line bundles on P^1 indexed by
     degree-t multisets of the split degrees, counted here by degree sum; for
     ``1-n <= t <= -1`` everything vanishes; below that, Serre duality against
-    ``omega = O(-n h + (d-2) f)``.
+    ``omega = O(-n h + (d-2) f)`` reads the size ``-n-t`` multisets.  One
+    count pass up to the largest size the twists need serves every row.
     """
     degrees = tuple(degrees)
     n = len(degrees)
     if n < 2 or any(x < 1 for x in degrees):
         raise ValueError("need >= 2 split degrees, all >= 1")
     d = sum(degrees)
-    if 1 - n <= t <= -1:
-        return zero_vector(n)
-    if t >= 0:
-        # count[k][s]: size-k multisets of the split degrees with degree sum s,
-        # built with one pass per split degree
-        top = t * max(degrees)
-        count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(t)]
-        for x in degrees:
-            for k in range(1, t + 1):
-                count[k] = list(map(operator.add, count[k], [0] * x + count[k - 1][: top + 1 - x]))
-        dims = [0] * (n + 1)
-        for s, mult in enumerate(count[t]):
-            deg = a + s
-            if deg >= 0:
-                dims[0] += mult * (deg + 1)
-            else:
-                dims[1] += mult * (-deg - 1)
-        return CohVector(tuple(dims))
-    dual = coh_scroll_p1(degrees, -n - t, d - 2 - a)
-    return serre_dual_vector(dual)
+    big = max(degrees)
+    size = max([0, *(t if t >= 0 else -n - t for t in twists)])
+    # count[k][s]: size-k multisets of the split degrees with degree sum s,
+    # built with one pass per split degree
+    top = size * big
+    count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(size)]
+    for x in degrees:
+        for k in range(1, size + 1):
+            count[k] = list(map(operator.add, count[k], [0] * x + count[k - 1][: top + 1 - x]))
+    zeros = (0,) * (n - 1)
+    rows = []
+    for t in twists:
+        if 1 - n <= t <= -1:
+            rows.append((0, 0) + zeros)
+            continue
+        k, b = (t, a) if t >= 0 else (-n - t, d - 2 - a)
+        # sum h^0 and h^1 of O(b + s) on P^1 over the degree sums s
+        h0 = h1 = 0
+        for s, mult in enumerate(count[k][: k * big + 1]):
+            if mult:
+                deg = b + s
+                if deg >= 0:
+                    h0 += mult * (deg + 1)
+                else:
+                    h1 -= mult * (deg + 1)
+        rows.append((h0, h1) + zeros if t >= 0 else zeros + (h1, h0))
+    return rows
+
+
+def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
+    """Cohomology of ``O(t h + a f)`` on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1:
+    the one-twist view of :func:`coh_scroll_p1_window`."""
+    return CohVector(coh_scroll_p1_window(degrees, (t,), a)[0])
 
 
 def coh_curve(g: int, d: int, model: str) -> CohVector:
@@ -361,7 +391,8 @@ class CohomologyTable:
             )
 
     def row(self, t: int) -> CohVector:
-        self.require([t])
+        if not self.tmin <= t <= self.tmax:
+            self.require([t])
         return self.rows[t - self.tmin]
 
     def h(self, i: int, t: int) -> int:
@@ -378,7 +409,7 @@ class CohomologyTable:
             "variety": self.variety_id,
             "rank": self.rank,
             "window": {"tmin": self.tmin, "tmax": self.tmax},
-            "rows": [{"t": t, "h": list(self.row(t).dims)} for t in self.twists()],
+            "rows": [{"t": t, "h": list(row.dims)} for t, row in zip(self.twists(), self.rows)],
         }
         if self.chern is not None:
             out["chern"] = self.chern.to_json()
@@ -412,6 +443,25 @@ class CohomologyTable:
         )
 
 
+def _bundle_column(
+    entry: VarietyCatalogEntry, coords: tuple[int, ...], twists: range, theta: bool
+) -> list[tuple[int, ...]]:
+    """Cohomology tuples of ``L(t h)`` for each ``t`` in ``twists``.
+
+    Split scrolls get the whole column from one engine pass; every other
+    family goes through :func:`line_bundle_cohomology` twist by twist.
+    """
+    if theta:
+        # theta coordinates are shifts of the theta-characteristic, so a
+        # twist by t h moves the shift by t
+        return [line_bundle_cohomology(entry, (coords[0] + t,), theta=True).dims for t in twists]
+    coords = check_coords(entry, coords)
+    if entry.kind == "scroll_p1":
+        # the tautological h moves only the h coordinate
+        return coh_scroll_p1_window(entry.degrees, [coords[0] + t for t in twists], coords[1])
+    return [line_bundle_cohomology(entry, twist_coords(entry, coords, t)).dims for t in twists]
+
+
 def build_table(
     entry: VarietyCatalogEntry,
     bundles: Bundles | tuple[int, ...],
@@ -432,16 +482,16 @@ def build_table(
         raise UnsupportedBundleError("empty bundle descriptor")
     tmin, tmax = window
     n = entry.dimension
-    rows = []
-    for t in range(tmin, tmax + 1):
-        acc = zero_vector(n)
-        for coords, mult in bundles:
-            # theta coordinates are shifts of the theta-characteristic, so a
-            # twist by t h moves the shift by t
-            tw = (coords[0] + t,) if theta else twist_coords(entry, coords, t)
-            vec = line_bundle_cohomology(entry, tw, theta=theta)
-            acc = acc + vec.scale(mult)
-        rows.append(acc)
+    twists = range(tmin, tmax + 1)
+    sums = [[0] * (n + 1) for _ in twists]
+    for coords, mult in bundles:
+        column = _bundle_column(entry, coords, twists, theta)
+        if mult < 0:
+            raise ValueError("multiplicities must be nonnegative")
+        for acc, dims in zip(sums, column):
+            for i, h in enumerate(dims):
+                acc[i] += mult * h
+    rows = tuple(CohVector(tuple(acc)) for acc in sums)
     chern = None
     if with_chern:
         if theta:
@@ -462,7 +512,7 @@ def build_table(
         rank=sum(m for _, m in bundles),
         tmin=tmin,
         tmax=tmax,
-        rows=tuple(rows),
+        rows=rows,
         chern=chern,
         assumptions=assumptions,
     )

@@ -101,6 +101,24 @@ def test_threefolds_carry_cotangent_c2():
             assert entry.c2_omega_dot_h == 24
 
 
+def test_check_coords():
+    p3, fl = catalog.projective_space(3), catalog.flag3()
+    coords = (2, -1)
+    assert catalog.check_coords(fl, coords) is coords
+    # other inputs are converted to a tuple of plain ints
+    for raw, expected in (([2, -1], (2, -1)), ((True, 3), (1, 3)), ([False, "4"], (0, 4))):
+        out = catalog.check_coords(fl, raw)
+        assert out == expected and type(out) is tuple
+        assert all(type(c) is int for c in out)
+    message = r"^projective_space\(3\) expects 1 line-bundle coordinates, got \(1, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        catalog.check_coords(p3, (1, 2))
+    with pytest.raises(ValueError, match=r"^flag3 expects 2 line-bundle coordinates, got \(1,\)$"):
+        catalog.check_coords(fl, [True])
+    with pytest.raises(ValueError, match="invalid literal"):
+        catalog.check_coords(p3, ("x",))
+
+
 def test_polarization_multiple():
     e = catalog.projective_space(3, u=2)
     assert e.variety_id == "projective_space(3;h=2)"

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from instanton_lab import catalog
+from instanton_lab import catalog, cohomology
 from instanton_lab.cohomology import (
     CohomologyTable,
     CohVector,
@@ -20,6 +20,7 @@ from instanton_lab.cohomology import (
     coh_projective_space,
     coh_quadric,
     coh_scroll_p1,
+    coh_scroll_p1_window,
     line_bundle_cohomology,
     serre_dual_coords,
     serre_dual_vector,
@@ -84,6 +85,33 @@ def test_coh_product_examples():
         assert coh_product([(1, -1), (1, b), (1, c)]).is_zero()
 
 
+def kunneth_convolution(factors):
+    """``O(t_1, ..., t_r)`` by convolving the factors' P^n vectors."""
+    acc = [1]
+    for n, t in factors:
+        vec = coh_projective_space(n, t)
+        nxt = [0] * (len(acc) + n)
+        for i, x in enumerate(acc):
+            for q in range(n + 1):
+                nxt[i + q] += x * vec[q]
+        acc = nxt
+    return tuple(acc)
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-7, 5)), min_size=1, max_size=4))
+def test_coh_product_matches_kunneth_convolution(factors):
+    assert coh_product(factors).dims == kunneth_convolution(factors)
+
+
+def test_coh_product_rejects_bad_factors():
+    with pytest.raises(ValueError, match=r"^at least one factor$"):
+        coh_product([])
+    # a vanishing factor does not excuse a later bad one
+    for factors in ([(0, 1)], [(1, -1), (0, 2)], [(2, 1), (1, -1), (-1, 0)]):
+        with pytest.raises(ValueError, match=r"^n >= 1$"):
+            coh_product(factors)
+
+
 def test_coh_flag3_examples():
     assert coh_flag3(0, 0).dims == (1, 0, 0, 0)
     assert coh_flag3(-2, 2).dims == (0, 3, 0, 0)
@@ -143,6 +171,52 @@ def test_scroll_engine_is_polynomial_in_the_twist():
     degrees = (1, 1, 2, 2, 3, 3, 4, 5)
     entry = catalog.scroll_p1(degrees)
     assert coh_scroll_p1(degrees, 40, -60).chi() == chi_scroll_line(entry, 40, -60)
+
+
+def brute_scroll(degrees: tuple[int, ...], t: int, a: int) -> tuple[int, ...]:
+    """``O(t h + a f)`` on a split scroll by enumerating the multisets one by one."""
+    n, d = len(degrees), sum(degrees)
+    if 1 - n <= t <= -1:
+        return (0,) * (n + 1)
+    if t < 0:
+        return tuple(reversed(brute_scroll(degrees, -n - t, d - 2 - a)))
+    h0 = h1 = 0
+    for multiset in itertools.combinations_with_replacement(degrees, t):
+        deg = a + sum(multiset)
+        h0 += max(deg + 1, 0)
+        h1 += max(-deg - 1, 0)
+    return (h0, h1) + (0,) * (n - 1)
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=2, max_size=5),
+    st.integers(-8, 8),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_scroll_window_matches_multiset_enumeration(degrees, a, below, above):
+    """Every window here spans the Serre side, the vanishing window and t >= 0."""
+    n = len(degrees)
+    twists = range(-n - below, above + 1)
+    rows = coh_scroll_p1_window(tuple(degrees), twists, a)
+    assert rows == [brute_scroll(tuple(degrees), t, a) for t in twists]
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=2, max_size=5),
+    st.integers(-8, 8),
+    st.lists(st.integers(-10, 6), max_size=6),
+)
+def test_scroll_window_takes_any_twist_list(degrees, a, twists):
+    rows = coh_scroll_p1_window(tuple(degrees), twists, a)
+    assert rows == [brute_scroll(tuple(degrees), t, a) for t in twists]
+    assert [coh_scroll_p1(degrees, t, a).dims for t in twists] == rows
+
+
+def test_scroll_window_rejects_bad_degrees():
+    for degrees in [(2,), (0, 1), (1, -1, 2)]:
+        with pytest.raises(ValueError, match=r"^need >= 2 split degrees, all >= 1$"):
+            coh_scroll_p1_window(degrees, range(-3, 3), 0)
 
 
 def test_coh_curve_examples():
@@ -230,12 +304,101 @@ def test_build_table_theta_family():
     assert "generic Brill-Noether position" in table.assumptions
 
 
+def per_twist_table_rows(entry, bundles, window, theta=False):
+    """Rows summed twist by twist from ``line_bundle_cohomology``."""
+    rows = []
+    for t in range(window[0], window[1] + 1):
+        acc = CohVector((0,) * (entry.dimension + 1))
+        for coords, mult in bundles:
+            tw = (coords[0] + t,) if theta else catalog.twist_coords(entry, coords, t)
+            acc = acc + line_bundle_cohomology(entry, tw, theta=theta).scale(mult)
+        rows.append(acc)
+    return tuple(rows)
+
+
+FAMILY_TABLES = [
+    (catalog.projective_space(3), [((0,), 1), ((-2,), 2)], (-6, 4), False),
+    (catalog.projective_space(2, u=2), [((1,), 1)], (-4, 3), False),
+    (catalog.quadric(4), [((0,), 2), ((1,), 1)], (-7, 3), False),
+    (catalog.flag3(), [((-1, 3), 1), ((0, 2), 2)], (-5, 3), False),
+    (catalog.triple_p1(), [((-1, 1, 3), 1), ((0, 0, -2), 3)], (-5, 3), False),
+    (catalog.scroll_p1((1, 1, 2)), [((0, 1), 1), ((-1, 0), 2)], (-12, 9), False),
+    (catalog.scroll_p1((1, 2, 3, 3)), [((1, -4), 2), ((0, 5), 1), ((-2, 0), 1)], (-15, 12), False),
+    (catalog.scroll_generic(3, 2, 5), [((0, 1), 1), ((0, -7), 2)], (-2, -1), False),
+    (catalog.curve(0, 2, "exact_p1"), [((1,), 1), ((-3,), 2)], (-5, 4), False),
+    (catalog.curve(2, 3, "generic"), [((2,), 1), ((-1,), 1)], (-4, 4), False),
+    (catalog.curve(2, 3, "generic"), [((1,), 2), ((0,), 1)], (-4, 4), True),
+    (catalog.prime_fano(5), [((1,), 1), ((-1,), 1)], (-4, 3), False),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, bundles, window, theta",
+    FAMILY_TABLES,
+    ids=[e.variety_id + ("-theta" if theta else "") for e, _, _, theta in FAMILY_TABLES],
+)
+def test_build_table_sums_line_bundle_cohomology(entry, bundles, window, theta):
+    table = build_table(entry, bundles, window, theta=theta)
+    assert table.rows == per_twist_table_rows(entry, bundles, window, theta)
+
+
+@pytest.mark.parametrize("width", [1, 5, 20, 40])
+def test_scroll_table_builds_one_count_table_per_bundle(monkeypatch, width):
+    calls = []
+
+    def counted(degrees, twists, a):
+        calls.append(len(twists))
+        return coh_scroll_p1_window(degrees, twists, a)
+
+    def per_point(*args):
+        raise AssertionError("build_table asked the one-twist scroll engine")
+
+    monkeypatch.setattr(cohomology, "coh_scroll_p1_window", counted)
+    monkeypatch.setattr(cohomology, "coh_scroll_p1", per_point)
+    entry = catalog.scroll_p1((1, 2, 2))
+    bundles = [((0, 1), 1), ((-1, 0), 2), ((2, -3), 1)]
+    build_table(entry, bundles, (-3 - width, width))
+    assert calls == [2 * width + 4] * len(bundles)
+
+
+@pytest.mark.parametrize(
+    "entry, bundles, window, theta, error, message",
+    [
+        (catalog.projective_space(3), [((1, 2), 1)], (-3, 3), False, ValueError,
+         "projective_space(3) expects 1 line-bundle coordinates, got (1, 2)"),
+        (catalog.scroll_p1((1, 2, 2)), [((0, 1), 1), ((1,), 1)], (-3, 3), False, ValueError,
+         "scroll_p1(1,2,2) expects 2 line-bundle coordinates, got (1,)"),
+        (catalog.projective_space(3), [((1,), -1)], (-3, 3), False, ValueError,
+         "multiplicities must be nonnegative"),
+        (catalog.scroll_p1((1, 2, 2)), [((1, 0), -1)], (-3, 3), False, ValueError,
+         "multiplicities must be nonnegative"),
+        (catalog.projective_space(3), [((1,), 1)], (-3, 3), True, UnsupportedBundleError,
+         "theta twists only exist on curve entries"),
+        (catalog.scroll_generic(3, 2, 5), [((0, 1), 1)], (-2, 0), False, UnsupportedBundleError,
+         "only the vanishing window is exact on generic scrolls; use chi_scroll_line"),
+        (catalog.projective_space(3), [((1,), 0)], (-3, 3), False, ValueError, "rank must be positive"),
+        (catalog.scroll_p1((1, 2, 2)), [((1, 0), 0)], (-3, 3), False, ValueError, "rank must be positive"),
+    ],
+    ids=["coord-count", "scroll-coord-count", "negative-mult", "scroll-negative-mult", "theta-non-curve",
+         "scroll-generic-outside", "zero-rank", "scroll-zero-rank"],
+)
+def test_build_table_errors(entry, bundles, window, theta, error, message):
+    with pytest.raises(error) as exc:
+        build_table(entry, bundles, window, theta=theta)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_window_error_names_missing_twists():
     entry = catalog.projective_space(3)
     table = build_table(entry, (0,), (-2, 0))
     with pytest.raises(WindowError) as exc:
         table.row(-4)
     assert exc.value.missing == (-4,)
+    assert table.row(-2) == table.rows[0] and table.row(0) == table.rows[-1]
+    for t in (-3, 1):
+        with pytest.raises(WindowError, match=rf"^table window \[-2, 0\] is missing twists \[{t}\]$") as exc:
+            table.row(t)
+        assert exc.value.missing == (t,)
 
 
 def test_scroll_generic_gives_window_only():
