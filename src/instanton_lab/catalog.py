@@ -325,6 +325,11 @@ def twist_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...], t: int) ->
     return tuple([c + t * v for c, v in zip(coords, entry._h_coords)])
 
 
+def polarization_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:
+    """Coordinates of h in the entry's divisor basis."""
+    return entry._h_coords
+
+
 def canonical_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:
     """Coordinates of K_X in the entry's divisor basis."""
     return entry._canonical_coords

@@ -1,11 +1,12 @@
 """Brute-force classification, stability rules and worked example computations.
 
 The classification routines enumerate line bundles on the sextic del Pezzo
-entries over a lattice box, evaluate the instanton condition list on each
-candidate through the exact cohomology engines (stopping at the first failing
-condition, with each twisted line bundle computed once per scan), and compare
-the outcome against the closed-form families (exposing the boundary members
-explicitly rather than suppressing either side).  The remaining routines replay, as exact integer
+entries over a lattice box, filter the candidates through the instanton
+condition list one condition at a time (each condition sees only the
+candidates that passed the earlier ones, and each twisted line bundle reaches
+its exact cohomology engine once per scan), and compare the outcome against
+the closed-form families (exposing the boundary members explicitly rather
+than suppressing either side).  The remaining routines replay, as exact integer
 decision procedures, the cyclic line-bundle trichotomy, the Hoppe-type
 rank-two stability criteria, the classical-vs-cohomological instanton bridge
 on Fano 3-folds, and the scroll/Serre constructions together with their
@@ -15,11 +16,13 @@ deformation-theoretic dimension counts.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import catalog, chow, cohomology, instanton, rr
-from .catalog import VarietyCatalogEntry, twist_coords
+from .catalog import VarietyCatalogEntry, check_coords, polarization_coords
 # unused here, but bench/tests/test_bench.py reads classify.build_table
 from .cohomology import CohVector, build_table, coh_product, line_bundle_cohomology  # noqa: F401
 from .errors import InfeasibleError
@@ -56,6 +59,9 @@ class ClassificationReport:
     agreement: str  # exact | superset | mismatch
     diffs: tuple[str, ...]
     quantum_formula_ok: bool
+    #: per condition, in list order, the candidates whose first failing
+    #: condition it is; kept out of ``to_json`` and ``to_markdown``
+    rejections: tuple[tuple[instanton.Check, int], ...]
 
     def to_json(self) -> dict:
         return {
@@ -94,31 +100,50 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def _scan(entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int) -> list[FoundLine]:
-    """Evaluate the instanton condition list on each candidate; the members, in candidate order.
+class _LineBundleRows(dict):
+    """Line-bundle cohomology keyed by coordinates, each computed on first read."""
 
-    A candidate stops at its first failing condition, so only the rows its
-    conditions reach are computed.  Rows come from a dict of line-bundle
-    cohomology keyed by twisted coordinates and local to this call:
-    neighbouring candidates share most of their twisted bundles, so each
-    distinct bundle reaches its engine once per scan.
+    def __init__(self, entry: VarietyCatalogEntry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, coords: tuple[int, ...]) -> CohVector:
+        vec = self[coords] = line_bundle_cohomology(self.entry, coords)
+        return vec
+
+
+def _sift(
+    entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int
+) -> tuple[list[FoundLine], tuple[tuple[instanton.Check, int], ...]]:
+    """The members in candidate order, and how many candidates each condition rejected.
+
+    Each candidate is validated once; then each condition, in list order,
+    filters the candidates that passed every earlier one
+    (:meth:`instanton.InstantonConditions.sift`).  Rows come from a dict of
+    line-bundle cohomology keyed by twisted coordinates and local to this
+    call, each twist being the candidate plus a shift ``t h`` computed once
+    per scan: neighbouring candidates share most of their twisted bundles,
+    so each distinct bundle reaches its engine once per scan.
     """
-    conditions = instanton.InstantonConditions(entry.dimension, defect)
-    cohomology_of: dict[tuple[int, ...], CohVector] = {}
-    found = []
-    for coords in candidates:
+    n = entry.dimension
+    conditions = instanton.InstantonConditions(n, defect)
+    h = polarization_coords(entry)
+    shifts = {t: [t * v for v in h] for t in range(-n, 1)}
+    rows = _LineBundleRows(entry)
+    add = operator.add
 
-        def row(t: int, coords: tuple[int, ...] = coords) -> CohVector:
-            twisted = twist_coords(entry, coords, t)
-            vec = cohomology_of.get(twisted)
-            if vec is None:
-                vec = cohomology_of[twisted] = line_bundle_cohomology(entry, twisted)
-            return vec
+    def row_of(coords: tuple[int, ...]) -> Callable[[int], CohVector]:
+        return lambda t: rows[tuple(map(add, coords, shifts[t]))]
 
-        q = conditions.quantum(row)
-        if q is not None:
-            found.append(FoundLine(coords, defect, q))
-    return found
+    members, rejected = conditions.sift([check_coords(entry, c) for c in candidates], row_of)
+    # the quantum number is h^1(E(-h))
+    found = [FoundLine(coords, defect, row_of(coords)(-1)[1]) for coords in members]
+    return found, tuple(zip(conditions.checks, rejected))
+
+
+def _scan(entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int) -> list[FoundLine]:
+    """The members only, in candidate order (see :func:`_sift`)."""
+    return _sift(entry, candidates, defect)[0]
 
 
 def _assemble_report(
@@ -126,6 +151,7 @@ def _assemble_report(
     defect: int,
     box: int,
     found: list[FoundLine],
+    rejections: tuple[tuple[instanton.Check, int], ...],
     expected: list[FoundLine],
     boundary_candidates: list[FoundLine],
 ) -> ClassificationReport:
@@ -169,6 +195,7 @@ def _assemble_report(
         agreement,
         tuple(diffs),
         quantum_ok,
+        rejections,
     )
 
 
@@ -185,7 +212,7 @@ def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0) -> Classificati
         raise ValueError("box >= 4")
     entry = catalog.flag3()
     candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), 2))
-    found = _scan(entry, candidates, defect)
+    found, rejections = _sift(entry, candidates, defect)
 
     def formula(a: int) -> Fraction:
         return Fraction(2 - defect, 2) * a * (a + 2 - defect)
@@ -196,7 +223,7 @@ def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0) -> Classificati
         if a + 2 - defect <= box
     ]
     boundary = [FoundLine((0, 2 - defect), defect, 0)]
-    return _assemble_report("flag3", defect, box, found, expected, boundary)
+    return _assemble_report("flag3", defect, box, found, rejections, expected, boundary)
 
 
 def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0) -> ClassificationReport:
@@ -210,7 +237,7 @@ def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0) -> Classificat
         raise ValueError("box >= 4")
     entry = catalog.triple_p1()
     candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), 3))
-    found = _scan(entry, candidates, defect)
+    found, rejections = _sift(entry, candidates, defect)
     if defect == 1:
         expected: list[FoundLine] = []
         boundary: list[FoundLine] = []
@@ -221,7 +248,7 @@ def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0) -> Classificat
             if 2 + a <= box
         ]
         boundary = [FoundLine((0, 1, 2), 0, 0)]
-    return _assemble_report("triple_p1", defect, box, found, expected, boundary)
+    return _assemble_report("triple_p1", defect, box, found, rejections, expected, boundary)
 
 
 # --------------------------------------------------------------------------

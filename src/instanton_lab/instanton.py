@@ -22,13 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import rr
 from .catalog import VarietyCatalogEntry
 from .cohomology import CohomologyTable, CohVector, serre_dual_vector
 from .errors import InfeasibleError, VarietyMismatchError, WindowError
 from .util import binom
+
+#: one instanton condition ``(kind, i, t)``, see :class:`InstantonConditions`
+Check = tuple[str, int, int]
+_Candidate = TypeVar("_Candidate")
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,16 @@ class InstantonConditions:
     equality ``("q", n - 1, defect - n)``, meaning ``h^1(E(-h)) =
     h^(n-1)(E((defect - n) h))``; then, for defect 1 only, the chi equality
     ``("chi", n, -n)``, meaning ``chi(E) = (-1)^n chi(E(-n h))``.  Every
-    twist lies in ``[-n, 0]``.  The list is read against a row oracle
-    ``t -> CohVector``: a table's ``row``, or a lazy memo over the engines.
+    twist lies in ``[-n, 0]``.  A check is read against a row oracle
+    ``t -> CohVector`` (a table's ``row``, or a lookup over the engines)
+    by :meth:`sides`, the one place that says what each check compares;
+    :meth:`failures` runs the list on one sheaf and :meth:`sift` filters
+    many candidates one check at a time.
     """
 
     n: int
     defect: int
-    checks: tuple[tuple[str, int, int], ...] = field(init=False, repr=False)
+    checks: tuple[Check, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, defect = self.n, self.defect
@@ -118,28 +125,62 @@ class InstantonConditions:
             checks.append(("chi", n, -n))
         object.__setattr__(self, "checks", tuple(checks))
 
+    @staticmethod
+    def sides(check: Check, row: Callable[[int], CohVector]) -> tuple[int, int]:
+        """The two numbers ``check`` requires equal, reading only the rows it needs.
+
+        ``(h^i(E(t h)), 0)`` for a vanishing, ``(h^1(E(-h)), h^i(E(t h)))``
+        for the q equality and ``(chi(E), (-1)^i chi(E(t h)))`` for the chi
+        equality; rows are read left to right.
+        """
+        kind, i, t = check
+        if kind == "zero":
+            return row(t).dims[i], 0
+        if kind == "q":
+            return row(-1).dims[1], row(t).dims[i]
+        return row(0).chi(), (-1) ** i * row(t).chi()
+
     def failures(self, row: Callable[[int], CohVector]) -> Iterator[str]:
         """Yield a note for each failing condition, in list order, lazily."""
-        defect = self.defect
-        for kind, i, t in self.checks:
+        sides, defect = self.sides, self.defect
+        for check in self.checks:
+            left, right = sides(check, row)
+            if left == right:
+                continue
+            kind, i, t = check
             if kind == "zero":
-                v = row(t)[i]
-                if v:
-                    yield f"delta={defect}: h^{i}(E({t}h)) = {v} != 0"
+                yield f"delta={defect}: h^{i}(E({t}h)) = {left} != 0"
             elif kind == "q":
-                left, right = row(-1)[1], row(t)[i]
-                if left != right:
-                    yield f"delta={defect}: h^1(E(-h)) = {left} != h^{i}(E({t}h)) = {right}"
+                yield f"delta={defect}: h^1(E(-h)) = {left} != h^{i}(E({t}h)) = {right}"
             else:
-                chi0, chin = row(0).chi(), (-1) ** i * row(t).chi()
-                if chi0 != chin:
-                    yield f"delta={defect}: chi(E) = {chi0} != (-1)^{i} chi(E({t}h)) = {chin}"
+                yield f"delta={defect}: chi(E) = {left} != (-1)^{i} chi(E({t}h)) = {right}"
 
-    def quantum(self, row: Callable[[int], CohVector]) -> int | None:
-        """``h^1(E(-h))`` when every condition holds; None at the first failure."""
-        for _ in self.failures(row):
-            return None
-        return row(-1)[1]
+    def sift(
+        self,
+        candidates: Iterable[_Candidate],
+        row_of: Callable[[_Candidate], Callable[[int], CohVector]],
+    ) -> tuple[list[_Candidate], tuple[int, ...]]:
+        """Filter candidates condition-major: one pass per check, over the survivors.
+
+        ``row_of(candidate)`` is the candidate's row oracle.  Each pass reads
+        only the candidates that passed every earlier check, so a candidate
+        meets exactly the checks that running its list alone, up to the
+        first failure, would reach.  Returns the candidates that pass every
+        check, in their order, and per check the number it rejected: the
+        candidates whose first failing condition it is.
+        """
+        sides = self.sides
+        survivors = [(candidate, row_of(candidate)) for candidate in candidates]
+        rejected = []
+        for check in self.checks:
+            kept = []
+            for survivor in survivors:
+                left, right = sides(check, survivor[1])
+                if left == right:
+                    kept.append(survivor)
+            rejected.append(len(survivors) - len(kept))
+            survivors = kept
+        return [candidate for candidate, _ in survivors], tuple(rejected)
 
 
 def check_instanton(table: CohomologyTable) -> InstantonVerdict:
@@ -150,7 +191,8 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
     are reported when both condition sets pass.
     """
     n = table.dimension
-    table.require(list(range(-n, 1)))
+    if not table.covers(-n, 0):
+        table.require(list(range(-n, 1)))  # raises, naming the missing twists
     admissible: list[tuple[int, int]] = []
     notes: list[str] = []
     for defect in (0, 1):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import chow
 from .catalog import VarietyCatalogEntry
 from .chow import ChowClass
-from .errors import InfeasibleError
+from .errors import InfeasibleError, VarietyMismatchError
 from .util import as_int, binom, floor_frac
 
 
@@ -182,7 +182,15 @@ def chi_threefold(entry: VarietyCatalogEntry, c: ChernData) -> int:
 
 
 def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
-    """Dimension dispatcher; Riemann-Roch is not provided above dimension 3."""
+    """Dimension dispatcher; Riemann-Roch is not provided above dimension 3.
+
+    The Chern data must live on the entry's own ring (``VarietyMismatchError``
+    otherwise).
+    """
+    if c.c1.ring is not entry.ring:
+        raise VarietyMismatchError(
+            f"Chern data on {c.variety_id!r} does not live on {entry.variety_id!r}"
+        )
     n = entry.dimension
     if n == 1:
         return chi_curve(entry, c)

@@ -124,6 +124,104 @@ def test_segre_scan_computes_each_twisted_bundle_once(monkeypatch, defect):
     assert seen and len(seen) == len(set(seen))
 
 
+#: per condition, in list order, the candidates whose first failing condition
+#: it is, and the member count, at box 10
+REJECTIONS_AT_BOX_10 = {
+    ("segre", 0): (
+        {("zero", 0, -1): 220, ("zero", 3, -3): 363, ("zero", 1, -2): 495, ("zero", 2, -2): 594,
+         ("q", 2, -3): 90},
+        9,
+    ),
+    ("segre", 1): (
+        {("zero", 0, -1): 220, ("zero", 3, -2): 286, ("zero", 1, -2): 495, ("zero", 2, -1): 550,
+         ("q", 2, -2): 199, ("chi", 3, -3): 21},
+        0,
+    ),
+    ("flag", 0): (
+        {("zero", 0, -1): 55, ("zero", 3, -3): 77, ("zero", 1, -2): 36, ("zero", 2, -2): 54,
+         ("q", 2, -3): 0},
+        9,
+    ),
+    ("flag", 1): (
+        {("zero", 0, -1): 55, ("zero", 3, -2): 66, ("zero", 1, -2): 36, ("zero", 2, -1): 45,
+         ("q", 2, -2): 17, ("chi", 3, -3): 2},
+        10,
+    ),
+}
+
+
+@pytest.mark.parametrize("family, defect", REJECTIONS_AT_BOX_10)
+def test_rejection_histogram(family, defect):
+    counts, members = REJECTIONS_AT_BOX_10[family, defect]
+    classify_lines, candidates = {
+        "flag": (classify_flag_lines, 231),
+        "segre": (classify_segre_lines, 1771),
+    }[family]
+    report = classify_lines(10, defect)
+    assert report.rejections == tuple(counts.items())
+    assert [check for check, _ in report.rejections] == list(instanton.InstantonConditions(3, defect).checks)
+    assert len(report.found) == members
+    assert sum(counts.values()) + members == candidates
+    # the histogram stays out of the serialized report
+    assert list(report.to_json()) == [
+        "family", "defect", "box", "found", "expected", "boundary", "agreement", "diffs",
+        "quantum_formula_ok",
+    ]
+    assert "rejections" not in report.to_markdown()
+
+
+def lazy_pairs(entry, candidates, defect):
+    """(candidate, check) pairs met when each candidate runs its list alone, up to the first failure."""
+    conditions = instanton.InstantonConditions(entry.dimension, defect)
+    pairs = []
+    for coords in candidates:
+        def row(t, coords=coords):
+            return classify.line_bundle_cohomology(entry, catalog.twist_coords(entry, coords, t))
+
+        for check in conditions.checks:
+            pairs.append((coords, check))
+            left, right = conditions.sides(check, row)
+            if left != right:
+                break
+    return pairs
+
+
+@pytest.mark.parametrize("defect", [0, 1])
+@pytest.mark.parametrize("family, box", [("flag", 6), ("segre", 5)])
+def test_scan_evaluates_only_the_checks_the_lazy_order_reaches(monkeypatch, family, box, defect):
+    entry, classify_lines = {
+        "flag": (catalog.flag3(), classify_flag_lines),
+        "segre": (catalog.triple_p1(), classify_segre_lines),
+    }[family]
+    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), entry.picard_rank()))
+    expected = lazy_pairs(entry, candidates, defect)
+
+    class Tagged:
+        """A candidate's row oracle that knows its candidate."""
+
+        def __init__(self, candidate, row):
+            self.candidate, self.row = candidate, row
+
+        def __call__(self, t):
+            return self.row(t)
+
+    sift, sides = instanton.InstantonConditions.sift, instanton.InstantonConditions.sides
+    evaluated = []
+
+    def tagging_sift(self, candidates, row_of):
+        return sift(self, candidates, lambda c: Tagged(c, row_of(c)))
+
+    def recording_sides(check, row):
+        evaluated.append((row.candidate, check))
+        return sides(check, row)
+
+    monkeypatch.setattr(instanton.InstantonConditions, "sift", tagging_sift)
+    monkeypatch.setattr(instanton.InstantonConditions, "sides", staticmethod(recording_sides))
+    classify_lines(box, defect)
+    assert len(evaluated) == len(expected)
+    assert sorted(evaluated) == sorted(expected)
+
+
 def test_classify_cyclic_witnesses():
     for n in (2, 3, 4, 5, 6):
         assert classify_cyclic_lines(n, 1, -n - 1, 0).assertion == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -111,6 +112,24 @@ def test_classify_flag_cli(capsys):
     code, out, _ = run(capsys, "classify", "flag", "--box", "4", "--defect", "0")
     assert code == 0
     assert "superset" in out and "(-1, 3)" in out
+
+
+#: SHA-256 of the stdout of ``classify FAMILY --box 6 --defect D --json``; a
+#: scan change that reorders or changes members, quantum numbers or diffs
+#: breaks these
+CLASSIFY_GOLDEN = {
+    ("flag", 0): "575376dbbb95290e2a7aed69292ba4af7319fe04b658191c1a68f92962e98f07",
+    ("flag", 1): "a9a5ff3a522af4b5df2e4167d78784445dcb420548609b3e3e98cb3e09f3ceaf",
+    ("segre", 0): "03abde714aaf8e598b89d165c31c4170e7f09ecce5899aea16e8e037faba61a7",
+    ("segre", 1): "e78c4216d003e77fbd5f8a95fd6b02959e09e0530bb2607654e6602eff866ac4",
+}
+
+
+@pytest.mark.parametrize("family, defect", CLASSIFY_GOLDEN)
+def test_classify_json_golden(capsys, family, defect):
+    code, out, _ = run(capsys, "classify", family, "--box", "6", "--defect", str(defect), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_GOLDEN[family, defect]
 
 
 def test_classify_cyclic_cli(capsys):

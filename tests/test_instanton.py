@@ -474,15 +474,33 @@ def test_condition_list_order():
 
 
 def test_condition_list_stops_at_the_first_failure():
-    """``quantum`` reads only the rows up to the first failing condition."""
-    table = build_table(catalog.projective_space(3), (1,), (-3, 0))
+    """``sift`` reads a candidate's rows only up to its first failing condition."""
+    p3 = catalog.projective_space(3)
+    tables = {
+        "O(1)": build_table(p3, (1,), (-3, 0)),  # fails h^0(E(-h)) = 0, the first check
+        "O": build_table(p3, (0,), (-3, 0)),  # Ulrich
+        "O(-1)": build_table(p3, (-1,), (-3, 0)),  # fails h^3(E(-3h)) = 0, the second check
+    }
     read = []
 
-    def row(t):
-        read.append(t)
-        return table.row(t)
+    def row_of(name):
+        def row(t):
+            read.append((name, t))
+            return tables[name].row(t)
 
-    assert instanton.InstantonConditions(3, 0).quantum(row) is None
-    assert read == [-1]
-    ulrich = build_table(catalog.flag3(), (0, 2), (-3, 0))
-    assert instanton.InstantonConditions(3, 0).quantum(ulrich.row) == 0
+        return row
+
+    conditions = instanton.InstantonConditions(3, 0)
+    members, rejected = conditions.sift(list(tables), row_of)
+    assert members == ["O"]
+    assert rejected == (1, 1, 0, 0, 0)
+    assert [t for name, t in read if name == "O(1)"] == [-1]
+    assert [t for name, t in read if name == "O(-1)"] == [-1, -3]
+    assert [t for name, t in read if name == "O"] == [-1, -3, -2, -2, -1, -3]
+    # one pass per check: every read of a check precedes the reads of the next
+    assert read[:3] == [("O(1)", -1), ("O", -1), ("O(-1)", -1)]
+    # the table route reads as lazily
+    read.clear()
+    assert next(conditions.failures(row_of("O(1)"))) == "delta=0: h^0(E(-1h)) = 1 != 0"
+    assert read == [("O(1)", -1)]
+    assert conditions.sift([], row_of) == ([], (0, 0, 0, 0, 0))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from instanton_lab import catalog, chow, rr
 from instanton_lab.cohomology import build_table, coh_projective_space
-from instanton_lab.errors import InfeasibleError
+from instanton_lab.errors import InfeasibleError, VarietyMismatchError
 from instanton_lab.rr import ChernData
 from instanton_lab.util import binom
 
@@ -89,6 +90,28 @@ def test_chi_dimension_gate():
     p4 = catalog.projective_space(4)
     with pytest.raises(ValueError):
         rr.chi(p4, line_chern(p4, (0,)))
+
+
+@pytest.mark.parametrize(
+    "entry, other",
+    [
+        (catalog.curve(2, 3), catalog.projective_space(1)),
+        (catalog.curve(2, 3), catalog.curve(1, 3)),
+        (catalog.projective_space(2), catalog.quadric(2)),
+        (catalog.quadric(2), catalog.scroll_p1((1, 2))),
+        (catalog.flag3(), catalog.triple_p1()),
+        (catalog.projective_space(3), catalog.quadric(3)),
+    ],
+    ids=lambda e: e.variety_id,
+)
+def test_chi_rejects_chern_data_from_another_variety(entry, other):
+    c = line_chern(other, (1,) * other.picard_rank())
+    with pytest.raises(VarietyMismatchError, match=re.escape(entry.variety_id)):
+        rr.chi(entry, c)
+    with pytest.raises(VarietyMismatchError):
+        rr.chi_twisted(entry, c, -1)
+    # the same bundle on its own variety
+    assert rr.chi(other, c) == build_table(other, (1,) * other.picard_rank(), (0, 0)).row(0).chi()
 
 
 def test_slope_examples():
