@@ -42,9 +42,8 @@ _EXPORTS = {
         "monads": ("MonadShape", "monad_acm", "monad_p1p3", "monad_pn",
             "monad_quadric_nonordinary", "monad_quadric_ordinary", "monad_scroll3",
             "monad_space_nonordinary", "serre_construction_chern"),
-        "rr": ("ChernData", "chern_poly_instanton_pn", "chi", "chi_curve", "chi_surface",
-            "chi_threefold", "chi_twisted", "cyclic_c1", "normalization_twist",
-            "quantum_chern_identity", "slope", "slope_condition"),
+        "rr": ("ChernData", "chern_poly_instanton_pn", "chi", "chi_twisted", "cyclic_c1",
+            "normalization_twist", "quantum_chern_identity", "slope", "slope_condition"),
         "classify": ("ClassificationReport", "classify_cyclic_lines", "classify_flag_lines",
             "classify_segre_lines", "curve_quantum", "cyclic_rank2_stability_cases",
             "discrepancy_probes", "fano_instanton_bridge", "hoppe_rank2", "prime_fano_family",

@@ -8,7 +8,8 @@ a generic curve (Euler characteristics only), smooth curves, and prime Fano
 
 An entry packages the Chow-ring presentation together with the polarization
 class h, the canonical class K_X, chi(O_X) and, on 3-folds, c_2 of the
-cotangent sheaf (needed by Riemann-Roch).  Entries are immutable values.
+cotangent sheaf, from which Riemann-Roch reads the Todd class.  Entries are
+immutable values.
 
 Line bundles are written as integer coordinates over the ring's degree-one
 generators, so the Picard rank is the number of generators, and the twist
@@ -36,10 +37,8 @@ class VarietyCatalogEntry:
     polarization: ChowClass
     canonical: ChowClass
     chi_O: int
+    #: c_2 of the cotangent sheaf on 3-folds (a rational class on prime Fano entries)
     c2_omega: ChowClass | None = None
-    #: pairing c_2(Omega_X) . h, used on cyclic 3-folds whose c_2 is not an
-    #: integer multiple of H^2 in the numerical ring (prime Fano entries).
-    c2_omega_dot_h: int | None = None
     is_acm: bool = False
     #: polarization multiple of the ample generator on cyclic entries
     u: int = 1
@@ -248,9 +247,12 @@ def curve(genus: int, deg_h: int, model: str = "generic") -> VarietyCatalogEntry
 def prime_fano(genus: int) -> VarietyCatalogEntry:
     """Prime Fano 3-fold of index 1 and genus g (h^3 = 2g - 2), numerical model.
 
-    c_2 of the cotangent sheaf is carried as the pairing c_2 . h = 24 (it is
-    not an integer multiple of H^2 once 2g - 2 does not divide 24).
+    c_2 of the cotangent sheaf is the class with c_2 . h = 24, namely
+    ``(24 / (2g - 2)) H^2``; its coefficient is a Fraction, since 2g - 2
+    need not divide 24.
     """
+    from fractions import Fraction  # imported here only: importing catalog stays light
+
     if genus < 3:
         raise UnknownVarietyError("prime Fano 3-folds have genus >= 3")
     ring = chow.prime_fano_ring(genus)
@@ -263,7 +265,7 @@ def prime_fano(genus: int) -> VarietyCatalogEntry:
         polarization=H,
         canonical=-H,
         chi_O=1,
-        c2_omega_dot_h=24,
+        c2_omega=Fraction(24, 2 * genus - 2) * H * H,
         is_acm=True,
         genus=genus,
     )

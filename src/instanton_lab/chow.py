@@ -224,9 +224,11 @@ def all_normal_forms(ring: ChowRingPresentation, mono: Monomial) -> set[Terms]:
 
 @dataclass(frozen=True, slots=True)
 class ChowClass:
-    """Integer combination of normal-form monomials, graded by degree.
+    """Exact combination of normal-form monomials, graded by degree.
 
-    ``coeffs[k]`` is the coefficient of ``ring.basis[k]``.
+    ``coeffs[k]`` is the coefficient of ``ring.basis[k]``: an int, or a
+    :class:`fractions.Fraction` on a rational class such as c_2 of a prime
+    Fano 3-fold (:func:`integrate` then returns a Fraction).
     """
 
     ring: ChowRingPresentation
@@ -261,10 +263,15 @@ class ChowClass:
     def __neg__(self) -> "ChowClass":
         return ChowClass(self.ring, tuple(-c for c in self.coeffs))
 
-    def __mul__(self, other: "ChowClass | int") -> "ChowClass":
-        if isinstance(other, int):
-            return ChowClass(self.ring, tuple(c * other for c in self.coeffs))
-        return multiply(self, other)
+    def __mul__(self, other: "ChowClass | int | Fraction") -> "ChowClass":
+        if type(other) is ChowClass:
+            return multiply(self, other)
+        if not isinstance(other, int):
+            from fractions import Fraction  # loaded only where a rational class is built
+
+            if not isinstance(other, Fraction):
+                raise TypeError(f"Chow classes scale by exact scalars (int or Fraction), not {other!r}")
+        return ChowClass(self.ring, tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -341,7 +348,7 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     return ChowClass(ring, tuple(acc))
 
 
-def integrate(a: ChowClass) -> int:
+def integrate(a: ChowClass) -> "int | Fraction":
     """Degree of the top-dimensional component of ``a``; lower degrees are ignored."""
     return sum(map(operator.mul, a.coeffs, a.ring.degrees))
 

@@ -759,13 +759,16 @@ def prime_fano_family(g_X: int, k: int) -> PrimeFanoReport:
 
 
 def prime_fano_chi_check(g_X: int, k: int) -> bool:
-    """Euler-characteristic consistency: ``chi(E(-h)) = -k`` for the family member."""
+    """Euler-characteristic consistency: ``chi(E(-h)) = -k`` for the family member.
+
+    The member's c_2 is the rational class ``(c_2 . h / h^3) H^2``.
+    """
     entry = catalog.prime_fano(g_X)
     report = prime_fano_family(g_X, k)
-    return (
-        rr.chi_threefold_cyclic(entry, report.rank, report.c1_mult, report.c2_dot_h, 0, t=-1)
-        == -k
-    )
+    H = entry.polarization
+    c2 = Fraction(report.c2_dot_h, entry.hn()) * H * H
+    c = ChernData(report.rank, report.c1_mult * H, c2, entry.ring.zero())
+    return rr.chi_twisted(entry, c, -1) == -k
 
 
 @dataclass(frozen=True)

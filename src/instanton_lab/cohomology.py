@@ -286,6 +286,9 @@ def coh_cyclic_fano_index1(entry: VarietyCatalogEntry, m: int) -> CohVector:
 
     Kodaira vanishing kills the middle groups for every twist, so
     ``h^0 = chi`` for ``m >= 0`` and ``h^3 = h^0(O((-1-m) H))`` by duality.
+    ``chi(O(k H)) = (g - 1) k (k + 1) (2k + 1) / 6 + 2k + 1`` is Riemann-Roch
+    with ``H^3 = 2g - 2``, ``K = -H`` and ``c_2(Omega) . H = 24``, written in
+    closed form so that the engine stays independent of :func:`rr.chi`.
     """
     if entry.kind != "prime_fano":
         raise ValueError("entry must be a prime Fano 3-fold")
@@ -293,7 +296,7 @@ def coh_cyclic_fano_index1(entry: VarietyCatalogEntry, m: int) -> CohVector:
     def h0(k: int) -> int:
         if k < 0:
             return 0
-        return rr.chi_threefold_cyclic(entry, 1, k, 0, 0, 0)
+        return (entry.genus - 1) * k * (k + 1) * (2 * k + 1) // 6 + 2 * k + 1
 
     return CohVector((h0(m), 0, 0, h0(-1 - m)))
 

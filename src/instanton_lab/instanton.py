@@ -217,9 +217,10 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
 def natural_cohomology_window(table: CohomologyTable, defect: int) -> bool:
     """At most one nonzero group per twist in the shifts ``defect - n <= t <= -1``."""
     n = table.dimension
-    shifts = list(range(defect - n, 0))
-    table.require(shifts)
-    return all(len(table.row(t).support()) <= 1 for t in shifts)
+    shifts = range(defect - n, 0)
+    if not table.covers(defect - n, -1):
+        table.require(list(shifts))
+    return all(len(row.dims) - row.dims.count(0) <= 1 for row in map(table.row, shifts))
 
 
 def chi_polynomial(n: int, defect: int, quantum: int, chi0: int, t: int) -> int:

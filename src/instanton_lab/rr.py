@@ -4,15 +4,19 @@ Everything here is exact: Euler characteristics are integers computed with
 :class:`fractions.Fraction` intermediates, slopes are exact rationals, and
 the bracket ``[x]`` appearing in normalization twists is the floor.
 
-Riemann-Roch is only implemented through dimension 3 (the shapes that admit
-closed displays); higher-dimensional Euler characteristics always come from
-the cohomology engines instead.
+Every Riemann-Roch Euler characteristic comes from one formula,
+``chi(E) = int ch(E) td(T_X)`` in the entry's Chow ring (:func:`chi`).  It
+is implemented through dimension 3, where :class:`ChernData` stops at c_3
+and the Todd class needs only K_X and the entry's c_2 of the cotangent
+sheaf; higher-dimensional Euler characteristics come from the cohomology
+engines instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import chow
 from .catalog import VarietyCatalogEntry
@@ -130,122 +134,42 @@ def twist_by_h(entry: VarietyCatalogEntry, c: ChernData, t: int) -> ChernData:
 # --------------------------------------------------------------------------
 
 
-def chi_curve(entry: VarietyCatalogEntry, c: ChernData) -> int:
-    """chi = rank * chi(O_X) + deg c1 on a curve."""
-    if entry.dimension != 1:
-        raise ValueError(f"{entry.variety_id} is not a curve")
-    return c.rank * entry.chi_O + chow.integrate(c.c1)
-
-
-def chi_surface(entry: VarietyCatalogEntry, c: ChernData) -> int:
-    """chi = rank * chi(O_X) + c1^2/2 - K c1/2 - c2 on a surface."""
-    if entry.dimension != 2:
-        raise ValueError(f"{entry.variety_id} is not a surface")
-    if c.c2 is None:
-        raise ValueError("surface Riemann-Roch needs c2")
-    K = entry.canonical
-    val = (
-        Fraction(c.rank * entry.chi_O)
-        + Fraction(chow.integrate(c.c1 * c.c1), 2)
-        - Fraction(chow.integrate(K * c.c1), 2)
-        - chow.integrate(c.c2)
-    )
-    return as_int(val, "chi")
-
-
-def chi_threefold(entry: VarietyCatalogEntry, c: ChernData) -> int:
-    """The four-term 3-fold Riemann-Roch evaluated with exact intersections."""
-    if entry.dimension != 3:
-        raise ValueError(f"{entry.variety_id} is not a 3-fold")
-    if c.c2 is None or c.c3 is None:
-        raise ValueError("3-fold Riemann-Roch needs c2 and c3")
-    K = entry.canonical
-    c1, c2, c3 = c.c1, c.c2, c.c3
-    if entry.c2_omega is not None:
-        c2omega_c1 = chow.integrate(entry.c2_omega * c1)
-    elif entry.c2_omega_dot_h is not None:
-        # Numerical cyclic entries store the pairing c2(Omega).H only; c1 is
-        # then necessarily an integer multiple of the ample generator H.
-        lam = c1.coefficient(entry.ring.monomial(H=1))
-        c2omega_c1 = lam * entry.c2_omega_dot_h
-    else:
-        raise ValueError(f"{entry.variety_id} carries no c2 of the cotangent sheaf")
-    val = (
-        Fraction(c.rank * entry.chi_O)
-        + Fraction(
-            chow.integrate(c1 * c1 * c1) - 3 * chow.integrate(c1 * c2) + 3 * chow.integrate(c3), 6
-        )
-        - Fraction(chow.integrate(K * c1 * c1) - 2 * chow.integrate(K * c2), 4)
-        + Fraction(chow.integrate(K * K * c1) + c2omega_c1, 12)
-    )
-    return as_int(val, "chi")
-
-
 def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
-    """Dimension dispatcher; Riemann-Roch is not provided above dimension 3.
+    """Hirzebruch-Riemann-Roch ``chi(E) = rank chi(O_X) + sum_j int ch_j(E) td_(n-j)(X)``, n <= 3.
 
-    The Chern data must live on the entry's own ring (``VarietyMismatchError``
-    otherwise).
+    ``ch_j = p_j / j!`` with the power sums from Newton's identities
+    ``p_1 = c_1``, ``p_2 = c_1 p_1 - 2 c_2``, ``p_3 = c_1 p_2 - c_2 p_1 + 3 c_3``,
+    and the Todd classes are ``td_0 = 1``, ``td_1 = -K/2`` and
+    ``td_2 = (K^2 + c_2(Omega))/12``.  The Chern data must live on the entry's
+    own ring (``VarietyMismatchError`` otherwise) and carry c_1, ..., c_n.
     """
     if c.c1.ring is not entry.ring:
         raise VarietyMismatchError(
             f"Chern data on {c.variety_id!r} does not live on {entry.variety_id!r}"
         )
     n = entry.dimension
-    if n == 1:
-        return chi_curve(entry, c)
-    if n == 2:
-        return chi_surface(entry, c)
+    if n > 3:
+        raise ValueError("Riemann-Roch is only implemented through dimension 3; use the cohomology engines")
+    if None in (c.c2, c.c3)[: n - 1]:
+        raise ValueError(f"Riemann-Roch on {entry.variety_id} needs c1 to c{n}")
+    K = entry.canonical
+    p = [c.c1]
+    if n >= 2:
+        p.append(c.c1 * p[0] - 2 * c.c2)
     if n == 3:
-        return chi_threefold(entry, c)
-    raise ValueError("Riemann-Roch is only implemented through dimension 3; use the cohomology engines")
+        p.append(c.c1 * p[1] - c.c2 * p[0] + 3 * c.c3)
+    # twelve times sum_j int ch_j td_(n-j), with ch_j = p_j / j!
+    twelve = 12 // factorial(n) * chow.integrate(p[n - 1])  # td_0 = 1
+    if n >= 2:
+        twelve -= 6 // factorial(n - 1) * chow.integrate(p[n - 2] * K)  # td_1 = -K/2
+    if n == 3:
+        twelve += chow.integrate(c.c1 * (K * K + entry.c2_omega))  # td_2 = (K^2 + c_2(Omega))/12
+    return c.rank * entry.chi_O + as_int(Fraction(twelve, 12), "chi")
 
 
 def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
     """chi(E(t h))."""
     return chi(entry, twist_by_h(entry, c, t))
-
-
-def chi_threefold_cyclic(
-    entry: VarietyCatalogEntry,
-    rank: int,
-    c1_mult: int,
-    c2_dot_h: int,
-    c3_deg: int = 0,
-    t: int = 0,
-) -> int:
-    """3-fold Riemann-Roch on a cyclic entry from pairing data.
-
-    ``c1 = c1_mult * H``, ``c2 . H = c2_dot_h`` and ``deg c3 = c3_deg``; the
-    twist is by ``t h``.  This covers sheaves (e.g. on prime Fano 3-folds)
-    whose c2 is not an integer multiple of H^2 in the numerical ring, where
-    :func:`chi_threefold` cannot be fed a ChowClass.
-    """
-    if entry.dimension != 3 or len(entry.ring.generators) != 1:
-        raise ValueError("chi_threefold_cyclic needs a cyclic 3-fold entry")
-    hn = chow.integrate(entry.ring.gen("H") ** 3)
-    K = entry.canonical.coefficient(entry.ring.monomial(H=1))
-    if entry.c2_omega is not None:
-        c2omega = chow.integrate(entry.c2_omega * entry.ring.gen("H"))
-    elif entry.c2_omega_dot_h is not None:
-        c2omega = entry.c2_omega_dot_h
-    else:
-        raise ValueError(f"{entry.variety_id} carries no c2 of the cotangent sheaf")
-    s = t * entry.u  # twist in units of H
-    a = c1_mult + rank * s
-    c2h = c2_dot_h + ((rank - 1) * s * c1_mult + binom(rank, 2) * s * s) * hn
-    c3d = (
-        c3_deg
-        + (rank - 2) * s * c2_dot_h
-        + (binom(rank - 1, 2) * s * s * c1_mult + binom(rank, 3) * s**3) * hn
-    )
-    val = (
-        Fraction(rank * entry.chi_O)
-        + Fraction(a**3 * hn - 3 * a * c2h + 3 * c3d, 6)
-        - Fraction(K * a * a * hn - 2 * K * c2h, 4)
-        + Fraction(K * K * a * hn + a * c2omega, 12)
-    )
-    return as_int(val, "chi")
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,19 @@ def test_variety_mismatch():
     b = preset_ring("quadric(3)").gen("H")
     with pytest.raises(VarietyMismatchError):
         multiply(a, b)
+
+
+def test_scalars_are_exact():
+    """Classes scale by an int or a Fraction only, and rational classes integrate exactly."""
+    H = preset_ring("projective_space(3)").gen("H")
+    for bad in (lambda: H * 0.5, lambda: 0.5 * H, lambda: H * "2"):
+        with pytest.raises(TypeError):
+            bad()
+    half = Fraction(1, 2) * H
+    assert half == H * Fraction(1, 2) and half.coeffs == (0, Fraction(1, 2), 0, 0)
+    assert all(type(c) is Fraction for c in half.coeffs)
+    top = integrate(half**3)
+    assert type(top) is Fraction and top == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("key", PRESETS)

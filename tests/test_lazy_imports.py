@@ -38,7 +38,7 @@ loaded = sorted(m for m in sys.modules if m.startswith("instanton_lab."))
 assert loaded == [], loaded
 
 names = instanton_lab.__all__
-assert len(names) == len(set(names)) == 82, len(names)
+assert len(names) == len(set(names)) == 79, len(names)
 assert set(names) <= set(dir(instanton_lab))
 for name in names:
     home = importlib.import_module("instanton_lab." + instanton_lab._EXPORTS[name])
@@ -62,6 +62,20 @@ print("ok")
 
 def test_lazy_exports():
     assert run_fresh(LAZY_EXPORTS) == "ok\n"
+
+
+CATALOG_ONLY = """
+import sys
+
+import instanton_lab.catalog
+
+print(sorted(m for m in ("decimal", "fractions") if m in sys.modules))
+"""
+
+
+def test_catalog_import_loads_no_rational_arithmetic():
+    """Building catalog entries (the benchmark's set-up) needs neither fractions nor decimal."""
+    assert run_fresh(CATALOG_ONLY) == "[]\n"
 
 
 LEAF_MODULES = """

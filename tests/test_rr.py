@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from instanton_lab import catalog, chow, rr
+from instanton_lab.classify import prime_fano_family
 from instanton_lab.cohomology import build_table, coh_projective_space
 from instanton_lab.errors import InfeasibleError, VarietyMismatchError
 from instanton_lab.rr import ChernData
@@ -21,21 +22,21 @@ def line_chern(entry, coords):
 def test_chi_curve_examples():
     p1 = catalog.curve(0, 1, "exact_p1")
     P = p1.ring.gen("H")
-    assert rr.chi_curve(p1, ChernData(1, 0 * P)) == 1
+    assert rr.chi(p1, ChernData(1, 0 * P)) == 1
     for g in (0, 2, 5):
         cg = catalog.curve(g, 1, "exact_p1" if g == 0 else "generic")
         Pg = cg.ring.gen("H")
         for d in range(-3, 4):
-            assert rr.chi_curve(cg, ChernData(2, d * Pg)) == 2 * (1 - g) + d
+            assert rr.chi(cg, ChernData(2, d * Pg)) == 2 * (1 - g) + d
         # a theta-characteristic has degree g - 1 and chi = 0
-        assert rr.chi_curve(cg, ChernData(1, (g - 1) * Pg)) == 0
+        assert rr.chi(cg, ChernData(1, (g - 1) * Pg)) == 0
 
 
 def test_chi_surface_against_engine():
     p2 = catalog.projective_space(2)
     for t in range(-5, 6):
         c = line_chern(p2, (t,))
-        assert rr.chi_surface(p2, c) == coh_projective_space(2, t).chi()
+        assert rr.chi(p2, c) == coh_projective_space(2, t).chi()
 
 
 @pytest.mark.parametrize("defect", [0, 1])
@@ -51,13 +52,13 @@ def test_chi_surface_matches_mukai_quantum(defect):
         c = ChernData(2, c1, deg_D * H * H)
         q = Fraction(deg_D - 2 * 1) - Fraction((defect**2 - 4 * defect + 5) * h2 + (3 - defect) * Kh, 2)
         assert q.denominator == 1
-        assert rr.chi_surface(p2, rr.twist_by_h(p2, c, -1)) == -int(q)
+        assert rr.chi(p2, rr.twist_by_h(p2, c, -1)) == -int(q)
 
 
 def test_chi_threefold_examples():
     p3 = catalog.projective_space(3)
     H = p3.ring.gen("H")
-    assert rr.chi_threefold(p3, ChernData(1, 0 * H, 0 * H * H, 0 * H**3)) == 1
+    assert rr.chi(p3, ChernData(1, 0 * H, 0 * H * H, 0 * H**3)) == 1
     for t in range(-6, 7):
         assert rr.chi_twisted(p3, line_chern(p3, (0,)), t) == coh_projective_space(3, t).chi()
     for q in range(0, 6):
@@ -313,22 +314,35 @@ def test_table_chern_rr_consistency():
                 assert table.row(t).chi() == rr.chi_twisted(entry, table.chern, t)
 
 
-def test_chi_threefold_cyclic_matches_class_route():
-    p3 = catalog.projective_space(3)
-    H = p3.ring.gen("H")
-    for c1m, c2h, t in itertools.product(range(-3, 4), range(-3, 4), range(-2, 3)):
-        # honest rank-2 Chern data needs c3 = c1 c2 mod 2
-        c3 = (c1m * c2h) % 2
-        via_class = rr.chi_twisted(p3, ChernData(2, c1m * H, c2h * H * H, c3 * H**3), t)
-        via_pairing = rr.chi_threefold_cyclic(p3, 2, c1m, c2h, c3, t)
-        assert via_class == via_pairing
+def test_prime_fano_engine_matches_riemann_roch():
+    """The closed-form prime Fano engine against rr.chi with the rational c2(Omega).
+
+    Genera 6, 8, 9, 10, 11 and 12 give a c2(Omega) that is not an integer
+    multiple of H^2.
+    """
+    for g in range(3, 13):
+        pf = catalog.prime_fano(g)
+        for a in range(-4, 5):
+            table = build_table(pf, (a,), (-6, 6))
+            c = line_chern(pf, (a,))
+            for t in table.twists():
+                assert table.row(t).chi() == rr.chi_twisted(pf, c, t), (g, a, t)
+        # the rank-two family members, with c2 = (c2 . h / h^3) H^2: chi(E(-h)) = -k
+        H = pf.ring.gen("H")
+        for k in range(0, 4):
+            rep = prime_fano_family(g, k)
+            c2 = Fraction(rep.c2_dot_h, pf.hn()) * H * H
+            c = ChernData(rep.rank, rep.c1_mult * H, c2, 0 * H**3)
+            assert rr.chi_twisted(pf, c, -1) == -k, (g, k)
 
 
 def test_prime_fano_chi_needs_pairing():
+    """c2 . H = 24 pins chi(O) and chi(O(1)) = g + 2 through the rational c2(Omega)."""
     pf = catalog.prime_fano(6)
-    # chi(O) and chi(O(1)) through the pairing route
-    assert rr.chi_threefold_cyclic(pf, 1, 0, 0) == 1
-    assert rr.chi_threefold_cyclic(pf, 1, 1, 0) == 6 + 2  # g + 2 sections
+    H = pf.ring.gen("H")
+    zero2, zero3 = 0 * H * H, 0 * H**3
+    assert rr.chi(pf, ChernData(1, 0 * H, zero2, zero3)) == 1
+    assert rr.chi(pf, ChernData(1, H, zero2, zero3)) == 6 + 2  # g + 2 sections
 
 
 def test_quantum_chern_identity_on_quadric():
