@@ -131,6 +131,10 @@ class ChowRingPresentation:
         return self.from_dict({self.monomial(**{name: 1}): 1})
 
     def gens(self) -> tuple["ChowClass", ...]:
+        return self._gens
+
+    @cached_property
+    def _gens(self) -> tuple["ChowClass", ...]:
         return tuple(self.gen(name) for name in self.generators)
 
     def one(self) -> "ChowClass":
@@ -290,15 +294,16 @@ class ChowClass:
             )
 
     def to_json(self) -> list[list]:
-        return [[list(m), c] for m, c in self.terms]
+        """``[[exponents, coefficient], ...]``; a coefficient that is not an integer is a ``"p/q"`` string."""
+        return [[list(m), c.numerator if c.denominator == 1 else str(c)] for m, c in self.terms]
 
     @staticmethod
     def from_json(variety_id: str, data: Iterable) -> "ChowClass":
         """Parse ``[[exponents, coefficient], ...]``, the inverse of :meth:`to_json`.
 
         Raises :class:`MalformedDataError` on a repeated monomial or a
-        coefficient that is not an integer; :meth:`ChowRingPresentation.from_dict`
-        checks the monomials themselves.
+        coefficient that is neither an integer nor a ``"p/q"`` string;
+        :meth:`ChowRingPresentation.from_dict` checks the monomials themselves.
         """
         ring = ring_for(variety_id)
         terms: dict[Monomial, int] = {}
@@ -306,8 +311,12 @@ class ChowClass:
             mono = tuple(m)
             if mono in terms:
                 raise MalformedDataError(f"monomial {list(mono)} is repeated on {variety_id!r}")
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise MalformedDataError(f"coefficient {c!r} of {list(mono)} is not an integer")
+            if type(c) is str and re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", c):
+                from fractions import Fraction  # loaded only where a rational class is read
+
+                c = Fraction(c)
+            elif isinstance(c, bool) or not isinstance(c, int):
+                raise MalformedDataError(f"coefficient {c!r} of {list(mono)} is not an integer or 'p/q'")
             terms[mono] = c
         return ring.from_dict(terms)
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import catalog, chow, cohomology, instanton, rr
 from .catalog import VarietyCatalogEntry, check_coords, polarization_coords
-# unused here, but bench/tests/test_bench.py reads classify.build_table
+# build_table, line_bundle_cohomology: unused here, read by bench/tests/test_bench.py and tests
 from .cohomology import CohVector, build_table, coh_product, line_bundle_cohomology  # noqa: F401
 from .errors import InfeasibleError
 from .rr import ChernData
@@ -101,14 +101,15 @@ class ClassificationReport:
 
 
 class _LineBundleRows(dict):
-    """Line-bundle cohomology keyed by coordinates, each computed on first read."""
+    """Line-bundle cohomology keyed by checked coordinates, each computed on first read."""
 
     def __init__(self, entry: VarietyCatalogEntry):
         super().__init__()
         self.entry = entry
+        self.engine = cohomology.ENGINES[entry.kind]
 
     def __missing__(self, coords: tuple[int, ...]) -> CohVector:
-        vec = self[coords] = line_bundle_cohomology(self.entry, coords)
+        vec = self[coords] = self.engine(self.entry, coords)
         return vec
 
 

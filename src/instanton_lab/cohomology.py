@@ -1,6 +1,7 @@
 """Exact line-bundle cohomology engines and cohomology tables.
 
-One closed-form engine per catalog family:
+One closed-form engine per catalog family, each reached through one table,
+:data:`ENGINES`, keyed by the entry's ``kind``, on coordinates checked once:
 
 * projective space -- binomial formulas for ``O(t)``, Bott's formula for the
   twisted differentials ``Omega^p(t)``;
@@ -33,7 +34,7 @@ from .catalog import (
     check_coords,
     entry_ring,
     line_bundle_class,
-    twist_coords,
+    polarization_coords,
 )
 from .errors import MalformedDataError, UnsupportedBundleError, WindowError
 from .rr import ChernData
@@ -47,7 +48,7 @@ class CohVector:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(d < 0 for d in self.dims):
+        if self.dims and min(self.dims) < 0:
             raise ValueError(f"negative cohomology dimension in {self.dims}")
 
     def __getitem__(self, i: int) -> int:
@@ -306,38 +307,41 @@ def coh_cyclic_fano_index1(entry: VarietyCatalogEntry, m: int) -> CohVector:
 # --------------------------------------------------------------------------
 
 
+def _coh_scroll_generic(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> CohVector:
+    if 1 - entry.dimension <= coords[0] <= -1:
+        return zero_vector(entry.dimension)
+    raise UnsupportedBundleError("only the vanishing window is exact on generic scrolls; use chi_scroll_line")
+
+
+class _EngineTable(dict):
+    def __missing__(self, kind: str):
+        raise UnsupportedBundleError(f"no engine for {kind}")
+
+
+#: ``ENGINES[entry.kind](entry, coords)`` on checked coordinates; the public engines are
+#: read as module globals at call time, so rebinding one here reaches every caller
+ENGINES = _EngineTable({
+    "projective_space": lambda e, c: coh_projective_space(e.dimension, c[0]),
+    "quadric": lambda e, c: coh_quadric(e.dimension, c[0]),
+    "prime_fano": lambda e, c: coh_cyclic_fano_index1(e, c[0]),
+    "flag3": lambda e, c: coh_flag3(*c),
+    "triple_p1": lambda e, c: coh_product([(1, c[0]), (1, c[1]), (1, c[2])]),
+    "scroll_p1": lambda e, c: coh_scroll_p1(e.degrees, c[0], c[1]),
+    "scroll_generic": _coh_scroll_generic,
+    "curve": lambda e, c: coh_curve(e.genus, c[0], e.curve_model),
+})
+
+
 def line_bundle_cohomology(
     entry: VarietyCatalogEntry, coords: tuple[int, ...], theta: bool = False
 ) -> CohVector:
-    """Dispatch one line bundle to its exact engine."""
+    """Check the coordinates once, then call the kind's engine; ``theta`` is curves only."""
     coords = check_coords(entry, coords)
-    if theta and entry.kind != "curve":
-        raise UnsupportedBundleError("theta twists only exist on curve entries")
-    kind = entry.kind
-    if kind == "projective_space":
-        return coh_projective_space(entry.dimension, coords[0])
-    if kind == "quadric":
-        return coh_quadric(entry.dimension, coords[0])
-    if kind == "prime_fano":
-        return coh_cyclic_fano_index1(entry, coords[0])
-    if kind == "flag3":
-        return coh_flag3(*coords)
-    if kind == "triple_p1":
-        return coh_product([(1, coords[0]), (1, coords[1]), (1, coords[2])])
-    if kind == "scroll_p1":
-        return coh_scroll_p1(entry.degrees, coords[0], coords[1])
-    if kind == "scroll_generic":
-        t = coords[0]
-        if 1 - entry.dimension <= t <= -1:
-            return zero_vector(entry.dimension)
-        raise UnsupportedBundleError(
-            "only the vanishing window is exact on generic scrolls; use chi_scroll_line"
-        )
-    if kind == "curve":
-        if theta:
-            return coh_curve_theta_shift(entry.genus, entry.deg_h, coords[0])
-        return coh_curve(entry.genus, coords[0], entry.curve_model)
-    raise UnsupportedBundleError(f"no engine for {entry.kind}")
+    if theta:
+        if entry.kind != "curve":
+            raise UnsupportedBundleError("theta twists only exist on curve entries")
+        return coh_curve_theta_shift(entry.genus, entry.deg_h, coords[0])
+    return ENGINES[entry.kind](entry, coords)
 
 
 def chi_scroll_line(entry: VarietyCatalogEntry, t: int, a: int) -> int:
@@ -452,7 +456,7 @@ def _bundle_column(
     """Cohomology tuples of ``L(t h)`` for each ``t`` in ``twists``.
 
     Split scrolls get the whole column from one engine pass; every other
-    family goes through :func:`line_bundle_cohomology` twist by twist.
+    family calls its engine twist by twist on the coordinates checked once.
     """
     if theta:
         # theta coordinates are shifts of the theta-characteristic, so a
@@ -462,7 +466,8 @@ def _bundle_column(
     if entry.kind == "scroll_p1":
         # the tautological h moves only the h coordinate
         return coh_scroll_p1_window(entry.degrees, [coords[0] + t for t in twists], coords[1])
-    return [line_bundle_cohomology(entry, twist_coords(entry, coords, t)).dims for t in twists]
+    engine, h = ENGINES[entry.kind], polarization_coords(entry)
+    return [engine(entry, tuple([c + t * v for c, v in zip(coords, h)])).dims for t in twists]
 
 
 def build_table(

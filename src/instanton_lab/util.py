@@ -12,10 +12,12 @@ def binom(m: int, k: int) -> int:
     Defined as the falling factorial ``m (m-1) ... (m-k+1)`` divided by
     ``k!``; this is the product form that stays valid for negative ``m``
     (e.g. ``C(-1, 3) = -1``) and vanishes exactly when the product does
-    (e.g. ``C(2, 3) = 0``).
+    (e.g. ``C(2, 3) = 0``); for ``m >= 0`` it is :func:`math.comb`.
     """
     if k < 0:
         return 0
+    if m >= 0:
+        return math.comb(m, k)
     num = 1
     for i in range(k):
         num *= m - i

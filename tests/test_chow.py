@@ -341,3 +341,9 @@ def test_json_and_str_pinned(index):
     assert cls.to_json() == as_json
     assert str(cls) == as_str
     assert chow.ChowClass.from_json(cls.variety_id, as_json) == cls
+
+
+def test_gens_are_built_once_per_ring():
+    ring = preset_ring("triple_p1")
+    assert ring.gens() is ring.gens()
+    assert [g.to_json() for g in ring.gens()] == [[[[1, 0, 0], 1]], [[[0, 1, 0], 1]], [[[0, 0, 1], 1]]]

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from instanton_lab import catalog, classify, instanton
+from instanton_lab import catalog, classify, cohomology, instanton
 from instanton_lab.classify import (
     classify_cyclic_lines,
     classify_flag_lines,
@@ -112,14 +112,14 @@ def test_classification_matches_the_table_reference(family, box, defect):
 
 @pytest.mark.parametrize("defect", [0, 1])
 def test_segre_scan_computes_each_twisted_bundle_once(monkeypatch, defect):
-    engine = classify.line_bundle_cohomology
+    engine = cohomology.ENGINES["triple_p1"]
     seen = []
 
-    def counted(entry, coords, *args, **kwargs):
+    def counted(entry, coords):
         seen.append(coords)
-        return engine(entry, coords, *args, **kwargs)
+        return engine(entry, coords)
 
-    monkeypatch.setattr(classify, "line_bundle_cohomology", counted)
+    monkeypatch.setitem(cohomology.ENGINES, "triple_p1", counted)
     classify_segre_lines(6, defect)
     assert seen and len(seen) == len(set(seen))
 

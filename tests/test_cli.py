@@ -76,6 +76,26 @@ def test_check_from_table_file(tmp_path, capsys):
     assert code == 0 and "(0, 3)" in out
 
 
+def test_check_reads_a_table_with_rational_chern_classes(tmp_path, capsys):
+    """c2 = (29/10) H^2 of the rank-two prime Fano family on genus 6 is written as "29/10"."""
+    import dataclasses
+    from fractions import Fraction
+
+    from instanton_lab.rr import ChernData
+
+    pf = catalog.prime_fano(6)
+    H = pf.ring.gen("H")
+    table = build_table(pf, [((0,), 2)], (-4, 1))
+    rational = dataclasses.replace(table, chern=ChernData(2, 3 * H, Fraction(29, 10) * H * H, 0 * H**3))
+    results = []
+    for t in (table, rational):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(t.to_json()))
+        results.append(run(capsys, "check", "--table", str(path), "--json"))
+    assert '"29/10"' in path.read_text()
+    assert results[1] == results[0] and results[0][0] in (0, 1)
+
+
 def test_check_reads_scroll_table_written_by_cohom(tmp_path, capsys):
     """The table's id is an entry id (``scroll_p1(1,1,1)``), not a ring id."""
     code, out, _ = run(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -474,3 +476,71 @@ def test_single_entry_rows_match_chi(entry):
                 chi = rr.chi_twisted(entry, table.chern, t)
                 (i,) = support
                 assert row[i] == (-1) ** i * chi, (entry.variety_id, coords, t)
+
+
+#: one sample entry per catalog constructor
+CONSTRUCTED = {
+    "projective_space": catalog.projective_space(3, u=2),
+    "quadric": catalog.quadric(3),
+    "flag3": catalog.flag3(),
+    "triple_p1": catalog.triple_p1(),
+    "scroll_p1": catalog.scroll_p1((1, 2)),
+    "scroll_generic": catalog.scroll_generic(3, 1, 4),
+    "curve": catalog.curve(2, 3),
+    "prime_fano": catalog.prime_fano(5),
+}
+
+
+def test_every_constructed_kind_has_an_engine():
+    constructors = {
+        name for name, fn in vars(catalog).items()
+        if callable(fn) and getattr(fn, "__annotations__", {}).get("return") == "VarietyCatalogEntry"
+    } - {"parse_variety"}
+    assert constructors == set(CONSTRUCTED)
+    assert {entry.kind for entry in CONSTRUCTED.values()} == set(cohomology.ENGINES)
+
+
+#: each kind's engine called with the family's own arguments
+DIRECT = {
+    "projective_space": lambda e, c: coh_projective_space(e.dimension, c[0]),
+    "quadric": lambda e, c: coh_quadric(e.dimension, c[0]),
+    "flag3": lambda e, c: coh_flag3(c[0], c[1]),
+    "triple_p1": lambda e, c: coh_product([(1, a) for a in c]),
+    "scroll_p1": lambda e, c: coh_scroll_p1(e.degrees, c[0], c[1]),
+    "scroll_generic": lambda e, c: CohVector((0,) * (e.dimension + 1)),
+    "curve": lambda e, c: coh_curve(e.genus, c[0], e.curve_model),
+    "prime_fano": lambda e, c: cohomology.coh_cyclic_fano_index1(e, c[0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTED))
+def test_line_bundle_cohomology_is_the_kinds_engine(kind):
+    entry = CONSTRUCTED[kind]
+    engine = cohomology.ENGINES[kind]
+    for coords in itertools.product(range(-5, 6), repeat=entry.picard_rank()):
+        if kind == "scroll_generic" and not 1 - entry.dimension <= coords[0] <= -1:
+            for call in (line_bundle_cohomology, engine):
+                with pytest.raises(UnsupportedBundleError, match="vanishing window"):
+                    call(entry, coords)
+            continue
+        vec = line_bundle_cohomology(entry, list(coords))
+        assert vec == engine(entry, coords) == DIRECT[kind](entry, coords), coords
+
+
+def test_dispatch_rejects_theta_off_curves_and_unknown_kinds():
+    for entry in CONSTRUCTED.values():
+        if entry.kind != "curve":
+            with pytest.raises(UnsupportedBundleError, match="theta twists only exist on curve entries"):
+                line_bundle_cohomology(entry, (0,) * entry.picard_rank(), theta=True)
+    unknown = dataclasses.replace(catalog.projective_space(2), kind="mystery")
+    with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
+        line_bundle_cohomology(unknown, (1,))
+    with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
+        build_table(unknown, (1,), (-1, 1))
+
+
+def test_binom_matches_the_product_form():
+    for m in range(-30, 61):
+        for k in range(-3, 41):
+            product = 0 if k < 0 else math.prod(range(m - k + 1, m + 1)) // math.factorial(k)
+            assert binom(m, k) == product, (m, k)

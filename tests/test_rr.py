@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from instanton_lab import catalog, chow, rr
 from instanton_lab.classify import prime_fano_family
 from instanton_lab.cohomology import build_table, coh_projective_space
-from instanton_lab.errors import InfeasibleError, VarietyMismatchError
+from instanton_lab.errors import InfeasibleError, MalformedDataError, VarietyMismatchError
 from instanton_lab.rr import ChernData
 from instanton_lab.util import binom
 
@@ -355,3 +356,30 @@ def test_quantum_chern_identity_on_quadric():
     ]
     c = ChernData(1, 0 * H, 0 * H * H, 0 * H**3)
     assert rr.quantum_chern_identity(q3, c, 1, chis) == 0
+
+
+def test_rational_chern_data_round_trips_through_json():
+    """The rank-two prime Fano member of genus 6 has c2 = (29/10) H^2, written as "29/10"."""
+    pf = catalog.prime_fano(6)
+    H = pf.ring.gen("H")
+    rep = prime_fano_family(6, 0)
+    c = ChernData(rep.rank, rep.c1_mult * H, Fraction(rep.c2_dot_h, pf.hn()) * H * H, 0 * H**3)
+    assert c.c2 == Fraction(29, 10) * H * H
+    data = json.loads(json.dumps(c.to_json()))
+    assert data == {"rank": 2, "c1": [[[1], 3]], "c2": [[[2], "29/10"]], "c3": []}
+    again = ChernData.from_json(pf.variety_id, data)
+    assert again == c and again.c2.coefficient((2,)) == Fraction(29, 10)
+    assert rr.chi_twisted(pf, again, -1) == 0
+    assert chow.ChowClass.from_json(pf.variety_id, [[[2], "-3/06"]]) == Fraction(-1, 2) * H * H
+    # an integral Fraction coefficient is written as a JSON int
+    assert catalog.prime_fano(3).c2_omega.to_json() == [[[2], 6]]
+    assert type(catalog.prime_fano(3).c2_omega.to_json()[0][1]) is int
+
+
+@pytest.mark.parametrize(
+    "coefficient",
+    ["2", "1/0", "1/00", "1.5/2", " 1/2", "1/2 ", "1/2\n", "+1/2", "1/-2", "1//2", "1/2/3", None, [1, 2]],
+)
+def test_chow_json_reads_only_ints_and_p_over_q(coefficient):
+    with pytest.raises(MalformedDataError, match="is not an integer or 'p/q'"):
+        chow.ChowClass.from_json("prime_fano(6)", [[[2], coefficient]])
