@@ -20,6 +20,7 @@ from instanton_lab import (
     triple_p1,
     ulrich_dual_table,
 )
+from instanton_lab.catalog import theta_coords
 
 # The structure sheaf of P^3 is Ulrich; on the quadric it is a non-ordinary
 # instanton with quantum number zero (it has no intermediate cohomology).
@@ -50,7 +51,7 @@ print("flag q=3 (+) q=8 ->", check_instanton(s).quantum(0))
 # two basic families: O(theta+h)^r is Ulrich, O(theta+h) (+) O(theta) is
 # non-ordinary with quantum number deg(h).
 g2 = curve(2, 2, "generic")
-pair = build_table(g2, [((1,), 1), ((0,), 1)], (-1, 0), theta=True)
+pair = build_table(g2, [(theta_coords(g2, 1), 1), (theta_coords(g2, 0), 1)], (-1, 0))
 print("theta pair on a genus-2 curve:", list(check_instanton(pair).admissible))
 
 # Regularity bookkeeping: w(E) = h^1(E((defect-1)h)) + defect bounds the

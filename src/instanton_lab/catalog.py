@@ -25,7 +25,7 @@ from functools import cached_property
 
 from . import chow
 from .chow import ChowClass, ChowRingPresentation
-from .errors import UnknownVarietyError
+from .errors import UnknownVarietyError, UnsupportedBundleError
 
 
 @dataclass(frozen=True)
@@ -325,6 +325,13 @@ def twist_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...], t: int) ->
     """Coordinates of ``L(t h)``."""
     coords = check_coords(entry, coords)
     return tuple([c + t * v for c, v in zip(coords, entry._h_coords)])
+
+
+def theta_coords(entry: VarietyCatalogEntry, s: int) -> tuple[int, ...]:
+    """Coordinates of ``O(theta + s h)`` on a curve, theta a theta-characteristic: ``(g - 1 + s deg h,)``."""
+    if entry.kind != "curve":
+        raise UnsupportedBundleError("theta twists only exist on curve entries")
+    return (entry.genus - 1 + s * entry.deg_h,)
 
 
 def polarization_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:

@@ -27,7 +27,6 @@ from .catalog import VarietyCatalogEntry, check_coords, polarization_coords
 from .cohomology import CohVector, build_table, coh_product, line_bundle_cohomology  # noqa: F401
 from .errors import InfeasibleError
 from .rr import ChernData
-from .util import as_int
 
 #: default half-width of enumeration boxes; all known families and their
 #: nearest non-members fit inside
@@ -142,11 +141,6 @@ def _sift(
     return found, tuple(zip(conditions.checks, rejected))
 
 
-def _scan(entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int) -> list[FoundLine]:
-    """The members only, in candidate order (see :func:`_sift`)."""
-    return _sift(entry, candidates, defect)[0]
-
-
 def _assemble_report(
     family: str,
     defect: int,
@@ -200,56 +194,50 @@ def _assemble_report(
     )
 
 
-def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0) -> ClassificationReport:
-    """Enumerate instanton line bundles on the flag 3-fold over ``[-box, box]^2``.
+#: the closed-form line-bundle family per scanned (kind, defect): the member
+#: ``a -> (coordinates, quantum number)``, stated for a >= 1; the a = 0 member is
+#: adjudicated by the oracle and reported as a boundary case
+_FAMILIES = {
+    # O(-a h1 + (a + 2 - defect) h2), quantum number (2 - defect)/2 a (a + 2 - defect)
+    ("flag3", 0): lambda a: ((-a, a + 2), a * (a + 2)),
+    ("flag3", 1): lambda a: ((-a, a + 1), a * (a + 1) // 2),
+    # O(-a h1 + h2 + (2 + a) h3) up to permutation, quantum number a (a + 2); the
+    # degree condition on c1 is odd for defect 1, so that scan must come back empty
+    ("triple_p1", 0): lambda a: (tuple(sorted((-a, 1, 2 + a))), a * (a + 2)),
+    ("triple_p1", 1): None,
+}
 
-    Candidates are canonicalized under the swap of the two rulings
-    (lexicographically minimal representative).  The closed-form family is
-    ``O(-a h1 + (a + 2 - defect) h2)`` for a >= 1 with quantum number
-    ``(2 - defect)/2 a (a + 2 - defect)``; the a = 0 member is adjudicated by
-    the oracle and reported as a boundary case.
+
+def classify_lines(
+    entry: VarietyCatalogEntry, box: int = DEFAULT_BOX, defect: int = 0
+) -> ClassificationReport:
+    """Enumerate instanton line bundles on ``entry`` over ``[-box, box]^rank``.
+
+    Candidates are canonicalized under coordinate permutations (the sorted,
+    lexicographically minimal representative), which are symmetries of both
+    scanned kinds.  The oracle's members are compared with the kind's
+    closed-form family (``_FAMILIES``) inside the box.
     """
     if box < 4:
         raise ValueError("box >= 4")
-    entry = catalog.flag3()
-    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), 2))
+    if (entry.kind, defect) not in _FAMILIES:
+        raise ValueError(f"no closed-form line-bundle family on {entry.variety_id} with defect {defect}")
+    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), entry.picard_rank()))
     found, rejections = _sift(entry, candidates, defect)
+    member = _FAMILIES[entry.kind, defect]
+    lines = [FoundLine(c, defect, q) for c, q in map(member, range(box + 1))] if member else []
+    family = [f for f in lines if max(map(abs, f.coordinates)) <= box]
+    return _assemble_report(entry.variety_id, defect, box, found, rejections, family[1:], family[:1])
 
-    def formula(a: int) -> Fraction:
-        return Fraction(2 - defect, 2) * a * (a + 2 - defect)
 
-    expected = [
-        FoundLine((-a, a + 2 - defect), defect, as_int(formula(a), "quantum"))
-        for a in range(1, box + 1)
-        if a + 2 - defect <= box
-    ]
-    boundary = [FoundLine((0, 2 - defect), defect, 0)]
-    return _assemble_report("flag3", defect, box, found, rejections, expected, boundary)
+def classify_flag_lines(box: int = DEFAULT_BOX, defect: int = 0) -> ClassificationReport:
+    """:func:`classify_lines` on the flag 3-fold."""
+    return classify_lines(catalog.flag3(), box, defect)
 
 
 def classify_segre_lines(box: int = DEFAULT_BOX, defect: int = 0) -> ClassificationReport:
-    """Enumerate instanton line bundles on P^1 x P^1 x P^1 over ``[-box, box]^3``.
-
-    Non-ordinary candidates must come back empty (the degree condition on c1
-    is odd); the ordinary family is ``O(-a h1 + h2 + (2 + a) h3)`` up to
-    coordinate permutation, with quantum number ``a (a + 2)``.
-    """
-    if box < 4:
-        raise ValueError("box >= 4")
-    entry = catalog.triple_p1()
-    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), 3))
-    found, rejections = _sift(entry, candidates, defect)
-    if defect == 1:
-        expected: list[FoundLine] = []
-        boundary: list[FoundLine] = []
-    else:
-        expected = [
-            FoundLine(tuple(sorted((-a, 1, 2 + a))), 0, a * (a + 2))
-            for a in range(1, box + 1)
-            if 2 + a <= box
-        ]
-        boundary = [FoundLine((0, 1, 2), 0, 0)]
-    return _assemble_report("triple_p1", defect, box, found, rejections, expected, boundary)
+    """:func:`classify_lines` on P^1 x P^1 x P^1."""
+    return classify_lines(catalog.triple_p1(), box, defect)
 
 
 # --------------------------------------------------------------------------

@@ -40,26 +40,23 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def parse_bundle(entry, text: str) -> tuple[list[tuple[tuple[int, ...], int]], bool]:
+def parse_bundle(entry, text: str) -> list[tuple[tuple[int, ...], int]]:
     """Parse a bundle descriptor into (coordinates, multiplicity) summands.
 
     Summands are '+'-separated, each ``COORDS`` or ``COORDS^MULT``; COORDS is
     a comma tuple in the entry's divisor basis, or ``O:t`` on cyclic entries,
-    ``h:t`` / ``h:t,f:a`` on scrolls, ``theta:s`` on curves.  All summands of
-    a curve bundle must agree on theta-ness.
+    ``h:t`` / ``h:t,f:a`` on scrolls, ``theta:s`` on curves: the degree of
+    :func:`catalog.theta_coords`, so theta and plain summands mix freely.
     """
     summands: list[tuple[tuple[int, ...], int]] = []
-    thetas: set[bool] = set()
     for chunk in text.split("+"):
         chunk = chunk.strip()
         mult = 1
         if "^" in chunk:
             chunk, _, m = chunk.rpartition("^")
             mult = int(m)
-        theta = False
         if chunk.lower().startswith("theta:"):
-            theta = True
-            coords: tuple[int, ...] = (int(chunk.split(":", 1)[1]),)
+            coords: tuple[int, ...] = catalog.theta_coords(entry, int(chunk.split(":", 1)[1]))
         elif chunk.lower().startswith("o:"):
             coords = (int(chunk.split(":", 1)[1]),)
         elif chunk.lower().startswith("h:"):
@@ -71,10 +68,7 @@ def parse_bundle(entry, text: str) -> tuple[list[tuple[tuple[int, ...], int]], b
         else:
             coords = tuple(int(x) for x in chunk.split(","))
         summands.append((catalog.check_coords(entry, coords), mult))
-        thetas.add(theta)
-    if len(thetas) > 1:
-        raise ValueError("cannot mix theta and plain summands in one bundle")
-    return summands, thetas.pop()
+    return summands
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -139,10 +133,10 @@ def _default_box(args) -> int:
 
 def _table_from_args(args) -> tuple[CohomologyTable, object]:
     entry = catalog.parse_variety(args.variety)
-    bundles, theta = parse_bundle(entry, args.bundle)
+    bundles = parse_bundle(entry, args.bundle)
     n = entry.dimension
     window = parse_window(args.window) if args.window else (-n - 1, 1)
-    table = build_table(entry, bundles, window, theta=theta)
+    table = build_table(entry, bundles, window)
     return table, entry
 
 

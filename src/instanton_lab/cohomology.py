@@ -10,8 +10,9 @@ One closed-form engine per catalog family, each reached through one table,
 * the flag 3-fold -- Borel-Weil-Bott for the full flag of SL(3);
 * scrolls over P^1 -- the symmetric-power splitting of the pushforward, with
   Serre duality below the vanishing window;
-* curves -- exact genus-0 values, the generic Brill-Noether model, and a
-  non-effective theta-characteristic model for twists ``theta + s h``.
+* curves -- exact genus-0 values and the generic Brill-Noether model, each
+  exact on a twist ``theta + s h`` of a non-effective theta-characteristic,
+  the degree ``g - 1 + s deg h`` of :func:`catalog.theta_coords`.
 
 Tables collect the cohomology vectors of one bundle over a twist window and
 are the raw material the instanton checker consumes.  A table computes each
@@ -23,6 +24,7 @@ forms twist by twist.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -252,9 +254,7 @@ def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
 def coh_curve(g: int, d: int, model: str) -> CohVector:
     """Cohomology of a degree-d line bundle on a genus-g curve.
 
-    ``exact_p1`` is exact on the line; ``generic`` returns the general
-    Brill-Noether value; ``theta`` is the non-effective theta-characteristic
-    itself and insists on ``d = g - 1``.
+    ``exact_p1`` is exact on the line; ``generic`` returns the general Brill-Noether value.
     """
     if g < 0:
         raise ValueError("genus >= 0")
@@ -264,10 +264,6 @@ def coh_curve(g: int, d: int, model: str) -> CohVector:
         return CohVector((max(0, d + 1), max(0, -d - 1)))
     if model == "generic":
         return CohVector((max(0, d - g + 1), max(0, g - 1 - d)))
-    if model == "theta":
-        if d != g - 1:
-            raise ValueError(f"a theta-characteristic has degree g - 1 = {g - 1}, got {d}")
-        return CohVector((0, 0))
     raise ValueError(f"unknown curve model {model!r}")
 
 
@@ -276,6 +272,7 @@ def coh_curve_theta_shift(g: int, deg_h: int, s: int) -> CohVector:
 
     Exact consequence of genericity: ``chi = s deg(h)`` and one-sided
     vanishing, so ``h^0 = max(s, 0) deg(h)`` and ``h^1 = max(-s, 0) deg(h)``.
+    :func:`coh_curve` gives it on either model at :func:`catalog.theta_coords`.
     """
     if deg_h < 1:
         raise ValueError("polarization degree >= 1")
@@ -332,16 +329,9 @@ ENGINES = _EngineTable({
 })
 
 
-def line_bundle_cohomology(
-    entry: VarietyCatalogEntry, coords: tuple[int, ...], theta: bool = False
-) -> CohVector:
-    """Check the coordinates once, then call the kind's engine; ``theta`` is curves only."""
-    coords = check_coords(entry, coords)
-    if theta:
-        if entry.kind != "curve":
-            raise UnsupportedBundleError("theta twists only exist on curve entries")
-        return coh_curve_theta_shift(entry.genus, entry.deg_h, coords[0])
-    return ENGINES[entry.kind](entry, coords)
+def line_bundle_cohomology(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> CohVector:
+    """Check the coordinates once, then call the kind's engine."""
+    return ENGINES[entry.kind](entry, check_coords(entry, coords))
 
 
 def chi_scroll_line(entry: VarietyCatalogEntry, t: int, a: int) -> int:
@@ -430,13 +420,20 @@ class CohomologyTable:
             variety_id, rank = data["variety"], data["rank"]
             tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
             rows_sorted = sorted(data["rows"], key=lambda r: r["t"])
+            twists = [r["t"] for r in rows_sorted]
             rows = tuple(CohVector(tuple(r["h"])) for r in rows_sorted)
+            assumptions = data.get("assumptions", [])
             chern = None
             if data.get("chern"):
                 chern = ChernData.from_json(entry_ring(variety_id).variety_id, data["chern"])
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
-        if not rows or [r["t"] for r in rows_sorted] != list(range(tmin, tmax + 1)):
+        numbers = itertools.chain((rank, tmin, tmax), twists, *(row.dims for row in rows))
+        if set(map(type, numbers)) != {int} or rank < 1:
+            raise MalformedDataError("rank, window, twists and dimensions must be ints, the rank positive")
+        if type(assumptions) is not list or set(map(type, assumptions)) - {str}:
+            raise MalformedDataError("assumptions must be a list of strings")
+        if not rows or twists != list(range(tmin, tmax + 1)):
             raise MalformedDataError("rows do not enumerate a non-empty window")
         return CohomologyTable(
             variety_id=variety_id,
@@ -446,22 +443,18 @@ class CohomologyTable:
             tmax=tmax,
             rows=rows,
             chern=chern,
-            assumptions=tuple(data.get("assumptions", ())),
+            assumptions=tuple(assumptions),
         )
 
 
 def _bundle_column(
-    entry: VarietyCatalogEntry, coords: tuple[int, ...], twists: range, theta: bool
+    entry: VarietyCatalogEntry, coords: tuple[int, ...], twists: range
 ) -> list[tuple[int, ...]]:
     """Cohomology tuples of ``L(t h)`` for each ``t`` in ``twists``.
 
     Split scrolls get the whole column from one engine pass; every other
     family calls its engine twist by twist on the coordinates checked once.
     """
-    if theta:
-        # theta coordinates are shifts of the theta-characteristic, so a
-        # twist by t h moves the shift by t
-        return [line_bundle_cohomology(entry, (coords[0] + t,), theta=True).dims for t in twists]
     coords = check_coords(entry, coords)
     if entry.kind == "scroll_p1":
         # the tautological h moves only the h coordinate
@@ -474,15 +467,13 @@ def build_table(
     entry: VarietyCatalogEntry,
     bundles: Bundles | tuple[int, ...],
     window: tuple[int, int],
-    theta: bool = False,
     with_chern: bool = True,
 ) -> CohomologyTable:
     """Table of a direct sum of line bundles over a twist window.
 
     ``bundles`` is either a single coordinate tuple or a list of
-    ``(coordinates, multiplicity)`` pairs; ``theta`` interprets curve
-    coordinates as shifts of a non-effective theta-characteristic.  Rank and
-    Chern data are filled in whenever derivable.
+    ``(coordinates, multiplicity)`` pairs.  Rank and Chern data are filled in
+    whenever derivable; generic curve models record their assumption.
     """
     if isinstance(bundles, tuple):
         bundles = [(bundles, 1)]
@@ -493,7 +484,7 @@ def build_table(
     twists = range(tmin, tmax + 1)
     sums = [[0] * (n + 1) for _ in twists]
     for coords, mult in bundles:
-        column = _bundle_column(entry, coords, twists, theta)
+        column = _bundle_column(entry, coords, twists)
         if mult < 0:
             raise ValueError("multiplicities must be nonnegative")
         for acc, dims in zip(sums, column):
@@ -502,18 +493,8 @@ def build_table(
     rows = tuple(CohVector(tuple(acc)) for acc in sums)
     chern = None
     if with_chern:
-        if theta:
-            # c1 of O(theta + s h) is (g - 1 + s deg h) . point
-            g, dh = entry.genus, entry.deg_h
-            summands = [
-                (line_bundle_class(entry, (g - 1 + s[0] * dh,)), m) for s, m in bundles
-            ]
-        else:
-            summands = [(line_bundle_class(entry, coords), m) for coords, m in bundles]
-        chern = rr.chern_of_line_bundle_sum(summands)
-    assumptions = ()
-    if entry.kind == "curve" and (entry.curve_model == "generic" or theta):
-        assumptions = ("generic Brill-Noether position",)
+        chern = rr.chern_of_line_bundle_sum([(line_bundle_class(entry, c), m) for c, m in bundles])
+    assumptions = ("generic Brill-Noether position",) if entry.curve_model == "generic" else ()
     return CohomologyTable(
         variety_id=entry.variety_id,
         dimension=n,

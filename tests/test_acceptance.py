@@ -142,10 +142,11 @@ def chi_polynomial_probes():
     # curve families (n = 1) and the (n, defect) = (2, 1) branch
     curve_entry = catalog.curve(2, 2, "generic")
     p2 = catalog.projective_space(2)
+    theta = catalog.theta_coords
     extras = [
-        ("curve theta pair", curve_entry, [((1,), 1), ((0,), 1)], True, 1),
-        ("curve ulrich", curve_entry, [((1,), 2)], True, 0),
-        ("plane (2,1) branch", p2, [((0,), 1), ((-1,), 1)], False, 1),
+        ("curve theta pair", curve_entry, [(theta(curve_entry, 1), 1), (theta(curve_entry, 0), 1)], 1),
+        ("curve ulrich", curve_entry, [(theta(curve_entry, 1), 2)], 0),
+        ("plane (2,1) branch", p2, [((0,), 1), ((-1,), 1)], 1),
     ]
     return members, extras
 
@@ -166,9 +167,9 @@ def test_criterion_5_chi_polynomial():
                     defect,
                     t,
                 )
-        for label, entry, bundles, theta, defect in extras:
+        for label, entry, bundles, defect in extras:
             n = entry.dimension
-            table = build_table(entry, bundles, (-n - 1, 2), theta=theta, with_chern=False)
+            table = build_table(entry, bundles, (-n - 1, 2), with_chern=False)
             q = check_instanton(table).quantum(defect)
             assert q is not None, label
             chi0 = table.chi_at(0)

@@ -57,6 +57,13 @@ def test_classify_segre():
     assert empty.agreement == "exact" and not empty.found
 
 
+def test_classify_lines_needs_a_declared_family():
+    for entry, defect in [(catalog.projective_space(3), 0), (catalog.flag3(), 2)]:
+        with pytest.raises(ValueError, match="^no closed-form line-bundle family on "):
+            classify.classify_lines(entry, 4, defect)
+    assert classify.classify_lines(catalog.flag3(), 5, 1) == classify_flag_lines(5, 1)
+
+
 def reference_scan(entry, candidates, defect):
     """The members by the table route: one full table and verdict per candidate."""
     n = entry.dimension
@@ -93,7 +100,7 @@ def scans(draw):
 @settings(max_examples=60, deadline=None)
 def test_scan_matches_the_table_reference(scan):
     entry, candidates, defect = scan
-    assert classify._scan(entry, candidates, defect) == reference_scan(entry, candidates, defect)
+    assert classify._sift(entry, candidates, defect)[0] == reference_scan(entry, candidates, defect)
 
 
 @pytest.mark.parametrize("defect", [0, 1])

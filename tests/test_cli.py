@@ -152,6 +152,128 @@ def test_classify_json_golden(capsys, family, defect):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_GOLDEN[family, defect]
 
 
+#: SHA-256 of the stdout of ``classify FAMILY --box BOX --defect D --json`` at the
+#: other boxes, taken before the two scans became one ``classify_lines``
+CLASSIFY_GOLDEN_BOXES = {
+    ("flag", 4, 0): "9eb3f04d8338832ca85aa6a461394df76ade7049f11f6090ff3cfa8e0079db09",
+    ("flag", 4, 1): "3639ad6d14f510b6e80928f08b41ba28dc79fdd68cea313733156782c2d40109",
+    ("flag", 8, 0): "84673a2a7dcf417142a799f5e76907f5cfc74f670619329cb5cfc35831928547",
+    ("flag", 8, 1): "d3309256470717d31ba6f489d6f2e64d0aca59a8d5bc21193311a69a59195bf7",
+    ("flag", 10, 0): "3ab23b2150a500dd2e95fca13fa0da084fec3cdc04275bbaf026d48f392a1d13",
+    ("flag", 10, 1): "380d5e545cd0076a8b443cd5b4cae3765ef79878c7854fbe2ebbd47f5953f71c",
+    ("segre", 4, 0): "652bffa5a71e3cb4b6d2730ddadc6d325cb4bad748ef4d2dfea81b521a6a1b76",
+    ("segre", 4, 1): "74ebe6e0d24ad0dad478fbb88bb39f3e65dd1b44d80f690f0e89a73044ad4424",
+    ("segre", 8, 0): "d5ab2140886d866222c15843a6124549977169f97aeaea3f932382bd8a0cd531",
+    ("segre", 8, 1): "7737da37d4ad4c09337a194f75c77c68c4c0d9cb54d000f132889af8699ec1d3",
+    ("segre", 10, 0): "8b4e368a30745fb688698ffcb379d42be5e5aa6d936b546cf86aa31a096157aa",
+    ("segre", 10, 1): "bbc7f4083e0394421734efca49cc092ca504643514c0cca00607d217fee788ca",
+}
+
+
+@pytest.mark.parametrize("family, box, defect", CLASSIFY_GOLDEN_BOXES)
+def test_classify_json_golden_at_other_boxes(capsys, family, box, defect):
+    code, out, _ = run(capsys, "classify", family, "--box", str(box), "--defect", str(defect), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_GOLDEN_BOXES[family, box, defect]
+
+
+#: SHA-256 of the stdout of theta-spelled bundles on generic curves, taken
+#: before theta twists became curve degrees
+THETA_GOLDEN = {
+    "cohom --variety curve:g=2,deg=3 --bundle theta:1 --json":
+        "c8f1c0ad64ab6323ac43e8fa50795a9666d29612183c948f303e3bb281cb482f",
+    "cohom --variety curve:g=2,deg=3 --bundle theta:1+theta:0 --json":
+        "2848666b1a1b6e21fd2666185dedb5a6b4e32ef350f00a3bde787541c3c1275b",
+    "cohom --variety curve:g=2,deg=2 --bundle theta:1^3 --window -1:1 --json":
+        "8504f619d4acbfa64265076e6db0d5b8b0f7554d960ba3398fe3158426477203",
+    "check --variety curve:g=2,deg=2 --bundle theta:1+theta:0 --json":
+        "d0e0b1e1a36e00fc2c4d60d88da66080c31d00b5ffc909b02d05fac21c8b7274",
+    "check --variety curve:g=2,deg=2 --bundle theta:1^3 --json":
+        "66767fe66f674662cab36b1f2e707fa448a9c1130cee168578076f801501cec4",
+    "chi --variety curve:g=2,deg=3 --bundle theta:1+theta:0 --json":
+        "2ab2e9c4cecc81290b2271837bb6e8ba03d6a175e52a7b1e09788ad545dca112",
+    "chi --variety curve:g=3,deg=2 --bundle theta:2 --twist -3 --json":
+        "5a34b86bdb66bc00fb7a82c31e473648bbbe71db75cd6bf559a1f4b043415e58",
+}
+
+
+@pytest.mark.parametrize("argv", THETA_GOLDEN)
+def test_theta_bundles_on_generic_curves_golden(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THETA_GOLDEN[argv]
+
+
+def test_theta_table_on_the_line_has_no_assumptions(capsys):
+    """On the exact genus-0 model theta + s h is O(2s - 1): nothing generic is assumed."""
+    argv = ["cohom", "--variety", "curve:g=0,deg=2,model=exact_p1", "--bundle", "theta:1+theta:0", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    entry = catalog.curve(0, 2, "exact_p1")
+    bundles = [(catalog.theta_coords(entry, 1), 1), (catalog.theta_coords(entry, 0), 1)]
+    assert bundles == [((1,), 1), ((-1,), 1)]
+    assert data == build_table(entry, bundles, (-2, 1)).to_json() and "assumptions" not in data
+
+
+def test_theta_and_plain_summands_mix(capsys):
+    """theta:0 on a genus-2 curve of degree 3 is the degree-1 bundle, spelled either way."""
+    outputs = [
+        run(capsys, "cohom", "--variety", "curve:g=2,deg=3", "--bundle", bundle, "--json")
+        for bundle in ("theta:1+theta:0", "theta:1+1", "4+theta:0", "4+1")
+    ]
+    assert outputs[0][0] == 0 and all(o == outputs[0] for o in outputs)
+
+
+@pytest.mark.parametrize("variety", ["p3", "flag3", "scroll-p1:1,1,1"])
+def test_theta_off_curves_exits_2(capsys, variety):
+    code, out, err = run(capsys, "cohom", "--variety", variety, "--bundle", "theta:1")
+    assert code == 2 and out == "" and "theta twists only exist on curve entries" in err
+
+
+def _float_dim(data):
+    data["rows"][0]["h"] = [0.5, 0, 0, 0]
+
+
+def _bool_dim(data):
+    data["rows"][1]["h"][1] = True
+
+
+def _float_window(data):
+    data["window"]["tmin"] = -4.0
+
+
+def _float_twist(data):
+    data["rows"][0]["t"] = -4.0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _float_dim,
+        _bool_dim,
+        _float_window,
+        _float_twist,
+        lambda data: data.update(rank=-3),
+        lambda data: data.update(rank="x"),
+        lambda data: data.update(rank=True),
+        lambda data: data.update(assumptions="generic Brill-Noether position"),
+        lambda data: data.update(assumptions=[1]),
+    ],
+    ids=["float-dim", "bool-dim", "float-window", "float-twist", "negative-rank", "string-rank", "bool-rank",
+         "string-assumptions", "int-assumption"],
+)
+def test_malformed_table_exits_2(tmp_path, capsys, mutate):
+    data = build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()
+    mutate(data)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedDataError):
+        CohomologyTable.from_json(json.loads(path.read_text()))
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_classify_cyclic_cli(capsys):
     code, out, _ = run(
         capsys, "classify", "cyclic", "--n", "3", "--u", "1", "--v", "-3", "--defect", "1"

@@ -223,10 +223,9 @@ def test_scroll_window_rejects_bad_degrees():
 
 def test_coh_curve_examples():
     assert coh_curve(0, 3, "exact_p1").dims == (4, 0)
-    assert coh_curve(2, 1, "theta").dims == (0, 0)
     assert coh_curve(3, 5, "generic").dims == (3, 0)
-    with pytest.raises(ValueError):
-        coh_curve(2, 0, "theta")
+    with pytest.raises(ValueError, match="^unknown curve model 'theta'$"):
+        coh_curve(2, 1, "theta")
 
 
 def test_theta_shift_engine():
@@ -237,6 +236,17 @@ def test_theta_shift_engine():
                 v = coh_curve_theta_shift(g, dh, s)
                 assert v.chi() == s * dh
                 assert v[0] == 0 or v[1] == 0
+
+
+def test_theta_twists_are_curve_degrees():
+    """``O(theta + s h)`` is the degree ``g - 1 + s deg h`` bundle on either curve model."""
+    for g, model in [(0, "exact_p1"), (0, "generic"), (2, "generic"), (3, "generic")]:
+        for dh in (1, 2, 3):
+            entry = catalog.curve(g, dh, model)
+            for s in range(-4, 5):
+                assert catalog.theta_coords(entry, s) == (g - 1 + s * dh,)
+                vec = line_bundle_cohomology(entry, catalog.theta_coords(entry, s))
+                assert vec == coh_curve_theta_shift(g, dh, s), (entry.variety_id, s)
 
 
 def test_serre_dual_vector():
@@ -300,20 +310,31 @@ def test_build_table_theta_family():
     # theta-shift model gives chi(E(t h)) = (2t + 1) deg h, so rows are
     # nonzero at every twist; frozen values below.
     entry = catalog.curve(2, 2, "generic")
-    table = build_table(entry, [((1,), 1), ((0,), 1)], (-1, 0), theta=True)
+    table = build_table(entry, theta_bundles(entry, [((1,), 1), ((0,), 1)]), (-1, 0))
     assert table.row(-1).dims == (0, 2)
     assert table.row(0).dims == (2, 0)
     assert "generic Brill-Noether position" in table.assumptions
 
 
+def theta_bundles(entry, shifts):
+    """The summands ``O(theta + s h)^m`` for ``((s,), m)`` in ``shifts``, or for one ``(s,)``."""
+    if isinstance(shifts, tuple):
+        return catalog.theta_coords(entry, shifts[0])
+    return [(catalog.theta_coords(entry, s), m) for (s,), m in shifts]
+
+
 def per_twist_table_rows(entry, bundles, window, theta=False):
-    """Rows summed twist by twist from ``line_bundle_cohomology``."""
+    """Rows summed twist by twist from ``line_bundle_cohomology``; theta shifts ``(s,)``
+    from :func:`coh_curve_theta_shift` at ``s + t``."""
     rows = []
     for t in range(window[0], window[1] + 1):
         acc = CohVector((0,) * (entry.dimension + 1))
         for coords, mult in bundles:
-            tw = (coords[0] + t,) if theta else catalog.twist_coords(entry, coords, t)
-            acc = acc + line_bundle_cohomology(entry, tw, theta=theta).scale(mult)
+            if theta:
+                vec = coh_curve_theta_shift(entry.genus, entry.deg_h, coords[0] + t)
+            else:
+                vec = line_bundle_cohomology(entry, catalog.twist_coords(entry, coords, t))
+            acc = acc + vec.scale(mult)
         rows.append(acc)
     return tuple(rows)
 
@@ -340,7 +361,7 @@ FAMILY_TABLES = [
     ids=[e.variety_id + ("-theta" if theta else "") for e, _, _, theta in FAMILY_TABLES],
 )
 def test_build_table_sums_line_bundle_cohomology(entry, bundles, window, theta):
-    table = build_table(entry, bundles, window, theta=theta)
+    table = build_table(entry, theta_bundles(entry, bundles) if theta else bundles, window)
     assert table.rows == per_twist_table_rows(entry, bundles, window, theta)
 
 
@@ -386,7 +407,7 @@ def test_scroll_table_builds_one_count_table_per_bundle(monkeypatch, width):
 )
 def test_build_table_errors(entry, bundles, window, theta, error, message):
     with pytest.raises(error) as exc:
-        build_table(entry, bundles, window, theta=theta)
+        build_table(entry, theta_bundles(entry, bundles) if theta else bundles, window)
     assert type(exc.value) is error and str(exc.value) == message
 
 
@@ -436,7 +457,7 @@ ROUND_TRIPS = [
 )
 def test_table_json_roundtrip_on_entry_ids(entry, bundles, window, theta):
     """Entry ids that are not ring ids resolve to the entry's ring."""
-    table = build_table(entry, bundles, window, theta=theta)
+    table = build_table(entry, theta_bundles(entry, bundles) if theta else bundles, window)
     data = json.loads(json.dumps(table.to_json()))
     again = CohomologyTable.from_json(data)
     assert again.to_json() == table.to_json()
@@ -531,7 +552,7 @@ def test_dispatch_rejects_theta_off_curves_and_unknown_kinds():
     for entry in CONSTRUCTED.values():
         if entry.kind != "curve":
             with pytest.raises(UnsupportedBundleError, match="theta twists only exist on curve entries"):
-                line_bundle_cohomology(entry, (0,) * entry.picard_rank(), theta=True)
+                catalog.theta_coords(entry, 0)
     unknown = dataclasses.replace(catalog.projective_space(2), kind="mystery")
     with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
         line_bundle_cohomology(unknown, (1,))

@@ -67,11 +67,12 @@ def test_check_instanton_notes_failures():
 
 def test_curve_theta_family():
     entry = catalog.curve(2, 2, "generic")
-    table = build_table(entry, [((1,), 1), ((0,), 1)], (-1, 0), theta=True)
+    theta = catalog.theta_coords
+    table = build_table(entry, [(theta(entry, 1), 1), (theta(entry, 0), 1)], (-1, 0))
     verdict = check_instanton(table)
     assert verdict.admissible == ((1, 2),)
     # the ordinary curve instanton is the Ulrich twist family
-    table0 = build_table(entry, [((1,), 3)], (-1, 0), theta=True)
+    table0 = build_table(entry, [(theta(entry, 1), 3)], (-1, 0))
     assert check_instanton(table0).admissible == ((0, 0),)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import instanton_lab
@@ -23,3 +24,31 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_layers_resolve():
+    """Every ``(module, attribute)`` the benchmark tracer wraps exists in the package.
+
+    A renamed or deleted layer would otherwise fail only traced benchmark runs.
+    ``bench/tracing.py`` is read as text and its ``LAYERS`` literal evaluated,
+    so the benchmark is neither imported nor changed.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    missing = []
+    for layer, modname, attr, _ in layers:
+        module = importlib.import_module(f"instanton_lab.{modname}")
+        owner, _, name = attr.rpartition(".")
+        # the tracer replaces methods in the class's own dict, functions by module attribute
+        if owner:
+            found = name in vars(getattr(module, owner, object))
+        else:
+            found = callable(getattr(module, name, None))
+        if not found:
+            missing.append(f"{layer}: {modname}.{attr}")
+    assert layers
+    assert missing == []
