@@ -3,8 +3,9 @@
 The classification routines enumerate line bundles on the sextic del Pezzo
 entries over a lattice box, filter the candidates through the instanton
 condition list one condition at a time (each condition sees only the
-candidates that passed the earlier ones, and each twisted line bundle reaches
-its exact cohomology engine once per scan), and compare the outcome against
+candidates that passed the earlier ones, and each twisted line bundle is read
+from the entry's line-bundle cohomology memo, so it reaches its exact engine
+once per process however many scans share it), and compare the outcome against
 the closed-form families (exposing the boundary members explicitly rather
 than suppressing either side).  The remaining routines replay, as exact integer
 decision procedures, the cyclic line-bundle trichotomy, the Hoppe-type
@@ -23,8 +24,8 @@ from typing import Callable
 
 from . import catalog, chow, cohomology, instanton, rr
 from .catalog import VarietyCatalogEntry, check_coords, polarization_coords
-# build_table, line_bundle_cohomology: unused here, read by bench/tests/test_bench.py and tests
-from .cohomology import CohVector, build_table, coh_product, line_bundle_cohomology  # noqa: F401
+# build_table: unused here, read by bench/tests/test_bench.py
+from .cohomology import CohVector, build_table, coh_product  # noqa: F401
 from .errors import InfeasibleError
 from .rr import ChernData
 
@@ -99,19 +100,6 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-class _LineBundleRows(dict):
-    """Line-bundle cohomology keyed by checked coordinates, each computed on first read."""
-
-    def __init__(self, entry: VarietyCatalogEntry):
-        super().__init__()
-        self.entry = entry
-        self.engine = cohomology.ENGINES[entry.kind]
-
-    def __missing__(self, coords: tuple[int, ...]) -> CohVector:
-        vec = self[coords] = self.engine(self.entry, coords)
-        return vec
-
-
 def _sift(
     entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int
 ) -> tuple[list[FoundLine], tuple[tuple[instanton.Check, int], ...]]:
@@ -119,17 +107,18 @@ def _sift(
 
     Each candidate is validated once; then each condition, in list order,
     filters the candidates that passed every earlier one
-    (:meth:`instanton.InstantonConditions.sift`).  Rows come from a dict of
-    line-bundle cohomology keyed by twisted coordinates and local to this
-    call, each twist being the candidate plus a shift ``t h`` computed once
-    per scan: neighbouring candidates share most of their twisted bundles,
-    so each distinct bundle reaches its engine once per scan.
+    (:meth:`instanton.InstantonConditions.sift`).  Rows are read from the
+    entry's line-bundle memo (``cohomology._rows``) keyed by twisted
+    coordinates, each twist being the candidate plus a shift ``t h`` computed
+    once per scan: neighbouring candidates, nested boxes and the two defects
+    share most of their twisted bundles, so each distinct bundle reaches its
+    engine once per process.
     """
     n = entry.dimension
     conditions = instanton.InstantonConditions(n, defect)
     h = polarization_coords(entry)
     shifts = {t: [t * v for v in h] for t in range(-n, 1)}
-    rows = _LineBundleRows(entry)
+    rows = cohomology._rows(entry)
     add = operator.add
 
     def row_of(coords: tuple[int, ...]) -> Callable[[int], CohVector]:

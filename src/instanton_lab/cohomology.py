@@ -1,7 +1,7 @@
 """Exact line-bundle cohomology engines and cohomology tables.
 
-One closed-form engine per catalog family, each reached through one table,
-:data:`ENGINES`, keyed by the entry's ``kind``, on coordinates checked once:
+One closed-form engine per catalog family, each listed in one table,
+:data:`ENGINES`, keyed by the entry's ``kind``:
 
 * projective space -- binomial formulas for ``O(t)``, Bott's formula for the
   twisted differentials ``Omega^p(t)``;
@@ -14,12 +14,19 @@ One closed-form engine per catalog family, each reached through one table,
   exact on a twist ``theta + s h`` of a non-effective theta-characteristic,
   the degree ``g - 1 + s deg h`` of :func:`catalog.theta_coords`.
 
+Line bundles reach the engines through one memo per catalog entry value
+(``_rows``), keyed by checked coordinates: a miss calls the kind's engine
+once and keeps the vector for the life of the process, so scans, tables and
+:func:`line_bundle_cohomology` share every bundle any of them has computed.
+The memo holds each line bundle visited: about 2 500 vectors after the
+sweeps of boxes 4-10 on the two sextic del Pezzo 3-folds.
+
 Tables collect the cohomology vectors of one bundle over a twist window and
 are the raw material the instanton checker consumes.  A table computes each
 summand's column over the window in one call and sums the columns as plain
 integers: a split scroll's column comes from one engine pass (one multiset
-count, however wide the window), the other families evaluate their closed
-forms twist by twist.
+count, however wide the window), the other families read the memo twist by
+twist.
 """
 
 from __future__ import annotations
@@ -315,8 +322,9 @@ class _EngineTable(dict):
         raise UnsupportedBundleError(f"no engine for {kind}")
 
 
-#: ``ENGINES[entry.kind](entry, coords)`` on checked coordinates; the public engines are
-#: read as module globals at call time, so rebinding one here reaches every caller
+#: ``ENGINES[entry.kind](entry, coords)`` on checked coordinates, called on a memo miss
+#: only; the public engines are read as module globals at call time, so rebinding one
+#: here reaches every later miss
 ENGINES = _EngineTable({
     "projective_space": lambda e, c: coh_projective_space(e.dimension, c[0]),
     "quadric": lambda e, c: coh_quadric(e.dimension, c[0]),
@@ -329,9 +337,37 @@ ENGINES = _EngineTable({
 })
 
 
+class _LineBundleRows(dict):
+    """One entry's line-bundle cohomology keyed by checked coordinates, each computed on first read.
+
+    A miss calls the kind's engine; an engine that raises stores nothing.
+    """
+
+    def __init__(self, entry: VarietyCatalogEntry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, coords: tuple[int, ...]) -> CohVector:
+        vec = self[coords] = ENGINES[self.entry.kind](self.entry, coords)
+        return vec
+
+
+#: one memo per catalog entry value, kept for the life of the process: entries are
+#: frozen, and equal entries have equal engines
+_ROWS: dict[VarietyCatalogEntry, _LineBundleRows] = {}
+
+
+def _rows(entry: VarietyCatalogEntry) -> _LineBundleRows:
+    """The entry's line-bundle memo: the one way to a non-scroll engine."""
+    rows = _ROWS.get(entry)
+    if rows is None:
+        rows = _ROWS[entry] = _LineBundleRows(entry)
+    return rows
+
+
 def line_bundle_cohomology(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> CohVector:
-    """Check the coordinates once, then call the kind's engine."""
-    return ENGINES[entry.kind](entry, check_coords(entry, coords))
+    """Check the coordinates once, then read the entry's memo."""
+    return _rows(entry)[check_coords(entry, coords)]
 
 
 def chi_scroll_line(entry: VarietyCatalogEntry, t: int, a: int) -> int:
@@ -418,14 +454,15 @@ class CohomologyTable:
     def from_json(data: dict) -> "CohomologyTable":
         try:
             variety_id, rank = data["variety"], data["rank"]
+            if type(variety_id) is not str:
+                raise MalformedDataError(f"the variety must be a catalog id string, not {variety_id!r}")
+            ring = entry_ring(variety_id)
             tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
             rows_sorted = sorted(data["rows"], key=lambda r: r["t"])
             twists = [r["t"] for r in rows_sorted]
             rows = tuple(CohVector(tuple(r["h"])) for r in rows_sorted)
             assumptions = data.get("assumptions", [])
-            chern = None
-            if data.get("chern"):
-                chern = ChernData.from_json(entry_ring(variety_id).variety_id, data["chern"])
+            chern = ChernData.from_json(ring.variety_id, data["chern"]) if data.get("chern") else None
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
         numbers = itertools.chain((rank, tmin, tmax), twists, *(row.dims for row in rows))
@@ -435,9 +472,12 @@ class CohomologyTable:
             raise MalformedDataError("assumptions must be a list of strings")
         if not rows or twists != list(range(tmin, tmax + 1)):
             raise MalformedDataError("rows do not enumerate a non-empty window")
+        n = ring.top_degree
+        if any(len(row) != n + 1 for row in rows):
+            raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
         return CohomologyTable(
             variety_id=variety_id,
-            dimension=len(rows[0]) - 1,
+            dimension=n,
             rank=rank,
             tmin=tmin,
             tmax=tmax,
@@ -453,14 +493,14 @@ def _bundle_column(
     """Cohomology tuples of ``L(t h)`` for each ``t`` in ``twists``.
 
     Split scrolls get the whole column from one engine pass; every other
-    family calls its engine twist by twist on the coordinates checked once.
+    family reads the entry's memo twist by twist on the coordinates checked once.
     """
     coords = check_coords(entry, coords)
     if entry.kind == "scroll_p1":
         # the tautological h moves only the h coordinate
         return coh_scroll_p1_window(entry.degrees, [coords[0] + t for t in twists], coords[1])
-    engine, h = ENGINES[entry.kind], polarization_coords(entry)
-    return [engine(entry, tuple([c + t * v for c, v in zip(coords, h)])).dims for t in twists]
+    rows, h = _rows(entry), polarization_coords(entry)
+    return [rows[tuple([c + t * v for c, v in zip(coords, h)])].dims for t in twists]
 
 
 def build_table(

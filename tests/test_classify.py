@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,8 @@ def test_classification_matches_the_table_reference(family, box, defect):
 
 @pytest.mark.parametrize("defect", [0, 1])
 def test_segre_scan_computes_each_twisted_bundle_once(monkeypatch, defect):
+    """From a cleared memo, a sweep over boxes 4-10 and both defects (``defect``
+    first) calls the engine once per distinct twisted bundle."""
     engine = cohomology.ENGINES["triple_p1"]
     seen = []
 
@@ -126,9 +129,28 @@ def test_segre_scan_computes_each_twisted_bundle_once(monkeypatch, defect):
         seen.append(coords)
         return engine(entry, coords)
 
+    monkeypatch.setattr(cohomology, "_ROWS", {})
     monkeypatch.setitem(cohomology.ENGINES, "triple_p1", counted)
-    classify_segre_lines(6, defect)
+    for box in range(4, 11):
+        for d in (defect, 1 - defect):
+            classify_segre_lines(box, d)
     assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("defect", [0, 1])
+@pytest.mark.parametrize("family", ["flag", "segre"])
+def test_cold_and_warm_scans_agree(monkeypatch, family, defect):
+    """A scan from an empty memo and the same scan after a sweep has filled it
+    give the same bytes and the same rejection histogram."""
+    classify_lines = {"flag": classify_flag_lines, "segre": classify_segre_lines}[family]
+    monkeypatch.setattr(cohomology, "_ROWS", {})
+    cold = classify_lines(7, defect)
+    for box in (10, 5):
+        for d in (0, 1):
+            classify_lines(box, d)
+    warm = classify_lines(7, defect)
+    assert json.dumps(cold.to_json()) == json.dumps(warm.to_json())
+    assert cold.rejections == warm.rejections
 
 
 #: per condition, in list order, the candidates whose first failing condition
@@ -183,7 +205,7 @@ def lazy_pairs(entry, candidates, defect):
     pairs = []
     for coords in candidates:
         def row(t, coords=coords):
-            return classify.line_bundle_cohomology(entry, catalog.twist_coords(entry, coords, t))
+            return cohomology.line_bundle_cohomology(entry, catalog.twist_coords(entry, coords, t))
 
         for check in conditions.checks:
             pairs.append((coords, check))

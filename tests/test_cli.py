@@ -274,6 +274,35 @@ def test_malformed_table_exits_2(tmp_path, capsys, mutate):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def _six_entry_rows(data):
+    for row in data["rows"]:
+        row["h"] += [0, 0]
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (lambda data: data.update(variety=5), MalformedDataError),
+        (lambda data: data.update(variety="no_such_variety"), UnknownVarietyError),
+        (_six_entry_rows, MalformedDataError),
+    ],
+    ids=["int-variety", "unknown-variety", "six-entry-rows"],
+)
+def test_table_without_chern_is_checked_against_its_variety(tmp_path, capsys, mutate, error):
+    """The variety resolves to a catalog ring, and fixes the row length, with no ``chern`` block too."""
+    data = build_table(catalog.flag3(), (-1, 3), (-4, 0), with_chern=False).to_json()
+    assert "chern" not in data
+    mutate(data)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error):
+        CohomologyTable.from_json(json.loads(path.read_text()))
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    if mutate is _six_entry_rows:
+        assert "h^0, ..., h^3" in err
+
+
 def test_classify_cyclic_cli(capsys):
     code, out, _ = run(
         capsys, "classify", "cyclic", "--n", "3", "--u", "1", "--v", "-3", "--defect", "1"

@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from instanton_lab import catalog, cohomology
+from instanton_lab import catalog, classify, cohomology
 from instanton_lab.cohomology import (
     CohomologyTable,
     CohVector,
@@ -558,6 +558,53 @@ def test_dispatch_rejects_theta_off_curves_and_unknown_kinds():
         line_bundle_cohomology(unknown, (1,))
     with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
         build_table(unknown, (1,), (-1, 1))
+
+
+def test_memo_holds_the_engines_values_after_scans_and_tables():
+    """Scans and tables share one memo per entry; every vector it stores is the
+    family's engine called directly, so the table-route oracles stay anchored."""
+    flag, segre = catalog.flag3(), catalog.triple_p1()
+    for defect in (0, 1):
+        classify.classify_lines(flag, 8, defect)
+        classify.classify_lines(segre, 8, defect)
+    tables = {
+        catalog.projective_space(4): [((1,), 1), ((-2,), 2)],
+        catalog.quadric(4): [((0,), 1), ((-1,), 1)],
+        catalog.curve(2, 3): [((1,), 2), ((-4,), 1)],
+    }
+    for entry, bundles in tables.items():
+        build_table(entry, bundles, (-8, 6))
+    for entry in (flag, segre, *tables):
+        rows = cohomology._rows(entry)
+        assert rows
+        for coords, vec in rows.items():
+            assert vec == DIRECT[entry.kind](entry, coords), (entry.variety_id, coords)
+    for entry, bundles in tables.items():
+        for coords, _ in bundles:
+            assert {catalog.twist_coords(entry, coords, t) for t in range(-8, 7)} <= set(cohomology._rows(entry))
+
+
+def test_unequal_entries_keep_their_own_memo():
+    p2 = catalog.projective_space(2)
+    assert line_bundle_cohomology(p2, (1,)).dims == (3, 0, 0)
+    assert cohomology._rows(p2)[(1,)].dims == (3, 0, 0)
+    unknown = dataclasses.replace(p2, kind="mystery")
+    with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
+        line_bundle_cohomology(unknown, (1,))
+    with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
+        build_table(unknown, (1,), (-1, 1))
+    assert not cohomology._rows(unknown)
+
+
+def test_a_raising_engine_stores_nothing():
+    entry = catalog.scroll_generic(3, 1, 4)
+    for _ in range(2):
+        with pytest.raises(UnsupportedBundleError, match="vanishing window"):
+            line_bundle_cohomology(entry, (0, 1))
+    assert (0, 1) not in cohomology._rows(entry)
+    assert line_bundle_cohomology(entry, (-1, 1)).is_zero()
+    rows = cohomology._rows(entry)
+    assert (-1, 1) in rows and all(1 - entry.dimension <= t <= -1 for t, _ in rows)
 
 
 def test_binom_matches_the_product_form():

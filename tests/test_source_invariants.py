@@ -26,6 +26,27 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_cohomology_reaches_the_engine_table():
+    """Line bundles reach their engine through ``cohomology``'s per-entry memo:
+    no other module names ``ENGINES``, and ``cohomology.py`` subscripts it."""
+
+    def names_engines(node):
+        return getattr(node, "id", None) == "ENGINES" or getattr(node, "attr", None) == "ENGINES"
+
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    outside = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        if name != "cohomology.py"
+        for node in ast.walk(tree)
+        if names_engines(node)
+    ]
+    assert outside == []
+    assert any(
+        isinstance(node, ast.Subscript) and names_engines(node.value) for node in ast.walk(trees["cohomology.py"])
+    )
+
+
 def test_benchmark_layers_resolve():
     """Every ``(module, attribute)`` the benchmark tracer wraps exists in the package.
 
