@@ -48,6 +48,9 @@ class VarietyCatalogEntry:
     curve_model: str | None = None
     deg_h: int | None = None
 
+    def __hash__(self) -> int:  # the id's hash, cached by str; equality still reads every field
+        return hash(self.variety_id)
+
     @property
     def n(self) -> int:
         return self.dimension

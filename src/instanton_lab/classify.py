@@ -1,11 +1,11 @@
 """Brute-force classification, stability rules and worked example computations.
 
 The classification routines enumerate line bundles on the sextic del Pezzo
-entries over a lattice box, filter the candidates through the instanton
-condition list one condition at a time (each condition sees only the
-candidates that passed the earlier ones, and each twisted line bundle is read
-from the entry's line-bundle cohomology memo, so it reaches its exact engine
-once per process however many scans share it), and compare the outcome against
+entries over a lattice box, sift them column-major through the instanton
+condition list (each condition reads one column, the rows at one twist of the
+candidates that passed the earlier ones, from the entry's line-bundle
+cohomology memo, so each twisted bundle reaches its exact engine once per
+process however many scans share it), and compare the outcome against
 the closed-form families (exposing the boundary members explicitly rather
 than suppressing either side).  The remaining routines replay, as exact integer
 decision procedures, the cyclic line-bundle trichotomy, the Hoppe-type
@@ -20,7 +20,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import catalog, chow, cohomology, instanton, rr
 from .catalog import VarietyCatalogEntry, check_coords, polarization_coords
@@ -107,26 +106,24 @@ def _sift(
 
     Each candidate is validated once; then each condition, in list order,
     filters the candidates that passed every earlier one
-    (:meth:`instanton.InstantonConditions.sift`).  Rows are read from the
-    entry's line-bundle memo (``cohomology._rows``) keyed by twisted
-    coordinates, each twist being the candidate plus a shift ``t h`` computed
-    once per scan: neighbouring candidates, nested boxes and the two defects
-    share most of their twisted bundles, so each distinct bundle reaches its
-    engine once per process.
+    (:meth:`instanton.InstantonConditions.sift`), reading one column of
+    their rows from the entry's line-bundle memo (``cohomology._rows``),
+    keyed by the candidate plus a shift ``t h`` computed once per scan.
+    Nested boxes and the two defects share most twisted bundles, so each
+    distinct bundle reaches its engine once per process.
     """
-    n = entry.dimension
+    n, h = entry.dimension, polarization_coords(entry)
     conditions = instanton.InstantonConditions(n, defect)
-    h = polarization_coords(entry)
     shifts = {t: [t * v for v in h] for t in range(-n, 1)}
-    rows = cohomology._rows(entry)
-    add = operator.add
+    rows, add = cohomology._rows(entry), operator.add
 
-    def row_of(coords: tuple[int, ...]) -> Callable[[int], CohVector]:
-        return lambda t: rows[tuple(map(add, coords, shifts[t]))]
+    def column_of(t: int, survivors: list[tuple[int, ...]]) -> list[CohVector]:
+        shift = shifts[t]
+        return [rows[tuple(map(add, coords, shift))] for coords in survivors]
 
-    members, rejected = conditions.sift([check_coords(entry, c) for c in candidates], row_of)
+    members, rejected = conditions.sift([check_coords(entry, c) for c in candidates], column_of)
     # the quantum number is h^1(E(-h))
-    found = [FoundLine(coords, defect, row_of(coords)(-1)[1]) for coords in members]
+    found = [FoundLine(c, defect, row.dims[1]) for c, row in zip(members, column_of(-1, members))]
     return found, tuple(zip(conditions.checks, rejected))
 
 

@@ -4,10 +4,10 @@ Subcommands: cohom, check, chi, monad {pn|acm|quadric|space1|quadric1|scroll3|p1
 classify {flag|segre|cyclic}, stability, scroll, fano, resolution-check,
 veronese.  Output is exact (integers, or rationals rendered ``p/q``) in
 markdown-ish text, or JSON with ``--json``.  Each leaf declares only the
-options its handler reads and names the handler with ``set_defaults``, so
-argparse does all the dispatch and rejects any other option: ``--json`` goes
-after the leaf, ``--window`` belongs to cohom, check and chi, ``--box`` to
-classify flag and segre.  Exit codes: 0 success / verdict-positive,
+options its handler reads, when a parse reaches it, and names the handler
+with ``set_defaults``; argparse does the dispatch and rejects any other
+option: ``--json`` goes after the leaf, ``--window`` belongs to cohom, check
+and chi, ``--box`` to classify flag and segre.  Exit codes: 0 success / verdict-positive,
 1 verdict-negative or classification mismatch, 2 input or window errors
 (missing, conflicting or unrecognized options included), 3 an internal error,
 with its traceback on stderr.  The environment variable ``INSTANTON_LAB_BOX``
@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 # Only the modules every leaf runs are imported here; each handler imports
 # instanton, monads or classify where it calls them, so a call compiles no
@@ -354,119 +354,118 @@ def cmd_veronese(args) -> int:
                  + ("" if q.denominator == 1 else "  (non-integral: infeasible)"))
 
 
-def _leaf(group, name: str, func, help: str | None = None) -> argparse.ArgumentParser:
-    """A subcommand that runs ``func``; every leaf takes ``--json``."""
-    p = group.add_parser(name, help=help)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=func)
-    return p
+#: declares some options on a leaf parser
+_Options = Callable[[argparse.ArgumentParser], object]
 
 
-def _ints(p: argparse.ArgumentParser, *flags: str, default: int | None = None) -> None:
+class _Parser(argparse.ArgumentParser):
+    """A parser that declares its options, ``options(self)``, on its first parse."""
+
+    options: _Options | None = None
+
+    def declare(self) -> None:
+        options, self.options = self.options, None
+        if options is not None:
+            options(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.declare()
+        return super().parse_known_args(args, namespace)
+
+
+def _arg(*flags: str, **kw) -> _Options:
+    return lambda p: p.add_argument(*flags, **kw)
+
+
+def _ints(*flags: str, default: int | None = None) -> _Options:
     """Integer options: required, or optional when given a default."""
-    for flag in flags:
-        p.add_argument(flag, type=int, required=default is None, default=default)
+    return lambda p: [p.add_argument(f, type=int, required=default is None, default=default) for f in flags]
 
 
-def _defect(p: argparse.ArgumentParser, **kw) -> None:
-    p.add_argument("--defect", type=int, choices=(0, 1), **kw)
+def _defect(**kw) -> _Options:
+    return _arg("--defect", type=int, choices=(0, 1), **kw)
 
 
-def _bundle_options(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--variety", required=required)
-    p.add_argument("--bundle", required=required)
-    p.add_argument("--window", type=str, default=None, help="twist window a:b")
+def _bundle_options(required: bool = True) -> list[_Options]:
+    window = _arg("--window", type=str, default=None, help="twist window a:b")
+    return [_arg("--variety", required=required), _arg("--bundle", required=required), window]
+
+
+def _rank_or_chi0(p: argparse.ArgumentParser) -> None:
+    rank_or_chi0 = p.add_mutually_exclusive_group(required=True)
+    rank_or_chi0.add_argument("--rank", type=int)
+    rank_or_chi0.add_argument("--chi0", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser, every subcommand registered by name and help string.
+
+    Each leaf declares ``--json`` and then its own options only when a parse
+    reaches it, so a call builds the one leaf its argv names.
+    """
+
+    def leaf(group, name: str, func, *options: _Options, help: str | None = None) -> None:
+        def declare(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            p.set_defaults(func=func)
+            for option in options:
+                option(p)
+
+        group.add_parser(name, help=help).options = declare
+
+    parser = _Parser(
         prog="instanton-lab",
         description="Exact cohomology, Chow-ring and instanton-sheaf computations on a fixed variety catalog.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _leaf(sub, "cohom", cmd_cohom, "cohomology table of a line-bundle sum")
-    _bundle_options(p)
-
-    p = _leaf(sub, "check", cmd_check, "run the instanton condition list")
-    _bundle_options(p, required=False)
-    p.add_argument("--table", help="JSON table file instead of --variety/--bundle")
-    _defect(p, default=None)
-
-    p = _leaf(sub, "chi", cmd_chi, "exact Euler characteristic")
-    _bundle_options(p)
-    p.add_argument("--twist", type=int, default=0)
+    leaf(sub, "cohom", cmd_cohom, *_bundle_options(), help="cohomology table of a line-bundle sum")
+    table = _arg("--table", help="JSON table file instead of --variety/--bundle")
+    leaf(sub, "check", cmd_check, *_bundle_options(required=False), table, _defect(default=None),
+         help="run the instanton condition list")
+    twist = _arg("--twist", type=int, default=0)
+    leaf(sub, "chi", cmd_chi, *_bundle_options(), twist, help="exact Euler characteristic")
 
     msub = sub.add_parser("monad", help="synthesize monad shapes")
     msub = msub.add_subparsers(dest="monad_kind", required=True)
-    p = _leaf(msub, "pn", cmd_monad_pn)
-    _ints(p, "--n", "--quantum")
-    _defect(p, required=True)
-    rank_or_chi0 = p.add_mutually_exclusive_group(required=True)
-    rank_or_chi0.add_argument("--rank", type=int)
-    rank_or_chi0.add_argument("--chi0", type=int)
-    p.add_argument("--h0", type=int, help="h^0(E), non-ordinary only")
-    p.add_argument("--hn", type=int, help="h^n(E(-n)), non-ordinary only")
-    p = _leaf(msub, "acm", cmd_monad_acm)
-    p.add_argument("--variety", required=True)
-    _defect(p, required=True)
-    _ints(p, "--quantum")
-    p.add_argument("--h1", type=int, default=0, help="h^1(E), defect 1 only")
-    p.add_argument("--hn1", type=int, default=0, help="h^(n-1)(E(-n h)), defect 1 only")
-    p = _leaf(msub, "quadric", cmd_monad_quadric)
-    _ints(p, "--n", "--rank", "--quantum")
-    p = _leaf(msub, "space1", cmd_monad_space1)
-    _ints(p, "--n", "--rank", "--quantum")
-    _ints(p, "--a", "--c", default=0)
-    p = _leaf(msub, "quadric1", cmd_monad_quadric1)
-    _ints(p, "--n", "--rank", "--quantum")
-    _ints(p, "--a", "--c", "--b", default=0)
-    p = _leaf(msub, "scroll3", cmd_monad_scroll3)
-    _ints(p, "--deg", "--rank", "--quantum")
-    p.add_argument("--inputs", required=True, help="comma list x1,x2,x3")
-    p = _leaf(msub, "p1p3", cmd_monad_p1p3)
-    _ints(p, "--rank", "--quantum")
-    p.add_argument("--inputs", required=True, help="comma list x1,x2,x3,x4")
+    leaf(msub, "pn", cmd_monad_pn, _ints("--n", "--quantum"), _defect(required=True), _rank_or_chi0,
+         _arg("--h0", type=int, help="h^0(E), non-ordinary only"),
+         _arg("--hn", type=int, help="h^n(E(-n)), non-ordinary only"))
+    leaf(msub, "acm", cmd_monad_acm, _arg("--variety", required=True), _defect(required=True),
+         _ints("--quantum"), _arg("--h1", type=int, default=0, help="h^1(E), defect 1 only"),
+         _arg("--hn1", type=int, default=0, help="h^(n-1)(E(-n h)), defect 1 only"))
+    n_rank_quantum = _ints("--n", "--rank", "--quantum")
+    leaf(msub, "quadric", cmd_monad_quadric, n_rank_quantum)
+    leaf(msub, "space1", cmd_monad_space1, n_rank_quantum, _ints("--a", "--c", default=0))
+    leaf(msub, "quadric1", cmd_monad_quadric1, n_rank_quantum, _ints("--a", "--c", "--b", default=0))
+    leaf(msub, "scroll3", cmd_monad_scroll3, _ints("--deg", "--rank", "--quantum"),
+         _arg("--inputs", required=True, help="comma list x1,x2,x3"))
+    leaf(msub, "p1p3", cmd_monad_p1p3, _ints("--rank", "--quantum"),
+         _arg("--inputs", required=True, help="comma list x1,x2,x3,x4"))
 
     csub = sub.add_parser("classify", help="brute-force classification runs")
     csub = csub.add_subparsers(dest="target", required=True)
+    box = _arg("--box", type=int, default=None, help="enumeration box half-width")
     for name, func in (("flag", cmd_classify_flag), ("segre", cmd_classify_segre)):
-        p = _leaf(csub, name, func)
-        p.add_argument("--box", type=int, default=None, help="enumeration box half-width")
-        _defect(p, default=0)
-    p = _leaf(csub, "cyclic", cmd_classify_cyclic)
-    _defect(p, default=0)
-    _ints(p, "--n", "--v")
-    _ints(p, "--u", default=1)
+        leaf(csub, name, func, box, _defect(default=0))
+    n_v_u = (_ints("--n", "--v"), _ints("--u", default=1))
+    leaf(csub, "cyclic", cmd_classify_cyclic, _defect(default=0), *n_v_u)
 
-    p = _leaf(sub, "stability", cmd_stability, "rank-two stability case analysis")
-    _ints(p, "--n", "--v")
-    _ints(p, "--u", default=1)
-    _defect(p, required=True)
-    p.add_argument("--h0-norm", dest="h0_norm", type=int)
-    p.add_argument("--h0-norm-minus", dest="h0_norm_minus", type=int)
-
-    p = _leaf(sub, "scroll", cmd_scroll, "rank-two scroll construction report")
-    p.add_argument("--degrees", help="split degrees, e.g. 1,1,1")
-    p.add_argument("--n", type=int)
-    p.add_argument("--genus", type=int, help="genus of the base curve (default 0)")
-    p.add_argument("--deg", type=int)
-    _ints(p, "--k")
-
-    p = _leaf(sub, "fano", cmd_fano, "classical-instanton bridge on Fano 3-folds")
-    _ints(p, "--index")
-    _defect(p, required=True)
-    p.add_argument("--epsilon", type=int, choices=(0, 1), required=True)
-
-    p = _leaf(sub, "resolution-check", cmd_resolution_check, "Betti-shape consistency check")
-    p.add_argument("--ambient", type=int, required=True, help="ambient projective dimension N")
-    _ints(p, "--v", "--w", "--n", "--quantum", "--chi0")
-    p.add_argument("--beta", type=str, required=True, help="semicolon list p,i:mult")
-    _defect(p, required=True)
-
-    p = _leaf(sub, "veronese", cmd_veronese, "quantum number of the d-th polarization twist")
-    _ints(p, "--n", "--rank", "--d", "--hn")
-
+    leaf(sub, "stability", cmd_stability, *n_v_u, _defect(required=True),
+         _arg("--h0-norm", dest="h0_norm", type=int), _arg("--h0-norm-minus", dest="h0_norm_minus", type=int),
+         help="rank-two stability case analysis")
+    leaf(sub, "scroll", cmd_scroll, _arg("--degrees", help="split degrees, e.g. 1,1,1"),
+         _arg("--n", type=int), _arg("--genus", type=int, help="genus of the base curve (default 0)"),
+         _arg("--deg", type=int), _ints("--k"), help="rank-two scroll construction report")
+    leaf(sub, "fano", cmd_fano, _ints("--index"), _defect(required=True),
+         _arg("--epsilon", type=int, choices=(0, 1), required=True),
+         help="classical-instanton bridge on Fano 3-folds")
+    leaf(sub, "resolution-check", cmd_resolution_check,
+         _arg("--ambient", type=int, required=True, help="ambient projective dimension N"),
+         _ints("--v", "--w", "--n", "--quantum", "--chi0"),
+         _arg("--beta", type=str, required=True, help="semicolon list p,i:mult"), _defect(required=True),
+         help="Betti-shape consistency check")
+    leaf(sub, "veronese", cmd_veronese, _ints("--n", "--rank", "--d", "--hn"),
+         help="quantum number of the d-th polarization twist")
     return parser
 
 

@@ -77,7 +77,7 @@ class CohVector:
         return CohVector(tuple(m * d for d in self.dims))
 
     def chi(self) -> int:
-        return sum((-1) ** i * d for i, d in enumerate(self.dims))
+        return sum(self.dims[::2]) - sum(self.dims[1::2])
 
     def is_zero(self) -> bool:
         return not any(self.dims)

@@ -19,10 +19,11 @@ implemented here as table operations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import rr
 from .catalog import VarietyCatalogEntry
@@ -100,11 +101,11 @@ class InstantonConditions:
     equality ``("q", n - 1, defect - n)``, meaning ``h^1(E(-h)) =
     h^(n-1)(E((defect - n) h))``; then, for defect 1 only, the chi equality
     ``("chi", n, -n)``, meaning ``chi(E) = (-1)^n chi(E(-n h))``.  Every
-    twist lies in ``[-n, 0]``.  A check is read against a row oracle
-    ``t -> CohVector`` (a table's ``row``, or a lookup over the engines)
-    by :meth:`sides`, the one place that says what each check compares;
-    :meth:`failures` runs the list on one sheaf and :meth:`sift` filters
-    many candidates one check at a time.
+    twist lies in ``[-n, 0]``.  Checks read columns ``t -> rows``, the row
+    at twist t of every sheaf under test, through :meth:`sides`, the one
+    place that says what each check compares; :meth:`failures` runs the
+    list on one sheaf and :meth:`sift` filters many candidates column-major,
+    one check and one column of the survivors' rows at a time.
     """
 
     n: int
@@ -126,25 +127,27 @@ class InstantonConditions:
         object.__setattr__(self, "checks", tuple(checks))
 
     @staticmethod
-    def sides(check: Check, row: Callable[[int], CohVector]) -> tuple[int, int]:
-        """The two numbers ``check`` requires equal, reading only the rows it needs.
+    def sides(check: Check, column: Callable[[int], Sequence[CohVector]]) -> tuple[list[int], list[int]]:
+        """The two per-sheaf sequences ``check`` requires equal, reading only the columns it needs.
 
-        ``(h^i(E(t h)), 0)`` for a vanishing, ``(h^1(E(-h)), h^i(E(t h)))``
-        for the q equality and ``(chi(E), (-1)^i chi(E(t h)))`` for the chi
-        equality; rows are read left to right.
+        ``column(t)`` is the row at twist t of every sheaf under test.  A
+        vanishing compares ``h^i(E(t h))`` with 0, the q equality ``h^1(E(-h))``
+        with ``h^i(E(t h))`` and the chi equality ``chi(E)`` with ``(-1)^i
+        chi(E(t h))``; columns are read left to right.
         """
         kind, i, t = check
         if kind == "zero":
-            return row(t).dims[i], 0
+            left = [row.dims[i] for row in column(t)]
+            return left, [0] * len(left)
         if kind == "q":
-            return row(-1).dims[1], row(t).dims[i]
-        return row(0).chi(), (-1) ** i * row(t).chi()
+            return [row.dims[1] for row in column(-1)], [row.dims[i] for row in column(t)]
+        return [row.chi() for row in column(0)], [(-1) ** i * row.chi() for row in column(t)]
 
     def failures(self, row: Callable[[int], CohVector]) -> Iterator[str]:
-        """Yield a note for each failing condition, in list order, lazily."""
-        sides, defect = self.sides, self.defect
+        """Yield a note for each failing condition of one sheaf, in list order, lazily."""
+        sides, defect, column = self.sides, self.defect, lambda t: (row(t),)
         for check in self.checks:
-            left, right = sides(check, row)
+            (left,), (right,) = sides(check, column)
             if left == right:
                 continue
             kind, i, t = check
@@ -158,29 +161,27 @@ class InstantonConditions:
     def sift(
         self,
         candidates: Iterable[_Candidate],
-        row_of: Callable[[_Candidate], Callable[[int], CohVector]],
+        column_of: Callable[[int, list[_Candidate]], Sequence[CohVector]],
     ) -> tuple[list[_Candidate], tuple[int, ...]]:
         """Filter candidates condition-major: one pass per check, over the survivors.
 
-        ``row_of(candidate)`` is the candidate's row oracle.  Each pass reads
-        only the candidates that passed every earlier check, so a candidate
-        meets exactly the checks that running its list alone, up to the
-        first failure, would reach.  Returns the candidates that pass every
-        check, in their order, and per check the number it rejected: the
-        candidates whose first failing condition it is.
+        ``column_of(t, survivors)`` is the survivors' rows at twist t, in their
+        order.  A candidate meets exactly the checks that running its list
+        alone, up to the first failure, would reach.  Returns the candidates
+        that pass every check, in order, and per check the number it rejected:
+        the candidates whose first failing condition it is.
         """
-        sides = self.sides
-        survivors = [(candidate, row_of(candidate)) for candidate in candidates]
+        survivors = list(candidates)
         rejected = []
         for check in self.checks:
-            kept = []
-            for survivor in survivors:
-                left, right = sides(check, survivor[1])
-                if left == right:
-                    kept.append(survivor)
+            left, right = self.sides(check, lambda t: column_of(t, survivors))
+            kept = [c for c, a, b in zip(survivors, left, right) if a == b]
             rejected.append(len(survivors) - len(kept))
             survivors = kept
-        return [candidate for candidate, _ in survivors], tuple(rejected)
+        return survivors, tuple(rejected)
+
+
+_conditions = functools.cache(InstantonConditions)  # immutable: one list per (n, defect)
 
 
 def check_instanton(table: CohomologyTable) -> InstantonVerdict:
@@ -196,7 +197,7 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
     admissible: list[tuple[int, int]] = []
     notes: list[str] = []
     for defect in (0, 1):
-        fails = list(InstantonConditions(n, defect).failures(table.row))
+        fails = list(_conditions(n, defect).failures(table.row))
         if fails:
             notes.extend(fails)
         else:

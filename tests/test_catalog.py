@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from instanton_lab import catalog, chow
@@ -156,3 +158,16 @@ def test_h_powers_are_cached_powers_of_h(entry):
     for k in range(entry.dimension + 2):
         assert entry.h_power(k) == entry.polarization**k
     assert entry.h_power(entry.dimension) is entry.h_power(entry.dimension)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
+def test_entries_hash_by_id_and_compare_every_field(entry):
+    """Memo lookups hash the id alone; equality still reads every field."""
+    assert "__hash__" in vars(catalog.VarietyCatalogEntry)
+    assert hash(entry) == hash(entry.variety_id)
+    twin = dataclasses.replace(entry)
+    assert twin is not entry and twin == entry and hash(twin) == hash(entry)
+    for change in ({"kind": "mystery"}, {"chi_O": entry.chi_O + 1}, {"is_acm": not entry.is_acm}):
+        other = dataclasses.replace(entry, **change)
+        assert hash(other) == hash(entry) and other != entry
+        assert len({entry: 0, other: 1}) == 2

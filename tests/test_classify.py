@@ -209,7 +209,7 @@ def lazy_pairs(entry, candidates, defect):
 
         for check in conditions.checks:
             pairs.append((coords, check))
-            left, right = conditions.sides(check, row)
+            (left,), (right,) = conditions.sides(check, lambda t, row=row: (row(t),))
             if left != right:
                 break
     return pairs
@@ -225,24 +225,29 @@ def test_scan_evaluates_only_the_checks_the_lazy_order_reaches(monkeypatch, fami
     candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), entry.picard_rank()))
     expected = lazy_pairs(entry, candidates, defect)
 
-    class Tagged:
-        """A candidate's row oracle that knows its candidate."""
+    class Tagged(list):
+        """A column of rows that knows its candidates."""
 
-        def __init__(self, candidate, row):
-            self.candidate, self.row = candidate, row
-
-        def __call__(self, t):
-            return self.row(t)
+        def __init__(self, candidates, rows):
+            super().__init__(rows)
+            self.candidates = list(candidates)
 
     sift, sides = instanton.InstantonConditions.sift, instanton.InstantonConditions.sides
     evaluated = []
 
-    def tagging_sift(self, candidates, row_of):
-        return sift(self, candidates, lambda c: Tagged(c, row_of(c)))
+    def tagging_sift(self, candidates, column_of):
+        return sift(self, candidates, lambda t, survivors: Tagged(survivors, column_of(t, survivors)))
 
-    def recording_sides(check, row):
-        evaluated.append((row.candidate, check))
-        return sides(check, row)
+    def recording_sides(check, column):
+        read = []
+
+        def watched(t):
+            read.append(column(t))
+            return read[-1]
+
+        result = sides(check, watched)
+        evaluated.extend((candidate, check) for candidate in read[0].candidates)
+        return result
 
     monkeypatch.setattr(instanton.InstantonConditions, "sift", tagging_sift)
     monkeypatch.setattr(instanton.InstantonConditions, "sides", staticmethod(recording_sides))

@@ -475,6 +475,7 @@ def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
 
 def _leaves(parser, path=(), options=()):
     """(path, options along the path) for every leaf parser, help excluded."""
+    parser.declare()  # a leaf declares its options on its first parse
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     options = options + tuple(
         a.option_strings[0]

@@ -491,8 +491,11 @@ def test_condition_list_stops_at_the_first_failure():
 
         return row
 
+    def column_of(t, names):
+        return [row_of(name)(t) for name in names]
+
     conditions = instanton.InstantonConditions(3, 0)
-    members, rejected = conditions.sift(list(tables), row_of)
+    members, rejected = conditions.sift(list(tables), column_of)
     assert members == ["O"]
     assert rejected == (1, 1, 0, 0, 0)
     assert [t for name, t in read if name == "O(1)"] == [-1]
@@ -504,4 +507,53 @@ def test_condition_list_stops_at_the_first_failure():
     read.clear()
     assert next(conditions.failures(row_of("O(1)"))) == "delta=0: h^0(E(-1h)) = 1 != 0"
     assert read == [("O(1)", -1)]
-    assert conditions.sift([], row_of) == ([], (0, 0, 0, 0, 0))
+    assert conditions.sift([], column_of) == ([], (0, 0, 0, 0, 0))
+
+
+THREEFOLDS = (
+    catalog.projective_space(3),
+    catalog.quadric(3),
+    catalog.flag3(),
+    catalog.triple_p1(),
+    catalog.scroll_p1((1, 1, 2)),
+)
+
+
+@st.composite
+def line_bundle_sums(draw):
+    """The table over [-3, 0] of a sum of one to three line bundles on a 3-fold.
+
+    Coordinates in [-2, 3] reach members of every family here (O on P^3 and
+    Q^3, O(-1, 3) on the flag, O(0, 1, 2) on P^1 x P^1 x P^1, O(0, 3) on the scroll).
+    """
+    entry = draw(st.sampled_from(THREEFOLDS))
+    coords = st.tuples(*[st.integers(-2, 3)] * entry.picard_rank())
+    summands = draw(st.lists(st.tuples(coords, st.integers(1, 2)), min_size=1, max_size=3))
+    return build_table(entry, summands, (-3, 0))
+
+
+def holds(check, table):
+    """One condition read off the table by its definition."""
+    kind, i, t = check
+    if kind == "zero":
+        return table.h(i, t) == 0
+    if kind == "q":
+        return table.h(1, -1) == table.h(i, t)
+    return table.chi_at(0) == (-1) ** i * table.chi_at(t)
+
+
+@given(st.lists(line_bundle_sums(), max_size=8), st.sampled_from((0, 1)))
+@settings(max_examples=60, deadline=None)
+def test_sift_keeps_exactly_the_sheaves_without_failures(tables, defect):
+    conditions = instanton.InstantonConditions(3, defect)
+    members, rejected = conditions.sift(range(len(tables)), lambda t, kept: [tables[k].row(t) for k in kept])
+    failing = [[c for c in conditions.checks if not holds(c, table)] for table in tables]
+    notes = [list(conditions.failures(table.row)) for table in tables]
+    assert members == [k for k, table_notes in enumerate(notes) if not table_notes]
+    assert list(map(len, notes)) == list(map(len, failing))
+    for table_notes, checks in zip(notes, failing):
+        if checks:
+            kind, i, t = checks[0]
+            assert (f"chi(E({t}h))" if kind == "chi" else f"h^{i}(E({t}h))") in table_notes[0]
+    firsts = [checks[0] for checks in failing if checks]
+    assert rejected == tuple(firsts.count(check) for check in conditions.checks)

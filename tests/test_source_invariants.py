@@ -47,6 +47,28 @@ def test_only_cohomology_reaches_the_engine_table():
     )
 
 
+def test_only_instanton_evaluates_the_condition_kinds():
+    """What each instanton condition compares is written once, in
+    ``instanton.InstantonConditions.sides``: no other module compares anything
+    with the check kinds ``"zero"``, ``"q"`` or ``"chi"``."""
+    kinds = {"zero", "q", "chi"}
+
+    def names_a_kind(node):
+        return isinstance(node, ast.Constant) and node.value in kinds
+
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    compares = {
+        name: [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and any(map(names_a_kind, ast.walk(node)))
+        ]
+        for name, tree in trees.items()
+    }
+    assert {name: lines for name, lines in compares.items() if lines and name != "instanton.py"} == {}
+    assert compares["instanton.py"]
+
+
 def test_benchmark_layers_resolve():
     """Every ``(module, attribute)`` the benchmark tracer wraps exists in the package.
 
