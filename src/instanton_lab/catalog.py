@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import chow
 from .chow import ChowClass, ChowRingPresentation
@@ -133,6 +133,7 @@ def quadric(n: int, u: int = 1) -> VarietyCatalogEntry:
     )
 
 
+@cache  # one object per process: scans reach their memo without comparing fields
 def flag3() -> VarietyCatalogEntry:
     """The flag 3-fold (incidence divisor in P^2 x P^2), h = h1 + h2."""
     ring = chow.flag3_ring()
@@ -150,6 +151,7 @@ def flag3() -> VarietyCatalogEntry:
     )
 
 
+@cache  # one object per process, as flag3
 def triple_p1() -> VarietyCatalogEntry:
     """P^1 x P^1 x P^1 with h = h1 + h2 + h3."""
     ring = chow.triple_p1_ring()

@@ -4,10 +4,11 @@ The classification routines enumerate line bundles on the sextic del Pezzo
 entries over a lattice box, sift them column-major through the instanton
 condition list (each condition reads one column, the rows at one twist of the
 candidates that passed the earlier ones, from the entry's line-bundle
-cohomology memo, so each twisted bundle reaches its exact engine once per
-process however many scans share it), and compare the outcome against
-the closed-form families (exposing the boundary members explicitly rather
-than suppressing either side).  The remaining routines replay, as exact integer
+cohomology memo, keyed by translating the candidates' coordinate axes whole,
+so each twisted bundle reaches its exact engine once per process however many
+scans share it; only the box is checked), and compare the outcome against the
+closed-form families (exposing the boundary members explicitly rather than
+suppressing either side).  The remaining routines replay, as exact integer
 decision procedures, the cyclic line-bundle trichotomy, the Hoppe-type
 rank-two stability criteria, the classical-vs-cohomological instanton bridge
 on Fano 3-folds, and the scroll/Serre constructions together with their
@@ -20,9 +21,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import catalog, chow, cohomology, instanton, rr
-from .catalog import VarietyCatalogEntry, check_coords, polarization_coords
+from .catalog import VarietyCatalogEntry, polarization_coords
 # build_table: unused here, read by bench/tests/test_bench.py
 from .cohomology import CohVector, build_table, coh_product  # noqa: F401
 from .errors import InfeasibleError
@@ -104,24 +106,24 @@ def _sift(
 ) -> tuple[list[FoundLine], tuple[tuple[instanton.Check, int], ...]]:
     """The members in candidate order, and how many candidates each condition rejected.
 
-    Each candidate is validated once; then each condition, in list order,
-    filters the candidates that passed every earlier one
-    (:meth:`instanton.InstantonConditions.sift`), reading one column of
-    their rows from the entry's line-bundle memo (``cohomology._rows``),
-    keyed by the candidate plus a shift ``t h`` computed once per scan.
+    ``candidates`` are int tuples of the entry's Picard rank, unchecked.  Each
+    condition, in list order, filters the candidates that passed every
+    earlier one (:meth:`instanton.InstantonConditions.sift`), reading one
+    column of their rows from the entry's line-bundle memo
+    (``cohomology._rows``), keyed by the survivors translated by ``t h``
+    whole: transposed once, each coordinate axis shifted, every loop in C.
     Nested boxes and the two defects share most twisted bundles, so each
     distinct bundle reaches its engine once per process.
     """
     n, h = entry.dimension, polarization_coords(entry)
     conditions = instanton.InstantonConditions(n, defect)
-    shifts = {t: [t * v for v in h] for t in range(-n, 1)}
-    rows, add = cohomology._rows(entry), operator.add
+    read, add, repeat = cohomology._rows(entry).__getitem__, operator.add, itertools.repeat
 
-    def column_of(t: int, survivors: list[tuple[int, ...]]) -> list[CohVector]:
-        shift = shifts[t]
-        return [rows[tuple(map(add, coords, shift))] for coords in survivors]
+    def column_of(t: int, survivors: list[tuple[int, ...]]) -> Iterator[CohVector]:
+        axes = [map(add, axis, repeat(t * v)) for axis, v in zip(zip(*survivors), h)]
+        return map(read, zip(*axes))
 
-    members, rejected = conditions.sift([check_coords(entry, c) for c in candidates], column_of)
+    members, rejected = conditions.sift(candidates, column_of)
     # the quantum number is h^1(E(-h))
     found = [FoundLine(c, defect, row.dims[1]) for c, row in zip(members, column_of(-1, members))]
     return found, tuple(zip(conditions.checks, rejected))
@@ -202,8 +204,10 @@ def classify_lines(
     Candidates are canonicalized under coordinate permutations (the sorted,
     lexicographically minimal representative), which are symmetries of both
     scanned kinds.  The oracle's members are compared with the kind's
-    closed-form family (``_FAMILIES``) inside the box.
+    closed-form family (``_FAMILIES``) inside the box, an int of at least 4.
     """
+    if type(box) is not int:
+        raise ValueError(f"box must be an int, got {box!r}")
     if box < 4:
         raise ValueError("box >= 4")
     if (entry.kind, defect) not in _FAMILIES:

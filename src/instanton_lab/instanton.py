@@ -20,10 +20,12 @@ implemented here as table operations.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import rr
 from .catalog import VarietyCatalogEntry
@@ -127,7 +129,7 @@ class InstantonConditions:
         object.__setattr__(self, "checks", tuple(checks))
 
     @staticmethod
-    def sides(check: Check, column: Callable[[int], Sequence[CohVector]]) -> tuple[list[int], list[int]]:
+    def sides(check: Check, column: Callable[[int], Iterable[CohVector]]) -> tuple[list[int], list[int]]:
         """The two per-sheaf sequences ``check`` requires equal, reading only the columns it needs.
 
         ``column(t)`` is the row at twist t of every sheaf under test.  A
@@ -161,21 +163,21 @@ class InstantonConditions:
     def sift(
         self,
         candidates: Iterable[_Candidate],
-        column_of: Callable[[int, list[_Candidate]], Sequence[CohVector]],
+        column_of: Callable[[int, list[_Candidate]], Iterable[CohVector]],
     ) -> tuple[list[_Candidate], tuple[int, ...]]:
         """Filter candidates condition-major: one pass per check, over the survivors.
 
         ``column_of(t, survivors)`` is the survivors' rows at twist t, in their
-        order.  A candidate meets exactly the checks that running its list
-        alone, up to the first failure, would reach.  Returns the candidates
-        that pass every check, in order, and per check the number it rejected:
-        the candidates whose first failing condition it is.
+        order, possibly a lazy iterator.  A candidate meets exactly the checks
+        that running its list alone, up to the first failure, would reach.
+        Returns the candidates that pass every check, in order, and per check
+        the number it rejected: the candidates whose first failing condition it is.
         """
         survivors = list(candidates)
         rejected = []
         for check in self.checks:
             left, right = self.sides(check, lambda t: column_of(t, survivors))
-            kept = [c for c, a, b in zip(survivors, left, right) if a == b]
+            kept = list(itertools.compress(survivors, map(operator.eq, left, right)))
             rejected.append(len(survivors) - len(kept))
             survivors = kept
         return survivors, tuple(rejected)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,17 @@ def test_classify_lines_needs_a_declared_family():
     assert classify.classify_lines(catalog.flag3(), 5, 1) == classify_flag_lines(5, 1)
 
 
+@pytest.mark.parametrize(
+    "box, message",
+    [(True, "box must be an int, got True"), (5.0, "box must be an int, got 5.0"),
+     ("6", "box must be an int, got '6'"), (None, "box must be an int, got None"), (3, "box >= 4")],
+)
+def test_classify_lines_checks_its_box(box, message):
+    """The box is the one input a scan validates: its candidates are built from it."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify.classify_lines(catalog.flag3(), box, 0)
+
+
 def reference_scan(entry, candidates, defect):
     """The members by the table route: one full table and verdict per candidate."""
     n = entry.dimension
@@ -80,6 +92,7 @@ def reference_scan(entry, candidates, defect):
 SCAN_ENTRIES = [
     catalog.flag3(),
     catalog.triple_p1(),
+    catalog.projective_space(1),
     catalog.projective_space(2),
     catalog.projective_space(3, 2),
     catalog.projective_space(4),
@@ -87,14 +100,23 @@ SCAN_ENTRIES = [
     catalog.quadric(3, 2),
     catalog.quadric(4),
     catalog.scroll_p1((1, 1, 2)),
+    # non-uniform h = (1, 0)
+    catalog.scroll_p1((1, 2)),
+    # dimension 1
+    catalog.curve(0, 2, "exact_p1"),
+    catalog.curve(2, 3, "generic"),
 ]
 
 
 @st.composite
 def scans(draw):
+    """An entry, a candidate list that may be empty or repeat candidates, and a defect."""
     entry = draw(st.sampled_from(SCAN_ENTRIES))
     coords = st.tuples(*[st.integers(-4, 4)] * entry.picard_rank())
-    return entry, draw(st.lists(coords, max_size=12)), draw(st.sampled_from((0, 1)))
+    candidates = draw(st.lists(coords, max_size=12))
+    if candidates:
+        candidates += draw(st.lists(st.sampled_from(candidates), max_size=4))
+    return entry, draw(st.permutations(candidates)), draw(st.sampled_from((0, 1)))
 
 
 @given(scans())
@@ -135,6 +157,44 @@ def test_segre_scan_computes_each_twisted_bundle_once(monkeypatch, defect):
         for d in (defect, 1 - defect):
             classify_segre_lines(box, d)
     assert seen and len(seen) == len(set(seen))
+
+
+def sweep():
+    """The lattice_scan grid: boxes 4-10, both families, both defects."""
+    return [
+        classify_lines(box, defect)
+        for classify_lines in (classify_flag_lines, classify_segre_lines)
+        for box in range(4, 11)
+        for defect in (0, 1)
+    ]
+
+
+def test_scans_check_no_candidate(monkeypatch):
+    """A scan builds its candidates from the checked box, so neither a cold nor a
+    warm sweep validates coordinates."""
+    expected = sweep()
+
+    def refuse(entry, coords):
+        raise AssertionError(f"scan checked {coords} on {entry.variety_id}")
+
+    for module in (catalog, cohomology, classify, instanton):
+        if hasattr(module, "check_coords"):
+            monkeypatch.setattr(module, "check_coords", refuse)
+    assert sweep() == expected
+    monkeypatch.setattr(cohomology, "_ROWS", {})
+    assert sweep() == expected
+
+
+def test_scanned_entries_are_one_object_per_process():
+    assert catalog.flag3() is catalog.flag3()
+    assert catalog.triple_p1() is catalog.triple_p1()
+
+
+def test_a_sweep_leaves_one_memo_per_scanned_variety(monkeypatch):
+    monkeypatch.setattr(cohomology, "_ROWS", {})
+    sweep()
+    flag, segre = cohomology._ROWS
+    assert flag is catalog.flag3() and segre is catalog.triple_p1()
 
 
 @pytest.mark.parametrize("defect", [0, 1])

@@ -47,6 +47,25 @@ def test_only_cohomology_reaches_the_engine_table():
     )
 
 
+def test_only_the_input_boundaries_check_coordinates():
+    """Coordinates are checked where they enter the package: ``catalog``,
+    ``cohomology`` and ``cli`` call ``check_coords``, and no other module does,
+    so scans (which build their own candidates) never check one per candidate."""
+
+    def calls_check_coords(node):
+        if not isinstance(node, ast.Call):
+            return False
+        return "check_coords" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    callers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if calls_check_coords(node)
+    }
+    assert callers == {"catalog.py", "cohomology.py", "cli.py"}
+
+
 def test_only_instanton_evaluates_the_condition_kinds():
     """What each instanton condition compares is written once, in
     ``instanton.InstantonConditions.sides``: no other module compares anything
