@@ -3,11 +3,11 @@
 One closed-form engine per catalog family, each listed in one table,
 :data:`ENGINES`, keyed by the entry's ``kind``:
 
-* projective space -- binomial formulas for ``O(t)``, Bott's formula for the
-  twisted differentials ``Omega^p(t)``;
+* projective space -- Borel-Weil-Bott for GL(n+1) (:func:`bott_gl`), for ``O(t)``
+  and the twisted differentials ``Omega^p(t)``;
 * quadrics -- the restriction sequence from the ambient projective space;
 * products of projective spaces -- Kunneth convolution;
-* the flag 3-fold -- Borel-Weil-Bott for the full flag of SL(3);
+* the flag 3-fold -- Borel-Weil-Bott for GL(3), the same :func:`bott_gl`;
 * scrolls over P^1 -- the symmetric-power splitting of the pushforward, with
   Serre duality below the vanishing window;
 * curves -- exact genus-0 values and the generic Brill-Noether model, each
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from . import rr
 from .catalog import (
     VarietyCatalogEntry,
-    canonical_coords,
     check_coords,
     entry_ring,
     line_bundle_class,
@@ -100,34 +99,43 @@ def serre_dual_vector(v: CohVector) -> CohVector:
 # --------------------------------------------------------------------------
 
 
-def coh_projective_space(n: int, t: int) -> CohVector:
-    """Cohomology of ``O(t)`` on P^n."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    dims = [0] * (n + 1)
-    if t >= 0:
-        dims[0] = binom(t + n, n)
-    elif t <= -n - 1:
-        dims[n] = binom(-t - 1, n)
+def bott_gl(weight: Sequence[int], dim: int) -> CohVector:
+    """Borel-Weil-Bott for GL(m): the cohomology of the homogeneous bundle of highest
+    weight ``weight = (w_1, ..., w_m)`` on a flag variety of GL(m) of dimension ``dim``.
+
+    With ``rho = (m-1, ..., 1, 0)``, a repeated entry of ``weight + rho`` makes the
+    bundle acyclic; otherwise the only nonzero group sits in the degree that counts
+    the inversions of ``weight + rho`` and carries Weyl's dimension, the product of
+    ``(mu_i - mu_j) / (j - i)`` over ``i < j`` on the decreasing sort ``mu``.
+    """
+    m = len(weight)
+    shifted = [w + m - 1 - i for i, w in enumerate(weight)]
+    dims = [0] * (dim + 1)
+    if len(set(shifted)) == m:
+        num = den = 1
+        for (i, a), (j, b) in itertools.combinations(enumerate(sorted(shifted, reverse=True)), 2):
+            num *= a - b
+            den *= j - i
+        dims[sum(a < b for a, b in itertools.combinations(shifted, 2))] = num // den
     return CohVector(tuple(dims))
 
 
+def coh_projective_space(n: int, t: int) -> CohVector:
+    """Cohomology of ``O(t)`` on P^n: the GL(n+1) weight ``(t, 0, ..., 0)``."""
+    if n < 1:
+        raise ValueError("n >= 1")
+    return bott_gl((t,) + (0,) * n, n)
+
+
 def bott_pn(n: int, p: int, t: int) -> CohVector:
-    """Bott's formula for ``Omega^p(t)`` on P^n.
+    """Bott's formula for ``Omega^p(t)`` on P^n: the GL(n+1) weight ``(t-p, 1^p, 0^(n-p))``.
 
     Nonzero only in degree 0 for ``t > p``, in degree p for ``t = 0`` (a
     single class), and in degree n for ``t < p - n``.
     """
     if not 0 <= p <= n:
         raise ValueError("0 <= p <= n")
-    dims = [0] * (n + 1)
-    if t > p:
-        dims[0] = binom(t + n - p, t) * binom(t - 1, p)
-    elif t == 0:
-        dims[p] = 1
-    elif t < p - n:
-        dims[n] = binom(-t + p, -t) * binom(-t - 1, n - p)
-    return CohVector(tuple(dims))
+    return bott_gl((t - p,) + (1,) * p + (0,) * (n - p), n)
 
 
 def coh_quadric(n: int, t: int) -> CohVector:
@@ -174,38 +182,13 @@ def coh_product(factors: list[tuple[int, int]]) -> CohVector:
     return CohVector(tuple(dims))
 
 
-def weyl_dim_sl3(m1: int, m2: int) -> int:
-    """Dimension of the irreducible SL(3) representation with highest weight (m1, m2)."""
-    return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
-
-
 def coh_flag3(a1: int, a2: int) -> CohVector:
-    """Borel-Weil-Bott for ``O(a1 h1 + a2 h2)`` on the flag 3-fold.
+    """Cohomology of ``O(a1 h1 + a2 h2)`` on the flag 3-fold: the GL(3) weight ``(a1 + a2, a2, 0)``.
 
-    With ``(x, y) = (a1 + 1, a2 + 1)`` the bundle is acyclic when x, y or
-    x + y vanishes; otherwise exactly one degree survives, carrying the Weyl
-    dimension of the dominant representative of the dotted orbit.  The
-    fundamental-weight order is fixed so that ``O(h1)`` has three sections;
+    The fundamental-weight order is fixed so that ``O(h1)`` has three sections;
     swapping h1 and h2 is a symmetry of the output.
     """
-    x, y = a1 + 1, a2 + 1
-    dims = [0, 0, 0, 0]
-    if x == 0 or y == 0 or x + y == 0:
-        return CohVector(tuple(dims))
-    orbit = (
-        ((x, y), 0),
-        ((-x, x + y), 1),
-        ((x + y, -y), 1),
-        ((-x - y, x), 2),
-        ((y, -x - y), 2),
-        ((-y, -x), 3),
-    )
-    hits = [(pq, length) for pq, length in orbit if pq[0] > 0 and pq[1] > 0]
-    if len(hits) != 1:
-        raise RuntimeError(f"the dotted Weyl orbit of ({a1}, {a2}) has {len(hits)} dominant points, not 1")
-    (p, q), length = hits[0]
-    dims[length] = weyl_dim_sl3(p - 1, q - 1)
-    return CohVector(tuple(dims))
+    return bott_gl((a1 + a2, a2, 0), 3)
 
 
 def coh_scroll_p1_window(degrees: tuple[int, ...], twists: Sequence[int], a: int) -> list[tuple[int, ...]]:
@@ -470,6 +453,8 @@ class CohomologyTable:
             raise MalformedDataError("rank, window, twists and dimensions must be ints, the rank positive")
         if type(assumptions) is not list or set(map(type, assumptions)) - {str}:
             raise MalformedDataError("assumptions must be a list of strings")
+        if chern is not None and (type(chern.rank) is not int or chern.rank != rank):
+            raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
         if not rows or twists != list(range(tmin, tmax + 1)):
             raise MalformedDataError("rows do not enumerate a non-empty window")
         n = ring.top_degree
@@ -546,8 +531,3 @@ def build_table(
         assumptions=assumptions,
     )
 
-
-def serre_dual_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinates of ``K_X - L``; Serre duality pairs its vector with L's reversed."""
-    coords = check_coords(entry, coords)
-    return tuple(k - c for k, c in zip(canonical_coords(entry), coords))

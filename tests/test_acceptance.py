@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from instanton_lab import catalog, classify, instanton, monads, rr
-from instanton_lab.cohomology import build_table, line_bundle_cohomology, serre_dual_coords, serre_dual_vector
+from instanton_lab.cohomology import build_table, line_bundle_cohomology, serre_dual_vector
 from instanton_lab.instanton import (
     check_instanton,
     chi_polynomial,
@@ -26,6 +26,11 @@ from instanton_lab.instanton import (
 )
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
+
+
+def serre_dual_coords(entry: catalog.VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates of ``K_X - L``; Serre duality pairs its vector with L's reversed."""
+    return tuple(k - c for k, c in zip(catalog.canonical_coords(entry), coords))
 
 
 @contextmanager

@@ -259,9 +259,12 @@ def _float_twist(data):
         lambda data: data.update(rank=True),
         lambda data: data.update(assumptions="generic Brill-Noether position"),
         lambda data: data.update(assumptions=[1]),
+        lambda data: data["chern"].update(rank=2.5),
+        lambda data: data["chern"].update(rank=True),
+        lambda data: data["chern"].update(rank=7),
     ],
     ids=["float-dim", "bool-dim", "float-window", "float-twist", "negative-rank", "string-rank", "bool-rank",
-         "string-assumptions", "int-assumption"],
+         "string-assumptions", "int-assumption", "float-chern-rank", "bool-chern-rank", "other-chern-rank"],
 )
 def test_malformed_table_exits_2(tmp_path, capsys, mutate):
     data = build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()

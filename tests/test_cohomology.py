@@ -8,10 +8,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from instanton_lab import catalog, classify, cohomology
+from instanton_lab import catalog, classify, cohomology, rr
 from instanton_lab.cohomology import (
     CohomologyTable,
     CohVector,
+    bott_gl,
     bott_pn,
     build_table,
     chi_scroll_line,
@@ -24,11 +25,11 @@ from instanton_lab.cohomology import (
     coh_scroll_p1,
     coh_scroll_p1_window,
     line_bundle_cohomology,
-    serre_dual_coords,
     serre_dual_vector,
 )
 from instanton_lab.errors import UnsupportedBundleError, WindowError
 from instanton_lab.util import binom
+from test_acceptance import serre_dual_coords
 
 
 def test_coh_projective_space_examples():
@@ -133,6 +134,46 @@ def test_flag_kunneth_chi_identity():
         ambient = coh_product([(2, a), (2, b)]).chi()
         shifted = coh_product([(2, a - 1), (2, b - 1)]).chi()
         assert coh_flag3(a, b).chi() == ambient - shifted, (a, b)
+
+
+def check_pn_against_kunneth():
+    for n, t in itertools.product(range(1, 7), range(-12, 13)):
+        assert coh_projective_space(n, t) == coh_product([(n, t)]), (n, t)
+
+
+def check_omega_against_koszul():
+    for n in range(1, 7):
+        for p, t in itertools.product(range(n + 1), range(-10, 11)):
+            vec = bott_pn(n, p, t)
+            assert vec.chi() == chi_omega_koszul(n, p, t), (n, p, t)
+            degree = (0,) if t > p else (p,) if t == 0 else (n,) if t < p - n else ()
+            assert vec.support() == degree, (n, p, t)
+
+
+def check_flag3_against_riemann_roch():
+    flag = catalog.flag3()
+    for coords in itertools.product(range(-10, 11), repeat=2):
+        vec = coh_flag3(*coords)
+        chern = rr.chern_of_line_bundle_sum([(catalog.line_bundle_class(flag, coords), 1)])
+        assert len(vec.support()) <= 1 and vec.chi() == rr.chi_twisted(flag, chern, 0), coords
+
+
+def check_grassmannian_g24_against_quadric():
+    for t in range(-15, 16):
+        assert bott_gl((t, t, 0, 0), 4) == coh_quadric(4, t), t
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_pn_against_kunneth, check_omega_against_koszul, check_flag3_against_riemann_roch,
+     check_grassmannian_g24_against_quadric],
+    ids=["pn-kunneth", "omega-koszul", "flag3-rr", "g24-quadric"],
+)
+def test_bott_gl_against_independent_references(check):
+    """Each view of :func:`bott_gl` against a route that does not pass through it:
+    Kunneth binomials on P^n, the Koszul chi and Bott's stated degree on Omega^p(t),
+    Riemann-Roch on the flag 3-fold, and the quadric engine on G(2,4) = Q^4."""
+    check()
 
 
 def test_coh_scroll_examples():
@@ -546,6 +587,40 @@ def test_line_bundle_cohomology_is_the_kinds_engine(kind):
             continue
         vec = line_bundle_cohomology(entry, list(coords))
         assert vec == engine(entry, coords) == DIRECT[kind](entry, coords), coords
+
+
+#: the public engine each kind's memo miss calls, by its module-global name
+ENGINE_NAMES = {
+    "projective_space": "coh_projective_space",
+    "quadric": "coh_quadric",
+    "flag3": "coh_flag3",
+    "triple_p1": "coh_product",
+    "scroll_p1": "coh_scroll_p1",
+    "curve": "coh_curve",
+    "prime_fano": "coh_cyclic_fano_index1",
+}
+
+
+def test_a_memo_miss_calls_the_kinds_public_engine(monkeypatch):
+    """Per-engine tracing wraps these module globals, so a miss must reach them by name."""
+    assert set(ENGINE_NAMES) == set(cohomology.ENGINES) - {"scroll_generic"}
+    calls = []
+
+    def counting(name, engine):
+        def counted(*args):
+            calls.append(name)
+            return engine(*args)
+        return counted
+
+    for name in ENGINE_NAMES.values():
+        monkeypatch.setattr(cohomology, name, counting(name, getattr(cohomology, name)))
+    monkeypatch.setattr(cohomology, "_ROWS", {})
+    for kind, name in ENGINE_NAMES.items():
+        entry, coords = CONSTRUCTED[kind], (1,) * CONSTRUCTED[kind].picard_rank()
+        calls.clear()
+        vec = line_bundle_cohomology(entry, coords)
+        assert calls == [name], kind
+        assert line_bundle_cohomology(entry, coords) == vec and calls == [name], kind
 
 
 def test_dispatch_rejects_theta_off_curves_and_unknown_kinds():
