@@ -7,8 +7,9 @@ a generic curve (Euler characteristics only), smooth curves, and prime Fano
 3-folds parameterized by their genus.
 
 An entry packages the Chow-ring presentation together with the polarization
-class h, the canonical class K_X, chi(O_X) and, on 3-folds, c_2 of the
-cotangent sheaf, from which Riemann-Roch reads the Todd class.  Entries are
+class h and the total Chern class c(T_X) of the tangent bundle, declared once
+per family: the canonical class is K_X = -c_1(T_X), and Riemann-Roch reads
+the Todd class, chi(O_X) included, off the same class.  Entries are
 immutable values.
 
 Line bundles are written as integer coordinates over the ring's degree-one
@@ -35,10 +36,8 @@ class VarietyCatalogEntry:
     dimension: int
     ring: ChowRingPresentation = field(repr=False)
     polarization: ChowClass
-    canonical: ChowClass
-    chi_O: int
-    #: c_2 of the cotangent sheaf on 3-folds (a rational class on prime Fano entries)
-    c2_omega: ChowClass | None = None
+    #: total Chern class c(T_X) (a rational c_2 on prime Fano entries)
+    tangent: ChowClass
     is_acm: bool = False
     #: polarization multiple of the ample generator on cyclic entries
     u: int = 1
@@ -79,12 +78,13 @@ class VarietyCatalogEntry:
         return tuple(cls.coefficient(ring.monomial(**{g: 1})) for g in ring.generators)
 
     @cached_property
-    def _h_coords(self) -> tuple[int, ...]:
-        return self._degree_one_coords(self.polarization)
+    def canonical(self) -> ChowClass:
+        """The canonical class ``K_X = -c_1(T_X)``."""
+        return -self.tangent.part(1)
 
     @cached_property
-    def _canonical_coords(self) -> tuple[int, ...]:
-        return self._degree_one_coords(self.canonical)
+    def _h_coords(self) -> tuple[int, ...]:
+        return self._degree_one_coords(self.polarization)
 
     def __post_init__(self) -> None:
         if self.hn() <= 0:
@@ -104,9 +104,7 @@ def projective_space(n: int, u: int = 1) -> VarietyCatalogEntry:
         dimension=n,
         ring=ring,
         polarization=u * H,
-        canonical=-(n + 1) * H,
-        chi_O=1,
-        c2_omega=6 * H * H if n == 3 else None,
+        tangent=(ring.one() + H) ** (n + 1),
         is_acm=True,
         u=u,
     )
@@ -125,9 +123,8 @@ def quadric(n: int, u: int = 1) -> VarietyCatalogEntry:
         dimension=n,
         ring=ring,
         polarization=u * H,
-        canonical=-n * H,
-        chi_O=1,
-        c2_omega=4 * H * H if n == 3 else None,
+        # (1 + H)^(n+2) / (1 + 2H), the inverse a series truncated by the ring
+        tangent=(ring.one() + H) ** (n + 2) * ring.from_dict({(j,): (-2) ** j for j in range(n + 1)}),
         is_acm=True,
         u=u,
     )
@@ -137,16 +134,15 @@ def quadric(n: int, u: int = 1) -> VarietyCatalogEntry:
 def flag3() -> VarietyCatalogEntry:
     """The flag 3-fold (incidence divisor in P^2 x P^2), h = h1 + h2."""
     ring = chow.flag3_ring()
-    h1, h2 = ring.gen("h1"), ring.gen("h2")
+    one, h1, h2 = ring.one(), ring.gen("h1"), ring.gen("h2")
     return VarietyCatalogEntry(
         variety_id="flag3",
         kind="flag3",
         dimension=3,
         ring=ring,
         polarization=h1 + h2,
-        canonical=-2 * h1 - 2 * h2,
-        chi_O=1,
-        c2_omega=6 * (h1 * h2),
+        # one factor per positive root of SL(3)
+        tangent=(one + 2 * h1 - h2) * (one + 2 * h2 - h1) * (one + h1 + h2),
         is_acm=True,
     )
 
@@ -155,23 +151,23 @@ def flag3() -> VarietyCatalogEntry:
 def triple_p1() -> VarietyCatalogEntry:
     """P^1 x P^1 x P^1 with h = h1 + h2 + h3."""
     ring = chow.triple_p1_ring()
-    h1, h2, h3 = (ring.gen(g) for g in ring.generators)
+    one, h1, h2, h3 = ring.one(), *(ring.gen(g) for g in ring.generators)
     return VarietyCatalogEntry(
         variety_id="triple_p1",
         kind="triple_p1",
         dimension=3,
         ring=ring,
         polarization=h1 + h2 + h3,
-        canonical=-2 * (h1 + h2 + h3),
-        chi_O=1,
-        c2_omega=4 * (h1 * h2 + h1 * h3 + h2 * h3),
+        tangent=(one + 2 * h1) * (one + 2 * h2) * (one + 2 * h3),
         is_acm=True,
     )
 
 
-def _scroll_c2_omega(ring: ChowRingPresentation, deg_g: int, genus: int) -> ChowClass:
-    h, f = ring.gen("h"), ring.gen("f")
-    return 3 * h * h - (2 * deg_g + 6 * genus - 6) * (h * f)
+def _scroll_tangent(ring: ChowRingPresentation, n: int, deg_g: int, genus: int) -> ChowClass:
+    """``[(1 + h)^n - deg_g f (1 + h)^(n-1)] (1 + (2 - 2g) f)``: the relative tangent
+    bundle of a rank-n scroll over a genus-g curve, times the curve's tangent bundle."""
+    one, h, f = ring.one(), ring.gen("h"), ring.gen("f")
+    return (one + h) ** (n - 1) * (one + h - deg_g * f) * (one + (2 - 2 * genus) * f)
 
 
 def scroll_p1(degrees: tuple[int, ...]) -> VarietyCatalogEntry:
@@ -182,16 +178,13 @@ def scroll_p1(degrees: tuple[int, ...]) -> VarietyCatalogEntry:
         raise UnknownVarietyError(f"scroll over P^1 needs >= 2 split degrees, all >= 1: {degrees}")
     d = sum(degrees)
     ring = chow.scroll_ring(n, d)
-    h, f = ring.gen("h"), ring.gen("f")
     return VarietyCatalogEntry(
         variety_id=f"scroll_p1({','.join(map(str, degrees))})",
         kind="scroll_p1",
         dimension=n,
         ring=ring,
-        polarization=h,
-        canonical=-n * h + (d - 2) * f,
-        chi_O=1,
-        c2_omega=_scroll_c2_omega(ring, d, 0) if n == 3 else None,
+        polarization=ring.gen("h"),
+        tangent=_scroll_tangent(ring, n, d, 0),
         is_acm=True,
         degrees=degrees,
         genus=0,
@@ -204,16 +197,13 @@ def scroll_generic(n: int, genus: int, deg_g: int) -> VarietyCatalogEntry:
     if n < 2 or genus < 0 or deg_g < 1:
         raise UnknownVarietyError(f"scroll({n}) over genus {genus} of degree {deg_g} is not admissible")
     ring = chow.scroll_ring(n, deg_g)
-    h, f = ring.gen("h"), ring.gen("f")
     return VarietyCatalogEntry(
         variety_id=f"scroll_generic({n};g={genus};deg={deg_g})",
         kind="scroll_generic",
         dimension=n,
         ring=ring,
-        polarization=h,
-        canonical=-n * h + (deg_g + 2 * genus - 2) * f,
-        chi_O=1 - genus,
-        c2_omega=_scroll_c2_omega(ring, deg_g, genus) if n == 3 else None,
+        polarization=ring.gen("h"),
+        tangent=_scroll_tangent(ring, n, deg_g, genus),
         is_acm=False,
         genus=genus,
         deg_g=deg_g,
@@ -240,8 +230,7 @@ def curve(genus: int, deg_h: int, model: str = "generic") -> VarietyCatalogEntry
         dimension=1,
         ring=ring,
         polarization=deg_h * P,
-        canonical=(2 * genus - 2) * P,
-        chi_O=1 - genus,
+        tangent=ring.one() + (2 - 2 * genus) * P,
         is_acm=True,
         genus=genus,
         deg_h=deg_h,
@@ -252,25 +241,23 @@ def curve(genus: int, deg_h: int, model: str = "generic") -> VarietyCatalogEntry
 def prime_fano(genus: int) -> VarietyCatalogEntry:
     """Prime Fano 3-fold of index 1 and genus g (h^3 = 2g - 2), numerical model.
 
-    c_2 of the cotangent sheaf is the class with c_2 . h = 24, namely
-    ``(24 / (2g - 2)) H^2``; its coefficient is a Fraction, since 2g - 2
-    need not divide 24.
+    The tangent class is ``1 + H + (24 / (2g - 2)) H^2``: c_1 = -K_X = H, and
+    c_2 is the class with c_2 . H = 24, whose coefficient is a Fraction since
+    2g - 2 need not divide 24.  c_3 is not modeled; the Todd class never reads
+    it.
     """
     from fractions import Fraction  # imported here only: importing catalog stays light
 
     if genus < 3:
         raise UnknownVarietyError("prime Fano 3-folds have genus >= 3")
     ring = chow.prime_fano_ring(genus)
-    H = ring.gen("H")
     return VarietyCatalogEntry(
         variety_id=ring.variety_id,
         kind="prime_fano",
         dimension=3,
         ring=ring,
-        polarization=H,
-        canonical=-H,
-        chi_O=1,
-        c2_omega=Fraction(24, 2 * genus - 2) * H * H,
+        polarization=ring.gen("H"),
+        tangent=ring.from_dict({(0,): 1, (1,): 1, (2,): Fraction(24, 2 * genus - 2)}),
         is_acm=True,
         genus=genus,
     )
@@ -315,10 +302,15 @@ def entry_ring(entry_id: str) -> ChowRingPresentation:
 
 
 def check_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """``coords`` as a tuple of ints of the entry's Picard rank, or ``ValueError``."""
+    """``coords`` as a tuple of ints of the entry's Picard rank, or ``ValueError``: bools and numeric
+    strings pass through ``int()``, a number it would change (1.9, ``Fraction(5, 2)``) is refused."""
     if type(coords) is tuple and len(coords) == entry.picard_rank() and all(type(c) is int for c in coords):
         return coords
-    coords = tuple(int(c) for c in coords)
+    raw = tuple(coords)
+    coords = tuple(map(int, raw))
+    for c, k in zip(raw, coords):
+        if k != c and not isinstance(c, str):
+            raise ValueError(f"line-bundle coordinate {c!r} on {entry.variety_id} is not an integer")
     if len(coords) != entry.picard_rank():
         raise ValueError(
             f"{entry.variety_id} expects {entry.picard_rank()} line-bundle coordinates, got {coords}"
@@ -346,7 +338,7 @@ def polarization_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:
 
 def canonical_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:
     """Coordinates of K_X in the entry's divisor basis."""
-    return entry._canonical_coords
+    return entry._degree_one_coords(entry.canonical)
 
 
 def line_bundle_class(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> ChowClass:

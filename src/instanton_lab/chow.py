@@ -257,6 +257,10 @@ class ChowClass:
     def is_homogeneous(self, r: int) -> bool:
         return all(g == r for g, c in zip(self.ring.grades, self.coeffs) if c)
 
+    def part(self, r: int) -> "ChowClass":
+        """The degree-r component, such as c_r of a total Chern class."""
+        return ChowClass(self.ring, tuple(c if g == r else 0 for g, c in zip(self.ring.grades, self.coeffs)))
+
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
         return ChowClass(self.ring, tuple(map(operator.add, self.coeffs, other.coeffs)))

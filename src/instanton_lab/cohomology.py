@@ -22,11 +22,9 @@ The memo holds each line bundle visited: about 2 500 vectors after the
 sweeps of boxes 4-10 on the two sextic del Pezzo 3-folds.
 
 Tables collect the cohomology vectors of one bundle over a twist window and
-are the raw material the instanton checker consumes.  A table computes each
-summand's column over the window in one call and sums the columns as plain
-integers: a split scroll's column comes from one engine pass (one multiset
-count, however wide the window), the other families read the memo twist by
-twist.
+are the raw material the instanton checker consumes.  A table reads each
+summand's column over the window from the memo, twist by twist, and sums the
+columns as plain integers.
 """
 
 from __future__ import annotations
@@ -191,54 +189,38 @@ def coh_flag3(a1: int, a2: int) -> CohVector:
     return bott_gl((a1 + a2, a2, 0), 3)
 
 
-def coh_scroll_p1_window(degrees: tuple[int, ...], twists: Sequence[int], a: int) -> list[tuple[int, ...]]:
-    """Cohomology ``(h^0, ..., h^n)`` of ``O(t h + a f)`` for each ``t`` in ``twists``
-    on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1.
+def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
+    """Cohomology of ``O(t h + a f)`` on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1.
 
     For ``t >= 0`` the pushforward splits into line bundles on P^1 indexed by
     degree-t multisets of the split degrees, counted here by degree sum; for
     ``1-n <= t <= -1`` everything vanishes; below that, Serre duality against
-    ``omega = O(-n h + (d-2) f)`` reads the size ``-n-t`` multisets.  One
-    count pass up to the largest size the twists need serves every row.
+    ``omega = O(-n h + (d-2) f)`` reads the size ``-n-t`` multisets.
     """
-    degrees = tuple(degrees)
     n = len(degrees)
     if n < 2 or any(x < 1 for x in degrees):
         raise ValueError("need >= 2 split degrees, all >= 1")
-    d = sum(degrees)
-    big = max(degrees)
-    size = max([0, *(t if t >= 0 else -n - t for t in twists)])
+    if 1 - n <= t <= -1:
+        return zero_vector(n)
+    size, b = (t, a) if t >= 0 else (-n - t, sum(degrees) - 2 - a)
     # count[k][s]: size-k multisets of the split degrees with degree sum s,
     # built with one pass per split degree
-    top = size * big
+    top = size * max(degrees)
     count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(size)]
     for x in degrees:
         for k in range(1, size + 1):
             count[k] = list(map(operator.add, count[k], [0] * x + count[k - 1][: top + 1 - x]))
+    # sum h^0 and h^1 of O(b + s) on P^1 over the degree sums s
+    h0 = h1 = 0
+    for s, mult in enumerate(count[size]):
+        if mult:
+            deg = b + s
+            if deg >= 0:
+                h0 += mult * (deg + 1)
+            else:
+                h1 -= mult * (deg + 1)
     zeros = (0,) * (n - 1)
-    rows = []
-    for t in twists:
-        if 1 - n <= t <= -1:
-            rows.append((0, 0) + zeros)
-            continue
-        k, b = (t, a) if t >= 0 else (-n - t, d - 2 - a)
-        # sum h^0 and h^1 of O(b + s) on P^1 over the degree sums s
-        h0 = h1 = 0
-        for s, mult in enumerate(count[k][: k * big + 1]):
-            if mult:
-                deg = b + s
-                if deg >= 0:
-                    h0 += mult * (deg + 1)
-                else:
-                    h1 -= mult * (deg + 1)
-        rows.append((h0, h1) + zeros if t >= 0 else zeros + (h1, h0))
-    return rows
-
-
-def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
-    """Cohomology of ``O(t h + a f)`` on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1:
-    the one-twist view of :func:`coh_scroll_p1_window`."""
-    return CohVector(coh_scroll_p1_window(degrees, (t,), a)[0])
+    return CohVector((h0, h1) + zeros if t >= 0 else zeros + (h1, h0))
 
 
 def coh_curve(g: int, d: int, model: str) -> CohVector:
@@ -341,7 +323,7 @@ _ROWS: dict[VarietyCatalogEntry, _LineBundleRows] = {}
 
 
 def _rows(entry: VarietyCatalogEntry) -> _LineBundleRows:
-    """The entry's line-bundle memo: the one way to a non-scroll engine."""
+    """The entry's line-bundle memo: the one way to an engine."""
     rows = _ROWS.get(entry)
     if rows is None:
         rows = _ROWS[entry] = _LineBundleRows(entry)
@@ -472,22 +454,6 @@ class CohomologyTable:
         )
 
 
-def _bundle_column(
-    entry: VarietyCatalogEntry, coords: tuple[int, ...], twists: range
-) -> list[tuple[int, ...]]:
-    """Cohomology tuples of ``L(t h)`` for each ``t`` in ``twists``.
-
-    Split scrolls get the whole column from one engine pass; every other
-    family reads the entry's memo twist by twist on the coordinates checked once.
-    """
-    coords = check_coords(entry, coords)
-    if entry.kind == "scroll_p1":
-        # the tautological h moves only the h coordinate
-        return coh_scroll_p1_window(entry.degrees, [coords[0] + t for t in twists], coords[1])
-    rows, h = _rows(entry), polarization_coords(entry)
-    return [rows[tuple([c + t * v for c, v in zip(coords, h)])].dims for t in twists]
-
-
 def build_table(
     entry: VarietyCatalogEntry,
     bundles: Bundles | tuple[int, ...],
@@ -508,8 +474,10 @@ def build_table(
     n = entry.dimension
     twists = range(tmin, tmax + 1)
     sums = [[0] * (n + 1) for _ in twists]
+    rows, step = _rows(entry), polarization_coords(entry)
     for coords, mult in bundles:
-        column = _bundle_column(entry, coords, twists)
+        coords = check_coords(entry, coords)
+        column = [rows[tuple([c + t * v for c, v in zip(coords, step)])].dims for t in twists]
         if mult < 0:
             raise ValueError("multiplicities must be nonnegative")
         for acc, dims in zip(sums, column):

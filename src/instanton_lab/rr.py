@@ -5,18 +5,22 @@ Everything here is exact: Euler characteristics are integers computed with
 the bracket ``[x]`` appearing in normalization twists is the floor.
 
 Every Riemann-Roch Euler characteristic comes from one formula,
-``chi(E) = int ch(E) td(T_X)`` in the entry's Chow ring (:func:`chi`).  It
-is implemented through dimension 3, where :class:`ChernData` stops at c_3
-and the Todd class needs only K_X and the entry's c_2 of the cotangent
-sheaf; higher-dimensional Euler characteristics come from the cohomology
-engines instead.
+``chi(E) = int ch(E) td(T_X)`` in the entry's Chow ring (:func:`chi`).  The
+Todd class is Hirzebruch's ``exp(sum_k lambda_k p_k(T_X))``, read off the
+tangent class the entry declares, in any dimension; the Chern characters of
+T_X and E come from the same Newton's identities.
+:class:`ChernData` stops at c_3, so :func:`chi` takes sheaves on entries of
+dimension at most 3; higher-dimensional Euler characteristics come from the
+cohomology engines instead.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, gcd, lcm
 
 from . import chow
 from .catalog import VarietyCatalogEntry
@@ -134,37 +138,68 @@ def twist_by_h(entry: VarietyCatalogEntry, c: ChernData, t: int) -> ChernData:
 # --------------------------------------------------------------------------
 
 
-def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
-    """Hirzebruch-Riemann-Roch ``chi(E) = rank chi(O_X) + sum_j int ch_j(E) td_(n-j)(X)``, n <= 3.
+def _power_sums(c: tuple[ChowClass, ...]) -> list[ChowClass]:
+    """Power sums ``p_1, ..., p_n`` of the Chern roots, from ``c = (c_1, ..., c_n)`` by Newton's
+    identities ``p_k = sum_(i<k) (-1)^(i-1) c_i p_(k-i) + (-1)^(k-1) k c_k``."""
+    p: list[ChowClass] = []
+    for k in range(1, len(c) + 1):
+        acc = (-1) ** (k - 1) * k * c[k - 1]
+        for i in range(1, k):
+            acc = acc + (-1) ** (i - 1) * (c[i - 1] * p[k - i - 1])
+        p.append(acc)
+    return p
 
-    ``ch_j = p_j / j!`` with the power sums from Newton's identities
-    ``p_1 = c_1``, ``p_2 = c_1 p_1 - 2 c_2``, ``p_3 = c_1 p_2 - c_2 p_1 + 3 c_3``,
-    and the Todd classes are ``td_0 = 1``, ``td_1 = -K/2`` and
-    ``td_2 = (K^2 + c_2(Omega))/12``.  The Chern data must live on the entry's
-    own ring (``VarietyMismatchError`` otherwise) and carry c_1, ..., c_n.
+
+@cache
+def _bernoulli(m: int) -> Fraction:
+    """The Bernoulli number ``B_m`` (``B_1 = -1/2``), from ``sum_(j<=m) C(m+1, j) B_j = 0``."""
+    return -sum(binom(m + 1, j) * _bernoulli(j) for j in range(m)) / Fraction(m + 1) if m else Fraction(1)
+
+
+@cache
+def _todd_weights(entry: VarietyCatalogEntry) -> tuple[tuple[int, ...], int]:
+    """``(w, D)``: integers ``w_k = D int b_k td(X)`` over the ring basis ``b_k``, with
+    Hirzebruch's Todd class ``td(X) = exp(sum_k lambda_k p_k(T_X))`` of the declared tangent class.
+
+    ``lambda_k`` is the coefficient of x^k in ``log(x / (1 - e^-x))``: 1/2 for k = 1, otherwise
+    ``-B_k / (k k!)``, zero for odd k > 1.  ``w_0 / D = int td_n`` is chi(O_X), Noether's formula.
+    """
+    ring, n = entry.ring, entry.dimension
+    log_td = ring.zero()
+    for k, pk in enumerate(_power_sums(tuple(entry.tangent.part(r) for r in range(1, n + 1))), 1):
+        log_td = log_td + (Fraction(1, 2) if k == 1 else -_bernoulli(k) / (k * factorial(k))) * pk
+    # x = L log td is integral, and n! L^n td = sum_j (n!/j!) L^(n-j) x^j: int products only
+    L = lcm(*(Fraction(c).denominator for c in log_td.coeffs))
+    x = ChowClass(ring, tuple(int(c * L) for c in log_td.coeffs))
+    td, power = ring.zero(), ring.one()
+    for j in range(n + 1):
+        td, power = td + factorial(n) // factorial(j) * L ** (n - j) * power, power * x
+    w, D = [chow.integrate(ring.from_dict({b: 1}) * td) for b in ring.basis], factorial(n) * L**n
+    g = gcd(D, *w)
+    return tuple(v // g for v in w), D // g
+
+
+def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
+    """Hirzebruch-Riemann-Roch ``chi(E) = int ch(E) td(X)`` with ``ch(E) = rank + sum_k p_k(E) / k!``,
+    paired with the entry's Todd weights (:func:`_todd_weights`) and divided once.
+
+    The Chern data must live on the entry's own ring (``VarietyMismatchError`` otherwise) and
+    carry c_1, ..., c_n, which :class:`ChernData` holds through n = 3.
     """
     if c.c1.ring is not entry.ring:
         raise VarietyMismatchError(
             f"Chern data on {c.variety_id!r} does not live on {entry.variety_id!r}"
         )
     n = entry.dimension
-    if n > 3:
-        raise ValueError("Riemann-Roch is only implemented through dimension 3; use the cohomology engines")
-    if None in (c.c2, c.c3)[: n - 1]:
+    chern = (c.c1, c.c2, c.c3)[:n]
+    if n > 3 or None in chern:
         raise ValueError(f"Riemann-Roch on {entry.variety_id} needs c1 to c{n}")
-    K = entry.canonical
-    p = [c.c1]
-    if n >= 2:
-        p.append(c.c1 * p[0] - 2 * c.c2)
-    if n == 3:
-        p.append(c.c1 * p[1] - c.c2 * p[0] + 3 * c.c3)
-    # twelve times sum_j int ch_j td_(n-j), with ch_j = p_j / j!
-    twelve = 12 // factorial(n) * chow.integrate(p[n - 1])  # td_0 = 1
-    if n >= 2:
-        twelve -= 6 // factorial(n - 1) * chow.integrate(p[n - 2] * K)  # td_1 = -K/2
-    if n == 3:
-        twelve += chow.integrate(c.c1 * (K * K + entry.c2_omega))  # td_2 = (K^2 + c_2(Omega))/12
-    return c.rank * entry.chi_O + as_int(Fraction(twelve, 12), "chi")
+    weights, D = _todd_weights(entry)
+    # n! ch(E) paired with the weights; basis[0] is the unit monomial
+    num = factorial(n) * c.rank * weights[0]
+    for k, pk in enumerate(_power_sums(chern), 1):
+        num += factorial(n) // factorial(k) * sum(map(operator.mul, pk.coeffs, weights))
+    return as_int(Fraction(num, factorial(n) * D), "chi")
 
 
 def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from fractions import Fraction
 
 import pytest
 
-from instanton_lab import catalog, chow
+from instanton_lab import catalog, rr
+from instanton_lab.cohomology import line_bundle_cohomology
 from instanton_lab.errors import UnknownVarietyError
 
 ENTRIES = [
@@ -91,16 +94,88 @@ def test_canonical_twist_coords():
     assert catalog.canonical_twist_coords(sc, 3) == (0, 1)
 
 
-def test_threefolds_carry_cotangent_c2():
-    """c1(X) c2(X) = 24 chi(O_X) pins c2 of the cotangent sheaf on the 3-folds."""
-    for entry in ENTRIES:
-        if entry.dimension != 3:
-            continue
-        if entry.c2_omega is not None:
-            val = chow.integrate(entry.c2_omega * (-1) * entry.canonical)
-            assert val == 24 * entry.chi_O, entry.variety_id
-        else:
-            assert entry.c2_omega_dot_h == 24
+TANGENT_ENTRIES = (
+    [catalog.projective_space(n) for n in range(1, 7)]
+    + [catalog.quadric(n) for n in range(2, 7)]
+    + [catalog.flag3(), catalog.triple_p1()]
+    + [
+        catalog.scroll_p1(d)
+        for d in [(1, 1), (1, 3), (1, 1, 1), (1, 2, 3), (1, 1, 2, 2), (2, 3, 3, 4), (1, 1, 1, 2, 5),
+                  (1, 2, 2, 3, 3), (1, 1, 1, 1, 1, 1), (1, 2, 3, 4, 5, 6)]
+    ]
+    + [catalog.scroll_generic(n, g, d) for g in (0, 1, 3) for n, d in ((2, 3), (3, 4), (4, 2))]
+    + [catalog.curve(0, 2, "exact_p1"), catalog.curve(1, 3), catalog.curve(2, 3), catalog.curve(5, 1)]
+    + [catalog.prime_fano(g) for g in range(3, 13)]
+)
+
+#: literal (coordinates of K_X, c_2 of the cotangent sheaf as JSON on 3-folds) per entry,
+#: the values the entries declared before c(T_X) replaced them
+TANGENT_REFERENCE = {
+    "projective_space(1)": ((-2,), None),
+    "projective_space(2)": ((-3,), None),
+    "projective_space(3)": ((-4,), [[[2], 6]]),
+    "projective_space(4)": ((-5,), None),
+    "projective_space(5)": ((-6,), None),
+    "projective_space(6)": ((-7,), None),
+    "quadric(2)": ((-2,), None),
+    "quadric(3)": ((-3,), [[[2], 4]]),
+    "quadric(4)": ((-4,), None),
+    "quadric(5)": ((-5,), None),
+    "quadric(6)": ((-6,), None),
+    "flag3": ((-2, -2), [[[1, 1], 6]]),
+    "triple_p1": ((-2, -2, -2), [[[0, 1, 1], 4], [[1, 0, 1], 4], [[1, 1, 0], 4]]),
+    "scroll_p1(1,1)": ((-2, 0), None),
+    "scroll_p1(1,3)": ((-2, 2), None),
+    "scroll_p1(1,1,1)": ((-3, 1), [[[2, 0], 3]]),
+    "scroll_p1(1,2,3)": ((-3, 4), [[[1, 1], -6], [[2, 0], 3]]),
+    "scroll_p1(1,1,2,2)": ((-4, 4), None),
+    "scroll_p1(2,3,3,4)": ((-4, 10), None),
+    "scroll_p1(1,1,1,2,5)": ((-5, 8), None),
+    "scroll_p1(1,2,2,3,3)": ((-5, 9), None),
+    "scroll_p1(1,1,1,1,1,1)": ((-6, 4), None),
+    "scroll_p1(1,2,3,4,5,6)": ((-6, 19), None),
+    "scroll_generic(2;g=0;deg=3)": ((-2, 1), None),
+    "scroll_generic(3;g=0;deg=4)": ((-3, 2), [[[1, 1], -2], [[2, 0], 3]]),
+    "scroll_generic(4;g=0;deg=2)": ((-4, 0), None),
+    "scroll_generic(2;g=1;deg=3)": ((-2, 3), None),
+    "scroll_generic(3;g=1;deg=4)": ((-3, 4), [[[1, 1], -8], [[2, 0], 3]]),
+    "scroll_generic(4;g=1;deg=2)": ((-4, 2), None),
+    "scroll_generic(2;g=3;deg=3)": ((-2, 7), None),
+    "scroll_generic(3;g=3;deg=4)": ((-3, 8), [[[1, 1], -20], [[2, 0], 3]]),
+    "scroll_generic(4;g=3;deg=2)": ((-4, 6), None),
+    "curve(0;deg=2;exact_p1)": ((-2,), None),
+    "curve(1;deg=3;generic)": ((0,), None),
+    "curve(2;deg=3;generic)": ((2,), None),
+    "curve(5;deg=1;generic)": ((8,), None),
+    "prime_fano(3)": ((-1,), [[[2], 6]]),
+    "prime_fano(4)": ((-1,), [[[2], 4]]),
+    "prime_fano(5)": ((-1,), [[[2], 3]]),
+    "prime_fano(6)": ((-1,), [[[2], "12/5"]]),
+    "prime_fano(7)": ((-1,), [[[2], 2]]),
+    "prime_fano(8)": ((-1,), [[[2], "12/7"]]),
+    "prime_fano(9)": ((-1,), [[[2], "3/2"]]),
+    "prime_fano(10)": ((-1,), [[[2], "4/3"]]),
+    "prime_fano(11)": ((-1,), [[[2], "6/5"]]),
+    "prime_fano(12)": ((-1,), [[[2], "12/11"]]),
+}
+
+
+@pytest.mark.parametrize("entry", TANGENT_ENTRIES, ids=lambda e: e.variety_id)
+def test_tangent_class_gives_noether_canonical_and_c2(entry):
+    """One declared c(T_X) per entry: Noether's int td_n = chi(O_X) against the engine
+    (1 - g on generic scrolls, which have no engine at t = 0), K_X = -c_1(T_X), and on
+    3-folds c_2(T_X) = c_2(Omega)."""
+    K, c2 = TANGENT_REFERENCE[entry.variety_id]
+    if entry.kind == "scroll_generic":
+        chi_O = 1 - entry.genus
+    else:
+        chi_O = line_bundle_cohomology(entry, (0,) * entry.picard_rank()).chi()
+    weights, denominator = rr._todd_weights(entry)
+    assert Fraction(weights[0], denominator) == chi_O
+    assert -entry.tangent.part(1) == catalog.line_bundle_class(entry, K) == entry.canonical
+    if entry.dimension == 3:
+        assert entry.tangent.part(2).to_json() == c2
+    assert entry.tangent.coefficient((0,) * entry.picard_rank()) == 1
 
 
 def test_check_coords():
@@ -119,6 +194,11 @@ def test_check_coords():
         catalog.check_coords(fl, [True])
     with pytest.raises(ValueError, match="invalid literal"):
         catalog.check_coords(p3, ("x",))
+    # a number int() would change is refused, not truncated
+    for raw, shown in (((2, 2.7), "2.7"), ((Fraction(5, 2), 0), "Fraction(5, 2)"), ([1.9, 1], "1.9")):
+        with pytest.raises(ValueError, match=rf"^line-bundle coordinate {re.escape(shown)} on flag3 is not an integer$"):
+            catalog.check_coords(fl, raw)
+    assert catalog.check_coords(fl, (2.0, Fraction(4, 2))) == (2, 2)
 
 
 def test_polarization_multiple():
@@ -167,7 +247,7 @@ def test_entries_hash_by_id_and_compare_every_field(entry):
     assert hash(entry) == hash(entry.variety_id)
     twin = dataclasses.replace(entry)
     assert twin is not entry and twin == entry and hash(twin) == hash(entry)
-    for change in ({"kind": "mystery"}, {"chi_O": entry.chi_O + 1}, {"is_acm": not entry.is_acm}):
+    for change in ({"kind": "mystery"}, {"tangent": 2 * entry.tangent}, {"is_acm": not entry.is_acm}):
         other = dataclasses.replace(entry, **change)
         assert hash(other) == hash(entry) and other != entry
         assert len({entry: 0, other: 1}) == 2

@@ -23,7 +23,6 @@ from instanton_lab.cohomology import (
     coh_projective_space,
     coh_quadric,
     coh_scroll_p1,
-    coh_scroll_p1_window,
     line_bundle_cohomology,
     serre_dual_vector,
 )
@@ -240,9 +239,8 @@ def brute_scroll(degrees: tuple[int, ...], t: int, a: int) -> tuple[int, ...]:
 def test_scroll_window_matches_multiset_enumeration(degrees, a, below, above):
     """Every window here spans the Serre side, the vanishing window and t >= 0."""
     n = len(degrees)
-    twists = range(-n - below, above + 1)
-    rows = coh_scroll_p1_window(tuple(degrees), twists, a)
-    assert rows == [brute_scroll(tuple(degrees), t, a) for t in twists]
+    for t in range(-n - below, above + 1):
+        assert coh_scroll_p1(degrees, t, a).dims == brute_scroll(tuple(degrees), t, a), t
 
 
 @given(
@@ -251,15 +249,15 @@ def test_scroll_window_matches_multiset_enumeration(degrees, a, below, above):
     st.lists(st.integers(-10, 6), max_size=6),
 )
 def test_scroll_window_takes_any_twist_list(degrees, a, twists):
-    rows = coh_scroll_p1_window(tuple(degrees), twists, a)
-    assert rows == [brute_scroll(tuple(degrees), t, a) for t in twists]
-    assert [coh_scroll_p1(degrees, t, a).dims for t in twists] == rows
+    for t in twists:
+        assert coh_scroll_p1(degrees, t, a).dims == brute_scroll(tuple(degrees), t, a), t
 
 
 def test_scroll_window_rejects_bad_degrees():
     for degrees in [(2,), (0, 1), (1, -1, 2)]:
-        with pytest.raises(ValueError, match=r"^need >= 2 split degrees, all >= 1$"):
-            coh_scroll_p1_window(degrees, range(-3, 3), 0)
+        for t in range(-3, 3):
+            with pytest.raises(ValueError, match=r"^need >= 2 split degrees, all >= 1$"):
+                coh_scroll_p1(degrees, t, 0)
 
 
 def test_coh_curve_examples():
@@ -407,22 +405,23 @@ def test_build_table_sums_line_bundle_cohomology(entry, bundles, window, theta):
 
 
 @pytest.mark.parametrize("width", [1, 5, 20, 40])
-def test_scroll_table_builds_one_count_table_per_bundle(monkeypatch, width):
-    calls = []
-
-    def counted(degrees, twists, a):
-        calls.append(len(twists))
-        return coh_scroll_p1_window(degrees, twists, a)
-
-    def per_point(*args):
-        raise AssertionError("build_table asked the one-twist scroll engine")
-
-    monkeypatch.setattr(cohomology, "coh_scroll_p1_window", counted)
-    monkeypatch.setattr(cohomology, "coh_scroll_p1", per_point)
+def test_scroll_table_reads_the_entry_memo(monkeypatch, width):
+    """A split-scroll table fills the entry's memo with each twisted summand, and
+    rebuilding it calls no engine."""
     entry = catalog.scroll_p1((1, 2, 2))
     bundles = [((0, 1), 1), ((-1, 0), 2), ((2, -3), 1)]
-    build_table(entry, bundles, (-3 - width, width))
-    assert calls == [2 * width + 4] * len(bundles)
+    window = (-3 - width, width)
+    monkeypatch.setitem(cohomology._ROWS, entry, cohomology._LineBundleRows(entry))
+    table = build_table(entry, bundles, window)
+    twisted = {(t0 + t, a) for (t0, a), _ in bundles for t in range(window[0], window[1] + 1)}
+    assert set(cohomology._rows(entry)) == twisted
+
+    def engine(*args):
+        raise AssertionError("a warm table asked an engine")
+
+    monkeypatch.setitem(cohomology.ENGINES, "scroll_p1", engine)
+    monkeypatch.setattr(cohomology, "coh_scroll_p1", engine)
+    assert build_table(entry, bundles, window) == table
 
 
 @pytest.mark.parametrize(

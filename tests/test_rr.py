@@ -372,8 +372,8 @@ def test_rational_chern_data_round_trips_through_json():
     assert rr.chi_twisted(pf, again, -1) == 0
     assert chow.ChowClass.from_json(pf.variety_id, [[[2], "-3/06"]]) == Fraction(-1, 2) * H * H
     # an integral Fraction coefficient is written as a JSON int
-    assert catalog.prime_fano(3).c2_omega.to_json() == [[[2], 6]]
-    assert type(catalog.prime_fano(3).c2_omega.to_json()[0][1]) is int
+    assert catalog.prime_fano(3).tangent.part(2).to_json() == [[[2], 6]]
+    assert type(catalog.prime_fano(3).tangent.part(2).to_json()[0][1]) is int
 
 
 @pytest.mark.parametrize(

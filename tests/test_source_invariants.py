@@ -47,6 +47,28 @@ def test_only_cohomology_reaches_the_engine_table():
     )
 
 
+def test_only_the_engine_table_calls_an_engine():
+    """Inside ``cohomology.py`` only the ``ENGINES`` lambdas call a ``coh_*`` engine, so
+    every line bundle, a table's summands included, goes through the per-entry memo."""
+    (path,) = [p for p in SOURCES if p.name == "cohomology.py"]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (table,) = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ENGINES"]
+    ]
+    in_lambdas = {
+        id(node) for value in table.args[0].values if isinstance(value, ast.Lambda) for node in ast.walk(value)
+    }
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "").lstrip("_").startswith("coh_")
+    ]
+    assert calls
+    assert [node.lineno for node in calls if id(node) not in in_lambdas] == []
+
+
 def test_only_the_input_boundaries_check_coordinates():
     """Coordinates are checked where they enter the package: ``catalog``,
     ``cohomology`` and ``cli`` call ``check_coords``, and no other module does,
