@@ -14,7 +14,7 @@ from instanton_lab import (
     scroll_construction_report,
     surface_quantum_formulas,
 )
-from instanton_lab.classify import prime_fano_chi_check
+from instanton_lab.replays import prime_fano_chi_check
 
 for degrees in ((1, 1, 1), (1, 1, 2)):
     print(f"scroll with split degrees {degrees}:")

@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from instanton_lab import segre_stable_example
-from instanton_lab.classify import discrepancy_probes
+from instanton_lab.replays import discrepancy_probes
 
 probes = discrepancy_probes()
 

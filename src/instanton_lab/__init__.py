@@ -6,9 +6,11 @@ Modules:
 * :mod:`instanton_lab.catalog` -- the polarized-variety catalog;
 * :mod:`instanton_lab.cohomology` -- exact line-bundle cohomology engines and tables;
 * :mod:`instanton_lab.rr` -- Riemann-Roch, slopes, Chern-class arithmetic;
-* :mod:`instanton_lab.instanton` -- the instanton condition checker and table transforms;
+* :mod:`instanton_lab.instanton` -- the instanton condition checker;
 * :mod:`instanton_lab.monads` -- monad shapes and multiplicity formulas;
-* :mod:`instanton_lab.classify` -- brute-force classification, stability and examples;
+* :mod:`instanton_lab.classify` -- brute-force line-bundle classification scans;
+* :mod:`instanton_lab.replays` -- the paper's other replays: table transforms,
+  stability and decision procedures, constructions and worked examples;
 * :mod:`instanton_lab.cli` -- the ``instanton-lab`` command-line front-end.
 
 The names in ``__all__`` are re-exported lazily (PEP 562): ``import
@@ -35,19 +37,19 @@ _EXPORTS = {
             "line_bundle_cohomology", "serre_dual_vector"),
         "errors": ("InfeasibleError", "InstantonLabError", "MalformedDataError",
             "UnknownVarietyError", "UnsupportedBundleError", "VarietyMismatchError", "WindowError"),
-        "instanton": ("BettiShape", "InstantonVerdict", "betti_shape_check", "check_instanton",
-            "chi_polynomial", "direct_sum", "horrocks_gate", "natural_cohomology_window",
-            "pushforward_model", "rank_from_chi", "regularity_report", "restriction_transform",
-            "ulrich_dual_table", "veronese_quantum"),
+        "instanton": ("InstantonVerdict", "check_instanton", "natural_cohomology_window"),
         "monads": ("MonadShape", "monad_acm", "monad_p1p3", "monad_pn",
             "monad_quadric_nonordinary", "monad_quadric_ordinary", "monad_scroll3",
             "monad_space_nonordinary", "serre_construction_chern"),
         "rr": ("ChernData", "chern_poly_instanton_pn", "chi", "chi_twisted", "cyclic_c1",
             "normalization_twist", "quantum_chern_identity", "slope", "slope_condition"),
-        "classify": ("ClassificationReport", "classify_cyclic_lines", "classify_flag_lines",
-            "classify_segre_lines", "curve_quantum", "cyclic_rank2_stability_cases",
-            "discrepancy_probes", "fano_instanton_bridge", "hoppe_rank2", "prime_fano_family",
-            "scroll_construction_report", "segre_stable_example", "surface_quantum_formulas"),
+        "classify": ("ClassificationReport", "classify_flag_lines", "classify_segre_lines"),
+        "replays": ("BettiShape", "betti_shape_check", "chi_polynomial", "classify_cyclic_lines",
+            "curve_quantum", "cyclic_rank2_stability_cases", "direct_sum", "discrepancy_probes",
+            "fano_instanton_bridge", "hoppe_rank2", "horrocks_gate", "prime_fano_family",
+            "pushforward_model", "rank_from_chi", "regularity_report", "restriction_transform",
+            "scroll_construction_report", "segre_stable_example", "surface_quantum_formulas",
+            "ulrich_dual_table", "veronese_quantum"),
     }.items()
     for name in names
 }

@@ -3,10 +3,10 @@
 Subcommands: cohom, check, chi, monad {pn|acm|quadric|space1|quadric1|scroll3|p1p3},
 classify {flag|segre|cyclic}, stability, scroll, fano, resolution-check,
 veronese.  Output is exact (integers, or rationals rendered ``p/q``) in
-markdown-ish text, or JSON with ``--json``.  Each leaf declares only the
-options its handler reads, when a parse reaches it, and names the handler
-with ``set_defaults``; argparse does the dispatch and rejects any other
-option: ``--json`` goes after the leaf, ``--window`` belongs to cohom, check
+markdown-ish text, or JSON with ``--json``.  Each group declares its leaves,
+and each leaf only the options its handler reads, when a parse reaches it;
+a leaf names its handler with ``set_defaults``.  argparse does the dispatch
+and rejects any other option: ``--json`` goes after the leaf, ``--window`` belongs to cohom, check
 and chi, ``--box`` to classify flag and segre.  Exit codes: 0 success / verdict-positive,
 1 verdict-negative or classification mismatch, 2 input or window errors
 (missing, conflicting or unrecognized options included), 3 an internal error,
@@ -23,8 +23,8 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 # Only the modules every leaf runs are imported here; each handler imports
-# instanton, monads or classify where it calls them, so a call compiles no
-# module its subcommand does not run.
+# instanton, monads, classify or replays where it calls them, so a call
+# compiles no module its subcommand does not run.
 from . import catalog, rr
 from .cohomology import CohomologyTable, build_table
 from .errors import InstantonLabError, WindowError
@@ -262,9 +262,9 @@ def cmd_classify_segre(args) -> int:
 
 
 def cmd_classify_cyclic(args) -> int:
-    from . import classify
+    from . import replays
 
-    decision = classify.classify_cyclic_lines(args.n, args.u, args.v, args.defect)
+    decision = replays.classify_cyclic_lines(args.n, args.u, args.v, args.defect)
     payload = {"assertion": decision.assertion, "witness": decision.witness, "steps": list(decision.steps)}
     text = [f"assertion: {decision.assertion}   witness: " + (
         f"O({decision.witness}H)" if decision.witness is not None else "none")]
@@ -274,9 +274,9 @@ def cmd_classify_cyclic(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    from . import classify
+    from . import replays
 
-    report = classify.cyclic_rank2_stability_cases(args.n, args.u, args.v, args.defect)
+    report = replays.cyclic_rank2_stability_cases(args.n, args.u, args.v, args.defect)
     lines = [
         f"c1 = {report.eps} H, normalization twist {report.t_norm}",
         f"mu-semistable guaranteed: {report.semistable_guaranteed}"
@@ -286,14 +286,14 @@ def cmd_stability(args) -> int:
     ]
     payload = report.to_json()
     if args.h0_norm is not None:
-        verdict = classify.hoppe_rank2_from_eps(report.eps, args.h0_norm, args.h0_norm_minus)
+        verdict = replays.hoppe_rank2_from_eps(report.eps, args.h0_norm, args.h0_norm_minus)
         lines.append(f"section criterion: {verdict.status} ({verdict.rule})")
         payload["section_criterion"] = verdict.to_json()
     return _emit(args, payload, "\n".join(lines))
 
 
 def cmd_scroll(args) -> int:
-    from . import classify
+    from . import replays
 
     if args.degrees is not None and (args.n, args.genus, args.deg) == (None, None, None):
         scroll: object = _int_tuple(args.degrees)
@@ -301,7 +301,7 @@ def cmd_scroll(args) -> int:
         scroll = catalog.scroll_generic(args.n, args.genus or 0, args.deg)
     else:
         raise InstantonLabError("scroll needs --degrees, or --n and --deg (and optionally --genus)")
-    report = classify.scroll_construction_report(scroll, args.k)
+    report = replays.scroll_construction_report(scroll, args.k)
     text = [
         f"scroll {report.variety_id}: k = {report.k}",
         f"quantum number (chi-additivity): {report.quantum}"
@@ -316,9 +316,9 @@ def cmd_scroll(args) -> int:
 
 
 def cmd_fano(args) -> int:
-    from . import classify
+    from . import replays
 
-    report = classify.fano_instanton_bridge(args.index, args.defect, args.epsilon)
+    report = replays.fano_instanton_bridge(args.index, args.defect, args.epsilon)
     text = [
         f"q_X^eps = {report.q_eps}, normalization twist {report.t_norm}",
         f"forward (instanton -> classical): case {report.forward_case}"
@@ -330,7 +330,7 @@ def cmd_fano(args) -> int:
 
 
 def cmd_resolution_check(args) -> int:
-    from .instanton import BettiShape, betti_shape_check, chi_polynomial
+    from .replays import BettiShape, betti_shape_check, chi_polynomial
 
     beta: dict[tuple[int, int], int] = {}
     for chunk in filter(None, args.beta.split(";")):
@@ -346,9 +346,9 @@ def cmd_resolution_check(args) -> int:
 
 
 def cmd_veronese(args) -> int:
-    from . import instanton
+    from . import replays
 
-    q = instanton.veronese_quantum(args.n, args.rank, args.d, args.hn)
+    q = replays.veronese_quantum(args.n, args.rank, args.d, args.hn)
     payload = {"quantum": render_rational(q), "integral": q.denominator == 1}
     return _emit(args, payload, f"quantum number: {render_rational(q)}"
                  + ("" if q.denominator == 1 else "  (non-integral: infeasible)"))
@@ -359,7 +359,7 @@ _Options = Callable[[argparse.ArgumentParser], object]
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that declares its options, ``options(self)``, on its first parse."""
+    """A parser that declares its options (a group: its leaves), ``options(self)``, on its first parse."""
 
     options: _Options | None = None
 
@@ -400,8 +400,9 @@ def _rank_or_chi0(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, every subcommand registered by name and help string.
 
-    Each leaf declares ``--json`` and then its own options only when a parse
-    reaches it, so a call builds the one leaf its argv names.
+    Each leaf declares ``--json`` and then its own options, and each group
+    (``monad``, ``classify``) its leaves, only when a parse reaches it, so a
+    call builds the parsers on the one path its argv names.
     """
 
     def leaf(group, name: str, func, *options: _Options, help: str | None = None) -> None:
@@ -412,6 +413,32 @@ def build_parser() -> argparse.ArgumentParser:
                 option(p)
 
         group.add_parser(name, help=help).options = declare
+
+    def monad_leaves(p: argparse.ArgumentParser) -> None:
+        msub = p.add_subparsers(dest="monad_kind", required=True)
+        leaf(msub, "pn", cmd_monad_pn, _ints("--n", "--quantum"), _defect(required=True), _rank_or_chi0,
+             _arg("--h0", type=int, help="h^0(E), non-ordinary only"),
+             _arg("--hn", type=int, help="h^n(E(-n)), non-ordinary only"))
+        leaf(msub, "acm", cmd_monad_acm, _arg("--variety", required=True), _defect(required=True),
+             _ints("--quantum"), _arg("--h1", type=int, default=0, help="h^1(E), defect 1 only"),
+             _arg("--hn1", type=int, default=0, help="h^(n-1)(E(-n h)), defect 1 only"))
+        n_rank_quantum = _ints("--n", "--rank", "--quantum")
+        leaf(msub, "quadric", cmd_monad_quadric, n_rank_quantum)
+        leaf(msub, "space1", cmd_monad_space1, n_rank_quantum, _ints("--a", "--c", default=0))
+        leaf(msub, "quadric1", cmd_monad_quadric1, n_rank_quantum, _ints("--a", "--c", "--b", default=0))
+        leaf(msub, "scroll3", cmd_monad_scroll3, _ints("--deg", "--rank", "--quantum"),
+             _arg("--inputs", required=True, help="comma list x1,x2,x3"))
+        leaf(msub, "p1p3", cmd_monad_p1p3, _ints("--rank", "--quantum"),
+             _arg("--inputs", required=True, help="comma list x1,x2,x3,x4"))
+
+    n_v_u = (_ints("--n", "--v"), _ints("--u", default=1))
+
+    def classify_leaves(p: argparse.ArgumentParser) -> None:
+        csub = p.add_subparsers(dest="target", required=True)
+        box = _arg("--box", type=int, default=None, help="enumeration box half-width")
+        for name, func in (("flag", cmd_classify_flag), ("segre", cmd_classify_segre)):
+            leaf(csub, name, func, box, _defect(default=0))
+        leaf(csub, "cyclic", cmd_classify_cyclic, _defect(default=0), *n_v_u)
 
     parser = _Parser(
         prog="instanton-lab",
@@ -424,31 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
          help="run the instanton condition list")
     twist = _arg("--twist", type=int, default=0)
     leaf(sub, "chi", cmd_chi, *_bundle_options(), twist, help="exact Euler characteristic")
-
-    msub = sub.add_parser("monad", help="synthesize monad shapes")
-    msub = msub.add_subparsers(dest="monad_kind", required=True)
-    leaf(msub, "pn", cmd_monad_pn, _ints("--n", "--quantum"), _defect(required=True), _rank_or_chi0,
-         _arg("--h0", type=int, help="h^0(E), non-ordinary only"),
-         _arg("--hn", type=int, help="h^n(E(-n)), non-ordinary only"))
-    leaf(msub, "acm", cmd_monad_acm, _arg("--variety", required=True), _defect(required=True),
-         _ints("--quantum"), _arg("--h1", type=int, default=0, help="h^1(E), defect 1 only"),
-         _arg("--hn1", type=int, default=0, help="h^(n-1)(E(-n h)), defect 1 only"))
-    n_rank_quantum = _ints("--n", "--rank", "--quantum")
-    leaf(msub, "quadric", cmd_monad_quadric, n_rank_quantum)
-    leaf(msub, "space1", cmd_monad_space1, n_rank_quantum, _ints("--a", "--c", default=0))
-    leaf(msub, "quadric1", cmd_monad_quadric1, n_rank_quantum, _ints("--a", "--c", "--b", default=0))
-    leaf(msub, "scroll3", cmd_monad_scroll3, _ints("--deg", "--rank", "--quantum"),
-         _arg("--inputs", required=True, help="comma list x1,x2,x3"))
-    leaf(msub, "p1p3", cmd_monad_p1p3, _ints("--rank", "--quantum"),
-         _arg("--inputs", required=True, help="comma list x1,x2,x3,x4"))
-
-    csub = sub.add_parser("classify", help="brute-force classification runs")
-    csub = csub.add_subparsers(dest="target", required=True)
-    box = _arg("--box", type=int, default=None, help="enumeration box half-width")
-    for name, func in (("flag", cmd_classify_flag), ("segre", cmd_classify_segre)):
-        leaf(csub, name, func, box, _defect(default=0))
-    n_v_u = (_ints("--n", "--v"), _ints("--u", default=1))
-    leaf(csub, "cyclic", cmd_classify_cyclic, _defect(default=0), *n_v_u)
+    sub.add_parser("monad", help="synthesize monad shapes").options = monad_leaves
+    sub.add_parser("classify", help="brute-force classification runs").options = classify_leaves
 
     leaf(sub, "stability", cmd_stability, *n_v_u, _defect(required=True),
          _arg("--h0-norm", dest="h0_norm", type=int), _arg("--h0-norm-minus", dest="h0_norm_minus", type=int),

@@ -189,6 +189,30 @@ def coh_flag3(a1: int, a2: int) -> CohVector:
     return bott_gl((a1 + a2, a2, 0), 3)
 
 
+#: split degrees -> ``count[k][s]``, the size-k multisets of those degrees with
+#: degree sum s, for every k up to the largest size counted so far
+_COUNTS: dict[tuple[int, ...], list[list[int]]] = {}
+
+
+def _multiset_counts(degrees: tuple[int, ...], size: int) -> list[int]:
+    """The size-``size`` multisets of the split degrees, counted by degree sum.
+
+    One table per degree tuple is kept for the process.  A size it does not
+    reach rebuilds it at least twice as tall, with one pass per split degree,
+    so a window of twists counts a few times at most, not once per twist.
+    """
+    count = _COUNTS.get(degrees)
+    if count is None or size >= len(count):
+        sizes = max(size, 2 * len(count) if count else 0)
+        top = sizes * max(degrees)
+        count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(sizes)]
+        for x in degrees:
+            for k in range(1, sizes + 1):
+                count[k] = list(map(operator.add, count[k], [0] * x + count[k - 1][: top + 1 - x]))
+        _COUNTS[degrees] = count
+    return count[size]
+
+
 def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
     """Cohomology of ``O(t h + a f)`` on the scroll P(O(a_0)+...+O(a_{n-1})) over P^1.
 
@@ -203,16 +227,9 @@ def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
     if 1 - n <= t <= -1:
         return zero_vector(n)
     size, b = (t, a) if t >= 0 else (-n - t, sum(degrees) - 2 - a)
-    # count[k][s]: size-k multisets of the split degrees with degree sum s,
-    # built with one pass per split degree
-    top = size * max(degrees)
-    count = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(size)]
-    for x in degrees:
-        for k in range(1, size + 1):
-            count[k] = list(map(operator.add, count[k], [0] * x + count[k - 1][: top + 1 - x]))
     # sum h^0 and h^1 of O(b + s) on P^1 over the degree sums s
     h0 = h1 = 0
-    for s, mult in enumerate(count[size]):
+    for s, mult in enumerate(_multiset_counts(tuple(degrees), size)):
         if mult:
             deg = b + s
             if deg >= 0:

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from instanton_lab import catalog, classify, instanton, monads, rr
+from instanton_lab import catalog, classify, instanton, monads, replays, rr
 from instanton_lab.cohomology import build_table, line_bundle_cohomology, serre_dual_vector
-from instanton_lab.instanton import (
-    check_instanton,
+from instanton_lab.instanton import check_instanton
+from instanton_lab.replays import (
     chi_polynomial,
     direct_sum,
     pushforward_model,
@@ -81,20 +81,20 @@ def _cyclic_pattern(n: int, u: int, v: int, defect: int) -> int | None:
 
 def test_criterion_3_cyclic_decision():
     with criterion(3, "cyclic line decision: three witness assertions, none elsewhere, cross-validated"):
-        assert classify.classify_cyclic_lines(3, 1, -4, 0).assertion == 1
-        assert classify.classify_cyclic_lines(3, 2, -4, 1).assertion == 2
-        assert classify.classify_cyclic_lines(3, 1, -3, 1).assertion == 3
+        assert replays.classify_cyclic_lines(3, 1, -4, 0).assertion == 1
+        assert replays.classify_cyclic_lines(3, 2, -4, 1).assertion == 2
+        assert replays.classify_cyclic_lines(3, 1, -3, 1).assertion == 3
         for n in range(2, 7):
             for u in range(1, 5):
                 for v in range(-n - 1, 1):
                     for defect in (0, 1):
-                        decision = classify.classify_cyclic_lines(n, u, v, defect)
+                        decision = replays.classify_cyclic_lines(n, u, v, defect)
                         assert decision.assertion == _cyclic_pattern(n, u, v, defect), (n, u, v, defect)
         # cross-validation on the engines for n <= 4
         for n in (2, 3, 4):
             for u in (1, 2, 3, 4):
                 for defect in (0, 1):
-                    decision = classify.classify_cyclic_lines(n, u, -n - 1, defect)
+                    decision = replays.classify_cyclic_lines(n, u, -n - 1, defect)
                     hits = []
                     entry = catalog.projective_space(n, u=u)
                     for w in range(-12, 13):
@@ -105,7 +105,7 @@ def test_criterion_3_cyclic_decision():
         for n in (3, 4):
             for u in (1, 2):
                 for defect in (0, 1):
-                    decision = classify.classify_cyclic_lines(n, u, -n, defect)
+                    decision = replays.classify_cyclic_lines(n, u, -n, defect)
                     hits = []
                     entry = catalog.quadric(n, u=u)
                     for w in range(-12, 13):
@@ -213,7 +213,7 @@ def test_criterion_8_scroll_construction():
         for degrees in ((1, 1, 1), (1, 1, 2)):
             d = sum(degrees)
             for k in range(0, 6):
-                rep = classify.scroll_construction_report(degrees, k)
+                rep = replays.scroll_construction_report(degrees, k)
                 assert rep.quantum == k
                 assert rep.exact
                 assert rep.decomposable == (k == 0)
@@ -222,8 +222,8 @@ def test_criterion_8_scroll_construction():
         # the prime Fano family invariants satisfy chi(E(-h)) = -k
         for g in (3, 4, 5, 6, 7):
             for k in range(0, 6):
-                assert classify.prime_fano_chi_check(g, k)
-                rep = classify.prime_fano_family(g, k)
+                assert replays.prime_fano_chi_check(g, k)
+                rep = replays.prime_fano_family(g, k)
                 assert rep.h1_end == 4 + g + 2 * k
                 assert rep.c2_dot_h == 5 * g - 1 + k
 
@@ -291,14 +291,14 @@ def test_criterion_10_duality_transform_suite():
 
 def test_criterion_11_discrepancy_probes():
     with criterion(11, "discrepancy probes recorded to reports/discrepancy_probes.json"):
-        probes = classify.discrepancy_probes()
+        probes = replays.discrepancy_probes()
         REPORT_DIR.mkdir(exist_ok=True)
         out = REPORT_DIR / "discrepancy_probes.json"
         out.write_text(json.dumps(probes, indent=2, sort_keys=True))
         # only the oracle's internal consistency is asserted: the quantum
         # number is h^1(E(-h)) pinned by -chi with h^0 = h^2 = h^3 = 0
         for s in range(0, 5):
-            rep = classify.segre_stable_example(s)
+            rep = replays.segre_stable_example(s)
             assert rep.internally_consistent
             assert rep.h_vector_at_minus_1[0] == 0
             assert rep.h_vector_at_minus_1[2] == 0

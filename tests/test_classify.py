@@ -7,11 +7,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from instanton_lab import catalog, classify, cohomology, instanton
-from instanton_lab.classify import (
+from instanton_lab import catalog, classify, cohomology, instanton, replays
+from instanton_lab.classify import classify_flag_lines, classify_segre_lines
+from instanton_lab.replays import (
     classify_cyclic_lines,
-    classify_flag_lines,
-    classify_segre_lines,
     curve_quantum,
     cyclic_rank2_stability_cases,
     fano_instanton_bridge,
@@ -522,7 +521,7 @@ def test_segre_stable_example():
 
 
 def test_discrepancy_probes_structure():
-    probes = classify.discrepancy_probes()
+    probes = replays.discrepancy_probes()
     assert probes["flag_boundary_defect0"] == [
         {"coordinates": [0, 2], "defect": 0, "quantum": 0}
     ]

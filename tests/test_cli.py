@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -493,6 +494,19 @@ def _leaves(parser, path=(), options=()):
         for name, child in sub.choices.items()
         for leaf in _leaves(child, path + (name,), options)
     ]
+
+
+#: argv -> stdout, stderr and exit code of the top-level and group help and
+#: usage errors, rendered 80 columns wide
+GROUP_HELP = json.loads((Path(__file__).resolve().parent / "cli_group_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", GROUP_HELP)
+def test_group_help_and_usage_errors_are_golden(capsys, monkeypatch, argv):
+    """A group declares its leaves on its first parse, so its help and its errors list them."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv.split())
+    assert {"exit": code, "stdout": out, "stderr": err} == GROUP_HELP[argv]
 
 
 def test_parser_declares_each_option_once_where_it_is_read():

@@ -253,6 +253,34 @@ def test_scroll_window_takes_any_twist_list(degrees, a, twists):
         assert coh_scroll_p1(degrees, t, a).dims == brute_scroll(tuple(degrees), t, a), t
 
 
+class _CountingDict(dict):
+    """A dict that counts its stores."""
+
+    stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("window, passes", [((-40, 26), 1), ((0, 26), 5)])
+def test_cold_scroll_window_shares_one_multiset_count(monkeypatch, window, passes):
+    """A cold table on a wide scroll window counts multisets a few times, not once per twist.
+
+    The table reads its twists from tmin up.  From -40 the first read is the
+    largest size (the Serre side's 34), so one count serves all 67 twists;
+    from 0 up the sizes grow one by one and the count table doubles in height,
+    so 27 twists take 5 counts.
+    """
+    counts = _CountingDict()
+    monkeypatch.setattr(cohomology, "_COUNTS", counts)
+    monkeypatch.setattr(cohomology, "_ROWS", {})
+    entry = catalog.scroll_p1((1, 2, 3, 4, 5, 6))
+    table = build_table(entry, (0, 0), window, with_chern=False)
+    assert counts.stores == passes
+    assert [table.row(t).chi() for t in table.twists()] == [chi_scroll_line(entry, t, 0) for t in table.twists()]
+
+
 def test_scroll_window_rejects_bad_degrees():
     for degrees in [(2,), (0, 1), (1, -1, 2)]:
         for t in range(-3, 3):

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from instanton_lab import catalog, instanton, rr
 from instanton_lab.cohomology import CohomologyTable, CohVector, build_table
 from instanton_lab.errors import InfeasibleError, WindowError
-from instanton_lab.instanton import (
+from instanton_lab.instanton import check_instanton, natural_cohomology_window
+from instanton_lab.replays import (
     BettiShape,
     betti_shape_check,
-    check_instanton,
     chi_polynomial,
     direct_sum,
     horrocks_gate,
-    natural_cohomology_window,
     pushforward_model,
     rank_from_chi,
     regularity_report,

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from instanton_lab import catalog, chow, rr
-from instanton_lab.classify import prime_fano_family
 from instanton_lab.cohomology import build_table, coh_projective_space
 from instanton_lab.errors import InfeasibleError, MalformedDataError, VarietyMismatchError
+from instanton_lab.replays import prime_fano_family
 from instanton_lab.rr import ChernData
 from instanton_lab.util import binom
 
