@@ -21,31 +21,54 @@ coefficients of h and K_X; nothing per variety kind is tabulated twice.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from . import chow
 from .chow import ChowClass, ChowRingPresentation
 from .errors import UnknownVarietyError, UnsupportedBundleError
+from .util import FrozenValue
 
 
-@dataclass(frozen=True)
-class VarietyCatalogEntry:
-    variety_id: str
-    kind: str
-    dimension: int
-    ring: ChowRingPresentation = field(repr=False)
-    polarization: ChowClass
-    #: total Chern class c(T_X) (a rational c_2 on prime Fano entries)
-    tangent: ChowClass
-    is_acm: bool = False
-    #: polarization multiple of the ample generator on cyclic entries
-    u: int = 1
-    degrees: tuple[int, ...] | None = None
-    genus: int | None = None
-    deg_g: int | None = None
-    curve_model: str | None = None
-    deg_h: int | None = None
+class VarietyCatalogEntry(FrozenValue):
+    """One polarized catalog variety; ``tangent`` is the total Chern class c(T_X)
+    (a rational c_2 on prime Fano entries) and ``u`` the polarization multiple of
+    the ample generator on cyclic entries.  The repr leaves out the ring."""
+
+    _fields = ("variety_id", "kind", "dimension", "ring", "polarization", "tangent", "is_acm", "u",
+               "degrees", "genus", "deg_g", "curve_model", "deg_h")
+    _unshown = ("ring",)
+
+    def __init__(
+        self,
+        variety_id: str,
+        kind: str,
+        dimension: int,
+        ring: ChowRingPresentation,
+        polarization: ChowClass,
+        tangent: ChowClass,
+        is_acm: bool = False,
+        u: int = 1,
+        degrees: tuple[int, ...] | None = None,
+        genus: int | None = None,
+        deg_g: int | None = None,
+        curve_model: str | None = None,
+        deg_h: int | None = None,
+    ):
+        object.__setattr__(self, "variety_id", variety_id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "polarization", polarization)
+        object.__setattr__(self, "tangent", tangent)
+        object.__setattr__(self, "is_acm", is_acm)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "deg_g", deg_g)
+        object.__setattr__(self, "curve_model", curve_model)
+        object.__setattr__(self, "deg_h", deg_h)
+        if self.hn() <= 0:
+            raise ValueError(f"polarization of {self.variety_id} is not numerically ample")
 
     def __hash__(self) -> int:  # the id's hash, cached by str; equality still reads every field
         return hash(self.variety_id)
@@ -85,10 +108,6 @@ class VarietyCatalogEntry:
     @cached_property
     def _h_coords(self) -> tuple[int, ...]:
         return self._degree_one_coords(self.polarization)
-
-    def __post_init__(self) -> None:
-        if self.hn() <= 0:
-            raise ValueError(f"polarization of {self.variety_id} is not numerically ample")
 
 
 def projective_space(n: int, u: int = 1) -> VarietyCatalogEntry:

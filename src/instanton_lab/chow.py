@@ -32,11 +32,11 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import MalformedDataError, UnknownVarietyError, VarietyMismatchError
+from .util import FrozenValue
 
 #: Exponent vector over a presentation's generators.
 Monomial = tuple[int, ...]
@@ -44,16 +44,18 @@ Monomial = tuple[int, ...]
 Terms = tuple[tuple[Monomial, int], ...]
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(FrozenValue):
     """A monomial rewrite rule ``lhs -> sum(coeff * monomial)``.
 
     Both sides are homogeneous of the same degree; the right-hand side is a
     normal-form combination.
     """
 
-    lhs: Monomial
-    rhs: Terms
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Monomial, rhs: Terms):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def divides(self, mono: Monomial) -> bool:
         return all(l <= e for l, e in zip(self.lhs, mono))
@@ -67,20 +69,31 @@ class RewriteRule:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class ChowRingPresentation:
+class ChowRingPresentation(FrozenValue):
     """Presentation of the (numerical) Chow ring of one catalog variety.
 
     Presentations compare by identity: the registry keeps one per ring id.
     The basis, the multiplication table and the degree vector are computed
-    once, on first use.
+    once, on first use, and kept in the instance ``__dict__``.
     """
 
-    variety_id: str
-    generators: tuple[str, ...]
-    relations: tuple[RewriteRule, ...]
-    top_degree: int
-    degree_map: Terms
+    _fields = ("variety_id", "generators", "relations", "top_degree", "degree_map")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        variety_id: str,
+        generators: tuple[str, ...],
+        relations: tuple[RewriteRule, ...],
+        top_degree: int,
+        degree_map: Terms,
+    ):
+        object.__setattr__(self, "variety_id", variety_id)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "top_degree", top_degree)
+        object.__setattr__(self, "degree_map", degree_map)
 
     @cached_property
     def basis(self) -> tuple[Monomial, ...]:
@@ -226,8 +239,7 @@ def all_normal_forms(ring: ChowRingPresentation, mono: Monomial) -> set[Terms]:
     return results
 
 
-@dataclass(frozen=True, slots=True)
-class ChowClass:
+class ChowClass(FrozenValue):
     """Exact combination of normal-form monomials, graded by degree.
 
     ``coeffs[k]`` is the coefficient of ``ring.basis[k]``: an int, or a
@@ -235,8 +247,11 @@ class ChowClass:
     Fano 3-fold (:func:`integrate` then returns a Fraction).
     """
 
-    ring: ChowRingPresentation
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("ring", "coeffs")
+
+    def __init__(self, ring: ChowRingPresentation, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def variety_id(self) -> str:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import rr
 from .catalog import (
@@ -44,18 +43,18 @@ from .catalog import (
 )
 from .errors import MalformedDataError, UnsupportedBundleError, WindowError
 from .rr import ChernData
-from .util import binom
+from .util import FrozenValue, binom
 
 
-@dataclass(frozen=True)
-class CohVector:
+class CohVector(FrozenValue):
     """The tuple ``(h^0, ..., h^n)`` of one twist; entries are nonnegative."""
 
-    dims: tuple[int, ...]
+    __slots__ = _fields = ("dims",)
 
-    def __post_init__(self) -> None:
-        if self.dims and min(self.dims) < 0:
-            raise ValueError(f"negative cohomology dimension in {self.dims}")
+    def __init__(self, dims: tuple[int, ...]):
+        if dims and min(dims) < 0:
+            raise ValueError(f"negative cohomology dimension in {dims}")
+        object.__setattr__(self, "dims", dims)
 
     def __getitem__(self, i: int) -> int:
         return self.dims[i]
@@ -372,27 +371,37 @@ def chi_scroll_line(entry: VarietyCatalogEntry, t: int, a: int) -> int:
 Bundles = list[tuple[tuple[int, ...], int]]
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(FrozenValue):
     """Cohomology vectors of one sheaf over an inclusive twist window."""
 
-    variety_id: str
-    dimension: int
-    rank: int
-    tmin: int
-    tmax: int
-    rows: tuple[CohVector, ...]
-    chern: ChernData | None = None
-    assumptions: tuple[str, ...] = ()
+    __slots__ = _fields = ("variety_id", "dimension", "rank", "tmin", "tmax", "rows", "chern", "assumptions")
 
-    def __post_init__(self) -> None:
-        if self.tmin > self.tmax:
+    def __init__(
+        self,
+        variety_id: str,
+        dimension: int,
+        rank: int,
+        tmin: int,
+        tmax: int,
+        rows: tuple[CohVector, ...],
+        chern: ChernData | None = None,
+        assumptions: tuple[str, ...] = (),
+    ):
+        if tmin > tmax:
             raise ValueError("empty window")
-        if len(self.rows) != self.tmax - self.tmin + 1:
+        if len(rows) != tmax - tmin + 1:
             raise ValueError("row count does not match the window")
-        for row in self.rows:
-            if len(row) != self.dimension + 1:
+        for row in rows:
+            if len(row) != dimension + 1:
                 raise ValueError("row length does not match the dimension")
+        object.__setattr__(self, "variety_id", variety_id)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "tmin", tmin)
+        object.__setattr__(self, "tmax", tmax)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "chern", chern)
+        object.__setattr__(self, "assumptions", assumptions)
 
     def covers(self, a: int, b: int) -> bool:
         return self.tmin <= a and b <= self.tmax

@@ -3,6 +3,12 @@
 Everything here is exact: Euler characteristics are integers computed with
 :class:`fractions.Fraction` intermediates, slopes are exact rationals, and
 the bracket ``[x]`` appearing in normalization twists is the floor.
+``Fraction`` is imported inside the functions that build rationals (the
+Bernoulli numbers, the Todd weights, :func:`slope` and
+:func:`quantum_chern_identity`; :func:`chi` only to report a value that is
+not an integer), not at module level, so a call that builds no rational,
+such as the ``cohom`` and ``check`` commands, never loads :mod:`fractions`
+and :mod:`decimal`.
 
 Every Riemann-Roch Euler characteristic comes from one formula,
 ``chi(E) = int ch(E) td(T_X)`` in the entry's Chow ring (:func:`chi`).  The
@@ -17,41 +23,43 @@ cohomology engines instead.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm
+from typing import TYPE_CHECKING
 
 from . import chow
 from .catalog import VarietyCatalogEntry
 from .chow import ChowClass
 from .errors import InfeasibleError, VarietyMismatchError
-from .util import as_int, binom, floor_frac
+from .util import FrozenValue, binom
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(FrozenValue):
     """Rank and Chern classes of a sheaf on one catalog variety.
 
     ``c2`` may be omitted on curves and ``c3`` below 3-folds.
     """
 
-    rank: int
-    c1: ChowClass
-    c2: ChowClass | None = None
-    c3: ChowClass | None = None
+    __slots__ = _fields = ("rank", "c1", "c2", "c3")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, rank: int, c1: ChowClass, c2: ChowClass | None = None, c3: ChowClass | None = None):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if not self.c1.is_homogeneous(1):
+        if not c1.is_homogeneous(1):
             raise ValueError("c1 must be homogeneous of degree 1")
-        for cls, deg in ((self.c2, 2), (self.c3, 3)):
+        for cls, deg in ((c2, 2), (c3, 3)):
             if cls is not None:
-                if cls.ring is not self.c1.ring:
+                if cls.ring is not c1.ring:
                     raise ValueError("Chern classes live on different varieties")
                 if not cls.is_homogeneous(deg):
                     raise ValueError(f"c{deg} must be homogeneous of degree {deg}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
 
     @property
     def variety_id(self) -> str:
@@ -153,6 +161,8 @@ def _power_sums(c: tuple[ChowClass, ...]) -> list[ChowClass]:
 @cache
 def _bernoulli(m: int) -> Fraction:
     """The Bernoulli number ``B_m`` (``B_1 = -1/2``), from ``sum_(j<=m) C(m+1, j) B_j = 0``."""
+    from fractions import Fraction
+
     return -sum(binom(m + 1, j) * _bernoulli(j) for j in range(m)) / Fraction(m + 1) if m else Fraction(1)
 
 
@@ -164,6 +174,8 @@ def _todd_weights(entry: VarietyCatalogEntry) -> tuple[tuple[int, ...], int]:
     ``lambda_k`` is the coefficient of x^k in ``log(x / (1 - e^-x))``: 1/2 for k = 1, otherwise
     ``-B_k / (k k!)``, zero for odd k > 1.  ``w_0 / D = int td_n`` is chi(O_X), Noether's formula.
     """
+    from fractions import Fraction
+
     ring, n = entry.ring, entry.dimension
     log_td = ring.zero()
     for k, pk in enumerate(_power_sums(tuple(entry.tangent.part(r) for r in range(1, n + 1))), 1):
@@ -199,7 +211,12 @@ def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
     num = factorial(n) * c.rank * weights[0]
     for k, pk in enumerate(_power_sums(chern), 1):
         num += factorial(n) // factorial(k) * sum(map(operator.mul, pk.coeffs, weights))
-    return as_int(Fraction(num, factorial(n) * D), "chi")
+    chi_value, rest = divmod(num, factorial(n) * D)
+    if rest:
+        from fractions import Fraction
+
+        raise ValueError(f"chi is not an integer: {Fraction(num, factorial(n) * D)}")
+    return chi_value
 
 
 def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
@@ -214,6 +231,8 @@ def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
 
 def slope(entry: VarietyCatalogEntry, c: ChernData) -> Fraction:
     """mu_h(E) = c1(E) . h^(n-1) / rank, exact."""
+    from fractions import Fraction
+
     n = entry.dimension
     return Fraction(chow.integrate(c.c1 * entry.h_power(n - 1)), c.rank)
 
@@ -226,7 +245,8 @@ def normalization_twist(entry: VarietyCatalogEntry, c: ChernData) -> int:
     right size), and the bracket is the floor, so that e.g. ``c1 = 3h`` on an
     index-one Fano 3-fold normalizes by ``floor(-3/2) = -2``.
     """
-    return floor_frac(-slope(entry, c) / entry.hn())
+    n = entry.dimension
+    return -chow.integrate(c.c1 * entry.h_power(n - 1)) // (c.rank * entry.hn())
 
 
 def slope_condition(entry: VarietyCatalogEntry, c: ChernData, defect: int) -> bool:
@@ -297,6 +317,8 @@ def quantum_chern_identity(
     with eps = 1 on surfaces and 1 + defect above.  A non-integral solution
     signals inconsistent inputs.
     """
+    from fractions import Fraction
+
     n = entry.dimension
     if n < 2:
         raise ValueError("the identity needs dimension >= 2")

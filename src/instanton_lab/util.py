@@ -1,9 +1,55 @@
-"""Small exact-arithmetic helpers."""
+"""Small exact-arithmetic helpers and the base of the package's immutable value types."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+class FrozenValue:
+    """Base of the immutable value types every command-line call builds.
+
+    It gives what ``@dataclass(frozen=True)`` gave them, without importing
+    :mod:`dataclasses` (which imports :mod:`inspect`) and without compiling
+    generated methods per class when a module loads: a one-shot call of the
+    CLI pays both in start-up time.  A subclass lists its fields in
+    ``_fields``, in constructor order, and sets them in ``__init__`` with
+    ``object.__setattr__``; afterwards no attribute can be assigned or
+    deleted.  Two values are equal when they have the same class and equal
+    fields, the hash is that of the field tuple, and the repr shows every
+    field but those named in ``_unshown``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def binom(m: int, k: int) -> int:
@@ -22,18 +68,6 @@ def binom(m: int, k: int) -> int:
     for i in range(k):
         num *= m - i
     return num // math.factorial(k)
-
-
-def floor_frac(x: Fraction) -> int:
-    """Floor of an exact rational."""
-    return x.numerator // x.denominator
-
-
-def as_int(x: Fraction, what: str = "value") -> int:
-    """Convert an exact rational known to be integral, or raise ``ValueError``."""
-    if x.denominator != 1:
-        raise ValueError(f"{what} is not an integer: {x}")
-    return int(x)
 
 
 def render_rational(x: Fraction | int) -> str:

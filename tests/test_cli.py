@@ -77,9 +77,8 @@ def test_check_from_table_file(tmp_path, capsys):
     assert code == 0 and "(0, 3)" in out
 
 
-def test_check_reads_a_table_with_rational_chern_classes(tmp_path, capsys):
+def test_check_reads_a_table_with_rational_chern_classes(tmp_path, capsys, rebuild):
     """c2 = (29/10) H^2 of the rank-two prime Fano family on genus 6 is written as "29/10"."""
-    import dataclasses
     from fractions import Fraction
 
     from instanton_lab.rr import ChernData
@@ -87,7 +86,7 @@ def test_check_reads_a_table_with_rational_chern_classes(tmp_path, capsys):
     pf = catalog.prime_fano(6)
     H = pf.ring.gen("H")
     table = build_table(pf, [((0,), 2)], (-4, 1))
-    rational = dataclasses.replace(table, chern=ChernData(2, 3 * H, Fraction(29, 10) * H * H, 0 * H**3))
+    rational = rebuild(table, chern=ChernData(2, 3 * H, Fraction(29, 10) * H * H, 0 * H**3))
     results = []
     for t in (table, rational):
         path = tmp_path / "table.json"

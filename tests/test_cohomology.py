@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -650,12 +649,12 @@ def test_a_memo_miss_calls_the_kinds_public_engine(monkeypatch):
         assert line_bundle_cohomology(entry, coords) == vec and calls == [name], kind
 
 
-def test_dispatch_rejects_theta_off_curves_and_unknown_kinds():
+def test_dispatch_rejects_theta_off_curves_and_unknown_kinds(rebuild):
     for entry in CONSTRUCTED.values():
         if entry.kind != "curve":
             with pytest.raises(UnsupportedBundleError, match="theta twists only exist on curve entries"):
                 catalog.theta_coords(entry, 0)
-    unknown = dataclasses.replace(catalog.projective_space(2), kind="mystery")
+    unknown = rebuild(catalog.projective_space(2), kind="mystery")
     with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
         line_bundle_cohomology(unknown, (1,))
     with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
@@ -686,11 +685,11 @@ def test_memo_holds_the_engines_values_after_scans_and_tables():
             assert {catalog.twist_coords(entry, coords, t) for t in range(-8, 7)} <= set(cohomology._rows(entry))
 
 
-def test_unequal_entries_keep_their_own_memo():
+def test_unequal_entries_keep_their_own_memo(rebuild):
     p2 = catalog.projective_space(2)
     assert line_bundle_cohomology(p2, (1,)).dims == (3, 0, 0)
     assert cohomology._rows(p2)[(1,)].dims == (3, 0, 0)
-    unknown = dataclasses.replace(p2, kind="mystery")
+    unknown = rebuild(p2, kind="mystery")
     with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):
         line_bundle_cohomology(unknown, (1,))
     with pytest.raises(UnsupportedBundleError, match="^no engine for mystery$"):

@@ -141,12 +141,10 @@ print(json.dumps(sorted(
 )))
 """
 
-#: the dataclasses every leaf creates; a dataclass compiles its generated
-#: methods when its module loads
-CORE_DATACLASSES = {
-    "catalog.VarietyCatalogEntry", "chow.ChowClass", "chow.ChowRingPresentation", "chow.RewriteRule",
-    "cohomology.CohVector", "cohomology.CohomologyTable", "rr.ChernData",
-}
+#: the dataclasses every leaf creates: none, since the core value types derive
+#: from ``util.FrozenValue``; a dataclass compiles its generated methods when
+#: its module loads
+CORE_DATACLASSES: set[str] = set()
 CHECKER = {"instanton.InstantonVerdict", "instanton.InstantonConditions"}
 
 #: each benchmark leaf -> the dataclasses it creates beyond CORE_DATACLASSES
@@ -165,6 +163,34 @@ def test_each_benchmark_leaf_creates_only_the_dataclasses_it_runs(argv):
     """A scan or a check creates the checker's and the scan's classes and none of the replays'."""
     created = json.loads(run_fresh(DATACLASSES_CREATED, *argv.split()))
     assert created == sorted(CORE_DATACLASSES | LEAF_DATACLASSES[argv.partition(" --")[0]])
+
+
+STDLIB_LOADED = """
+import contextlib, io, json, sys
+
+from instanton_lab import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in ("dataclasses", "decimal", "fractions", "inspect") if m in sys.modules)))
+"""
+
+#: each benchmark leaf -> which of dataclasses, decimal, fractions and inspect it loads:
+#: ``chi`` builds the Todd weights as rationals, and the checker, the scan and the monads
+#: keep their result types as dataclasses
+LEAF_STDLIB = {
+    "cohom": [],
+    "chi": ["decimal", "fractions"],
+    "check": ["dataclasses", "inspect"],
+    "monad pn": ["dataclasses", "inspect"],
+    "classify flag": ["dataclasses", "inspect"],
+}
+
+
+@pytest.mark.parametrize("argv", LEAVES)
+def test_each_benchmark_leaf_loads_only_the_standard_modules_it_runs(argv):
+    loaded = json.loads(run_fresh(STDLIB_LOADED, *argv.split()))
+    assert loaded == LEAF_STDLIB[argv.partition(" --")[0]]
 
 
 def test_groups_declare_their_leaves_only_when_a_parse_reaches_them():

@@ -94,6 +94,14 @@ def test_chi_dimension_gate():
         rr.chi(p4, line_chern(p4, (0,)))
 
 
+def test_chi_refuses_a_non_integral_value():
+    """Rank 1, c_1 = H and c_2 = H^2/2 on P^2: chi = 1 + c_1 (c_1 - K) / 2 - c_2 = 1 + 2 - 1/2 = 5/2."""
+    p2 = catalog.projective_space(2)
+    H = p2.ring.gen("H")
+    with pytest.raises(ValueError, match="^chi is not an integer: 5/2$"):
+        rr.chi(p2, ChernData(1, H, Fraction(1, 2) * H * H))
+
+
 @pytest.mark.parametrize(
     "entry, other",
     [
