@@ -22,8 +22,8 @@ when classes are read back from JSON.
 
 The presentations shipped here are complete rewrite systems: rewriting any
 monomial of degree above the variety dimension reaches zero, and all rewrite
-orders agree (both facts are exercised by the test suite via
-:func:`all_normal_forms`, and the table is tested against
+orders agree (the test suite checks both by reducing every monomial in every
+rewrite order, and tests the table against
 :meth:`ChowRingPresentation.normalize_monomial`).
 """
 
@@ -72,9 +72,11 @@ class RewriteRule(FrozenValue):
 class ChowRingPresentation(FrozenValue):
     """Presentation of the (numerical) Chow ring of one catalog variety.
 
-    Presentations compare by identity: the registry keeps one per ring id.
-    The basis, the multiplication table and the degree vector are computed
-    once, on first use, and kept in the instance ``__dict__``.
+    Presentations compare by identity: the registry keeps one per ring id,
+    and a copy or an unpickled presentation is the registered one for its id
+    (:func:`preset_ring`).  The basis, the multiplication table and the
+    degree vector are computed once, on first use, and kept in the instance
+    ``__dict__``.
     """
 
     _fields = ("variety_id", "generators", "relations", "top_degree", "degree_map")
@@ -94,6 +96,9 @@ class ChowRingPresentation(FrozenValue):
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "top_degree", top_degree)
         object.__setattr__(self, "degree_map", degree_map)
+
+    def __reduce__(self) -> tuple:
+        return preset_ring, (self.variety_id,)
 
     @cached_property
     def basis(self) -> tuple[Monomial, ...]:
@@ -208,35 +213,6 @@ class ChowRingPresentation(FrozenValue):
             else:
                 done[m] = done.get(m, 0) + c
         return {m: c for m, c in done.items() if c != 0}
-
-
-def all_normal_forms(ring: ChowRingPresentation, mono: Monomial) -> set[Terms]:
-    """All fully reduced results of ``mono`` over every rewrite order.
-
-    No truncation is performed; a confluent, degree-killing presentation
-    returns a one-element set (the empty combination when the degree exceeds
-    the top degree).  Used by the invariant tests.
-    """
-    results: set[Terms] = set()
-
-    def reduce(terms: dict[Monomial, int]) -> None:
-        for m in sorted(terms):
-            if terms[m] == 0:
-                continue
-            applicable = [r for r in ring.relations if r.divides(m)]
-            if not applicable:
-                continue
-            for rule in applicable:
-                nxt = dict(terms)
-                c = nxt.pop(m)
-                for m2, c2 in rule.apply(m).items():
-                    nxt[m2] = nxt.get(m2, 0) + c * c2
-                reduce(nxt)
-            return
-        results.add(tuple(sorted((m, c) for m, c in terms.items() if c != 0)))
-
-    reduce({mono: 1})
-    return results
 
 
 class ChowClass(FrozenValue):

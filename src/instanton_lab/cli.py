@@ -22,16 +22,15 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable
 
-# Only the modules every leaf runs are imported here; each handler imports
-# instanton, monads, classify or replays where it calls them, so a call
-# compiles no module its subcommand does not run.
-from . import catalog, rr
-from .cohomology import CohomologyTable, build_table
+# Only the modules every leaf runs are imported here: errors and the standard
+# library.  Each handler imports catalog, cohomology, rr, instanton, monads,
+# classify, replays or util where it calls them, so a call compiles no module
+# its subcommand does not run (`monad pn` compiles monads alone).
 from .errors import InstantonLabError, WindowError
-from .util import render_rational
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport
+    from .cohomology import CohomologyTable
     from .monads import ScrollMonadReport
 
 EXIT_OK = 0
@@ -48,6 +47,8 @@ def parse_bundle(entry, text: str) -> list[tuple[tuple[int, ...], int]]:
     ``h:t`` / ``h:t,f:a`` on scrolls, ``theta:s`` on curves: the degree of
     :func:`catalog.theta_coords`, so theta and plain summands mix freely.
     """
+    from . import catalog
+
     summands: list[tuple[tuple[int, ...], int]] = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
@@ -132,6 +133,9 @@ def _default_box(args) -> int:
 
 
 def _table_from_args(args) -> tuple[CohomologyTable, object]:
+    from . import catalog
+    from .cohomology import build_table
+
     entry = catalog.parse_variety(args.variety)
     bundles = parse_bundle(entry, args.bundle)
     n = entry.dimension
@@ -149,6 +153,8 @@ def cmd_check(args) -> int:
     from . import instanton
 
     if args.table is not None and (args.variety, args.bundle, args.window) == (None, None, None):
+        from .cohomology import CohomologyTable
+
         with open(args.table) as fh:
             table = CohomologyTable.from_json(json.load(fh))
     elif args.table is None and args.variety is not None and args.bundle is not None:
@@ -168,6 +174,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    from . import rr
+
     table, entry = _table_from_args(args)
     t = args.twist
     engine = table.chi_at(t) if table.covers(t, t) else None
@@ -200,7 +208,7 @@ def cmd_monad_pn(args) -> int:
 
 
 def cmd_monad_acm(args) -> int:
-    from . import monads
+    from . import catalog, monads
 
     entry = catalog.parse_variety(args.variety)
     shape = monads.monad_acm(entry, args.defect, args.quantum, args.h1, args.hn1)
@@ -293,7 +301,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_scroll(args) -> int:
-    from . import replays
+    from . import catalog, replays
 
     if args.degrees is not None and (args.n, args.genus, args.deg) == (None, None, None):
         scroll: object = _int_tuple(args.degrees)
@@ -347,6 +355,7 @@ def cmd_resolution_check(args) -> int:
 
 def cmd_veronese(args) -> int:
     from . import replays
+    from .util import render_rational
 
     q = replays.veronese_quantum(args.n, args.rank, args.d, args.hn)
     payload = {"quantum": render_rational(q), "integral": q.denominator == 1}

@@ -23,10 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .cohomology import CohomologyTable, CohVector
+from .util import FrozenValue
 
 #: one instanton condition ``(kind, i, t)``, see :class:`InstantonConditions`
 Check = tuple[str, int, int]
@@ -89,8 +90,7 @@ class InstantonVerdict:
         )
 
 
-@dataclass(frozen=True)
-class InstantonConditions:
+class InstantonConditions(FrozenValue):
     """The finite instanton condition list for one defect on an n-fold, as data.
 
     ``checks`` holds the conditions in evaluation order: first the
@@ -105,12 +105,11 @@ class InstantonConditions:
     one check and one column of the survivors' rows at a time.
     """
 
-    n: int
-    defect: int
-    checks: tuple[Check, ...] = field(init=False, repr=False)
+    #: ``checks`` follows from the two fields, so it is neither compared nor shown
+    __slots__ = ("n", "defect", "checks")
+    _fields = ("n", "defect")
 
-    def __post_init__(self) -> None:
-        n, defect = self.n, self.defect
+    def __init__(self, n: int, defect: int):
         if n < 1 or defect not in (0, 1):
             raise ValueError("need n >= 1 and defect in {0, 1}")
         checks = [("zero", 0, -1), ("zero", n, defect - n)]
@@ -121,6 +120,8 @@ class InstantonConditions:
         checks.append(("q", n - 1, defect - n))
         if defect:
             checks.append(("chi", n, -n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "defect", defect)
         object.__setattr__(self, "checks", tuple(checks))
 
     @staticmethod

@@ -11,18 +11,21 @@ differentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import chow
-from .catalog import VarietyCatalogEntry, canonical_twist_coords, twist_coords
-from .chow import ChowClass
-from .cohomology import line_bundle_cohomology
+# Only errors and util are imported here: the catalog, Chow-ring, cohomology
+# and Riemann-Roch modules are imported by the two functions that run them,
+# monad_acm and serre_construction_chern, so `monad pn` compiles none.
 from .errors import InfeasibleError, MalformedDataError
-from .rr import ChernData
+from .util import FrozenValue
+
+if TYPE_CHECKING:
+    from .catalog import VarietyCatalogEntry
+    from .chow import ChowClass
+    from .rr import ChernData
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(FrozenValue):
     """A named summand ``label^multiplicity`` with its rank per copy.
 
     ``c1_each`` carries the first Chern class per copy under the
@@ -31,14 +34,15 @@ class Summand:
     symbolic term (the undetermined middle bundle of an aCM monad).
     """
 
-    label: str
-    rank: int | None
-    multiplicity: int
-    c1_each: int | None = None
+    __slots__ = _fields = ("label", "rank", "multiplicity", "c1_each")
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 0:
-            raise InfeasibleError(f"negative multiplicity for {self.label}: {self.multiplicity}")
+    def __init__(self, label: str, rank: int | None, multiplicity: int, c1_each: int | None = None):
+        if multiplicity < 0:
+            raise InfeasibleError(f"negative multiplicity for {label}: {multiplicity}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "c1_each", c1_each)
 
     def total_rank(self) -> int | None:
         return None if self.rank is None else self.rank * self.multiplicity
@@ -63,13 +67,15 @@ class Summand:
         return Summand(data["summand"], data["rank"], data["multiplicity"], data.get("c1"))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(FrozenValue):
     """A named integer equation the middle term must satisfy."""
 
-    name: str
-    description: str
-    value: int
+    __slots__ = _fields = ("name", "description", "value")
+
+    def __init__(self, name: str, description: str, value: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "value", value)
 
     def to_json(self) -> dict:
         return {"name": self.name, "description": self.description, "value": self.value}
@@ -79,11 +85,20 @@ class Constraint:
         return Constraint(data["name"], data["description"], data["value"])
 
 
-@dataclass(frozen=True)
-class MonadShape:
-    terms: tuple[tuple[Summand, ...], tuple[Summand, ...], tuple[Summand, ...]]
-    constraints: tuple[Constraint, ...] = ()
-    notes: tuple[str, ...] = ()
+class MonadShape(FrozenValue):
+    """The three terms ``M^-1 -> M^0 -> M^1`` of a monad, with the constraints on its middle term."""
+
+    __slots__ = _fields = ("terms", "constraints", "notes")
+
+    def __init__(
+        self,
+        terms: tuple[tuple[Summand, ...], tuple[Summand, ...], tuple[Summand, ...]],
+        constraints: tuple[Constraint, ...] = (),
+        notes: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "notes", notes)
 
     def term_rank(self, i: int) -> int | None:
         ranks = [s.total_rank() for s in self.terms[i]]
@@ -207,10 +222,6 @@ def monad_pn(
     )
 
 
-def _h0(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> int:
-    return line_bundle_cohomology(entry, coords)[0]
-
-
 def monad_acm(
     entry: VarietyCatalogEntry,
     defect: int,
@@ -226,6 +237,9 @@ def monad_acm(
     subject to the emitted constraints, whose right-hand sides are computed
     by the exact cohomology engines.
     """
+    from .catalog import canonical_twist_coords, twist_coords
+    from .cohomology import line_bundle_cohomology
+
     n = entry.dimension
     if n < 3:
         raise ValueError("aCM monads need dimension >= 3")
@@ -239,8 +253,8 @@ def monad_acm(
     )
     C = (Summand("O", 1, c), Summand("O(h)", 1, quantum))
     B = (Summand("B_aCM", None, 1),)
-    h0_w1 = _h0(entry, canonical_twist_coords(entry, n - 1 - defect))
-    h0_w2 = _h0(entry, canonical_twist_coords(entry, n - defect))
+    h0_w1 = line_bundle_cohomology(entry, canonical_twist_coords(entry, n - 1 - defect))[0]
+    h0_w2 = line_bundle_cohomology(entry, canonical_twist_coords(entry, n - defect))[0]
     zero_coords = tuple([0] * entry.picard_rank())
     chi_O0 = line_bundle_cohomology(entry, zero_coords).chi()
     chi_On = line_bundle_cohomology(entry, twist_coords(entry, zero_coords, -n)).chi()
@@ -272,8 +286,7 @@ def spinor_rank(n: int) -> int:
     return 2 ** ((n - 1) // 2)
 
 
-@dataclass(frozen=True)
-class SpinorMultiplicities:
+class SpinorMultiplicities(FrozenValue):
     """Spinor multiplicities of the ordinary quadric monad ``O^k -> S(h)^s -> O(h)^k``.
 
     On even-dimensional quadrics only the sum s' + s'' is determined by rank
@@ -281,8 +294,11 @@ class SpinorMultiplicities:
     spinor bundles and is None when those are not supplied.
     """
 
-    total: int
-    split: tuple[int, int] | None = None
+    __slots__ = _fields = ("total", "split")
+
+    def __init__(self, total: int, split: tuple[int, int] | None = None):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "split", split)
 
 
 def monad_quadric_ordinary(
@@ -390,15 +406,20 @@ def monad_quadric_nonordinary_shape(
     )
 
 
-@dataclass(frozen=True)
-class ScrollMonadReport:
-    """Ulrich-filtration multiplicities of the middle term on a low scroll."""
+class ScrollMonadReport(FrozenValue):
+    """Ulrich-filtration multiplicities of the middle term on a low scroll.
 
-    multiplicities: tuple[int, ...]
-    relation: str
-    #: h^1 of the dual relative cotangent sheaf twisted by O(-h); the only
-    #: nonzero group, of dimension deg - 3 on 3-dimensional scrolls
-    relative_cotangent_h1: int | None = None
+    ``relative_cotangent_h1`` is h^1 of the dual relative cotangent sheaf
+    twisted by O(-h): the only nonzero group, of dimension deg - 3 on
+    3-dimensional scrolls.
+    """
+
+    __slots__ = _fields = ("multiplicities", "relation", "relative_cotangent_h1")
+
+    def __init__(self, multiplicities: tuple[int, ...], relation: str, relative_cotangent_h1: int | None = None):
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "relative_cotangent_h1", relative_cotangent_h1)
 
 
 def monad_scroll3(
@@ -456,6 +477,9 @@ def serre_construction_chern(
     with determinant ``detE`` gives ``c1 = detE`` and
     ``c2 = D (detE - D) + [Z]``.
     """
+    from . import chow
+    from .rr import ChernData
+
     for cls, deg, name in ((D, 1, "D"), (detE, 1, "det"), (Zclass, 2, "Z")):
         if not cls.is_homogeneous(deg):
             raise ValueError(f"{name} must be homogeneous of degree {deg}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from instanton_lab import chow
-from instanton_lab.chow import all_normal_forms, integrate, multiply, preset_ring
+from instanton_lab.chow import integrate, multiply, preset_ring
 from instanton_lab.errors import MalformedDataError, UnknownVarietyError, VarietyMismatchError
 from instanton_lab.rr import chern_of_line_bundle_sum
 
@@ -35,6 +35,35 @@ def monomials_up_to(ring, max_total):
     for exps in itertools.product(range(max_total + 1), repeat=k):
         if sum(exps) <= max_total:
             yield exps
+
+
+def all_normal_forms(ring, mono):
+    """All fully reduced results of ``mono`` over every rewrite order.
+
+    No truncation is performed; a confluent, degree-killing presentation
+    returns a one-element set (the empty combination when the degree exceeds
+    the top degree).
+    """
+    results = set()
+
+    def reduce(terms):
+        for m in sorted(terms):
+            if terms[m] == 0:
+                continue
+            applicable = [r for r in ring.relations if r.divides(m)]
+            if not applicable:
+                continue
+            for rule in applicable:
+                nxt = dict(terms)
+                c = nxt.pop(m)
+                for m2, c2 in rule.apply(m).items():
+                    nxt[m2] = nxt.get(m2, 0) + c * c2
+                reduce(nxt)
+            return
+        results.add(tuple(sorted((m, c) for m, c in terms.items() if c != 0)))
+
+    reduce({mono: 1})
+    return results
 
 
 def test_preset_degrees():
