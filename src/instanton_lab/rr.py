@@ -5,19 +5,23 @@ Everything here is exact: Euler characteristics are integers computed with
 the bracket ``[x]`` appearing in normalization twists is the floor.
 ``Fraction`` is imported inside the functions that build rationals (the
 Bernoulli numbers, the Todd weights, :func:`slope` and
-:func:`quantum_chern_identity`; :func:`chi` only to report a value that is
-not an integer), not at module level, so a call that builds no rational,
-such as the ``cohom`` and ``check`` commands, never loads :mod:`fractions`
-and :mod:`decimal`.
+:func:`quantum_chern_identity`; :func:`chi_twisted` only to report a value
+that is not an integer), not at module level, so a call that builds no
+rational, such as the ``cohom`` and ``check`` commands, never loads
+:mod:`fractions` and :mod:`decimal`.
 
 Every Riemann-Roch Euler characteristic comes from one formula,
-``chi(E) = int ch(E) td(T_X)`` in the entry's Chow ring (:func:`chi`).  The
-Todd class is Hirzebruch's ``exp(sum_k lambda_k p_k(T_X))``, read off the
-tangent class the entry declares, in any dimension; the Chern characters of
-T_X and E come from the same Newton's identities.
-:class:`ChernData` stops at c_3, so :func:`chi` takes sheaves on entries of
-dimension at most 3; higher-dimensional Euler characteristics come from the
-cohomology engines instead.
+``chi(E(t h)) = int ch(E) exp(t h) td(T_X)`` in the entry's Chow ring
+(:func:`chi_twisted`; :func:`chi` is its t = 0 view).  The Todd class is
+Hirzebruch's ``exp(sum_k lambda_k p_k(T_X))``, read off the tangent class the
+entry declares, in any dimension; the Chern characters of T_X and E come from
+the same Newton's identities.  ``exp(t h) td(T_X)`` enters as one integer
+vector of weights over the ring basis per entry and twist, built once and
+kept, so a call takes the power sums of E, dot products and one exact
+division, and never builds the Chern data of ``E(t h)``.
+:class:`ChernData` stops at c_3, so :func:`chi_twisted` takes sheaves on
+entries of dimension at most 3; higher-dimensional Euler characteristics come
+from the cohomology engines instead.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import TYPE_CHECKING
 from . import chow
 from .catalog import VarietyCatalogEntry
 from .chow import ChowClass
-from .errors import InfeasibleError, VarietyMismatchError
+from .errors import InfeasibleError, UnsupportedBundleError, VarietyMismatchError
 from .util import FrozenValue, binom
 
 if TYPE_CHECKING:
@@ -191,12 +195,34 @@ def _todd_weights(entry: VarietyCatalogEntry) -> tuple[tuple[int, ...], int]:
     return tuple(v // g for v in w), D // g
 
 
-def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
-    """Hirzebruch-Riemann-Roch ``chi(E) = int ch(E) td(X)`` with ``ch(E) = rank + sum_k p_k(E) / k!``,
-    paired with the entry's Todd weights (:func:`_todd_weights`) and divided once.
+@cache
+def _twisted_weights(entry: VarietyCatalogEntry, t: int) -> tuple[tuple[int, ...], int]:
+    """``(w, D)``: integers ``w_k = D int b_k exp(t h) td(X)`` over the ring basis ``b_k``.
+
+    ``n! exp(t h) = sum_(j<=n) (n!/j!) t^j h^j`` is an integral class, so pairing the Todd
+    weights (:func:`_todd_weights`) with ``b_k n! exp(t h)`` gives integers over ``n!`` times the
+    Todd denominator; both are divided by their gcd, so at t = 0 these are the Todd weights.
+    """
+    weights, D = _todd_weights(entry)
+    ring, n = entry.ring, entry.dimension
+    exp_th = ring.zero()
+    for j in range(n + 1):
+        exp_th = exp_th + factorial(n) // factorial(j) * t**j * entry.h_power(j)
+    w = [sum(map(operator.mul, (ring.from_dict({b: 1}) * exp_th).coeffs, weights)) for b in ring.basis]
+    g = gcd(factorial(n) * D, *w)
+    return tuple(v // g for v in w), factorial(n) * D // g
+
+
+def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
+    """Hirzebruch-Riemann-Roch ``chi(E(t h)) = int ch(E) exp(t h) td(X)`` with
+    ``ch(E) = rank + sum_k p_k(E) / k!``, paired with the weights of ``exp(t h) td(X)``
+    (:func:`_twisted_weights`, kept per entry and t) and divided once.  No Chern data of
+    ``E(t h)`` is built: each call takes the power sums of E and dot products.
 
     The Chern data must live on the entry's own ring (``VarietyMismatchError`` otherwise) and
-    carry c_1, ..., c_n, which :class:`ChernData` holds through n = 3.
+    carry c_1, ..., c_n, which :class:`ChernData` holds through n = 3 (``UnsupportedBundleError``
+    otherwise); both are checked before any weight is built.  A value that is not an integer
+    raises ``InfeasibleError``.
     """
     if c.c1.ring is not entry.ring:
         raise VarietyMismatchError(
@@ -205,8 +231,8 @@ def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
     n = entry.dimension
     chern = (c.c1, c.c2, c.c3)[:n]
     if n > 3 or None in chern:
-        raise ValueError(f"Riemann-Roch on {entry.variety_id} needs c1 to c{n}")
-    weights, D = _todd_weights(entry)
+        raise UnsupportedBundleError(f"Riemann-Roch on {entry.variety_id} needs c1 to c{n}")
+    weights, D = _twisted_weights(entry, t)
     # n! ch(E) paired with the weights; basis[0] is the unit monomial
     num = factorial(n) * c.rank * weights[0]
     for k, pk in enumerate(_power_sums(chern), 1):
@@ -215,13 +241,13 @@ def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
     if rest:
         from fractions import Fraction
 
-        raise ValueError(f"chi is not an integer: {Fraction(num, factorial(n) * D)}")
+        raise InfeasibleError(f"chi is not an integer: {Fraction(num, factorial(n) * D)}")
     return chi_value
 
 
-def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
-    """chi(E(t h))."""
-    return chi(entry, twist_by_h(entry, c, t))
+def chi(entry: VarietyCatalogEntry, c: ChernData) -> int:
+    """``chi(E) = int ch(E) td(X)``: :func:`chi_twisted` at t = 0, with the same checks."""
+    return chi_twisted(entry, c, 0)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -10,7 +11,12 @@ from hypothesis import given, strategies as st
 
 from instanton_lab import catalog, chow, rr
 from instanton_lab.cohomology import build_table, coh_projective_space
-from instanton_lab.errors import InfeasibleError, MalformedDataError, VarietyMismatchError
+from instanton_lab.errors import (
+    InfeasibleError,
+    MalformedDataError,
+    UnsupportedBundleError,
+    VarietyMismatchError,
+)
 from instanton_lab.replays import prime_fano_family
 from instanton_lab.rr import ChernData
 from instanton_lab.util import binom
@@ -122,6 +128,106 @@ def test_chi_rejects_chern_data_from_another_variety(entry, other):
         rr.chi_twisted(entry, c, -1)
     # the same bundle on its own variety
     assert rr.chi(other, c) == build_table(other, (1,) * other.picard_rank(), (0, 0)).row(0).chi()
+
+
+#: every catalog kind of dimension at most 3
+TWO_ROUTE_ENTRIES = [
+    *(catalog.projective_space(n, u) for n in (1, 2, 3) for u in (1, 2)),
+    catalog.quadric(2),
+    catalog.quadric(3),
+    catalog.flag3(),
+    catalog.triple_p1(),
+    catalog.scroll_p1((1, 3)),
+    catalog.scroll_p1((1, 1, 2)),
+    catalog.scroll_p1((1, 2, 3)),
+    catalog.curve(0, 2, "exact_p1"),
+    *(catalog.curve(g, g + 1, "generic") for g in range(4)),
+    *(catalog.prime_fano(g) for g in range(3, 13)),
+]
+
+
+@pytest.mark.parametrize("entry", TWO_ROUTE_ENTRIES, ids=lambda e: e.variety_id)
+def test_chi_twisted_against_twisted_chern_data_and_the_engine(entry):
+    """chi(E(t h)) three ways on seeded sums of one to three line bundles, t in [-6, 6]: the
+    twisted weights, chi of the twisted Chern data, and the engine table (exact on every entry
+    here).  On prime Fano 3-folds the rank-two members with rational c2 take the first two."""
+    rng = random.Random(entry.variety_id)
+    for rank in (1, 2, 3):
+        for _ in range(2):
+            bundles = [(tuple(rng.randint(-3, 3) for _ in range(entry.picard_rank())), 1) for _ in range(rank)]
+            c = rr.chern_of_line_bundle_sum([(catalog.line_bundle_class(entry, co), m) for co, m in bundles])
+            table = build_table(entry, bundles, (-6, 6), with_chern=False)
+            for t in range(-6, 7):
+                got = rr.chi_twisted(entry, c, t)
+                assert got == rr.chi(entry, rr.twist_by_h(entry, c, t)) == table.chi_at(t), (bundles, t)
+    if entry.kind == "prime_fano":
+        H = entry.ring.gen("H")
+        for k in range(3):
+            rep = prime_fano_family(entry.genus, k)
+            c = ChernData(rep.rank, rep.c1_mult * H, Fraction(rep.c2_dot_h, entry.hn()) * H * H, 0 * H**3)
+            for t in range(-6, 7):
+                assert rr.chi_twisted(entry, c, t) == rr.chi(entry, rr.twist_by_h(entry, c, t)), (k, t)
+
+
+@pytest.mark.parametrize("entry", TWO_ROUTE_ENTRIES, ids=lambda e: e.variety_id)
+def test_untwisted_weights_are_the_todd_weights(entry):
+    assert rr._twisted_weights(entry, 0) == rr._todd_weights(entry)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [catalog.curve(2, 3), catalog.quadric(2), catalog.flag3(), catalog.triple_p1(), catalog.prime_fano(7)],
+    ids=lambda e: e.variety_id,
+)
+def test_chi_twisted_builds_no_twisted_chern_data(entry, monkeypatch):
+    """With the weights of each twist cached, chi(E(t h)) on an n-fold multiplies only for the
+    power sums of E: at most n(n-1)/2 Chow-ring products, and no call of ``twist``."""
+    coords = [(1,) * entry.picard_rank(), (-2,) + (1,) * (entry.picard_rank() - 1), (0,) * entry.picard_rank()]
+    c = rr.chern_of_line_bundle_sum([(catalog.line_bundle_class(entry, co), 1) for co in coords])
+    twists = range(-4, 5)
+    expected = [rr.chi(entry, rr.twist_by_h(entry, c, t)) for t in twists]
+    for t in twists:
+        rr._twisted_weights(entry, t)
+    products = []
+    multiply = chow.multiply
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    def refused(*args):
+        raise AssertionError("chi_twisted built twisted Chern data")
+
+    monkeypatch.setattr(chow, "multiply", counted)
+    monkeypatch.setattr(rr, "twist", refused)
+    monkeypatch.setattr(rr, "twist_by_h", refused)
+    n = entry.dimension
+    for t, value in zip(twists, expected):
+        products.clear()
+        assert rr.chi_twisted(entry, c, t) == value
+        assert len(products) <= n * (n - 1) // 2, (t, len(products))
+
+
+def test_chi_errors_are_typed_and_raised_before_any_weight():
+    """Missing Chern classes raise ``UnsupportedBundleError`` and another variety's data
+    ``VarietyMismatchError``, both before a weight is built; a value that is not an integer
+    raises ``InfeasibleError``.  All three are ``ValueError``s."""
+    p2, p4 = catalog.projective_space(2), catalog.projective_space(4)
+    H = p2.ring.gen("H")
+    rr._twisted_weights.cache_clear()
+    rr._todd_weights.cache_clear()
+    with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(4\) needs c1 to c4$"):
+        rr.chi_twisted(p4, line_chern(p4, (1,)), 2)
+    with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(2\) needs c1 to c2$"):
+        rr.chi(p2, ChernData(1, H))
+    with pytest.raises(VarietyMismatchError):
+        rr.chi_twisted(p2, line_chern(p4, (1,)), -1)
+    assert rr._twisted_weights.cache_info().currsize == rr._todd_weights.cache_info().currsize == 0
+    with pytest.raises(InfeasibleError, match="^chi is not an integer: 5/2$"):
+        rr.chi(p2, ChernData(1, H, Fraction(1, 2) * H * H))
+    with pytest.raises(InfeasibleError, match="^chi is not an integer: 1/2$"):
+        rr.chi_twisted(p2, ChernData(1, H, Fraction(1, 2) * H * H), -1)
+    assert issubclass(UnsupportedBundleError, ValueError) and issubclass(InfeasibleError, ValueError)
 
 
 def test_slope_examples():

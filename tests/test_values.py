@@ -73,6 +73,13 @@ def test_rebuilt_twins_are_equal_with_the_same_hash(name, rebuild):
     assert value != tuple(getattr(value, f) for f in value._fields)
 
 
+def test_rebuild_changes_a_field_named_value(rebuild):
+    """``monads.Constraint`` has a field called ``value``, the name of rebuild's own first parameter."""
+    constraint = monads.Constraint("h0", "h^0(B(-h))", 3)
+    changed = rebuild(constraint, value=4)
+    assert changed == monads.Constraint("h0", "h^0(B(-h))", 4) and constraint.value == 3
+
+
 RING = (
     "ChowRingPresentation(variety_id='curve(0)', generators=('H',), relations=(RewriteRule(lhs=(2,), rhs=()),), "
     "top_degree=1, degree_map=(((1,), 1),))"
