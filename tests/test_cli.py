@@ -508,6 +508,17 @@ def test_group_help_and_usage_errors_are_golden(capsys, monkeypatch, argv):
     assert {"exit": code, "stdout": out, "stderr": err} == GROUP_HELP[argv]
 
 
+#: argv -> stdout, stderr and exit code of one ``--json`` call of each leaf
+#: that no other test pins byte for byte
+LEAF_JSON = json.loads((Path(__file__).resolve().parent / "cli_leaf_json.json").read_text())
+
+
+@pytest.mark.parametrize("argv", LEAF_JSON)
+def test_leaf_json_is_golden(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert {"exit": code, "stdout": out, "stderr": err} == LEAF_JSON[argv]
+
+
 def test_parser_declares_each_option_once_where_it_is_read():
     leaves = dict(_leaves(cli.build_parser()))
     assert len(leaves) == 18
