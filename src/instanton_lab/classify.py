@@ -23,6 +23,7 @@ from . import catalog, cohomology, instanton
 from .catalog import VarietyCatalogEntry, polarization_coords
 # build_table, coh_product: unused here; bench/tests/test_bench.py reads classify.build_table
 from .cohomology import CohVector, build_table, coh_product  # noqa: F401
+from .util import fields_json
 
 #: default half-width of enumeration boxes; all known families and their
 #: nearest non-members fit inside
@@ -35,12 +36,7 @@ class FoundLine:
     defect: int
     quantum: int
 
-    def to_json(self) -> dict:
-        return {
-            "coordinates": list(self.coordinates),
-            "defect": self.defect,
-            "quantum": self.quantum,
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -59,17 +55,7 @@ class ClassificationReport:
     rejections: tuple[tuple[instanton.Check, int], ...]
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "defect": self.defect,
-            "box": self.box,
-            "found": [f.to_json() for f in self.found],
-            "expected": [f.to_json() for f in self.expected],
-            "boundary": [f.to_json() for f in self.boundary],
-            "agreement": self.agreement,
-            "diffs": list(self.diffs),
-            "quantum_formula_ok": self.quantum_formula_ok,
-        }
+        return fields_json(self, skip=("rejections",))
 
     def to_markdown(self) -> str:
         lines = [

@@ -496,16 +496,20 @@ def build_table(
         bundles = [(bundles, 1)]
     if not bundles:
         raise UnsupportedBundleError("empty bundle descriptor")
+    # the whole descriptor is checked before any engine runs for it
+    bundles = [(check_coords(entry, coords), mult) for coords, mult in bundles]
+    if any(mult < 0 for _, mult in bundles):
+        raise ValueError("multiplicities must be nonnegative")
+    rank = sum(mult for _, mult in bundles)
+    if rank < 1:
+        raise ValueError("rank must be positive")
     tmin, tmax = window
     n = entry.dimension
     twists = range(tmin, tmax + 1)
     sums = [[0] * (n + 1) for _ in twists]
     rows, step = _rows(entry), polarization_coords(entry)
     for coords, mult in bundles:
-        coords = check_coords(entry, coords)
         column = [rows[tuple([c + t * v for c, v in zip(coords, step)])].dims for t in twists]
-        if mult < 0:
-            raise ValueError("multiplicities must be nonnegative")
         for acc, dims in zip(sums, column):
             for i, h in enumerate(dims):
                 acc[i] += mult * h
@@ -517,7 +521,7 @@ def build_table(
     return CohomologyTable(
         variety_id=entry.variety_id,
         dimension=n,
-        rank=sum(m for _, m in bundles),
+        rank=rank,
         tmin=tmin,
         tmax=tmax,
         rows=rows,

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 # and Riemann-Roch modules are imported by the two functions that run them,
 # monad_acm and serre_construction_chern, so `monad pn` compiles none.
 from .errors import InfeasibleError, MalformedDataError
-from .util import FrozenValue
+from .util import FrozenValue, fields_json
 
 if TYPE_CHECKING:
     from .catalog import VarietyCatalogEntry
@@ -77,8 +77,7 @@ class Constraint(FrozenValue):
         object.__setattr__(self, "description", description)
         object.__setattr__(self, "value", value)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "description": self.description, "value": self.value}
+    to_json = fields_json
 
     @staticmethod
     def from_json(data: dict) -> "Constraint":
@@ -130,12 +129,7 @@ class MonadShape(FrozenValue):
 
         return " -> ".join(side(t) for t in self.terms)
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [[s.to_json() for s in term] for term in self.terms],
-            "constraints": [c.to_json() for c in self.constraints],
-            "notes": list(self.notes),
-        }
+    to_json = fields_json
 
     @staticmethod
     def from_json(data: dict) -> "MonadShape":

@@ -30,7 +30,7 @@ from .catalog import VarietyCatalogEntry
 from .cohomology import CohomologyTable, coh_product, serre_dual_vector
 from .errors import InfeasibleError, VarietyMismatchError, WindowError
 from .rr import ChernData
-from .util import binom
+from .util import binom, fields_json
 
 
 # --------------------------------------------------------------------------
@@ -404,8 +404,7 @@ class StabilityVerdict:
     status: str  # stable | semistable | strictly-semistable-possible | unstable-possible | undecided
     rule: str
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "rule": self.rule}
+    to_json = fields_json
 
 
 def hoppe_rank2_from_eps(
@@ -468,19 +467,7 @@ class StabilityCaseReport:
     exception_semistable: str | None
     exception_stable: str | None
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "u": self.u,
-            "v": self.v,
-            "defect": self.defect,
-            "eps": self.eps,
-            "t_norm": self.t_norm,
-            "semistable_guaranteed": self.semistable_guaranteed,
-            "stable_guaranteed": self.stable_guaranteed,
-            "exception_semistable": self.exception_semistable,
-            "exception_stable": self.exception_stable,
-        }
+    to_json = fields_json
 
 
 def cyclic_rank2_stability_cases(n: int, u: int, v: int, defect: int) -> StabilityCaseReport:
@@ -549,18 +536,7 @@ class FanoBridgeReport:
     backward_case: str
     backward_extra_vanishing: str | None
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "defect": self.defect,
-            "epsilon": self.epsilon,
-            "q_eps": self.q_eps,
-            "t_norm": self.t_norm,
-            "forward_case": self.forward_case,
-            "forward_extra_vanishing": self.forward_extra_vanishing,
-            "backward_case": self.backward_case,
-            "backward_extra_vanishing": self.backward_extra_vanishing,
-        }
+    to_json = fields_json
 
 
 def fano_instanton_bridge(i_X: int, defect: int, epsilon: int) -> FanoBridgeReport:
@@ -862,17 +838,7 @@ class SegreStableReport:
     internally_consistent: bool
     mu_semistable: bool
 
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "chern": self.chern.to_json(),
-            "quantum_oracle": self.quantum_oracle,
-            "claimed_quantum": self.claimed_quantum,
-            "pieces": self.pieces,
-            "h_vector_at_minus_1": list(self.h_vector_at_minus_1),
-            "internally_consistent": self.internally_consistent,
-            "mu_semistable": self.mu_semistable,
-        }
+    to_json = fields_json
 
 
 def segre_stable_example(s: int) -> SegreStableReport:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from . import chow
 from .catalog import VarietyCatalogEntry
 from .chow import ChowClass
-from .errors import InfeasibleError, UnsupportedBundleError, VarietyMismatchError
+from .errors import InfeasibleError, MalformedDataError, UnsupportedBundleError, VarietyMismatchError
 from .util import FrozenValue, binom
 
 if TYPE_CHECKING:
@@ -51,15 +51,15 @@ class ChernData(FrozenValue):
 
     def __init__(self, rank: int, c1: ChowClass, c2: ChowClass | None = None, c3: ChowClass | None = None):
         if rank < 1:
-            raise ValueError("rank must be positive")
+            raise MalformedDataError("rank must be positive")
         if not c1.is_homogeneous(1):
-            raise ValueError("c1 must be homogeneous of degree 1")
+            raise MalformedDataError("c1 must be homogeneous of degree 1")
         for cls, deg in ((c2, 2), (c3, 3)):
             if cls is not None:
                 if cls.ring is not c1.ring:
-                    raise ValueError("Chern classes live on different varieties")
+                    raise VarietyMismatchError("Chern classes live on different varieties")
                 if not cls.is_homogeneous(deg):
-                    raise ValueError(f"c{deg} must be homogeneous of degree {deg}")
+                    raise MalformedDataError(f"c{deg} must be homogeneous of degree {deg}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
@@ -101,17 +101,17 @@ def whitney_sum(a: ChernData, b: ChernData) -> ChernData:
 def chern_of_line_bundle_sum(summands: list[tuple[ChowClass, int]]) -> ChernData:
     """Whitney Chern data of a direct sum of line bundles ``(+) O(D_i)^m_i``."""
     if not summands:
-        raise ValueError("empty direct sum has no Chern data")
+        raise MalformedDataError("empty direct sum has no Chern data")
     total = None
     for D, m in summands:
         if m < 0:
-            raise ValueError("multiplicities must be nonnegative")
+            raise MalformedDataError("multiplicities must be nonnegative")
         n, zero = D.ring.top_degree, D.ring.zero()
         line = ChernData(1, D, zero if n >= 2 else None, zero if n >= 3 else None)
         for _ in range(m):
             total = line if total is None else whitney_sum(total, line)
     if total is None:
-        raise ValueError("rank must be positive")
+        raise MalformedDataError("rank must be positive")
     return total
 
 
@@ -125,7 +125,7 @@ def twist(c: ChernData, D: ChowClass) -> ChernData:
     c3 = None
     if c.c3 is not None:
         if c.c2 is None:
-            raise ValueError("c3 without c2")
+            raise MalformedDataError("c3 without c2")
         c3 = c.c3 + (r - 2) * D * c.c2 + binom(r - 1, 2) * D * D * c.c1 + binom(r, 3) * D * D * D
     return ChernData(r, c1, c2, c3)
 
@@ -347,11 +347,11 @@ def quantum_chern_identity(
 
     n = entry.dimension
     if n < 2:
-        raise ValueError("the identity needs dimension >= 2")
+        raise UnsupportedBundleError("the identity needs dimension >= 2")
     if c.c2 is None:
-        raise ValueError("c2 is required")
+        raise UnsupportedBundleError("c2 is required")
     if len(chi_list) != n - 1:
-        raise ValueError(f"chi_list must have {n - 1} entries chi(O(-i h)), 0 <= i <= n-2")
+        raise MalformedDataError(f"chi_list must have {n - 1} entries chi(O(-i h)), 0 <= i <= n-2")
     eps = 1 if n == 2 else 1 + defect
     hpow = entry.h_power(n - 2)
     K = entry.canonical

@@ -52,6 +52,27 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def fields_json(value: object, skip: tuple[str, ...] = ()) -> dict:
+    """The JSON of a report: ``{field: value}`` in declaration order.
+
+    The fields are ``_fields`` of a :class:`FrozenValue` and the declared
+    fields of a dataclass (read off ``__dataclass_fields__``, so
+    :mod:`dataclasses` is not imported here); those named in ``skip`` are
+    left out.  A value with a ``to_json`` nests through it and a tuple
+    becomes a list, element by element; anything else is kept as it is.
+    """
+    names = value._fields if isinstance(value, FrozenValue) else value.__dataclass_fields__
+    return {name: _json(getattr(value, name)) for name in names if name not in skip}
+
+
+def _json(value: object) -> object:
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    return value
+
+
 def binom(m: int, k: int) -> int:
     """Generalized binomial coefficient ``C(m, k)`` for any integer ``m``.
 

@@ -555,6 +555,17 @@ def test_check_table_with_repeated_or_fractional_chern_term_exits_2(tmp_path, ca
     assert code == 2 and out == "" and message in err
 
 
+def test_check_table_with_a_rank_zero_chern_block_exits_2(tmp_path, capsys):
+    data = build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()
+    data["chern"]["rank"] = 0
+    with pytest.raises(MalformedDataError, match="^rank must be positive$"):
+        CohomologyTable.from_json(data)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and "rank must be positive" in err
+
+
 def test_exact_p1_curve_reachable_from_the_cli(capsys):
     code, out, _ = run(
         capsys, "cohom", "--variety", "curve:g=0,deg=2,model=exact_p1", "--bundle", "1", "--json"

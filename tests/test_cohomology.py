@@ -478,6 +478,24 @@ def test_build_table_errors(entry, bundles, window, theta, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "entry, bundles, window",
+    [
+        (catalog.projective_space(3), [((41,), 1), ((2,), -1)], (-3, 3)),
+        (catalog.scroll_p1((1, 2, 2)), [((1, 0), -1)], (17, 19)),
+        (catalog.scroll_generic(3, 2, 5), [((0, 1), -1)], (-2, 0)),
+    ],
+    ids=["pn-second-summand", "scroll", "scroll-generic-outside"],
+)
+def test_build_table_checks_multiplicities_before_any_engine_runs(entry, bundles, window):
+    """A negative multiplicity is refused before the memo is read, so no engine runs and none wins."""
+    before = dict(cohomology._rows(entry))
+    with pytest.raises(ValueError) as exc:
+        build_table(entry, bundles, window)
+    assert type(exc.value) is ValueError and str(exc.value) == "multiplicities must be nonnegative"
+    assert dict(cohomology._rows(entry)) == before
+
+
 def test_window_error_names_missing_twists():
     entry = catalog.projective_space(3)
     table = build_table(entry, (0,), (-2, 0))

@@ -230,6 +230,32 @@ def test_chi_errors_are_typed_and_raised_before_any_weight():
     assert issubclass(UnsupportedBundleError, ValueError) and issubclass(InfeasibleError, ValueError)
 
 
+def test_chern_data_and_its_builders_raise_typed_errors():
+    p2, p3, q3 = catalog.projective_space(2), catalog.projective_space(3), catalog.quadric(3)
+    H, Hq = p3.polarization, q3.polarization
+    cases = [
+        (MalformedDataError, "rank must be positive", lambda: ChernData(0, H)),
+        (MalformedDataError, "c1 must be homogeneous of degree 1", lambda: ChernData(1, H * H)),
+        (MalformedDataError, "c2 must be homogeneous of degree 2", lambda: ChernData(1, H, H)),
+        (VarietyMismatchError, "Chern classes live on different varieties", lambda: ChernData(1, H, Hq * Hq)),
+        (MalformedDataError, "c3 without c2", lambda: rr.twist(ChernData(2, H, None, H**3), H)),
+        (MalformedDataError, "empty direct sum has no Chern data", lambda: rr.chern_of_line_bundle_sum([])),
+        (MalformedDataError, "multiplicities must be nonnegative",
+         lambda: rr.chern_of_line_bundle_sum([(H, 1), (H, -1)])),
+        (MalformedDataError, "rank must be positive", lambda: rr.chern_of_line_bundle_sum([(H, 0)])),
+        (UnsupportedBundleError, "the identity needs dimension >= 2",
+         lambda: rr.quantum_chern_identity(catalog.curve(1, 3), ChernData(2, catalog.curve(1, 3).polarization), 0, [])),
+        (UnsupportedBundleError, "c2 is required", lambda: rr.quantum_chern_identity(p3, ChernData(2, 0 * H), 0, [1, 0])),
+        (MalformedDataError, "chi_list must have 1 entries",
+         lambda: rr.quantum_chern_identity(p2, ChernData(2, 0 * p2.polarization, 0 * p2.polarization**2), 0, [1, 0])),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value).startswith(message)
+    assert issubclass(MalformedDataError, ValueError) and issubclass(VarietyMismatchError, ValueError)
+
+
 def test_slope_examples():
     p3 = catalog.projective_space(3)
     H = p3.ring.gen("H")
