@@ -73,10 +73,6 @@ class VarietyCatalogEntry(FrozenValue):
     def __hash__(self) -> int:  # the id's hash, cached by str; equality still reads every field
         return hash(self.variety_id)
 
-    @property
-    def n(self) -> int:
-        return self.dimension
-
     @cached_property
     def _h_powers(self) -> tuple[ChowClass, ...]:
         powers = [self.ring.one()]
@@ -369,13 +365,6 @@ def line_bundle_class(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> Ch
     for c, g in zip(coords, gens):
         acc = acc + c * g
     return acc
-
-
-def canonical_twist_coords(entry: VarietyCatalogEntry, m: int) -> tuple[int, ...]:
-    """Coordinates of ``omega_X(m h)``."""
-    K = canonical_coords(entry)
-    h = twist_coords(entry, tuple([0] * entry.picard_rank()), m)
-    return tuple(k + t for k, t in zip(K, h))
 
 
 def parse_variety(text: str) -> VarietyCatalogEntry:

@@ -21,8 +21,8 @@ from typing import Iterator
 
 from . import catalog, cohomology, instanton
 from .catalog import VarietyCatalogEntry, polarization_coords
-# build_table, coh_product: unused here; bench/tests/test_bench.py reads classify.build_table
-from .cohomology import CohVector, build_table, coh_product  # noqa: F401
+# build_table: unused here; bench/tests/test_bench.py reads classify.build_table
+from .cohomology import CohVector, build_table  # noqa: F401
 from .util import fields_json
 
 #: default half-width of enumeration boxes; all known families and their

@@ -10,23 +10,21 @@ and rejects any other option: ``--json`` goes after the leaf, ``--window`` belon
 and chi, ``--box`` to classify flag and segre.  Exit codes: 0 success / verdict-positive,
 1 verdict-negative or classification mismatch, 2 input or window errors
 (missing, conflicting or unrecognized options included), 3 an internal error,
-with its traceback on stderr.  The environment variable ``INSTANTON_LAB_BOX``
-overrides the default enumeration box.
+with its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import TYPE_CHECKING, Callable
 
 # Only the modules every leaf runs are imported here: errors and the standard
 # library.  Each handler imports catalog, cohomology, rr, instanton, monads,
-# classify, replays or util where it calls them, so a call compiles no module
+# classify or replays where it calls them, so a call compiles no module
 # its subcommand does not run (`monad pn` compiles monads alone).
-from .errors import InstantonLabError, WindowError
+from .errors import InstantonLabError, MalformedDataError, WindowError
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport
@@ -74,7 +72,10 @@ def parse_bundle(entry, text: str) -> list[tuple[tuple[int, ...], int]]:
 
 def parse_window(text: str) -> tuple[int, int]:
     a, _, b = text.partition(":")
-    lo, hi = int(a), int(b)
+    try:
+        lo, hi = int(a), int(b)
+    except ValueError:
+        raise MalformedDataError(f"window {text!r} is not of the form TMIN:TMAX") from None
     if lo > hi:
         raise ValueError(f"window {text!r} has tmin > tmax")
     return lo, hi
@@ -124,12 +125,7 @@ def _emit_classification(args, report: ClassificationReport) -> int:
 def _default_box(args) -> int:
     from . import classify
 
-    if args.box is not None:
-        return args.box
-    env = os.environ.get("INSTANTON_LAB_BOX")
-    if env:
-        return int(env)
-    return classify.DEFAULT_BOX
+    return classify.DEFAULT_BOX if args.box is None else args.box
 
 
 def _table_from_args(args) -> tuple[CohomologyTable, object]:
@@ -182,10 +178,13 @@ def cmd_chi(args) -> int:
     values = {}
     if engine is not None:
         values["engine"] = engine
-    if table.chern is not None and entry.dimension <= 3:
+    if entry.dimension <= 3:
         values["riemann_roch"] = rr.chi_twisted(entry, table.chern, t)
     if not values:
-        raise InstantonLabError("no chi route available (window too small, no Chern data)")
+        raise InstantonLabError(
+            f"no chi route available: Riemann-Roch stops at dimension 3 and the window "
+            f"[{table.tmin}, {table.tmax}] misses t = {t}"
+        )
     if len(values) == 2 and values["engine"] != values["riemann_roch"]:
         raise InstantonLabError(f"engine and Riemann-Roch disagree: {values}")
     val = next(iter(values.values()))
@@ -355,11 +354,10 @@ def cmd_resolution_check(args) -> int:
 
 def cmd_veronese(args) -> int:
     from . import replays
-    from .util import render_rational
 
     q = replays.veronese_quantum(args.n, args.rank, args.d, args.hn)
-    payload = {"quantum": render_rational(q), "integral": q.denominator == 1}
-    return _emit(args, payload, f"quantum number: {render_rational(q)}"
+    payload = {"quantum": str(q), "integral": q.denominator == 1}
+    return _emit(args, payload, f"quantum number: {q}"
                  + ("" if q.denominator == 1 else "  (non-integral: infeasible)"))
 
 

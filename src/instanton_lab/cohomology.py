@@ -5,7 +5,7 @@ One closed-form engine per catalog family, each listed in one table,
 
 * projective space -- Borel-Weil-Bott for GL(n+1) (:func:`bott_gl`), for ``O(t)``
   and the twisted differentials ``Omega^p(t)``;
-* quadrics -- the restriction sequence from the ambient projective space;
+* quadrics and prime Fano 3-folds -- one Kodaira-Serre rule on their own h^0;
 * products of projective spaces -- Kunneth convolution;
 * the flag 3-fold -- Borel-Weil-Bott for GL(3), the same :func:`bott_gl`;
 * scrolls over P^1 -- the symmetric-power splitting of the pushforward, with
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from . import rr
 from .catalog import (
@@ -135,21 +135,27 @@ def bott_pn(n: int, p: int, t: int) -> CohVector:
     return bott_gl((t - p,) + (1,) * p + (0,) * (n - p), n)
 
 
-def coh_quadric(n: int, t: int) -> CohVector:
-    """Cohomology of ``O(t)`` on a smooth n-dimensional quadric.
+def _kodaira_serre(n: int, index: int, h0: Callable[[int], int], t: int) -> CohVector:
+    """Cohomology of ``O(t)`` on an n-fold with ``omega = O(-index)`` and no intermediate
+    cohomology: ``h0(t)`` sections for ``t >= 0``, ``h^n = h0(-index - t)`` by Serre
+    duality for ``t <= -index``, and zero in every other group."""
+    dims = [0] * (n + 1)
+    if t >= 0:
+        dims[0] = h0(t)
+    if t <= -index:
+        dims[n] = h0(-index - t)
+    return CohVector(tuple(dims))
 
-    Sections come from the ambient restriction sequence, the top degree from
-    Serre duality with ``omega = O(-n)``; everything in between vanishes.
+
+def coh_quadric(n: int, t: int) -> CohVector:
+    """Cohomology of ``O(t)`` on a smooth n-dimensional quadric, of index n.
+
+    Sections come from the ambient restriction sequence; the rest is
+    :func:`_kodaira_serre`.
     """
     if n < 2:
         raise ValueError("n >= 2")
-    dims = [0] * (n + 1)
-    if t >= 0:
-        dims[0] = binom(t + n + 1, n + 1) - binom(t + n - 1, n + 1)
-    elif t <= -n:
-        s = -n - t
-        dims[n] = binom(s + n + 1, n + 1) - binom(s + n - 1, n + 1)
-    return CohVector(tuple(dims))
+    return _kodaira_serre(n, n, lambda k: binom(k + n + 1, n + 1) - binom(k + n - 1, n + 1), t)
 
 
 def coh_product(factors: list[tuple[int, int]]) -> CohVector:
@@ -242,15 +248,14 @@ def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
 def coh_curve(g: int, d: int, model: str) -> CohVector:
     """Cohomology of a degree-d line bundle on a genus-g curve.
 
-    ``exact_p1`` is exact on the line; ``generic`` returns the general Brill-Noether value.
+    ``generic`` returns the general Brill-Noether value; ``exact_p1`` is the
+    line, where that value at g = 0 is exact.
     """
     if g < 0:
         raise ValueError("genus >= 0")
-    if model == "exact_p1":
-        if g != 0:
-            raise ValueError("exact_p1 requires genus 0")
-        return CohVector((max(0, d + 1), max(0, -d - 1)))
-    if model == "generic":
+    if model == "exact_p1" and g != 0:
+        raise ValueError("exact_p1 requires genus 0")
+    if model in ("exact_p1", "generic"):
         return CohVector((max(0, d - g + 1), max(0, g - 1 - d)))
     raise ValueError(f"unknown curve model {model!r}")
 
@@ -271,20 +276,15 @@ def coh_cyclic_fano_index1(entry: VarietyCatalogEntry, m: int) -> CohVector:
     """Cohomology of ``O(m H)`` on a prime Fano 3-fold of genus g.
 
     Kodaira vanishing kills the middle groups for every twist, so
-    ``h^0 = chi`` for ``m >= 0`` and ``h^3 = h^0(O((-1-m) H))`` by duality.
+    ``h^0 = chi`` for ``m >= 0`` and :func:`_kodaira_serre` at index 1 does the rest.
     ``chi(O(k H)) = (g - 1) k (k + 1) (2k + 1) / 6 + 2k + 1`` is Riemann-Roch
     with ``H^3 = 2g - 2``, ``K = -H`` and ``c_2(Omega) . H = 24``, written in
     closed form so that the engine stays independent of :func:`rr.chi`.
     """
     if entry.kind != "prime_fano":
         raise ValueError("entry must be a prime Fano 3-fold")
-
-    def h0(k: int) -> int:
-        if k < 0:
-            return 0
-        return (entry.genus - 1) * k * (k + 1) * (2 * k + 1) // 6 + 2 * k + 1
-
-    return CohVector((h0(m), 0, 0, h0(-1 - m)))
+    g = entry.genus
+    return _kodaira_serre(3, 1, lambda k: (g - 1) * k * (k + 1) * (2 * k + 1) // 6 + 2 * k + 1, m)
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def chi_scroll_line(entry: VarietyCatalogEntry, t: int, a: int) -> int:
     defining bundle; inside the vanishing window it is zero; below, Serre
     duality.  Certified for both the split and the generic scroll model.
     """
-    n, d, g = entry.dimension, entry.deg_g, entry.genus or 0
+    n, d, g = entry.dimension, entry.deg_g, entry.genus
     if 1 - n <= t <= -1:
         return 0
     if t >= 0:

@@ -231,7 +231,7 @@ def monad_acm(
     subject to the emitted constraints, whose right-hand sides are computed
     by the exact cohomology engines.
     """
-    from .catalog import canonical_twist_coords, twist_coords
+    from .catalog import canonical_coords, twist_coords
     from .cohomology import line_bundle_cohomology
 
     n = entry.dimension
@@ -247,8 +247,9 @@ def monad_acm(
     )
     C = (Summand("O", 1, c), Summand("O(h)", 1, quantum))
     B = (Summand("B_aCM", None, 1),)
-    h0_w1 = line_bundle_cohomology(entry, canonical_twist_coords(entry, n - 1 - defect))[0]
-    h0_w2 = line_bundle_cohomology(entry, canonical_twist_coords(entry, n - defect))[0]
+    K = canonical_coords(entry)
+    h0_w1 = line_bundle_cohomology(entry, twist_coords(entry, K, n - 1 - defect))[0]
+    h0_w2 = line_bundle_cohomology(entry, twist_coords(entry, K, n - defect))[0]
     zero_coords = tuple([0] * entry.picard_rank())
     chi_O0 = line_bundle_cohomology(entry, zero_coords).chi()
     chi_On = line_bundle_cohomology(entry, twist_coords(entry, zero_coords, -n)).chi()

@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import catalog, chow, cohomology, rr
 from .catalog import VarietyCatalogEntry
-from .cohomology import CohomologyTable, coh_product, serre_dual_vector
+from .cohomology import CohomologyTable, line_bundle_cohomology, serre_dual_vector
 from .errors import InfeasibleError, VarietyMismatchError, WindowError
 from .rr import ChernData
 from .util import binom, fields_json
@@ -235,12 +235,6 @@ class BettiShape:
     def __post_init__(self) -> None:
         if any(m < 0 for _, m in self.beta):
             raise ValueError("Betti numbers are nonnegative")
-
-    def multiplicity(self, p: int, i: int) -> int:
-        for (pp, ii), m in self.beta:
-            if (pp, ii) == (p, i):
-                return m
-        return 0
 
     @staticmethod
     def from_dict(v: int, w: int, N: int, beta: dict[tuple[int, int], int]) -> "BettiShape":
@@ -604,23 +598,7 @@ class ScrollConstructionReport:
     engine_checked: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "variety": self.variety_id,
-            "n": self.n,
-            "genus": self.genus,
-            "deg_g": self.deg_g,
-            "k": self.k,
-            "chern": self.chern.to_json(),
-            "quantum": self.quantum,
-            "chi_pieces": self.chi_pieces,
-            "exact": self.exact,
-            "decomposable": self.decomposable,
-            "splitting": self.splitting,
-            "h1_end": self.h1_end,
-            "h1_end_ulrich_pair": self.h1_end_ulrich_pair,
-            "dimension_chain": self.dimension_chain,
-            "engine_checked": list(self.engine_checked),
-        }
+        return {"variety": self.variety_id, **fields_json(self, skip=("variety_id",))}
 
 
 def scroll_construction_report(
@@ -642,7 +620,7 @@ def scroll_construction_report(
         entry = scroll
     if entry.kind not in ("scroll_p1", "scroll_generic"):
         raise ValueError("the construction lives on scroll entries")
-    n, g, d = entry.dimension, entry.genus or 0, entry.deg_g
+    n, g, d = entry.dimension, entry.genus, entry.deg_g
     if n < 3:
         raise ValueError("the construction needs scroll dimension >= 3")
     if k < 0:
@@ -686,7 +664,7 @@ def scroll_construction_report(
     engine_checked: list[str] = []
     if exact:
         # h^i(O(h - g f)) = h^i(G(-g)) on the base
-        vec = cohomology.coh_scroll_p1(entry.degrees, 1, -d)
+        vec = line_bundle_cohomology(entry, (1, -d))
         if vec[0] == 0 and vec[1] == chain["h1_O(h-gf)"] and all(v == 0 for v in vec.dims[2:]):
             engine_checked.append("h1_O(h-gf)")
         if cohomology.chi_scroll_line(entry, 1, -d) == -chain["h1_O(h-gf)"]:
@@ -857,16 +835,15 @@ def segre_stable_example(s: int) -> SegreStableReport:
     chern = serre_construction_chern(entry, D, detE, Z)
 
     # twist the defining sequence by O(-h): the two line-bundle pieces
-    chi_first = coh_product([(1, 0), (1, -1), (1, 2)]).chi()  # O(0,-1,2)
-    chi_second_ambient = coh_product([(1, 0), (1, 1), (1, -2)]).chi()  # O(0,1,-2)
+    vec_first = line_bundle_cohomology(entry, (0, -1, 2))
+    vec_second = line_bundle_cohomology(entry, (0, 1, -2))
+    chi_first, chi_second_ambient = vec_first.chi(), vec_second.chi()
     chi_Z = s  # s disjoint rulings, restricted bundle trivial on each
     chi_E_minus_h = chi_first + (chi_second_ambient - chi_Z)
     q_oracle = -chi_E_minus_h
 
     # dimension bookkeeping at twist -1: the ambient piece has cohomology
     # only in degree 1, so the ideal-sheaf sequence forces every entry
-    vec_first = coh_product([(1, 0), (1, -1), (1, 2)])
-    vec_second = coh_product([(1, 0), (1, 1), (1, -2)])
     if not (vec_first.is_zero() and vec_second.support() == (1,)):
         raise RuntimeError(f"O(0,-1,2), O(0,1,-2) have cohomology {vec_first}, {vec_second}")
     h_vec = (0, s + vec_second[1], 0, 0)
@@ -876,7 +853,7 @@ def segre_stable_example(s: int) -> SegreStableReport:
         "chi_O(0,-1,2)": chi_first,
         "chi_O(0,1,-2)": chi_second_ambient,
         "chi_O_Z": chi_Z,
-        "h1_O(0,-2,4)": coh_product([(1, 0), (1, -2), (1, 4)])[1],
+        "h1_O(0,-2,4)": line_bundle_cohomology(entry, (0, -2, 4))[1],
         "slope_O(h1+3h3)": chow.integrate(D * h * h),
         "slope_E": chow.integrate(chern.c1 * h * h) // 2,
     }

@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class FrozenValue:
@@ -89,12 +85,3 @@ def binom(m: int, k: int) -> int:
     for i in range(k):
         num *= m - i
     return num // math.factorial(k)
-
-
-def render_rational(x: Fraction | int) -> str:
-    """Render a rational exactly, as ``p`` or ``p/q``."""
-    if isinstance(x, int):
-        return str(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"

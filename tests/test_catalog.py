@@ -85,12 +85,14 @@ def test_entry_ring_rejects_other_ids(entry_id):
 
 
 def test_canonical_twist_coords():
-    p3 = catalog.projective_space(3)
-    assert catalog.canonical_twist_coords(p3, 3) == (-1,)
-    fl = catalog.flag3()
-    assert catalog.canonical_twist_coords(fl, 2) == (0, 0)
-    sc = catalog.scroll_p1((1, 1, 1))
-    assert catalog.canonical_twist_coords(sc, 3) == (0, 1)
+    """``omega_X(m h)`` is the canonical coordinates twisted by m."""
+
+    def canonical_twist(entry, m):
+        return catalog.twist_coords(entry, catalog.canonical_coords(entry), m)
+
+    assert canonical_twist(catalog.projective_space(3), 3) == (-1,)
+    assert canonical_twist(catalog.flag3(), 2) == (0, 0)
+    assert canonical_twist(catalog.scroll_p1((1, 1, 1)), 3) == (0, 1)
 
 
 TANGENT_ENTRIES = (

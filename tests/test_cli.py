@@ -113,6 +113,23 @@ def test_chi_command(capsys):
     assert code == 0 and "chi(E(-1h)) = -3" in out
 
 
+def test_chi_beyond_riemann_roch_names_the_missed_twist(capsys):
+    code, out, err = run(
+        capsys, "chi", "--variety", "p4", "--bundle", "O:0", "--window", "0:1", "--twist", "5"
+    )
+    assert code == 2 and out == ""
+    assert "Riemann-Roch stops at dimension 3 and the window [0, 1] misses t = 5" in err
+
+
+@pytest.mark.parametrize("window", ["3", "a:1", "1:", ":"])
+def test_malformed_window_names_the_form(capsys, window):
+    with pytest.raises(MalformedDataError, match="TMIN:TMAX"):
+        cli.parse_window(window)
+    code, out, err = run(capsys, "cohom", "--variety", "p3", "--bundle", "O:0", "--window", window)
+    assert code == 2 and out == ""
+    assert f"window {window!r} is not of the form TMIN:TMAX" in err
+
+
 def test_monad_pn_render(capsys):
     code, out, _ = run(
         capsys, "monad", "pn", "--n", "3", "--defect", "0", "--rank", "2", "--quantum", "2"
@@ -315,13 +332,6 @@ def test_classify_cyclic_cli(capsys):
         capsys, "classify", "cyclic", "--n", "3", "--u", "1", "--v", "-2", "--defect", "0"
     )
     assert code == 1
-
-
-def test_box_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("INSTANTON_LAB_BOX", "4")
-    code, out, _ = run(capsys, "classify", "segre", "--defect", "0", "--json")
-    assert code == 0
-    assert json.loads(out)["box"] == 4
 
 
 def test_stability_cli(capsys):

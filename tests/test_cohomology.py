@@ -207,6 +207,44 @@ def test_quadric_surface_matches_p1_times_p1(t):
     assert coh_quadric(2, t) == coh_product([(1, t), (1, t)])
 
 
+def _product(*dims):
+    """``O(t_1, ..., t_r)`` on ``P^dims[0] x ...``, the engine as a line-bundle oracle."""
+    return lambda coords: coh_product(list(zip(dims, coords)))
+
+
+#: (entry, isomorphic variety, coordinate map, box half-width): the variety is a catalog
+#: entry or an engine on coordinates, and the map sends the entry's coordinates to its own
+ISOMORPHISMS = [
+    # P(O(1)^n) = P^1 x P^(n-1), with O(t h + a f) = O(t + a, t)
+    *[(catalog.scroll_p1((1,) * n), _product(1, n - 1), lambda t, a: (t + a, t), 8) for n in (2, 3, 4)],
+    (catalog.quadric(2), catalog.scroll_p1((1, 1)), lambda t: (t, 0), 10),
+    *[(catalog.curve(0, d, "exact_p1"), catalog.curve(0, d, "generic"), lambda t: (t,), 10) for d in (1, 2, 3)],
+    (catalog.projective_space(1), catalog.curve(0, 1, "exact_p1"), lambda t: (t,), 10),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, other, to_other, box",
+    ISOMORPHISMS,
+    ids=[f"{e.variety_id}~{o.variety_id if isinstance(o, catalog.VarietyCatalogEntry) else 'product'}"
+         for e, o, _, _ in ISOMORPHISMS],
+)
+def test_isomorphic_entries_agree_on_line_bundles(entry, other, to_other, box):
+    """Two models of one polarized variety give every line bundle in the box the same
+    cohomology; between two catalog entries, the same h^n and Riemann-Roch chi too."""
+    is_entry = isinstance(other, catalog.VarietyCatalogEntry)
+    coh_other = (lambda c: line_bundle_cohomology(other, c)) if is_entry else other
+    boxed = list(itertools.product(range(-box, box + 1), repeat=entry.picard_rank()))
+    assert [c for c in boxed if line_bundle_cohomology(entry, c) != coh_other(to_other(*c))] == []
+    if is_entry:
+        assert entry.hn() == other.hn()
+
+        def rr_chi(e, c):
+            return rr.chi(e, rr.chern_of_line_bundle_sum([(catalog.line_bundle_class(e, c), 1)]))
+
+        assert [c for c in boxed if rr_chi(entry, c) != rr_chi(other, to_other(*c))] == []
+
+
 def test_scroll_engine_is_polynomial_in_the_twist():
     """C(47, 7) ~ 6e7 multisets: only counting by degree sum finishes here."""
     degrees = (1, 1, 2, 2, 3, 3, 4, 5)

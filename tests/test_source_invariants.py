@@ -69,6 +69,62 @@ def test_only_the_engine_table_calls_an_engine():
     assert [node.lineno for node in calls if id(node) not in in_lambdas] == []
 
 
+def test_only_cohomology_calls_an_engine():
+    """Package-wide, line bundles reach an engine through the per-entry memo: no module
+    but ``cohomology.py`` calls a ``coh_*`` engine or :func:`cohomology.bott_gl`."""
+
+    def calls_an_engine(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+        return name.startswith("coh_") or name == "bott_gl"
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cohomology.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if calls_an_engine(node)
+    ]
+    assert found == []
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, string annotations included."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [
+        node.annotation if isinstance(node, (ast.arg, ast.AnnAssign)) else node.returns
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_every_imported_name_is_used():
+    """Each name a module imports is read in that module, in code or in an annotation
+    (``TYPE_CHECKING`` imports included); a line marked ``# noqa: F401`` is exempt."""
+    unused = []
+    for path in SOURCES:
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_only_the_input_boundaries_check_coordinates():
     """Coordinates are checked where they enter the package: ``catalog``,
     ``cohomology`` and ``cli`` call ``check_coords``, and no other module does,
