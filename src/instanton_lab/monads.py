@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 # Only errors and util are imported here: the catalog, Chow-ring, cohomology
 # and Riemann-Roch modules are imported by the two functions that run them,
 # monad_acm and serre_construction_chern, so `monad pn` compiles none.
-from .errors import InfeasibleError, MalformedDataError
+from .errors import InfeasibleError, MalformedDataError, UnsupportedBundleError
 from .util import FrozenValue, fields_json
 
 if TYPE_CHECKING:
@@ -177,12 +177,12 @@ def monad_pn(
     coincides with the rank-1 one there.
     """
     if n < 2:
-        raise ValueError("monads are synthesized for n >= 2")
+        raise UnsupportedBundleError("monads are synthesized for n >= 2")
     if defect not in (0, 1):
-        raise ValueError("defect must be 0 or 1")
+        raise MalformedDataError("defect must be 0 or 1")
     if defect == 0:
         if h0E is not None or hnE is not None:
-            raise ValueError("h^0(E) and h^n(E(-n)) are inputs of the non-ordinary shape only")
+            raise MalformedDataError("h^0(E) and h^n(E(-n)) are inputs of the non-ordinary shape only")
         middle = chi0 + (n + 1) * quantum
         if middle < 0:
             raise InfeasibleError(f"middle multiplicity chi + (n+1) q = {middle} is negative")
@@ -194,7 +194,7 @@ def monad_pn(
             )
         )
     if h0E is None or hnE is None:
-        raise ValueError("the non-ordinary shape needs h^0(E) and h^n(E(-n))")
+        raise MalformedDataError("the non-ordinary shape needs h^0(E) and h^n(E(-n))")
     b0, b1 = h0E, hnE
     if b1 - chi0 < 0 or b0 - chi0 < 0:
         raise InfeasibleError("b0, b1 must be at least chi(E)")

@@ -17,7 +17,8 @@ Hirzebruch's ``exp(sum_k lambda_k p_k(T_X))``, read off the tangent class the
 entry declares, in any dimension; the Chern characters of T_X and E come from
 the same Newton's identities.  ``exp(t h) td(T_X)`` enters as one integer
 vector of weights over the ring basis per entry and twist, built once and
-kept, so a call takes the power sums of E, dot products and one exact
+kept; ``n! ch(E)`` is taken from the power sums of E on the first call and
+kept on the :class:`ChernData`.  So a call is one dot product and one exact
 division, and never builds the Chern data of ``E(t h)``.
 :class:`ChernData` stops at c_3, so :func:`chi_twisted` takes sheaves on
 entries of dimension at most 3; higher-dimensional Euler characteristics come
@@ -47,7 +48,10 @@ class ChernData(FrozenValue):
     ``c2`` may be omitted on curves and ``c3`` below 3-folds.
     """
 
-    __slots__ = _fields = ("rank", "c1", "c2", "c3")
+    #: ``_ch`` is n! ch(E) over the ring basis, kept by :func:`chi_twisted` on its first call:
+    #: it follows from the fields, so it is neither compared nor shown
+    __slots__ = ("rank", "c1", "c2", "c3", "_ch")
+    _fields = ("rank", "c1", "c2", "c3")
 
     def __init__(self, rank: int, c1: ChowClass, c2: ChowClass | None = None, c3: ChowClass | None = None):
         if rank < 1:
@@ -64,6 +68,7 @@ class ChernData(FrozenValue):
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "c3", c3)
+        object.__setattr__(self, "_ch", None)
 
     @property
     def variety_id(self) -> str:
@@ -217,7 +222,8 @@ def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
     """Hirzebruch-Riemann-Roch ``chi(E(t h)) = int ch(E) exp(t h) td(X)`` with
     ``ch(E) = rank + sum_k p_k(E) / k!``, paired with the weights of ``exp(t h) td(X)``
     (:func:`_twisted_weights`, kept per entry and t) and divided once.  No Chern data of
-    ``E(t h)`` is built: each call takes the power sums of E and dot products.
+    ``E(t h)`` is built: the first call on ``c`` takes the power sums of E and keeps
+    ``n! ch(E)`` on it, and every call is then one dot product.
 
     The Chern data must live on the entry's own ring (``VarietyMismatchError`` otherwise) and
     carry c_1, ..., c_n, which :class:`ChernData` holds through n = 3 (``UnsupportedBundleError``
@@ -232,11 +238,16 @@ def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
     chern = (c.c1, c.c2, c.c3)[:n]
     if n > 3 or None in chern:
         raise UnsupportedBundleError(f"Riemann-Roch on {entry.variety_id} needs c1 to c{n}")
+    ch = c._ch
+    if ch is None:
+        # n! ch(E) = n! rank + sum_k (n!/k!) p_k(E), once per Chern data
+        total = factorial(n) * c.rank * entry.ring.one()
+        for k, pk in enumerate(_power_sums(chern), 1):
+            total = total + factorial(n) // factorial(k) * pk
+        ch = total.coeffs
+        object.__setattr__(c, "_ch", ch)
     weights, D = _twisted_weights(entry, t)
-    # n! ch(E) paired with the weights; basis[0] is the unit monomial
-    num = factorial(n) * c.rank * weights[0]
-    for k, pk in enumerate(_power_sums(chern), 1):
-        num += factorial(n) // factorial(k) * sum(map(operator.mul, pk.coeffs, weights))
+    num = sum(map(operator.mul, ch, weights))
     chi_value, rest = divmod(num, factorial(n) * D)
     if rest:
         from fractions import Fraction
@@ -307,9 +318,9 @@ def chern_poly_instanton_pn(n: int, rank: int, defect: int, quantum: int) -> tup
     ``(1-t)^(r/2) (1-t^2)^(-q)`` for defect 1 on the plane.
     """
     if defect not in (0, 1):
-        raise ValueError("defect must be 0 or 1")
+        raise MalformedDataError("defect must be 0 or 1")
     if n < 2:
-        raise ValueError("Chern polynomials are synthesized for n >= 2")
+        raise UnsupportedBundleError("Chern polynomials are synthesized for n >= 2")
     if defect and rank % 2:
         raise InfeasibleError("non-ordinary instanton sheaves on P^n have even rank")
 

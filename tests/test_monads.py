@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from instanton_lab import catalog, rr
-from instanton_lab.errors import InfeasibleError, MalformedDataError
+from instanton_lab.errors import InfeasibleError, MalformedDataError, UnsupportedBundleError
 from instanton_lab.monads import (
     monad_acm,
     monad_p1p3,
@@ -54,11 +54,18 @@ def test_monad_pn_rank_and_c1_bookkeeping():
 def test_monad_pn_errors():
     with pytest.raises(InfeasibleError):
         monad_pn(3, 0, 0, -1)
-    with pytest.raises(ValueError):
-        monad_pn(3, 1, 1, 0)  # missing h0/hn
-    for extra in ((7, 9), (7, None), (None, 9)):
-        with pytest.raises(ValueError):
-            monad_pn(3, 0, 1, 0, *extra)  # h0/hn belong to the non-ordinary shape
+    only = "h^0(E) and h^n(E(-n)) are inputs of the non-ordinary shape only"
+    cases = [
+        (UnsupportedBundleError, "monads are synthesized for n >= 2", (1, 0, 1, 0)),
+        (MalformedDataError, "defect must be 0 or 1", (3, 2, 1, 0)),
+        (MalformedDataError, "the non-ordinary shape needs h^0(E) and h^n(E(-n))", (3, 1, 1, 0)),
+        # h0/hn belong to the non-ordinary shape
+        *((MalformedDataError, only, (3, 0, 1, 0, *extra)) for extra in ((7, 9), (7, None), (None, 9))),
+    ]
+    for error, message, args in cases:
+        with pytest.raises(error) as exc:
+            monad_pn(*args)
+        assert type(exc.value) is error and str(exc.value) == message, args
 
 
 def test_monad_pn_nonordinary_shape_n2_drops_high_differential():

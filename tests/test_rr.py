@@ -181,7 +181,8 @@ def test_untwisted_weights_are_the_todd_weights(entry):
 )
 def test_chi_twisted_builds_no_twisted_chern_data(entry, monkeypatch):
     """With the weights of each twist cached, chi(E(t h)) on an n-fold multiplies only for the
-    power sums of E: at most n(n-1)/2 Chow-ring products, and no call of ``twist``."""
+    power sums of E, on the first call: at most n(n-1)/2 Chow-ring products, then none, and
+    no call of ``twist``."""
     coords = [(1,) * entry.picard_rank(), (-2,) + (1,) * (entry.picard_rank() - 1), (0,) * entry.picard_rank()]
     c = rr.chern_of_line_bundle_sum([(catalog.line_bundle_class(entry, co), 1) for co in coords])
     twists = range(-4, 5)
@@ -202,27 +203,71 @@ def test_chi_twisted_builds_no_twisted_chern_data(entry, monkeypatch):
     monkeypatch.setattr(rr, "twist", refused)
     monkeypatch.setattr(rr, "twist_by_h", refused)
     n = entry.dimension
-    for t, value in zip(twists, expected):
+    for i, (t, value) in enumerate(zip(twists, expected)):
         products.clear()
         assert rr.chi_twisted(entry, c, t) == value
-        assert len(products) <= n * (n - 1) // 2, (t, len(products))
+        assert len(products) <= (n * (n - 1) // 2 if i == 0 else 0), (t, len(products))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [catalog.projective_space(3), catalog.flag3(), catalog.scroll_p1((1, 1, 2)), catalog.prime_fano(7)],
+    ids=lambda e: e.variety_id,
+)
+def test_power_sums_are_taken_once_per_chern_data(entry, monkeypatch):
+    """chi(E(t h)) for t = -n, ..., 0 on one Chern data takes the power sums of E once: the
+    first call keeps n! ch(E) on the data, and every twist after it is a dot product.  On the
+    prime Fano 3-fold the rank-two members with rational c2 are among the data."""
+    n, H = entry.dimension, entry.polarization
+    rng = random.Random(entry.variety_id)
+    data = [
+        rr.chern_of_line_bundle_sum(
+            [(catalog.line_bundle_class(entry, tuple(rng.randint(-3, 3) for _ in range(entry.picard_rank()))), 1)
+             for _ in range(rank)]
+        )
+        for rank in (1, 2, 3)
+    ]
+    if entry.kind == "prime_fano":
+        for k in range(3):
+            rep = prime_fano_family(entry.genus, k)
+            data.append(ChernData(rep.rank, rep.c1_mult * H, Fraction(rep.c2_dot_h, entry.hn()) * H * H, 0 * H**3))
+        assert any(isinstance(v, Fraction) and v.denominator > 1 for c in data for v in c.c2.coeffs)
+    twists = range(-n, 1)
+    expected = [[rr.chi(entry, rr.twist_by_h(entry, c, t)) for t in twists] for c in data]
+    for t in twists:
+        rr._twisted_weights(entry, t)
+    calls = []
+    power_sums = rr._power_sums
+
+    def counted(chern):
+        calls.append(chern)
+        return power_sums(chern)
+
+    monkeypatch.setattr(rr, "_power_sums", counted)
+    for c, values in zip(data, expected):
+        calls.clear()
+        assert [rr.chi_twisted(entry, c, t) for t in twists] == values
+        assert rr.chi(entry, c) == values[-1]
+        assert len(calls) == 1, (c, len(calls))
 
 
 def test_chi_errors_are_typed_and_raised_before_any_weight():
     """Missing Chern classes raise ``UnsupportedBundleError`` and another variety's data
-    ``VarietyMismatchError``, both before a weight is built; a value that is not an integer
-    raises ``InfeasibleError``.  All three are ``ValueError``s."""
+    ``VarietyMismatchError``, both before a weight is built or ch(E) is kept on the data; a
+    value that is not an integer raises ``InfeasibleError``.  All three are ``ValueError``s."""
     p2, p4 = catalog.projective_space(2), catalog.projective_space(4)
     H = p2.ring.gen("H")
+    missing, foreign = ChernData(1, H), line_chern(p4, (1,))
     rr._twisted_weights.cache_clear()
     rr._todd_weights.cache_clear()
     with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(4\) needs c1 to c4$"):
-        rr.chi_twisted(p4, line_chern(p4, (1,)), 2)
+        rr.chi_twisted(p4, foreign, 2)
     with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(2\) needs c1 to c2$"):
-        rr.chi(p2, ChernData(1, H))
+        rr.chi(p2, missing)
     with pytest.raises(VarietyMismatchError):
-        rr.chi_twisted(p2, line_chern(p4, (1,)), -1)
+        rr.chi_twisted(p2, foreign, -1)
     assert rr._twisted_weights.cache_info().currsize == rr._todd_weights.cache_info().currsize == 0
+    assert missing._ch is None and foreign._ch is None
     with pytest.raises(InfeasibleError, match="^chi is not an integer: 5/2$"):
         rr.chi(p2, ChernData(1, H, Fraction(1, 2) * H * H))
     with pytest.raises(InfeasibleError, match="^chi is not an integer: 1/2$"):
@@ -254,6 +299,17 @@ def test_chern_data_and_its_builders_raise_typed_errors():
             call()
         assert type(exc.value) is error and str(exc.value).startswith(message)
     assert issubclass(MalformedDataError, ValueError) and issubclass(VarietyMismatchError, ValueError)
+
+
+def test_chern_poly_instanton_pn_raises_typed_errors():
+    cases = [
+        (MalformedDataError, "defect must be 0 or 1", (3, 2, 2, 1)),
+        (UnsupportedBundleError, "Chern polynomials are synthesized for n >= 2", (1, 2, 0, 1)),
+    ]
+    for error, message, args in cases:
+        with pytest.raises(error) as exc:
+            rr.chern_poly_instanton_pn(*args)
+        assert type(exc.value) is error and str(exc.value) == message, args
 
 
 def test_slope_examples():

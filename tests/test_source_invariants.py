@@ -89,6 +89,19 @@ def test_only_cohomology_calls_an_engine():
     assert found == []
 
 
+def test_rr_raises_no_bare_value_error():
+    """Every input check in ``rr`` raises a typed ``InstantonLabError`` (each one a
+    ``ValueError``), so the CLI can tell bad input from an internal bug."""
+    (path,) = [p for p in SOURCES if p.name == "rr.py"]
+    raised = [
+        node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    ]
+    assert raised
+    assert [node.lineno for node in raised if getattr(node, "id", None) == "ValueError"] == []
+
+
 def _used_names(tree: ast.AST) -> set[str]:
     """Every name the module reads, string annotations included."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from instanton_lab import catalog, chow, instanton, monads
+from instanton_lab import catalog, chow, instanton, monads, rr
 from instanton_lab.cohomology import CohVector, build_table
 from instanton_lab.errors import InfeasibleError
 
@@ -161,3 +161,23 @@ def test_pickled_and_deep_copied_monad_shapes_equal_the_originals():
     shape = monads.monad_pn(3, 1, 1, 0, 2, 2)
     for copied in (pickle.loads(pickle.dumps(shape)), copy.deepcopy(shape)):
         assert copied == shape and hash(copied) == hash(shape) and copied is not shape
+
+
+@pytest.mark.parametrize("variety", ENTRIES)
+def test_chern_data_after_chi_equal_their_rebuilt_twins(variety, rebuild):
+    """chi keeps n! ch(E) on the Chern data it reads; that slot is no field, so afterwards the
+    data are still equal to a twin rebuilt from the fields, with the same hash, repr and JSON,
+    and their pickled and deep-copied values are equal too (and rebuilt without the slot)."""
+    build, bundle = ENTRIES[variety]
+    entry = build()
+    chern = build_table(entry, bundle, (0, 0)).chern
+    before = (repr(chern), chern.to_json(), hash(chern))
+    assert chern._ch is None
+    value = rr.chi(entry, chern)
+    assert chern._ch is not None
+    twin = rebuild(chern)
+    assert twin == chern and hash(twin) == hash(chern) and twin._ch is None
+    assert (repr(chern), chern.to_json(), hash(chern)) == before
+    for copied in (pickle.loads(pickle.dumps(chern)), copy.deepcopy(chern)):
+        assert copied == chern and hash(copied) == hash(chern) and copied._ch is None
+        assert rr.chi(entry, copied) == value
