@@ -40,9 +40,10 @@ _EXPORTS = {
         "instanton": ("InstantonVerdict", "check_instanton", "natural_cohomology_window"),
         "monads": ("MonadShape", "monad_acm", "monad_p1p3", "monad_pn",
             "monad_quadric_nonordinary", "monad_quadric_ordinary", "monad_scroll3",
-            "monad_space_nonordinary", "serre_construction_chern"),
+            "monad_space_nonordinary"),
         "rr": ("ChernData", "chern_poly_instanton_pn", "chi", "chi_twisted", "cyclic_c1",
-            "normalization_twist", "quantum_chern_identity", "slope", "slope_condition"),
+            "normalization_twist", "quantum_chern_identity", "serre_construction_chern", "slope",
+            "slope_condition"),
         "classify": ("ClassificationReport", "classify_flag_lines", "classify_segre_lines"),
         "replays": ("BettiShape", "betti_shape_check", "chi_polynomial", "classify_cyclic_lines",
             "curve_quantum", "cyclic_rank2_stability_cases", "direct_sum", "discrepancy_probes",

@@ -31,10 +31,10 @@ from .util import FrozenValue
 
 class VarietyCatalogEntry(FrozenValue):
     """One polarized catalog variety; ``tangent`` is the total Chern class c(T_X)
-    (a rational c_2 on prime Fano entries) and ``u`` the polarization multiple of
-    the ample generator on cyclic entries.  The repr leaves out the ring."""
+    (a rational c_2 on prime Fano entries).  The dimension is the top degree of
+    the ring, and the repr leaves out the ring."""
 
-    _fields = ("variety_id", "kind", "dimension", "ring", "polarization", "tangent", "is_acm", "u",
+    _fields = ("variety_id", "kind", "ring", "polarization", "tangent", "is_acm",
                "degrees", "genus", "deg_g", "curve_model", "deg_h")
     _unshown = ("ring",)
 
@@ -42,12 +42,10 @@ class VarietyCatalogEntry(FrozenValue):
         self,
         variety_id: str,
         kind: str,
-        dimension: int,
         ring: ChowRingPresentation,
         polarization: ChowClass,
         tangent: ChowClass,
-        is_acm: bool = False,
-        u: int = 1,
+        is_acm: bool = True,
         degrees: tuple[int, ...] | None = None,
         genus: int | None = None,
         deg_g: int | None = None,
@@ -56,12 +54,10 @@ class VarietyCatalogEntry(FrozenValue):
     ):
         object.__setattr__(self, "variety_id", variety_id)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "polarization", polarization)
         object.__setattr__(self, "tangent", tangent)
         object.__setattr__(self, "is_acm", is_acm)
-        object.__setattr__(self, "u", u)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "deg_g", deg_g)
@@ -72,6 +68,10 @@ class VarietyCatalogEntry(FrozenValue):
 
     def __hash__(self) -> int:  # the id's hash, cached by str; equality still reads every field
         return hash(self.variety_id)
+
+    @cached_property
+    def dimension(self) -> int:
+        return self.ring.top_degree
 
     @cached_property
     def _h_powers(self) -> tuple[ChowClass, ...]:
@@ -116,12 +116,9 @@ def projective_space(n: int, u: int = 1) -> VarietyCatalogEntry:
     return VarietyCatalogEntry(
         variety_id=entry_id,
         kind="projective_space",
-        dimension=n,
         ring=ring,
         polarization=u * H,
         tangent=(ring.one() + H) ** (n + 1),
-        is_acm=True,
-        u=u,
     )
 
 
@@ -135,13 +132,10 @@ def quadric(n: int, u: int = 1) -> VarietyCatalogEntry:
     return VarietyCatalogEntry(
         variety_id=entry_id,
         kind="quadric",
-        dimension=n,
         ring=ring,
         polarization=u * H,
         # (1 + H)^(n+2) / (1 + 2H), the inverse a series truncated by the ring
         tangent=(ring.one() + H) ** (n + 2) * ring.from_dict({(j,): (-2) ** j for j in range(n + 1)}),
-        is_acm=True,
-        u=u,
     )
 
 
@@ -153,12 +147,10 @@ def flag3() -> VarietyCatalogEntry:
     return VarietyCatalogEntry(
         variety_id="flag3",
         kind="flag3",
-        dimension=3,
         ring=ring,
         polarization=h1 + h2,
         # one factor per positive root of SL(3)
         tangent=(one + 2 * h1 - h2) * (one + 2 * h2 - h1) * (one + h1 + h2),
-        is_acm=True,
     )
 
 
@@ -170,11 +162,9 @@ def triple_p1() -> VarietyCatalogEntry:
     return VarietyCatalogEntry(
         variety_id="triple_p1",
         kind="triple_p1",
-        dimension=3,
         ring=ring,
         polarization=h1 + h2 + h3,
         tangent=(one + 2 * h1) * (one + 2 * h2) * (one + 2 * h3),
-        is_acm=True,
     )
 
 
@@ -196,11 +186,9 @@ def scroll_p1(degrees: tuple[int, ...]) -> VarietyCatalogEntry:
     return VarietyCatalogEntry(
         variety_id=f"scroll_p1({','.join(map(str, degrees))})",
         kind="scroll_p1",
-        dimension=n,
         ring=ring,
         polarization=ring.gen("h"),
         tangent=_scroll_tangent(ring, n, d, 0),
-        is_acm=True,
         degrees=degrees,
         genus=0,
         deg_g=d,
@@ -215,7 +203,6 @@ def scroll_generic(n: int, genus: int, deg_g: int) -> VarietyCatalogEntry:
     return VarietyCatalogEntry(
         variety_id=f"scroll_generic({n};g={genus};deg={deg_g})",
         kind="scroll_generic",
-        dimension=n,
         ring=ring,
         polarization=ring.gen("h"),
         tangent=_scroll_tangent(ring, n, deg_g, genus),
@@ -242,11 +229,9 @@ def curve(genus: int, deg_h: int, model: str = "generic") -> VarietyCatalogEntry
     return VarietyCatalogEntry(
         variety_id=f"curve({genus};deg={deg_h};{model})",
         kind="curve",
-        dimension=1,
         ring=ring,
         polarization=deg_h * P,
         tangent=ring.one() + (2 - 2 * genus) * P,
-        is_acm=True,
         genus=genus,
         deg_h=deg_h,
         curve_model=model,
@@ -269,11 +254,9 @@ def prime_fano(genus: int) -> VarietyCatalogEntry:
     return VarietyCatalogEntry(
         variety_id=ring.variety_id,
         kind="prime_fano",
-        dimension=3,
         ring=ring,
         polarization=ring.gen("H"),
         tangent=ring.from_dict({(0,): 1, (1,): 1, (2,): Fraction(24, 2 * genus - 2)}),
-        is_acm=True,
         genus=genus,
     )
 

@@ -238,9 +238,9 @@ def cmd_monad_space1(args) -> int:
 def cmd_monad_quadric1(args) -> int:
     from . import monads
 
-    s = monads.monad_quadric_nonordinary(args.n, args.rank, args.quantum, args.a, args.c, args.b)
     shape = monads.monad_quadric_nonordinary_shape(args.n, args.rank, args.quantum, args.a, args.c, args.b)
-    return _emit(args, {"s": s, **shape.to_json()}, shape.to_markdown())
+    spinors = shape.terms[1][1]  # O^b + S^s + S(h)^s
+    return _emit(args, {"s": spinors.multiplicity, **shape.to_json()}, shape.to_markdown())
 
 
 def cmd_monad_scroll3(args) -> int:

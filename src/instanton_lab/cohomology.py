@@ -10,9 +10,10 @@ One closed-form engine per catalog family, each listed in one table,
 * the flag 3-fold -- Borel-Weil-Bott for GL(3), the same :func:`bott_gl`;
 * scrolls over P^1 -- the symmetric-power splitting of the pushforward, with
   Serre duality below the vanishing window;
-* curves -- exact genus-0 values and the generic Brill-Noether model, each
-  exact on a twist ``theta + s h`` of a non-effective theta-characteristic,
-  the degree ``g - 1 + s deg h`` of :func:`catalog.theta_coords`.
+* curves -- one Brill-Noether rule on the degree and the genus, exact at
+  genus 0 and on a twist ``theta + s h`` of a non-effective
+  theta-characteristic, the degree ``g - 1 + s deg h`` of
+  :func:`catalog.theta_coords`.
 
 Line bundles reach the engines through one memo per catalog entry value
 (``_rows``), keyed by checked coordinates: a miss calls the kind's engine
@@ -245,19 +246,14 @@ def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
     return CohVector((h0, h1) + zeros if t >= 0 else zeros + (h1, h0))
 
 
-def coh_curve(g: int, d: int, model: str) -> CohVector:
+def coh_curve(g: int, d: int) -> CohVector:
     """Cohomology of a degree-d line bundle on a genus-g curve.
 
-    ``generic`` returns the general Brill-Noether value; ``exact_p1`` is the
-    line, where that value at g = 0 is exact.
+    The general Brill-Noether value; it is exact at g = 0, where the curve is the line.
     """
     if g < 0:
         raise ValueError("genus >= 0")
-    if model == "exact_p1" and g != 0:
-        raise ValueError("exact_p1 requires genus 0")
-    if model in ("exact_p1", "generic"):
-        return CohVector((max(0, d - g + 1), max(0, g - 1 - d)))
-    raise ValueError(f"unknown curve model {model!r}")
+    return CohVector((max(0, d - g + 1), max(0, g - 1 - d)))
 
 
 def coh_curve_theta_shift(g: int, deg_h: int, s: int) -> CohVector:
@@ -265,14 +261,14 @@ def coh_curve_theta_shift(g: int, deg_h: int, s: int) -> CohVector:
 
     Exact consequence of genericity: ``chi = s deg(h)`` and one-sided
     vanishing, so ``h^0 = max(s, 0) deg(h)`` and ``h^1 = max(-s, 0) deg(h)``.
-    :func:`coh_curve` gives it on either model at :func:`catalog.theta_coords`.
+    :func:`coh_curve` gives it at :func:`catalog.theta_coords`.
     """
     if deg_h < 1:
         raise ValueError("polarization degree >= 1")
     return CohVector((max(s, 0) * deg_h, max(-s, 0) * deg_h))
 
 
-def coh_cyclic_fano_index1(entry: VarietyCatalogEntry, m: int) -> CohVector:
+def coh_cyclic_fano_index1(g: int, m: int) -> CohVector:
     """Cohomology of ``O(m H)`` on a prime Fano 3-fold of genus g.
 
     Kodaira vanishing kills the middle groups for every twist, so
@@ -281,9 +277,8 @@ def coh_cyclic_fano_index1(entry: VarietyCatalogEntry, m: int) -> CohVector:
     with ``H^3 = 2g - 2``, ``K = -H`` and ``c_2(Omega) . H = 24``, written in
     closed form so that the engine stays independent of :func:`rr.chi`.
     """
-    if entry.kind != "prime_fano":
-        raise ValueError("entry must be a prime Fano 3-fold")
-    g = entry.genus
+    if g < 3:
+        raise ValueError("prime Fano 3-folds have genus >= 3")
     return _kodaira_serre(3, 1, lambda k: (g - 1) * k * (k + 1) * (2 * k + 1) // 6 + 2 * k + 1, m)
 
 
@@ -309,12 +304,12 @@ class _EngineTable(dict):
 ENGINES = _EngineTable({
     "projective_space": lambda e, c: coh_projective_space(e.dimension, c[0]),
     "quadric": lambda e, c: coh_quadric(e.dimension, c[0]),
-    "prime_fano": lambda e, c: coh_cyclic_fano_index1(e, c[0]),
+    "prime_fano": lambda e, c: coh_cyclic_fano_index1(e.genus, c[0]),
     "flag3": lambda e, c: coh_flag3(*c),
     "triple_p1": lambda e, c: coh_product([(1, c[0]), (1, c[1]), (1, c[2])]),
     "scroll_p1": lambda e, c: coh_scroll_p1(e.degrees, c[0], c[1]),
     "scroll_generic": _coh_scroll_generic,
-    "curve": lambda e, c: coh_curve(e.genus, c[0], e.curve_model),
+    "curve": lambda e, c: coh_curve(e.genus, c[0]),
 })
 
 
@@ -372,14 +367,14 @@ Bundles = list[tuple[tuple[int, ...], int]]
 
 
 class CohomologyTable(FrozenValue):
-    """Cohomology vectors of one sheaf over an inclusive twist window."""
+    """Cohomology vectors of one sheaf over an inclusive twist window; each row is
+    ``(h^0, ..., h^n)``, so the rows give the dimension n."""
 
-    __slots__ = _fields = ("variety_id", "dimension", "rank", "tmin", "tmax", "rows", "chern", "assumptions")
+    __slots__ = _fields = ("variety_id", "rank", "tmin", "tmax", "rows", "chern", "assumptions")
 
     def __init__(
         self,
         variety_id: str,
-        dimension: int,
         rank: int,
         tmin: int,
         tmax: int,
@@ -391,17 +386,19 @@ class CohomologyTable(FrozenValue):
             raise ValueError("empty window")
         if len(rows) != tmax - tmin + 1:
             raise ValueError("row count does not match the window")
-        for row in rows:
-            if len(row) != dimension + 1:
-                raise ValueError("row length does not match the dimension")
+        if len(set(map(len, rows))) != 1:
+            raise ValueError("rows of different lengths")
         object.__setattr__(self, "variety_id", variety_id)
-        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tmin", tmin)
         object.__setattr__(self, "tmax", tmax)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "chern", chern)
         object.__setattr__(self, "assumptions", assumptions)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows[0].dims) - 1
 
     def covers(self, a: int, b: int) -> bool:
         return self.tmin <= a and b <= self.tmax
@@ -470,7 +467,6 @@ class CohomologyTable(FrozenValue):
             raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
         return CohomologyTable(
             variety_id=variety_id,
-            dimension=n,
             rank=rank,
             tmin=tmin,
             tmax=tmax,
@@ -520,7 +516,6 @@ def build_table(
     assumptions = ("generic Brill-Noether position",) if entry.curve_model == "generic" else ()
     return CohomologyTable(
         variety_id=entry.variety_id,
-        dimension=n,
         rank=rank,
         tmin=tmin,
         tmax=tmax,

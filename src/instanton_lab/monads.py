@@ -13,16 +13,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-# Only errors and util are imported here: the catalog, Chow-ring, cohomology
-# and Riemann-Roch modules are imported by the two functions that run them,
-# monad_acm and serre_construction_chern, so `monad pn` compiles none.
-from .errors import InfeasibleError, MalformedDataError, UnsupportedBundleError
-from .util import FrozenValue, fields_json
+# Only errors and util are imported here: the catalog and cohomology modules
+# are imported by the one function that runs them, monad_acm, so `monad pn`
+# compiles neither.
+from .errors import InfeasibleError, MalformedDataError, UnknownVarietyError, UnsupportedBundleError
+from .util import FrozenValue, binom, fields_json
 
 if TYPE_CHECKING:
     from .catalog import VarietyCatalogEntry
-    from .chow import ChowClass
-    from .rr import ChernData
 
 
 class Summand(FrozenValue):
@@ -236,9 +234,9 @@ def monad_acm(
 
     n = entry.dimension
     if n < 3:
-        raise ValueError("aCM monads need dimension >= 3")
+        raise UnsupportedBundleError("aCM monads need dimension >= 3")
     if not entry.is_acm:
-        raise ValueError(f"{entry.variety_id} is not flagged aCM")
+        raise UnsupportedBundleError(f"{entry.variety_id} is not flagged aCM")
     a = defect * hn1E
     c = defect * h1E
     A = (
@@ -310,7 +308,7 @@ def monad_quadric_ordinary(
     split (swapped when n = 2 mod 4).
     """
     if n < 3:
-        raise ValueError("quadric monads need n >= 3")
+        raise UnsupportedBundleError("quadric monads need n >= 3")
     if rank % 2:
         raise InfeasibleError("ordinary instanton bundles on quadrics have even rank")
     denom = spinor_rank(n)
@@ -351,7 +349,7 @@ def monad_space_nonordinary(n: int, rank: int, quantum: int, a: int, c: int) -> 
     ``b0 = r/2 + q + a`` and ``b1 = r/2 + q + c``.
     """
     if n < 3:
-        raise ValueError("n >= 3")
+        raise UnsupportedBundleError("n >= 3")
     if rank % 2:
         raise InfeasibleError("non-ordinary instanton bundles on P^n have even rank")
     if a < 0 or c < 0:
@@ -375,7 +373,7 @@ def monad_quadric_nonordinary(n: int, rank: int, quantum: int, a: int, c: int, b
     ``s = a = c = 0`` it degenerates to the symmetric linear monad.
     """
     if n < 3 or n % 2 == 0:
-        raise ValueError("the explicit non-ordinary quadric monad needs odd n >= 3")
+        raise UnsupportedBundleError("the explicit non-ordinary quadric monad needs odd n >= 3")
     if min(a, c, b) < 0:
         raise InfeasibleError("multiplicities are nonnegative")
     denom = 2 ** ((n + 1) // 2)
@@ -417,6 +415,22 @@ class ScrollMonadReport(FrozenValue):
         object.__setattr__(self, "relative_cotangent_h1", relative_cotangent_h1)
 
 
+def _filtration(rank: int, quantum: int, inputs: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
+    """Multiplicities ``(s_1, ..., s_(k+1))`` of an Ulrich filtration with k + 1 quotients, and
+    their relation: ``s_i = x_i``, plus 2q on the first and the last input, and
+    ``sum_i C(k, i - 1) s_i = rank + 2 quantum``."""
+    k = len(inputs) - 1
+    s = tuple(x + 2 * quantum if i in (0, k) else x for i, x in enumerate(inputs))
+    if min(s) < 0:
+        raise InfeasibleError(f"negative multiplicity in {s}")
+    weights = [binom(k, i) for i in range(k + 1)]
+    lhs = " + ".join(f"{w} s{i}" if w > 1 else f"s{i}" for i, w in enumerate(weights, 1))
+    total = sum(w * x for w, x in zip(weights, s))
+    if total != rank + 2 * quantum:
+        raise InfeasibleError(f"{lhs} = {total} != rank + 2q = {rank + 2 * quantum}")
+    return s, f"{lhs} = rank + 2 quantum"
+
+
 def monad_scroll3(
     d: int, rank: int, quantum: int, s_inputs: tuple[int, int, int]
 ) -> ScrollMonadReport:
@@ -428,18 +442,9 @@ def monad_scroll3(
     and must satisfy ``s1 + 2 s2 + s3 = rank + 2 quantum``.
     """
     if d < 3:
-        raise ValueError("a 3-dimensional scroll over P^1 has degree >= 3")
+        raise UnknownVarietyError("a 3-dimensional scroll over P^1 has degree >= 3")
     x1, x2, x3 = s_inputs
-    s1, s2, s3 = x1 + 2 * quantum, x2, x3 + 2 * quantum
-    if min(s1, s2, s3) < 0:
-        raise InfeasibleError(f"negative multiplicity in {(s1, s2, s3)}")
-    if s1 + 2 * s2 + s3 != rank + 2 * quantum:
-        raise InfeasibleError(
-            f"s1 + 2 s2 + s3 = {s1 + 2 * s2 + s3} != rank + 2q = {rank + 2 * quantum}"
-        )
-    return ScrollMonadReport(
-        (s1, s2, s3), "s1 + 2 s2 + s3 = rank + 2 quantum", relative_cotangent_h1=d - 3
-    )
+    return ScrollMonadReport(*_filtration(rank, quantum, (x1, x2, x3)), relative_cotangent_h1=d - 3)
 
 
 def monad_p1p3(
@@ -452,32 +457,4 @@ def monad_p1p3(
     ``s1 + 3 s2 + 3 s3 + s4 = rank + 2 quantum``.
     """
     x1, x2, x3, x4 = s_inputs
-    s = (x1 + 2 * quantum, x2, x3, x4 + 2 * quantum)
-    if min(s) < 0:
-        raise InfeasibleError(f"negative multiplicity in {s}")
-    if s[0] + 3 * s[1] + 3 * s[2] + s[3] != rank + 2 * quantum:
-        raise InfeasibleError(
-            f"s1 + 3 s2 + 3 s3 + s4 = {s[0] + 3 * s[1] + 3 * s[2] + s[3]}"
-            f" != rank + 2q = {rank + 2 * quantum}"
-        )
-    return ScrollMonadReport(s, "s1 + 3 s2 + 3 s3 + s4 = rank + 2 quantum")
-
-
-def serre_construction_chern(
-    entry: VarietyCatalogEntry, D: ChowClass, detE: ChowClass, Zclass: ChowClass
-) -> ChernData:
-    """Chern data of the rank-two bundle attached to a codimension-two cycle.
-
-    A section vanishing on ``Z`` (class ``Zclass``) along the divisor ``D``
-    with determinant ``detE`` gives ``c1 = detE`` and
-    ``c2 = D (detE - D) + [Z]``.
-    """
-    from . import chow
-    from .rr import ChernData
-
-    for cls, deg, name in ((D, 1, "D"), (detE, 1, "det"), (Zclass, 2, "Z")):
-        if not cls.is_homogeneous(deg):
-            raise ValueError(f"{name} must be homogeneous of degree {deg}")
-    c2 = chow.multiply(D, detE - D) + Zclass
-    c3 = entry.ring.zero() if entry.dimension >= 3 else None
-    return ChernData(2, detE, c2, c3)
+    return ScrollMonadReport(*_filtration(rank, quantum, (x1, x2, x3, x4)))

@@ -100,7 +100,6 @@ def pushforward_model(table: CohomologyTable, degree: int) -> CohomologyTable:
         raise ValueError("the degree h^n is positive")
     return CohomologyTable(
         variety_id=f"projective_space({table.dimension})",
-        dimension=table.dimension,
         rank=table.rank * degree,
         tmin=table.tmin,
         tmax=table.tmax,
@@ -123,7 +122,6 @@ def direct_sum(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
         chern = rr.whitney_sum(t1.chern, t2.chern)
     return CohomologyTable(
         variety_id=t1.variety_id,
-        dimension=t1.dimension,
         rank=t1.rank + t2.rank,
         tmin=tmin,
         tmax=tmax,
@@ -158,7 +156,6 @@ def ulrich_dual_table(
         chern = rr.ulrich_dual_chern(entry, table.chern, defect)
     return CohomologyTable(
         variety_id=table.variety_id,
-        dimension=n,
         rank=table.rank,
         tmin=tmin,
         tmax=tmax,
@@ -612,8 +609,6 @@ def scroll_construction_report(
     ``0 -> O((g + theta) f) -> E -> I_Z(h + theta f) -> 0`` with Z a union of
     k general fiber hyperplanes.
     """
-    from .monads import serre_construction_chern  # not at module level: only two replays build monads
-
     if isinstance(scroll, tuple):
         entry = catalog.scroll_p1(scroll)
     else:
@@ -630,7 +625,7 @@ def scroll_construction_report(
     theta_deg = g - 1
     D = (d + theta_deg) * f
     detE = h + (d + 2 * g - 2) * f
-    chern = serre_construction_chern(entry, D, detE, k * (h * f))
+    chern = rr.serre_construction_chern(entry, D, detE, k * (h * f))
 
     # chi-additivity: -chi(E(-h)) = -chi(O(-h + (g+theta) f)) - chi(O(theta f)) + chi(O_Z)
     exact = entry.kind == "scroll_p1"
@@ -821,8 +816,6 @@ class SegreStableReport:
 
 def segre_stable_example(s: int) -> SegreStableReport:
     """Run the chi-additivity oracle on the unstable family member with s rulings."""
-    from .monads import serre_construction_chern
-
     if s < 0:
         raise ValueError("s >= 0")
     entry = catalog.triple_p1()
@@ -832,7 +825,7 @@ def segre_stable_example(s: int) -> SegreStableReport:
     D = h1 + 3 * h3
     detE = 2 * h
     Z = s * (h2 * h3)
-    chern = serre_construction_chern(entry, D, detE, Z)
+    chern = rr.serre_construction_chern(entry, D, detE, Z)
 
     # twist the defining sequence by O(-h): the two line-bundle pieces
     vec_first = line_bundle_cohomology(entry, (0, -1, 2))

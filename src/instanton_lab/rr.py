@@ -23,6 +23,9 @@ division, and never builds the Chern data of ``E(t h)``.
 :class:`ChernData` stops at c_3, so :func:`chi_twisted` takes sheaves on
 entries of dimension at most 3; higher-dimensional Euler characteristics come
 from the cohomology engines instead.
+
+The Chern-class arithmetic covers Whitney sums, twists, duals and the rank-two
+Serre construction on a codimension-two cycle (:func:`serre_construction_chern`).
 """
 
 from __future__ import annotations
@@ -148,6 +151,23 @@ def ulrich_dual_chern(entry: VarietyCatalogEntry, c: ChernData, defect: int = 0)
 
 def twist_by_h(entry: VarietyCatalogEntry, c: ChernData, t: int) -> ChernData:
     return twist(c, t * entry.polarization)
+
+
+def serre_construction_chern(
+    entry: VarietyCatalogEntry, D: ChowClass, detE: ChowClass, Zclass: ChowClass
+) -> ChernData:
+    """Chern data of the rank-two bundle of the Serre construction on a codimension-two cycle.
+
+    A section vanishing on ``Z`` (class ``Zclass``) along the divisor ``D``
+    with determinant ``detE`` gives ``c1 = detE`` and
+    ``c2 = D (detE - D) + [Z]``.
+    """
+    for cls, deg, name in ((D, 1, "D"), (detE, 1, "det"), (Zclass, 2, "Z")):
+        if not cls.is_homogeneous(deg):
+            raise MalformedDataError(f"{name} must be homogeneous of degree {deg}")
+    c2 = chow.multiply(D, detE - D) + Zclass
+    c3 = entry.ring.zero() if entry.dimension >= 3 else None
+    return ChernData(2, detE, c2, c3)
 
 
 # --------------------------------------------------------------------------

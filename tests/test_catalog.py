@@ -202,6 +202,30 @@ def test_check_coords():
     assert catalog.check_coords(fl, (2.0, Fraction(4, 2))) == (2, 2)
 
 
+#: literal dimension per entry
+DIMENSIONS = {
+    "projective_space(3)": 3,
+    "projective_space(3;h=2)": 3,
+    "quadric(4)": 4,
+    "flag3": 3,
+    "triple_p1": 3,
+    "scroll_p1(1,1,2)": 3,
+    "scroll_generic(3;g=2;deg=5)": 3,
+    "curve(2;deg=3;generic)": 1,
+    "curve(0;deg=2;exact_p1)": 1,
+    "prime_fano(5)": 3,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
+def test_entries_derive_their_dimension(entry):
+    """The dimension is the top degree of the entry's ring, not a stored field; the
+    polarization multiple is read off h, so no field keeps it either."""
+    assert not {"dimension", "u"} & set(catalog.VarietyCatalogEntry._fields)
+    assert entry.dimension == entry.ring.top_degree == DIMENSIONS[entry.variety_id]
+    assert "dimension=" not in repr(entry)
+
+
 def test_polarization_multiple():
     e = catalog.projective_space(3, u=2)
     assert e.variety_id == "projective_space(3;h=2)"
@@ -211,7 +235,7 @@ def test_polarization_multiple():
 
 def test_parse_variety():
     assert catalog.parse_variety("p3").variety_id == "projective_space(3)"
-    assert catalog.parse_variety("p3:h=2").u == 2
+    assert catalog.polarization_coords(catalog.parse_variety("p3:h=2")) == (2,)
     assert catalog.parse_variety("q4").variety_id == "quadric(4)"
     assert catalog.parse_variety("flag3").kind == "flag3"
     assert catalog.parse_variety("triple-p1").kind == "triple_p1"

@@ -314,11 +314,28 @@ def test_scroll_window_rejects_bad_degrees():
                 coh_scroll_p1(degrees, t, 0)
 
 
+def test_tables_derive_their_dimension():
+    """A table's dimension is read off its rows ``(h^0, ..., h^n)``; rows of two lengths are refused."""
+    assert "dimension" not in CohomologyTable._fields
+    for entry in (catalog.curve(2, 3), catalog.quadric(4), catalog.scroll_p1((1, 1, 2, 3))):
+        table = build_table(entry, (0,) * entry.picard_rank(), (-1, 1))
+        assert table.dimension == entry.dimension
+        assert CohomologyTable.from_json(table.to_json()).dimension == entry.dimension
+    with pytest.raises(ValueError, match=r"^rows of different lengths$"):
+        CohomologyTable("projective_space(2)", 1, 0, 1, (CohVector((1, 0, 0)), CohVector((3, 0))))
+
+
+def test_prime_fano_engine_takes_the_genus():
+    assert cohomology.coh_cyclic_fano_index1(5, 1) == line_bundle_cohomology(catalog.prime_fano(5), (1,))
+    with pytest.raises(ValueError, match=r"^prime Fano 3-folds have genus >= 3$"):
+        cohomology.coh_cyclic_fano_index1(2, 0)
+
+
 def test_coh_curve_examples():
-    assert coh_curve(0, 3, "exact_p1").dims == (4, 0)
-    assert coh_curve(3, 5, "generic").dims == (3, 0)
-    with pytest.raises(ValueError, match="^unknown curve model 'theta'$"):
-        coh_curve(2, 1, "theta")
+    assert coh_curve(0, 3).dims == (4, 0)
+    assert coh_curve(3, 5).dims == (3, 0)
+    with pytest.raises(ValueError, match="^genus >= 0$"):
+        coh_curve(-1, 1)
 
 
 def test_theta_shift_engine():
@@ -641,8 +658,8 @@ DIRECT = {
     "triple_p1": lambda e, c: coh_product([(1, a) for a in c]),
     "scroll_p1": lambda e, c: coh_scroll_p1(e.degrees, c[0], c[1]),
     "scroll_generic": lambda e, c: CohVector((0,) * (e.dimension + 1)),
-    "curve": lambda e, c: coh_curve(e.genus, c[0], e.curve_model),
-    "prime_fano": lambda e, c: cohomology.coh_cyclic_fano_index1(e, c[0]),
+    "curve": lambda e, c: coh_curve(e.genus, c[0]),
+    "prime_fano": lambda e, c: cohomology.coh_cyclic_fano_index1(e.genus, c[0]),
 }
 
 

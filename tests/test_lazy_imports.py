@@ -110,7 +110,7 @@ LEAVES = {
 REPLAY_LEAVES = {
     "classify cyclic --n 3 --u 2 --v -4 --defect 1 --json": TABLE | {"replays"},
     "stability --n 3 --u 1 --v -4 --defect 0 --h0-norm 1 --h0-norm-minus 0 --json": TABLE | {"replays"},
-    "scroll --degrees 1,1,1 --k 1 --json": TABLE | {"monads", "replays"},
+    "scroll --degrees 1,1,1 --k 1 --json": TABLE | {"replays"},
     "fano --index 1 --defect 0 --epsilon 1 --json": TABLE | {"replays"},
     "resolution-check --ambient 3 --v 0 --w 0 --beta 0,0:1 --n 3 --defect 0 --quantum 0 --chi0 1 --json": (
         TABLE | {"replays"}

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from instanton_lab import catalog, rr
-from instanton_lab.errors import InfeasibleError, MalformedDataError, UnsupportedBundleError
+from instanton_lab.errors import InfeasibleError, MalformedDataError, UnknownVarietyError, UnsupportedBundleError
 from instanton_lab.monads import (
     monad_acm,
     monad_p1p3,
@@ -14,9 +14,9 @@ from instanton_lab.monads import (
     monad_quadric_ordinary_shape,
     monad_scroll3,
     monad_space_nonordinary,
-    serre_construction_chern,
     spinor_rank,
 )
+from instanton_lab.rr import serre_construction_chern
 
 
 def test_monad_pn_ordinary():
@@ -109,8 +109,45 @@ def test_monad_acm_pn_defect1_matches_quasilinear():
 
 
 def test_monad_acm_requires_acm_entry():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedBundleError) as exc:
         monad_acm(catalog.scroll_generic(3, 1, 4), 0, 1)
+    assert type(exc.value) is UnsupportedBundleError
+    assert str(exc.value) == "scroll_generic(3;g=1;deg=4) is not flagged aCM"
+
+
+def test_monad_input_errors_are_typed():
+    """Each shape refuses an input outside its family with a typed error; every message is kept."""
+    cases = [
+        (UnsupportedBundleError, "aCM monads need dimension >= 3", monad_acm, (catalog.quadric(2), 0, 1)),
+        (UnsupportedBundleError, "quadric monads need n >= 3", monad_quadric_ordinary, (2, 2, 1)),
+        (UnsupportedBundleError, "n >= 3", monad_space_nonordinary, (2, 2, 1, 0, 0)),
+        (UnsupportedBundleError, "the explicit non-ordinary quadric monad needs odd n >= 3",
+         monad_quadric_nonordinary, (4, 2, 1, 0, 0, 0)),
+        (UnsupportedBundleError, "the explicit non-ordinary quadric monad needs odd n >= 3",
+         monad_quadric_nonordinary, (1, 2, 1, 0, 0, 0)),
+        (UnknownVarietyError, "a 3-dimensional scroll over P^1 has degree >= 3", monad_scroll3, (2, 2, 0, (2, 0, 0))),
+    ]
+    for error, message, fn, args in cases:
+        with pytest.raises(error) as exc:
+            fn(*args)
+        assert type(exc.value) is error and str(exc.value) == message, (fn.__name__, args)
+
+
+def test_filtration_relations_and_messages():
+    """Both filtrations weight s_i by C(k, i - 1) over k + 1 quotients; the relation and the two
+    refusals read as written."""
+    assert monad_scroll3(4, 4, 1, (0, 1, 0)).relation == "s1 + 2 s2 + s3 = rank + 2 quantum"
+    assert monad_p1p3(8, 0, (2, 1, 1, 0)).relation == "s1 + 3 s2 + 3 s3 + s4 = rank + 2 quantum"
+    cases = [
+        ("negative multiplicity in (-1, 0, 2)", monad_scroll3, (3, 2, 1, (-3, 0, 0))),
+        ("negative multiplicity in (2, -1, 0, 2)", monad_p1p3, (2, 1, (0, -1, 0, 0))),
+        ("s1 + 2 s2 + s3 = 8 != rank + 2q = 4", monad_scroll3, (3, 2, 1, (1, 1, 1))),
+        ("s1 + 3 s2 + 3 s3 + s4 = 5 != rank + 2q = 4", monad_p1p3, (2, 1, (1, 0, 0, 0))),
+    ]
+    for message, fn, args in cases:
+        with pytest.raises(InfeasibleError) as exc:
+            fn(*args)
+        assert type(exc.value) is InfeasibleError and str(exc.value) == message, (fn.__name__, args)
 
 
 def test_monad_quadric_ordinary_counts():
@@ -238,7 +275,7 @@ def test_serre_construction_chern_triple():
     assert c.c1 == 2 * h
     zero = serre_construction_chern(entry, 0 * h1, 0 * h, 0 * (h2 * h3))
     assert zero.c2.is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedDataError, match=r"^D must be homogeneous of degree 1$"):
         serre_construction_chern(entry, h1 * h2, 2 * h, 0 * (h2 * h3))
 
 

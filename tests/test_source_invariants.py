@@ -47,6 +47,22 @@ def test_only_cohomology_reaches_the_engine_table():
     )
 
 
+def test_cohomology_reads_the_kind_only_to_pick_an_engine():
+    """``cohomology.py`` reads an entry's ``kind`` only inside an ``ENGINES[...]`` subscript:
+    the engines themselves take the numbers they use, not the entry's family."""
+    (path,) = [p for p in SOURCES if p.name == "cohomology.py"]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_subscripts = {
+        id(node)
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "ENGINES"
+        for node in ast.walk(sub.slice)
+    }
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert reads
+    assert [node.lineno for node in reads if id(node) not in in_subscripts] == []
+
+
 def test_only_the_engine_table_calls_an_engine():
     """Inside ``cohomology.py`` only the ``ENGINES`` lambdas call a ``coh_*`` engine, so
     every line bundle, a table's summands included, goes through the per-entry memo."""
@@ -90,16 +106,17 @@ def test_only_cohomology_calls_an_engine():
 
 
 def test_rr_raises_no_bare_value_error():
-    """Every input check in ``rr`` raises a typed ``InstantonLabError`` (each one a
-    ``ValueError``), so the CLI can tell bad input from an internal bug."""
-    (path,) = [p for p in SOURCES if p.name == "rr.py"]
-    raised = [
-        node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Raise) and node.exc is not None
-    ]
-    assert raised
-    assert [node.lineno for node in raised if getattr(node, "id", None) == "ValueError"] == []
+    """Every input check in ``rr`` and ``monads`` raises a typed ``InstantonLabError`` (each
+    one a ``ValueError``), so the CLI can tell bad input from an internal bug."""
+    for module in ("rr.py", "monads.py"):
+        (path,) = [p for p in SOURCES if p.name == module]
+        raised = [
+            node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Raise) and node.exc is not None
+        ]
+        assert raised, module
+        assert [node.lineno for node in raised if getattr(node, "id", None) == "ValueError"] == [], module
 
 
 def _used_names(tree: ast.AST) -> set[str]:
