@@ -40,7 +40,7 @@ _EXPORTS = {
         "instanton": ("InstantonVerdict", "check_instanton", "natural_cohomology_window"),
         "monads": ("MonadShape", "monad_acm", "monad_p1p3", "monad_pn",
             "monad_quadric_nonordinary", "monad_quadric_ordinary", "monad_scroll3",
-            "monad_space_nonordinary"),
+            "monad_space_nonordinary", "rank_from_chi"),
         "rr": ("ChernData", "chern_poly_instanton_pn", "chi", "chi_twisted", "cyclic_c1",
             "normalization_twist", "quantum_chern_identity", "serre_construction_chern", "slope",
             "slope_condition"),
@@ -48,7 +48,7 @@ _EXPORTS = {
         "replays": ("BettiShape", "betti_shape_check", "chi_polynomial", "classify_cyclic_lines",
             "curve_quantum", "cyclic_rank2_stability_cases", "direct_sum", "discrepancy_probes",
             "fano_instanton_bridge", "hoppe_rank2", "horrocks_gate", "prime_fano_family",
-            "pushforward_model", "rank_from_chi", "regularity_report", "restriction_transform",
+            "pushforward_model", "regularity_report", "restriction_transform",
             "scroll_construction_report", "segre_stable_example", "surface_quantum_formulas",
             "ulrich_dual_table", "veronese_quantum"),
     }.items()

@@ -102,7 +102,8 @@ class VarietyCatalogEntry(FrozenValue):
         return -self.tangent.part(1)
 
     @cached_property
-    def _h_coords(self) -> tuple[int, ...]:
+    def h_coords(self) -> tuple[int, ...]:
+        """Coordinates of h in the entry's divisor basis."""
         return self._degree_one_coords(self.polarization)
 
 
@@ -319,7 +320,7 @@ def check_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[i
 def twist_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...], t: int) -> tuple[int, ...]:
     """Coordinates of ``L(t h)``."""
     coords = check_coords(entry, coords)
-    return tuple([c + t * v for c, v in zip(coords, entry._h_coords)])
+    return tuple([c + t * v for c, v in zip(coords, entry.h_coords)])
 
 
 def theta_coords(entry: VarietyCatalogEntry, s: int) -> tuple[int, ...]:
@@ -327,11 +328,6 @@ def theta_coords(entry: VarietyCatalogEntry, s: int) -> tuple[int, ...]:
     if entry.kind != "curve":
         raise UnsupportedBundleError("theta twists only exist on curve entries")
     return (entry.genus - 1 + s * entry.deg_h,)
-
-
-def polarization_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:
-    """Coordinates of h in the entry's divisor basis."""
-    return entry._h_coords
 
 
 def canonical_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:

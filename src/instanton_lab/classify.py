@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import catalog, cohomology, instanton
-from .catalog import VarietyCatalogEntry, polarization_coords
+from .catalog import VarietyCatalogEntry
 # build_table: unused here; bench/tests/test_bench.py reads classify.build_table
 from .cohomology import CohVector, build_table  # noqa: F401
 from .util import fields_json
@@ -95,7 +95,7 @@ def _sift(
     Nested boxes and the two defects share most twisted bundles, so each
     distinct bundle reaches its engine once per process.
     """
-    n, h = entry.dimension, polarization_coords(entry)
+    n, h = entry.dimension, entry.h_coords
     conditions = instanton.InstantonConditions(n, defect)
     read, add, repeat = cohomology._rows(entry).__getitem__, operator.add, itertools.repeat
 

@@ -62,7 +62,7 @@ def parse_bundle(entry, text: str) -> list[tuple[tuple[int, ...], int]]:
             body = dict(p.split(":") for p in chunk.lower().split(","))
             gens = entry.ring.generators
             if not body.keys() <= set(gens):
-                raise ValueError(f"{entry.variety_id} has divisor classes {gens}, not {tuple(body)}")
+                raise MalformedDataError(f"{entry.variety_id} has divisor classes {gens}, not {tuple(body)}")
             coords = tuple(int(body.get(g, 0)) for g in gens)
         else:
             coords = tuple(int(x) for x in chunk.split(","))
@@ -77,7 +77,7 @@ def parse_window(text: str) -> tuple[int, int]:
     except ValueError:
         raise MalformedDataError(f"window {text!r} is not of the form TMIN:TMAX") from None
     if lo > hi:
-        raise ValueError(f"window {text!r} has tmin > tmax")
+        raise MalformedDataError(f"window {text!r} has tmin > tmax")
     return lo, hi
 
 
@@ -196,12 +196,7 @@ def cmd_monad_pn(args) -> int:
 
     chi0 = args.chi0
     if chi0 is None:
-        if args.defect == 0:
-            chi0 = args.rank - (args.n - 1) * args.quantum
-        else:
-            if args.rank % 2:
-                raise InstantonLabError("non-ordinary rank must be even")
-            chi0 = args.rank // 2 - (args.n if args.n >= 3 else 1) * args.quantum
+        chi0 = monads.chi_from_rank(args.n, args.defect, args.quantum, args.rank)
     shape = monads.monad_pn(args.n, args.defect, args.quantum, chi0, args.h0, args.hn)
     return _emit(args, shape.to_json(), shape.to_markdown())
 

@@ -23,9 +23,10 @@ The memo holds each line bundle visited: about 2 500 vectors after the
 sweeps of boxes 4-10 on the two sextic del Pezzo 3-folds.
 
 Tables collect the cohomology vectors of one bundle over a twist window and
-are the raw material the instanton checker consumes.  A table reads each
-summand's column over the window from the memo, twist by twist, and sums the
-columns as plain integers.
+are the raw material the instanton checker consumes.  A table stores the
+window's first twist and one row per twist, so the window cannot disagree
+with its rows.  It reads each summand's column over the window from the
+memo, twist by twist, and sums the columns as plain integers.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ import operator
 from collections.abc import Callable, Sequence
 
 from . import rr
-from .catalog import (
-    VarietyCatalogEntry,
-    check_coords,
-    entry_ring,
-    line_bundle_class,
-    polarization_coords,
-)
+from .catalog import VarietyCatalogEntry, check_coords, entry_ring, line_bundle_class
 from .errors import MalformedDataError, UnsupportedBundleError, WindowError
 from .rr import ChernData
 from .util import FrozenValue, binom
@@ -367,41 +362,42 @@ Bundles = list[tuple[tuple[int, ...], int]]
 
 
 class CohomologyTable(FrozenValue):
-    """Cohomology vectors of one sheaf over an inclusive twist window; each row is
-    ``(h^0, ..., h^n)``, so the rows give the dimension n."""
+    """Cohomology vectors of one sheaf over the twist window that starts at ``tmin``, one row
+    per twist; each row is ``(h^0, ..., h^n)``, so the rows give the window's end and the
+    dimension n."""
 
-    __slots__ = _fields = ("variety_id", "rank", "tmin", "tmax", "rows", "chern", "assumptions")
+    __slots__ = _fields = ("variety_id", "rank", "tmin", "rows", "chern", "assumptions")
 
     def __init__(
         self,
         variety_id: str,
         rank: int,
         tmin: int,
-        tmax: int,
         rows: tuple[CohVector, ...],
         chern: ChernData | None = None,
         assumptions: tuple[str, ...] = (),
     ):
-        if tmin > tmax:
+        if not rows:
             raise ValueError("empty window")
-        if len(rows) != tmax - tmin + 1:
-            raise ValueError("row count does not match the window")
         if len(set(map(len, rows))) != 1:
             raise ValueError("rows of different lengths")
         object.__setattr__(self, "variety_id", variety_id)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tmin", tmin)
-        object.__setattr__(self, "tmax", tmax)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "chern", chern)
         object.__setattr__(self, "assumptions", assumptions)
+
+    @property
+    def tmax(self) -> int:
+        return self.tmin + len(self.rows) - 1
 
     @property
     def dimension(self) -> int:
         return len(self.rows[0].dims) - 1
 
     def covers(self, a: int, b: int) -> bool:
-        return self.tmin <= a and b <= self.tmax
+        return self.tmin <= a and b < self.tmin + len(self.rows)
 
     def require(self, twists: list[int]) -> None:
         missing = tuple(sorted(t for t in set(twists) if not self.tmin <= t <= self.tmax))
@@ -412,9 +408,10 @@ class CohomologyTable(FrozenValue):
             )
 
     def row(self, t: int) -> CohVector:
-        if not self.tmin <= t <= self.tmax:
+        i = t - self.tmin
+        if not 0 <= i < len(self.rows):
             self.require([t])
-        return self.rows[t - self.tmin]
+        return self.rows[i]
 
     def h(self, i: int, t: int) -> int:
         return self.row(t)[i]
@@ -423,7 +420,7 @@ class CohomologyTable(FrozenValue):
         return self.row(t).chi()
 
     def twists(self) -> range:
-        return range(self.tmin, self.tmax + 1)
+        return range(self.tmin, self.tmin + len(self.rows))
 
     def to_json(self) -> dict:
         out: dict = {
@@ -469,7 +466,6 @@ class CohomologyTable(FrozenValue):
             variety_id=variety_id,
             rank=rank,
             tmin=tmin,
-            tmax=tmax,
             rows=rows,
             chern=chern,
             assumptions=tuple(assumptions),
@@ -503,7 +499,7 @@ def build_table(
     n = entry.dimension
     twists = range(tmin, tmax + 1)
     sums = [[0] * (n + 1) for _ in twists]
-    rows, step = _rows(entry), polarization_coords(entry)
+    rows, step = _rows(entry), entry.h_coords
     for coords, mult in bundles:
         column = [rows[tuple([c + t * v for c, v in zip(coords, step)])].dims for t in twists]
         for acc, dims in zip(sums, column):
@@ -518,7 +514,6 @@ def build_table(
         variety_id=entry.variety_id,
         rank=rank,
         tmin=tmin,
-        tmax=tmax,
         rows=rows,
         chern=chern,
         assumptions=assumptions,

@@ -6,7 +6,9 @@ space the terms are forced by Beilinson's theorem; on aCM varieties the
 outer terms are forced and the middle term is an aCM bundle constrained by a
 short list of integer equations.  This module synthesizes the term shapes
 and multiplicity formulas from rank/defect/quantum data; it never constructs
-differentials.
+differentials.  On P^n, :func:`rank_from_chi` states the rank of the monad's
+cohomology, linear in (chi, q), and :func:`chi_from_rank` inverts it; the
+low-scroll filtrations take one Euler pairing per quotient.
 """
 
 from __future__ import annotations
@@ -156,6 +158,30 @@ class MonadShape(FrozenValue):
 def _O(t: int, mult: int) -> Summand:
     label = "O" if t == 0 else f"O({t})"
     return Summand(label, 1, mult, c1_each=t)
+
+
+def _rank_weights(n: int, defect: int) -> tuple[int, int]:
+    """``(a, b)`` with ``rank = a chi + b q`` on P^n: the rank of :func:`monad_pn`'s cohomology,
+    ``rk M^0 - rk M^-1 - rk M^1``, with its two Omega summands of rank n (one when n = 2)."""
+    if n < 2:
+        raise UnsupportedBundleError("monads are synthesized for n >= 2")
+    if defect == 0:
+        return 1, n - 1
+    return 2, 2 if n == 2 else 2 * n
+
+
+def rank_from_chi(n: int, defect: int, quantum: int, chi0: int) -> int:
+    """Generic rank of an instanton sheaf on P^n from chi and the quantum number."""
+    a, b = _rank_weights(n, defect)
+    return a * chi0 + b * quantum
+
+
+def chi_from_rank(n: int, defect: int, quantum: int, rank: int) -> int:
+    """chi(E) of an instanton sheaf on P^n from its rank: the inverse of :func:`rank_from_chi`."""
+    if defect and rank % 2:
+        raise InfeasibleError("non-ordinary rank must be even")
+    a, b = _rank_weights(n, defect)
+    return (rank - b * quantum) // a
 
 
 def monad_pn(
@@ -332,6 +358,8 @@ def monad_quadric_ordinary(
 
 def monad_quadric_ordinary_shape(n: int, rank: int, quantum: int) -> MonadShape:
     """The shape ``O^q -> S(h)^s -> O(h)^q`` (odd n)."""
+    if n % 2 == 0:
+        raise UnsupportedBundleError("the ordinary quadric monad shape needs odd n")
     s = monad_quadric_ordinary(n, rank, quantum).total
     return MonadShape(
         (
@@ -415,15 +443,20 @@ class ScrollMonadReport(FrozenValue):
         object.__setattr__(self, "relative_cotangent_h1", relative_cotangent_h1)
 
 
-def _filtration(rank: int, quantum: int, inputs: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
-    """Multiplicities ``(s_1, ..., s_(k+1))`` of an Ulrich filtration with k + 1 quotients, and
-    their relation: ``s_i = x_i``, plus 2q on the first and the last input, and
+def _filtration(
+    rank: int, quantum: int, inputs: tuple[int, ...], count: int
+) -> tuple[tuple[int, ...], str]:
+    """Multiplicities ``(s_1, ..., s_count)`` of an Ulrich filtration with ``count = k + 1`` quotients,
+    and their relation: ``s_i = x_i``, plus 2q on the first and the last input, and
     ``sum_i C(k, i - 1) s_i = rank + 2 quantum``."""
-    k = len(inputs) - 1
+    if len(inputs) != count:
+        names = ",".join(f"x{i}" for i in range(1, count + 1))
+        raise MalformedDataError(f"the filtration takes {count} inputs {names}, got {len(inputs)}")
+    k = count - 1
     s = tuple(x + 2 * quantum if i in (0, k) else x for i, x in enumerate(inputs))
     if min(s) < 0:
         raise InfeasibleError(f"negative multiplicity in {s}")
-    weights = [binom(k, i) for i in range(k + 1)]
+    weights = [binom(k, i) for i in range(count)]
     lhs = " + ".join(f"{w} s{i}" if w > 1 else f"s{i}" for i, w in enumerate(weights, 1))
     total = sum(w * x for w, x in zip(weights, s))
     if total != rank + 2 * quantum:
@@ -431,30 +464,24 @@ def _filtration(rank: int, quantum: int, inputs: tuple[int, ...]) -> tuple[tuple
     return s, f"{lhs} = rank + 2 quantum"
 
 
-def monad_scroll3(
-    d: int, rank: int, quantum: int, s_inputs: tuple[int, int, int]
-) -> ScrollMonadReport:
+def monad_scroll3(d: int, rank: int, quantum: int, s_inputs: tuple[int, ...]) -> ScrollMonadReport:
     """Filtration multiplicities (s1, s2, s3) on a degree-d 3-fold scroll over P^1.
 
-    Inputs are the Euler pairings ``(h^0 - h^1)(E(f - h))``,
+    The three inputs are the Euler pairings ``(h^0 - h^1)(E(f - h))``,
     ``h^1(E(f - 2h))`` and ``(h^3 - h^2)(E(-3h - f))``;
     the multiplicities are ``s1 = x1 + 2q``, ``s2 = x2``, ``s3 = x3 + 2q``
     and must satisfy ``s1 + 2 s2 + s3 = rank + 2 quantum``.
     """
     if d < 3:
         raise UnknownVarietyError("a 3-dimensional scroll over P^1 has degree >= 3")
-    x1, x2, x3 = s_inputs
-    return ScrollMonadReport(*_filtration(rank, quantum, (x1, x2, x3)), relative_cotangent_h1=d - 3)
+    return ScrollMonadReport(*_filtration(rank, quantum, s_inputs, 3), relative_cotangent_h1=d - 3)
 
 
-def monad_p1p3(
-    rank: int, quantum: int, s_inputs: tuple[int, int, int, int]
-) -> ScrollMonadReport:
+def monad_p1p3(rank: int, quantum: int, s_inputs: tuple[int, ...]) -> ScrollMonadReport:
     """Filtration multiplicities (s1, s2, s3, s4) on the Segre P^1 x P^3.
 
-    ``s1 = x1 + 2q``, ``s2 = x2``, ``s3 = x3``, ``s4 = x4 + 2q`` from the
+    ``s1 = x1 + 2q``, ``s2 = x2``, ``s3 = x3``, ``s4 = x4 + 2q`` from the four
     pairings of E against the filtration quotients, constrained by
     ``s1 + 3 s2 + 3 s3 + s4 = rank + 2 quantum``.
     """
-    x1, x2, x3, x4 = s_inputs
-    return ScrollMonadReport(*_filtration(rank, quantum, (x1, x2, x3, x4)))
+    return ScrollMonadReport(*_filtration(rank, quantum, s_inputs, 4))

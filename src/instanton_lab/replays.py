@@ -4,8 +4,9 @@ These routines replay the paper's exact arithmetic outside the two hot
 paths, the lattice scans (:mod:`classify`) and the condition checker
 (:mod:`instanton`), so a scan or a check compiles none of them.
 
-* Instanton invariants and table transforms: the chi polynomial and the
-  generic rank on P^n, restriction to a hyperplane section, the numerical
+* Instanton invariants and table transforms: the chi polynomial on P^n
+  (the generic rank is :func:`monads.rank_from_chi`), restriction to a
+  hyperplane section, the numerical
   pushforward under a finite map, direct sums and Ulrich duals (the checker
   works on tables alone, so it applies verbatim to each transformed table),
   the regularity bound, Betti-shape consistency, the Veronese quantum number
@@ -57,17 +58,6 @@ def chi_polynomial(n: int, defect: int, quantum: int, chi0: int, t: int) -> int:
     )
 
 
-def rank_from_chi(n: int, defect: int, quantum: int, chi0: int) -> int:
-    """Generic rank of an instanton sheaf on P^n from chi and the quantum number."""
-    if n < 2:
-        raise ValueError("n >= 2")
-    if defect == 0:
-        return chi0 + (n - 1) * quantum
-    if n == 2:
-        return 2 * chi0 + 2 * quantum
-    return 2 * chi0 + 2 * n * quantum
-
-
 @dataclass(frozen=True)
 class RestrictionResult:
     defect: int
@@ -102,7 +92,6 @@ def pushforward_model(table: CohomologyTable, degree: int) -> CohomologyTable:
         variety_id=f"projective_space({table.dimension})",
         rank=table.rank * degree,
         tmin=table.tmin,
-        tmax=table.tmax,
         rows=table.rows,
         chern=None,
         assumptions=table.assumptions,
@@ -124,7 +113,6 @@ def direct_sum(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
         variety_id=t1.variety_id,
         rank=t1.rank + t2.rank,
         tmin=tmin,
-        tmax=tmax,
         rows=rows,
         chern=chern,
         assumptions=tuple(dict.fromkeys(t1.assumptions + t2.assumptions)),
@@ -139,26 +127,20 @@ def ulrich_dual_table(
     Serre duality turns each row into a reversed row of the input:
     ``h^i(F(t h)) = h^(n-i)(E((defect - n - 1 - t) h))``.  The transform is
     an involution and preserves instanton verdicts.  The output window is the
-    largest one the input rows support.
+    input's reflected through ``t -> defect - n - 1 - t``, its rows the
+    input's in reverse order.
     """
     n = table.dimension
     if entry.dimension != n:
         raise VarietyMismatchError("entry dimension does not match the table")
-    tmin = defect - n - 1 - table.tmax
-    tmax = defect - n - 1 - table.tmin
-    if tmin > tmax:
-        raise WindowError("input window too small for the Ulrich dual")
-    rows = tuple(
-        serre_dual_vector(table.row(defect - n - 1 - t)) for t in range(tmin, tmax + 1)
-    )
+    rows = tuple(serre_dual_vector(row) for row in reversed(table.rows))
     chern = None
     if table.chern is not None and table.chern.variety_id == entry.ring.variety_id:
         chern = rr.ulrich_dual_chern(entry, table.chern, defect)
     return CohomologyTable(
         variety_id=table.variety_id,
         rank=table.rank,
-        tmin=tmin,
-        tmax=tmax,
+        tmin=defect - n - 1 - table.tmax,
         rows=rows,
         chern=chern,
         assumptions=table.assumptions,

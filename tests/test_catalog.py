@@ -235,7 +235,7 @@ def test_polarization_multiple():
 
 def test_parse_variety():
     assert catalog.parse_variety("p3").variety_id == "projective_space(3)"
-    assert catalog.polarization_coords(catalog.parse_variety("p3:h=2")) == (2,)
+    assert catalog.parse_variety("p3:h=2").h_coords == (2,)
     assert catalog.parse_variety("q4").variety_id == "quadric(4)"
     assert catalog.parse_variety("flag3").kind == "flag3"
     assert catalog.parse_variety("triple-p1").kind == "triple_p1"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -392,6 +393,36 @@ def test_monad_json_roundtrip_via_cli(capsys):
     )
     assert code == 0
     assert MonadShape.from_json(json.loads(out)) == monad_pn(3, 0, 2, -2)
+
+
+def test_monad_pn_rank_prints_what_its_chi0_prints(capsys):
+    """``--rank R`` is ``--chi0 chi_from_rank(R)``: stdout, stderr and exit code."""
+    from instanton_lab.monads import chi_from_rank
+
+    for n, defect, q in itertools.product(range(2, 7), (0, 1), range(4)):
+        base = ("monad", "pn", "--n", str(n), "--defect", str(defect), "--quantum", str(q))
+        base += ("--h0", "4", "--hn", "5") if defect else ()
+        for rank in range(0, 10, 1 + defect):
+            by_chi0 = run(capsys, *base, "--chi0", str(chi_from_rank(n, defect, q, rank)))
+            assert run(capsys, *base, "--rank", str(rank)) == by_chi0, (n, defect, q, rank)
+
+
+#: ``monad`` leaf argv -> its refusal on stderr: the ``pn`` ones as they have always read (the
+#: parity check before the n >= 2 one), the filtrations' naming the pairings they take
+MONAD_REFUSALS = {
+    "pn --n 3 --defect 1 --quantum 0 --rank 3": "error: non-ordinary rank must be even\n",
+    "pn --n 1 --defect 1 --quantum 1 --rank 5 --h0 1 --hn 1": "error: non-ordinary rank must be even\n",
+    "pn --n 1 --defect 0 --quantum 1 --rank 2": "error: monads are synthesized for n >= 2\n",
+    "pn --n 0 --defect 1 --quantum 1 --rank 2 --h0 1 --hn 1": "error: monads are synthesized for n >= 2\n",
+    "pn --n 1 --defect 0 --quantum 0 --chi0 2": "error: monads are synthesized for n >= 2\n",
+    "scroll3 --deg 3 --rank 2 --quantum 0 --inputs 1,2": "error: the filtration takes 3 inputs x1,x2,x3, got 2\n",
+    "p1p3 --rank 2 --quantum 0 --inputs 1,2,3,4,5": "error: the filtration takes 4 inputs x1,x2,x3,x4, got 5\n",
+}
+
+
+@pytest.mark.parametrize("argv", MONAD_REFUSALS)
+def test_monad_refusals_exit_2(capsys, argv):
+    assert run(capsys, "monad", *argv.split()) == (2, "", MONAD_REFUSALS[argv])
 
 
 def test_json_goes_after_the_leaf(capsys):

@@ -25,7 +25,7 @@ from instanton_lab.cohomology import (
     line_bundle_cohomology,
     serre_dual_vector,
 )
-from instanton_lab.errors import UnsupportedBundleError, WindowError
+from instanton_lab.errors import MalformedDataError, UnsupportedBundleError, WindowError
 from instanton_lab.util import binom
 from test_acceptance import serre_dual_coords
 
@@ -322,7 +322,27 @@ def test_tables_derive_their_dimension():
         assert table.dimension == entry.dimension
         assert CohomologyTable.from_json(table.to_json()).dimension == entry.dimension
     with pytest.raises(ValueError, match=r"^rows of different lengths$"):
-        CohomologyTable("projective_space(2)", 1, 0, 1, (CohVector((1, 0, 0)), CohVector((3, 0))))
+        CohomologyTable("projective_space(2)", 1, 0, (CohVector((1, 0, 0)), CohVector((3, 0))))
+
+
+def test_tables_derive_their_window_end():
+    """A table stores ``tmin`` and one row per twist; ``tmax`` is read off the row count."""
+    assert "tmax" not in CohomologyTable._fields
+    table = CohomologyTable("projective_space(2)", 1, -2, (CohVector((1, 0, 0)),) * 3)
+    assert (table.tmax, list(table.twists())) == (0, [-2, -1, 0])
+    assert table.covers(-2, 0) and not table.covers(-3, 0) and not table.covers(-2, 1)
+    for t in (-3, 1):
+        with pytest.raises(WindowError):
+            table.row(t)
+    assert CohomologyTable.from_json(table.to_json()) == table
+    with pytest.raises(TypeError):
+        CohomologyTable("projective_space(2)", 1, -2, tmax=0, rows=table.rows)
+    with pytest.raises(ValueError, match=r"^empty window$"):
+        CohomologyTable("projective_space(2)", 1, 0, ())
+    data = table.to_json()
+    data["window"]["tmax"] = 1
+    with pytest.raises(MalformedDataError, match=r"^rows do not enumerate a non-empty window$"):
+        CohomologyTable.from_json(data)
 
 
 def test_prime_fano_engine_takes_the_genus():

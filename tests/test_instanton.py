@@ -7,6 +7,7 @@ from instanton_lab import catalog, instanton, rr
 from instanton_lab.cohomology import CohomologyTable, CohVector, build_table
 from instanton_lab.errors import InfeasibleError, WindowError
 from instanton_lab.instanton import check_instanton, natural_cohomology_window
+from instanton_lab.monads import rank_from_chi
 from instanton_lab.replays import (
     BettiShape,
     betti_shape_check,
@@ -14,7 +15,6 @@ from instanton_lab.replays import (
     direct_sum,
     horrocks_gate,
     pushforward_model,
-    rank_from_chi,
     regularity_report,
     restriction_transform,
     ulrich_dual_table,
@@ -85,7 +85,7 @@ def test_natural_cohomology_window():
     assert natural_cohomology_window(triple_table((0, 1, 2)), 0)
     assert natural_cohomology_window(triple_table((-1, 1, 3)), 0)
     rows = (CohVector((1, 1, 0, 0)),) * 4
-    bad = CohomologyTable("projective_space(3)", 1, -3, 0, rows)
+    bad = CohomologyTable("projective_space(3)", 1, -3, rows)
     assert not natural_cohomology_window(bad, 0)
 
 
@@ -239,7 +239,7 @@ def test_regularity_report_flags_violation():
         CohVector((0, 1, 0, 0)),
         CohVector((1, 1, 0, 0)),
     )
-    table = CohomologyTable("projective_space(3)", 1, -3, 1, rows)
+    table = CohomologyTable("projective_space(3)", 1, -3, rows)
     rep = regularity_report(table, 0)
     assert rep.violations
 
@@ -432,7 +432,7 @@ def test_check_instanton_notes_pinned(entry, coords, notes):
 def test_check_instanton_notes_pinned_every_condition_failing():
     """A 5-fold table that fails every condition, in list order."""
     rows = tuple(CohVector(tuple(i + 1 - t for i in range(6))) for t in range(-5, 1))
-    verdict = check_instanton(CohomologyTable("projective_space(5)", 1, -5, 0, rows))
+    verdict = check_instanton(CohomologyTable("projective_space(5)", 1, -5, rows))
     assert verdict.notes == (
         "delta=0: h^0(E(-1h)) = 2 != 0",
         "delta=0: h^5(E(-5h)) = 11 != 0",

@@ -118,10 +118,12 @@ REPLAY_LEAVES = {
     "veronese --n 3 --rank 2 --d 2 --hn 2 --json": TABLE | {"replays"},
 }
 
-#: a leaf no benchmark runs, whose handler imports the table modules inside
-#: ``monads.monad_acm``: only a fresh interpreter sees whether they load
+#: leaves no benchmark runs: ``monad acm``, whose handler imports the table modules
+#: inside ``monads.monad_acm``, and ``monad pn --rank``, whose rank rule lives in
+#: ``monads``; only a fresh interpreter sees what they load
 COLD_LEAVES = {
     "monad acm --variety q3 --defect 0 --quantum 1 --json": TABLE | {"monads"},
+    "monad pn --n 4 --defect 1 --quantum 1 --rank 4 --h0 0 --hn 0 --json": {"monads"},
 }
 
 

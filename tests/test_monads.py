@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from instanton_lab import catalog, rr
 from instanton_lab.errors import InfeasibleError, MalformedDataError, UnknownVarietyError, UnsupportedBundleError
 from instanton_lab.monads import (
+    chi_from_rank,
     monad_acm,
     monad_p1p3,
     monad_pn,
@@ -14,6 +17,7 @@ from instanton_lab.monads import (
     monad_quadric_ordinary_shape,
     monad_scroll3,
     monad_space_nonordinary,
+    rank_from_chi,
     spinor_rank,
 )
 from instanton_lab.rr import serre_construction_chern
@@ -66,6 +70,17 @@ def test_monad_pn_errors():
         with pytest.raises(error) as exc:
             monad_pn(*args)
         assert type(exc.value) is error and str(exc.value) == message, args
+
+
+def test_rank_and_chi_invert_each_other():
+    """``chi_from_rank`` inverts ``rank_from_chi``, and the rank is that of the cohomology of
+    ``monad_pn``'s shape."""
+    for n, defect, q in itertools.product(range(2, 7), (0, 1), range(4)):
+        for rank in range(0, 10, 1 + defect):
+            chi0 = chi_from_rank(n, defect, q, rank)
+            assert rank_from_chi(n, defect, q, chi0) == rank, (n, defect, q, rank)
+            outer = (max(chi0, 0),) * 2 if defect else ()
+            assert monad_pn(n, defect, q, chi0, *outer).cohomology_rank() == rank, (n, defect, q, rank)
 
 
 def test_monad_pn_nonordinary_shape_n2_drops_high_differential():
@@ -126,6 +141,19 @@ def test_monad_input_errors_are_typed():
         (UnsupportedBundleError, "the explicit non-ordinary quadric monad needs odd n >= 3",
          monad_quadric_nonordinary, (1, 2, 1, 0, 0, 0)),
         (UnknownVarietyError, "a 3-dimensional scroll over P^1 has degree >= 3", monad_scroll3, (2, 2, 0, (2, 0, 0))),
+        # one S(h)^s term on an even quadric would merge the two spinor bundles S' and S''
+        *((UnsupportedBundleError, "the ordinary quadric monad shape needs odd n", monad_quadric_ordinary_shape,
+           (n, 2, 1)) for n in (4, 6)),
+        # each filtration takes one pairing per quotient
+        (MalformedDataError, "the filtration takes 3 inputs x1,x2,x3, got 2", monad_scroll3, (3, 2, 0, (1, 2))),
+        (MalformedDataError, "the filtration takes 3 inputs x1,x2,x3, got 4", monad_scroll3, (3, 2, 0, (1, 2, 3, 4))),
+        (MalformedDataError, "the filtration takes 4 inputs x1,x2,x3,x4, got 3", monad_p1p3, (2, 0, (1, 2, 3))),
+        (MalformedDataError, "the filtration takes 4 inputs x1,x2,x3,x4, got 5", monad_p1p3, (2, 0, (1, 2, 3, 4, 5))),
+        # the parity refusal comes before the n >= 2 one, as `monad pn --rank` has always read
+        (InfeasibleError, "non-ordinary rank must be even", chi_from_rank, (3, 1, 0, 3)),
+        (InfeasibleError, "non-ordinary rank must be even", chi_from_rank, (1, 1, 0, 3)),
+        (UnsupportedBundleError, "monads are synthesized for n >= 2", chi_from_rank, (1, 0, 0, 2)),
+        (UnsupportedBundleError, "monads are synthesized for n >= 2", rank_from_chi, (1, 1, 0, 1)),
     ]
     for error, message, fn, args in cases:
         with pytest.raises(error) as exc:

@@ -95,7 +95,7 @@ def test_reprs_list_the_fields_and_entries_leave_out_the_ring():
         "is_acm=True, degrees=None, genus=0, deg_g=None, curve_model='exact_p1', deg_h=1)"
     )
     assert repr(build_table(line, (1,), (0, 0))) == (
-        "CohomologyTable(variety_id='curve(0;deg=1;exact_p1)', rank=1, tmin=0, tmax=0, "
+        "CohomologyTable(variety_id='curve(0;deg=1;exact_p1)', rank=1, tmin=0, "
         "rows=(CohVector(dims=(2, 0)),), "
         f"chern=ChernData(rank=1, c1=ChowClass(ring={RING}, coeffs=(0, 1)), c2=None, c3=None), assumptions=())"
     )
