@@ -37,7 +37,7 @@ from collections.abc import Callable, Sequence
 
 from . import rr
 from .catalog import VarietyCatalogEntry, check_coords, entry_ring, line_bundle_class
-from .errors import MalformedDataError, UnsupportedBundleError, WindowError
+from .errors import MalformedDataError, UnknownVarietyError, UnsupportedBundleError, WindowError
 from .rr import ChernData
 from .util import FrozenValue, binom
 
@@ -49,7 +49,7 @@ class CohVector(FrozenValue):
 
     def __init__(self, dims: tuple[int, ...]):
         if dims and min(dims) < 0:
-            raise ValueError(f"negative cohomology dimension in {dims}")
+            raise MalformedDataError(f"negative cohomology dimension in {dims}")
         object.__setattr__(self, "dims", dims)
 
     def __getitem__(self, i: int) -> int:
@@ -60,12 +60,12 @@ class CohVector(FrozenValue):
 
     def __add__(self, other: "CohVector") -> "CohVector":
         if len(self.dims) != len(other.dims):
-            raise ValueError("cohomology vectors of different lengths")
+            raise MalformedDataError("cohomology vectors of different lengths")
         return CohVector(tuple(a + b for a, b in zip(self.dims, other.dims)))
 
     def scale(self, m: int) -> "CohVector":
         if m < 0:
-            raise ValueError("multiplicities must be nonnegative")
+            raise MalformedDataError("multiplicities must be nonnegative")
         return CohVector(tuple(m * d for d in self.dims))
 
     def chi(self) -> int:
@@ -116,7 +116,7 @@ def bott_gl(weight: Sequence[int], dim: int) -> CohVector:
 def coh_projective_space(n: int, t: int) -> CohVector:
     """Cohomology of ``O(t)`` on P^n: the GL(n+1) weight ``(t, 0, ..., 0)``."""
     if n < 1:
-        raise ValueError("n >= 1")
+        raise UnknownVarietyError("n >= 1")
     return bott_gl((t,) + (0,) * n, n)
 
 
@@ -127,7 +127,7 @@ def bott_pn(n: int, p: int, t: int) -> CohVector:
     single class), and in degree n for ``t < p - n``.
     """
     if not 0 <= p <= n:
-        raise ValueError("0 <= p <= n")
+        raise UnsupportedBundleError("0 <= p <= n")
     return bott_gl((t - p,) + (1,) * p + (0,) * (n - p), n)
 
 
@@ -150,7 +150,7 @@ def coh_quadric(n: int, t: int) -> CohVector:
     :func:`_kodaira_serre`.
     """
     if n < 2:
-        raise ValueError("n >= 2")
+        raise UnknownVarietyError("n >= 2")
     return _kodaira_serre(n, n, lambda k: binom(k + n + 1, n + 1) - binom(k + n - 1, n + 1), t)
 
 
@@ -162,12 +162,12 @@ def coh_product(factors: list[tuple[int, int]]) -> CohVector:
     the sum of their degrees.
     """
     if not factors:
-        raise ValueError("at least one factor")
+        raise UnknownVarietyError("at least one factor")
     dim = degree = 0
     h = 1
     for n, t in factors:
         if n < 1:
-            raise ValueError("n >= 1")
+            raise UnknownVarietyError("n >= 1")
         dim += n
         if t >= 0:
             h *= binom(t + n, n)
@@ -224,7 +224,7 @@ def coh_scroll_p1(degrees: tuple[int, ...], t: int, a: int) -> CohVector:
     """
     n = len(degrees)
     if n < 2 or any(x < 1 for x in degrees):
-        raise ValueError("need >= 2 split degrees, all >= 1")
+        raise UnknownVarietyError("need >= 2 split degrees, all >= 1")
     if 1 - n <= t <= -1:
         return zero_vector(n)
     size, b = (t, a) if t >= 0 else (-n - t, sum(degrees) - 2 - a)
@@ -247,7 +247,7 @@ def coh_curve(g: int, d: int) -> CohVector:
     The general Brill-Noether value; it is exact at g = 0, where the curve is the line.
     """
     if g < 0:
-        raise ValueError("genus >= 0")
+        raise UnknownVarietyError("genus >= 0")
     return CohVector((max(0, d - g + 1), max(0, g - 1 - d)))
 
 
@@ -259,7 +259,7 @@ def coh_curve_theta_shift(g: int, deg_h: int, s: int) -> CohVector:
     :func:`coh_curve` gives it at :func:`catalog.theta_coords`.
     """
     if deg_h < 1:
-        raise ValueError("polarization degree >= 1")
+        raise UnknownVarietyError("polarization degree >= 1")
     return CohVector((max(s, 0) * deg_h, max(-s, 0) * deg_h))
 
 
@@ -273,7 +273,7 @@ def coh_cyclic_fano_index1(g: int, m: int) -> CohVector:
     closed form so that the engine stays independent of :func:`rr.chi`.
     """
     if g < 3:
-        raise ValueError("prime Fano 3-folds have genus >= 3")
+        raise UnknownVarietyError("prime Fano 3-folds have genus >= 3")
     return _kodaira_serre(3, 1, lambda k: (g - 1) * k * (k + 1) * (2 * k + 1) // 6 + 2 * k + 1, m)
 
 
@@ -378,9 +378,9 @@ class CohomologyTable(FrozenValue):
         assumptions: tuple[str, ...] = (),
     ):
         if not rows:
-            raise ValueError("empty window")
+            raise MalformedDataError("empty window")
         if len(set(map(len, rows))) != 1:
-            raise ValueError("rows of different lengths")
+            raise MalformedDataError("rows of different lengths")
         object.__setattr__(self, "variety_id", variety_id)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tmin", tmin)
@@ -488,14 +488,16 @@ def build_table(
         bundles = [(bundles, 1)]
     if not bundles:
         raise UnsupportedBundleError("empty bundle descriptor")
-    # the whole descriptor is checked before any engine runs for it
+    # the whole descriptor and the window are checked before any engine runs for them
     bundles = [(check_coords(entry, coords), mult) for coords, mult in bundles]
     if any(mult < 0 for _, mult in bundles):
-        raise ValueError("multiplicities must be nonnegative")
+        raise MalformedDataError("multiplicities must be nonnegative")
     rank = sum(mult for _, mult in bundles)
     if rank < 1:
-        raise ValueError("rank must be positive")
+        raise MalformedDataError("rank must be positive")
     tmin, tmax = window
+    if tmin > tmax:
+        raise MalformedDataError(f"window ({tmin}, {tmax}) has tmin > tmax")
     n = entry.dimension
     twists = range(tmin, tmax + 1)
     sums = [[0] * (n + 1) for _ in twists]

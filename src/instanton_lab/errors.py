@@ -8,7 +8,7 @@ class InstantonLabError(Exception):
 
 
 class UnknownVarietyError(InstantonLabError, ValueError):
-    """Raised when a variety key does not name a catalog entry."""
+    """Raised when a variety key, or the parameters an engine takes, name no catalog entry."""
 
 
 class VarietyMismatchError(InstantonLabError, ValueError):

@@ -128,15 +128,16 @@ def ulrich_dual_table(
     ``h^i(F(t h)) = h^(n-i)(E((defect - n - 1 - t) h))``.  The transform is
     an involution and preserves instanton verdicts.  The output window is the
     input's reflected through ``t -> defect - n - 1 - t``, its rows the
-    input's in reverse order.
+    input's in reverse order.  The table must live on ``entry``
+    (``VarietyMismatchError`` otherwise), and its Chern data, if any, are dualized too.
     """
     n = table.dimension
+    if table.variety_id != entry.variety_id:
+        raise VarietyMismatchError(f"table on {table.variety_id!r} does not live on {entry.variety_id!r}")
     if entry.dimension != n:
         raise VarietyMismatchError("entry dimension does not match the table")
     rows = tuple(serre_dual_vector(row) for row in reversed(table.rows))
-    chern = None
-    if table.chern is not None and table.chern.variety_id == entry.ring.variety_id:
-        chern = rr.ulrich_dual_chern(entry, table.chern, defect)
+    chern = None if table.chern is None else rr.ulrich_dual_chern(entry, table.chern, defect)
     return CohomologyTable(
         variety_id=table.variety_id,
         rank=table.rank,

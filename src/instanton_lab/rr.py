@@ -4,10 +4,10 @@ Everything here is exact: Euler characteristics are integers computed with
 :class:`fractions.Fraction` intermediates, slopes are exact rationals, and
 the bracket ``[x]`` appearing in normalization twists is the floor.
 ``Fraction`` is imported inside the functions that build rationals (the
-Bernoulli numbers, the Todd weights, :func:`slope` and
-:func:`quantum_chern_identity`; :func:`chi_twisted` only to report a value
-that is not an integer), not at module level, so a call that builds no
-rational, such as the ``cohom`` and ``check`` commands, never loads
+Bernoulli numbers, the Riemann-Roch weights :func:`_twisted_weights`,
+:func:`slope` and :func:`quantum_chern_identity`; :func:`chi_twisted` only to
+report a value that is not an integer), not at module level, so a call that
+builds no rational, such as the ``cohom`` and ``check`` commands, never loads
 :mod:`fractions` and :mod:`decimal`.
 
 Every Riemann-Roch Euler characteristic comes from one formula,
@@ -15,11 +15,12 @@ Every Riemann-Roch Euler characteristic comes from one formula,
 (:func:`chi_twisted`; :func:`chi` is its t = 0 view).  The Todd class is
 Hirzebruch's ``exp(sum_k lambda_k p_k(T_X))``, read off the tangent class the
 entry declares, in any dimension; the Chern characters of T_X and E come from
-the same Newton's identities.  ``exp(t h) td(T_X)`` enters as one integer
-vector of weights over the ring basis per entry and twist, built once and
-kept; ``n! ch(E)`` is taken from the power sums of E on the first call and
-kept on the :class:`ChernData`.  So a call is one dot product and one exact
-division, and never builds the Chern data of ``E(t h)``.
+the same Newton's identities.  ``exp(t h) td(T_X)`` is one exponential,
+``exp(t h + sum_k lambda_k p_k(T_X))``, and enters as one integer vector of
+weights over the ring basis per entry and twist, built once and kept;
+``n! ch(E)`` is taken from the power sums of E on the first call and kept on
+the :class:`ChernData`.  So a call is one dot product and one exact division,
+and never builds the Chern data of ``E(t h)``.
 :class:`ChernData` stops at c_3, so :func:`chi_twisted` takes sheaves on
 entries of dimension at most 3; higher-dimensional Euler characteristics come
 from the cohomology engines instead.
@@ -149,10 +150,6 @@ def ulrich_dual_chern(entry: VarietyCatalogEntry, c: ChernData, defect: int = 0)
     return twist(dual(c), D)
 
 
-def twist_by_h(entry: VarietyCatalogEntry, c: ChernData, t: int) -> ChernData:
-    return twist(c, t * entry.polarization)
-
-
 def serre_construction_chern(
     entry: VarietyCatalogEntry, D: ChowClass, detE: ChowClass, Zclass: ChowClass
 ) -> ChernData:
@@ -196,46 +193,30 @@ def _bernoulli(m: int) -> Fraction:
 
 
 @cache
-def _todd_weights(entry: VarietyCatalogEntry) -> tuple[tuple[int, ...], int]:
-    """``(w, D)``: integers ``w_k = D int b_k td(X)`` over the ring basis ``b_k``, with
-    Hirzebruch's Todd class ``td(X) = exp(sum_k lambda_k p_k(T_X))`` of the declared tangent class.
+def _twisted_weights(entry: VarietyCatalogEntry, t: int) -> tuple[tuple[int, ...], int]:
+    """``(w, D)``: integers ``w_k = D int b_k exp(t h) td(X)`` over the ring basis ``b_k``, reduced
+    by their gcd, with Hirzebruch's Todd class ``td(X) = exp(sum_k lambda_k p_k(T_X))`` of the
+    declared tangent class; the two exponentials are one, ``exp(t h + log td(X))``.
 
     ``lambda_k`` is the coefficient of x^k in ``log(x / (1 - e^-x))``: 1/2 for k = 1, otherwise
-    ``-B_k / (k k!)``, zero for odd k > 1.  ``w_0 / D = int td_n`` is chi(O_X), Noether's formula.
+    ``-B_k / (k k!)``, zero for odd k > 1.  ``w_0 / D = int exp(t h) td_n`` is chi(O_X(t h)),
+    Noether's formula at t = 0.
     """
     from fractions import Fraction
 
     ring, n = entry.ring, entry.dimension
-    log_td = ring.zero()
+    exponent = t * entry.polarization
     for k, pk in enumerate(_power_sums(tuple(entry.tangent.part(r) for r in range(1, n + 1))), 1):
-        log_td = log_td + (Fraction(1, 2) if k == 1 else -_bernoulli(k) / (k * factorial(k))) * pk
-    # x = L log td is integral, and n! L^n td = sum_j (n!/j!) L^(n-j) x^j: int products only
-    L = lcm(*(Fraction(c).denominator for c in log_td.coeffs))
-    x = ChowClass(ring, tuple(int(c * L) for c in log_td.coeffs))
-    td, power = ring.zero(), ring.one()
+        exponent = exponent + (Fraction(1, 2) if k == 1 else -_bernoulli(k) / (k * factorial(k))) * pk
+    # x = L exponent is integral, and n! L^n exp(exponent) = sum_j (n!/j!) L^(n-j) x^j: int products only
+    L = lcm(*(Fraction(c).denominator for c in exponent.coeffs))
+    x = ChowClass(ring, tuple(int(c * L) for c in exponent.coeffs))
+    total, power = ring.zero(), ring.one()
     for j in range(n + 1):
-        td, power = td + factorial(n) // factorial(j) * L ** (n - j) * power, power * x
-    w, D = [chow.integrate(ring.from_dict({b: 1}) * td) for b in ring.basis], factorial(n) * L**n
+        total, power = total + factorial(n) // factorial(j) * L ** (n - j) * power, power * x
+    w, D = [chow.integrate(ring.from_dict({b: 1}) * total) for b in ring.basis], factorial(n) * L**n
     g = gcd(D, *w)
     return tuple(v // g for v in w), D // g
-
-
-@cache
-def _twisted_weights(entry: VarietyCatalogEntry, t: int) -> tuple[tuple[int, ...], int]:
-    """``(w, D)``: integers ``w_k = D int b_k exp(t h) td(X)`` over the ring basis ``b_k``.
-
-    ``n! exp(t h) = sum_(j<=n) (n!/j!) t^j h^j`` is an integral class, so pairing the Todd
-    weights (:func:`_todd_weights`) with ``b_k n! exp(t h)`` gives integers over ``n!`` times the
-    Todd denominator; both are divided by their gcd, so at t = 0 these are the Todd weights.
-    """
-    weights, D = _todd_weights(entry)
-    ring, n = entry.ring, entry.dimension
-    exp_th = ring.zero()
-    for j in range(n + 1):
-        exp_th = exp_th + factorial(n) // factorial(j) * t**j * entry.h_power(j)
-    w = [sum(map(operator.mul, (ring.from_dict({b: 1}) * exp_th).coeffs, weights)) for b in ring.basis]
-    g = gcd(factorial(n) * D, *w)
-    return tuple(v // g for v in w), factorial(n) * D // g
 
 
 def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:

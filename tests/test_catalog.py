@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from instanton_lab import catalog, rr
-from instanton_lab.cohomology import line_bundle_cohomology
+from instanton_lab.cohomology import chi_scroll_line, line_bundle_cohomology
 from instanton_lab.errors import UnknownVarietyError
 
 ENTRIES = [
@@ -171,12 +171,27 @@ def test_tangent_class_gives_noether_canonical_and_c2(entry):
         chi_O = 1 - entry.genus
     else:
         chi_O = line_bundle_cohomology(entry, (0,) * entry.picard_rank()).chi()
-    weights, denominator = rr._todd_weights(entry)
+    weights, denominator = rr._twisted_weights(entry, 0)
     assert Fraction(weights[0], denominator) == chi_O
     assert -entry.tangent.part(1) == catalog.line_bundle_class(entry, K) == entry.canonical
     if entry.dimension == 3:
         assert entry.tangent.part(2).to_json() == c2
     assert entry.tangent.coefficient((0,) * entry.picard_rank()) == 1
+
+
+@pytest.mark.parametrize("entry", TANGENT_ENTRIES, ids=lambda e: e.variety_id)
+def test_twisted_weights_give_chi_of_every_twist_of_the_structure_sheaf(entry):
+    """The weight of the basis monomial 1 is int exp(t h) td(X) = chi(O_X(t h)): Riemann-Roch
+    against the engine for t in [-8, 8] in dimensions 1-6 (``chi_scroll_line`` on generic
+    scrolls, which have no engine outside the vanishing window)."""
+    zero = (0,) * entry.picard_rank()
+    for t in range(-8, 9):
+        weights, denominator = rr._twisted_weights(entry, t)
+        if entry.kind == "scroll_generic":
+            expected = chi_scroll_line(entry, t, 0)
+        else:
+            expected = line_bundle_cohomology(entry, catalog.twist_coords(entry, zero, t)).chi()
+        assert Fraction(weights[0], denominator) == expected, t
 
 
 def test_check_coords():

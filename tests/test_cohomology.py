@@ -25,7 +25,7 @@ from instanton_lab.cohomology import (
     line_bundle_cohomology,
     serre_dual_vector,
 )
-from instanton_lab.errors import MalformedDataError, UnsupportedBundleError, WindowError
+from instanton_lab.errors import MalformedDataError, UnknownVarietyError, UnsupportedBundleError, WindowError
 from instanton_lab.util import binom
 from test_acceptance import serre_dual_coords
 
@@ -522,16 +522,17 @@ def test_scroll_table_reads_the_entry_memo(monkeypatch, width):
          "projective_space(3) expects 1 line-bundle coordinates, got (1, 2)"),
         (catalog.scroll_p1((1, 2, 2)), [((0, 1), 1), ((1,), 1)], (-3, 3), False, ValueError,
          "scroll_p1(1,2,2) expects 2 line-bundle coordinates, got (1,)"),
-        (catalog.projective_space(3), [((1,), -1)], (-3, 3), False, ValueError,
+        (catalog.projective_space(3), [((1,), -1)], (-3, 3), False, MalformedDataError,
          "multiplicities must be nonnegative"),
-        (catalog.scroll_p1((1, 2, 2)), [((1, 0), -1)], (-3, 3), False, ValueError,
+        (catalog.scroll_p1((1, 2, 2)), [((1, 0), -1)], (-3, 3), False, MalformedDataError,
          "multiplicities must be nonnegative"),
         (catalog.projective_space(3), [((1,), 1)], (-3, 3), True, UnsupportedBundleError,
          "theta twists only exist on curve entries"),
         (catalog.scroll_generic(3, 2, 5), [((0, 1), 1)], (-2, 0), False, UnsupportedBundleError,
          "only the vanishing window is exact on generic scrolls; use chi_scroll_line"),
-        (catalog.projective_space(3), [((1,), 0)], (-3, 3), False, ValueError, "rank must be positive"),
-        (catalog.scroll_p1((1, 2, 2)), [((1, 0), 0)], (-3, 3), False, ValueError, "rank must be positive"),
+        (catalog.projective_space(3), [((1,), 0)], (-3, 3), False, MalformedDataError, "rank must be positive"),
+        (catalog.scroll_p1((1, 2, 2)), [((1, 0), 0)], (-3, 3), False, MalformedDataError,
+         "rank must be positive"),
     ],
     ids=["coord-count", "scroll-coord-count", "negative-mult", "scroll-negative-mult", "theta-non-curve",
          "scroll-generic-outside", "zero-rank", "scroll-zero-rank"],
@@ -554,10 +555,59 @@ def test_build_table_errors(entry, bundles, window, theta, error, message):
 def test_build_table_checks_multiplicities_before_any_engine_runs(entry, bundles, window):
     """A negative multiplicity is refused before the memo is read, so no engine runs and none wins."""
     before = dict(cohomology._rows(entry))
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(MalformedDataError) as exc:
         build_table(entry, bundles, window)
-    assert type(exc.value) is ValueError and str(exc.value) == "multiplicities must be nonnegative"
+    assert type(exc.value) is MalformedDataError and str(exc.value) == "multiplicities must be nonnegative"
     assert dict(cohomology._rows(entry)) == before
+
+
+def test_build_table_refuses_a_reversed_window_before_any_chern_or_memo_work(monkeypatch):
+    """``tmin > tmax`` is refused with the descriptor checks: no Chern data is built and the
+    entry's memo is not read."""
+    entry = catalog.flag3()
+    chern_calls, reads = [], []
+
+    def counted(summands):
+        chern_calls.append(summands)
+        raise AssertionError("a reversed window built Chern data")
+
+    class Watched(cohomology._LineBundleRows):
+        def __getitem__(self, coords):
+            reads.append(coords)
+            return super().__getitem__(coords)
+
+    monkeypatch.setattr(rr, "chern_of_line_bundle_sum", counted)
+    monkeypatch.setitem(cohomology._ROWS, entry, Watched(entry))
+    with pytest.raises(MalformedDataError) as exc:
+        build_table(entry, (1, 1), (2, 0))
+    assert type(exc.value) is MalformedDataError and str(exc.value) == "window (2, 0) has tmin > tmax"
+    assert chern_calls == [] and reads == []
+
+
+def test_cohomology_errors_are_typed_and_keep_their_messages():
+    """Malformed values raise ``MalformedDataError``, engine parameters outside the catalog
+    ``UnknownVarietyError`` and Bott's p out of range ``UnsupportedBundleError``; all are
+    ``ValueError``s."""
+    cases = [
+        (lambda: CohVector((1, -1)), MalformedDataError, "negative cohomology dimension in (1, -1)"),
+        (lambda: CohVector((1,)) + CohVector((1, 0)), MalformedDataError, "cohomology vectors of different lengths"),
+        (lambda: CohVector((1,)).scale(-1), MalformedDataError, "multiplicities must be nonnegative"),
+        (lambda: CohomologyTable("projective_space(2)", 1, 0, ()), MalformedDataError, "empty window"),
+        (lambda: coh_projective_space(0, 1), UnknownVarietyError, "n >= 1"),
+        (lambda: coh_quadric(1, 1), UnknownVarietyError, "n >= 2"),
+        (lambda: coh_product([]), UnknownVarietyError, "at least one factor"),
+        (lambda: coh_product([(0, 1)]), UnknownVarietyError, "n >= 1"),
+        (lambda: coh_scroll_p1((1,), 0, 0), UnknownVarietyError, "need >= 2 split degrees, all >= 1"),
+        (lambda: coh_curve(-1, 0), UnknownVarietyError, "genus >= 0"),
+        (lambda: coh_curve_theta_shift(2, 0, 1), UnknownVarietyError, "polarization degree >= 1"),
+        (lambda: cohomology.coh_cyclic_fano_index1(2, 0), UnknownVarietyError, "prime Fano 3-folds have genus >= 3"),
+        (lambda: bott_pn(3, 4, 0), UnsupportedBundleError, "0 <= p <= n"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+        assert isinstance(exc.value, ValueError)
 
 
 def test_window_error_names_missing_twists():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from instanton_lab import catalog, instanton, rr
 from instanton_lab.cohomology import CohomologyTable, CohVector, build_table
-from instanton_lab.errors import InfeasibleError, WindowError
+from instanton_lab.errors import InfeasibleError, VarietyMismatchError, WindowError
 from instanton_lab.instanton import check_instanton, natural_cohomology_window
 from instanton_lab.monads import rank_from_chi
 from instanton_lab.replays import (
@@ -203,6 +203,21 @@ def test_ulrich_dual_flag_family(a):
     # chern transform matches the swapped line bundle
     expected = build_table(entry, (a + 2, -a), (0, 0)).chern
     assert dualized.chern.c1 == expected.c1
+
+
+def test_ulrich_dual_table_refuses_another_variety():
+    """The entry must be the table's own variety, not one of the same dimension; on its own
+    variety the Chern data are dualized whenever the table has them."""
+    table = build_table(catalog.flag3(), (-1, 3), (-4, 0))
+    with pytest.raises(VarietyMismatchError, match=r"^table on 'flag3' does not live on 'triple_p1'$"):
+        ulrich_dual_table(table, catalog.triple_p1(), 0)
+    for entry, coords in ((catalog.flag3(), (-1, 3)), (catalog.projective_space(3, u=2), (1,))):
+        table = build_table(entry, coords, (-4, 0))
+        for defect in (0, 1):
+            dualized = ulrich_dual_table(table, entry, defect)
+            assert dualized.chern == rr.ulrich_dual_chern(entry, table.chern, defect)
+        bare = build_table(entry, coords, (-4, 0), with_chern=False)
+        assert ulrich_dual_table(bare, entry, 0).chern is None
 
 
 def test_ulrich_dual_involution():

@@ -59,7 +59,7 @@ def test_chi_surface_matches_mukai_quantum(defect):
         c = ChernData(2, c1, deg_D * H * H)
         q = Fraction(deg_D - 2 * 1) - Fraction((defect**2 - 4 * defect + 5) * h2 + (3 - defect) * Kh, 2)
         assert q.denominator == 1
-        assert rr.chi(p2, rr.twist_by_h(p2, c, -1)) == -int(q)
+        assert rr.chi(p2, rr.twist(c, -p2.polarization)) == -int(q)
 
 
 def test_chi_threefold_examples():
@@ -159,19 +159,26 @@ def test_chi_twisted_against_twisted_chern_data_and_the_engine(entry):
             table = build_table(entry, bundles, (-6, 6), with_chern=False)
             for t in range(-6, 7):
                 got = rr.chi_twisted(entry, c, t)
-                assert got == rr.chi(entry, rr.twist_by_h(entry, c, t)) == table.chi_at(t), (bundles, t)
+                assert got == rr.chi(entry, rr.twist(c, t * entry.polarization)) == table.chi_at(t), (bundles, t)
     if entry.kind == "prime_fano":
         H = entry.ring.gen("H")
         for k in range(3):
             rep = prime_fano_family(entry.genus, k)
             c = ChernData(rep.rank, rep.c1_mult * H, Fraction(rep.c2_dot_h, entry.hn()) * H * H, 0 * H**3)
             for t in range(-6, 7):
-                assert rr.chi_twisted(entry, c, t) == rr.chi(entry, rr.twist_by_h(entry, c, t)), (k, t)
+                assert rr.chi_twisted(entry, c, t) == rr.chi(entry, rr.twist(c, t * entry.polarization)), (k, t)
 
 
 @pytest.mark.parametrize("entry", TWO_ROUTE_ENTRIES, ids=lambda e: e.variety_id)
 def test_untwisted_weights_are_the_todd_weights(entry):
-    assert rr._twisted_weights(entry, 0) == rr._todd_weights(entry)
+    """At t = 0 the weights are those of the Todd class as the textbook polynomials give it
+    through dimension 3, ``1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24`` in the Chern classes of T_X,
+    a route that takes no power sum, Bernoulli number or exponential."""
+    ring, c1, c2 = entry.ring, entry.tangent.part(1), entry.tangent.part(2)
+    td = ring.one() + Fraction(1, 2) * c1 + Fraction(1, 12) * (c1 * c1 + c2) + Fraction(1, 24) * (c1 * c2)
+    weights, denominator = rr._twisted_weights(entry, 0)
+    for b, w in zip(ring.basis, weights):
+        assert Fraction(w, denominator) == chow.integrate(ring.from_dict({b: 1}) * td), b
 
 
 @pytest.mark.parametrize(
@@ -186,7 +193,7 @@ def test_chi_twisted_builds_no_twisted_chern_data(entry, monkeypatch):
     coords = [(1,) * entry.picard_rank(), (-2,) + (1,) * (entry.picard_rank() - 1), (0,) * entry.picard_rank()]
     c = rr.chern_of_line_bundle_sum([(catalog.line_bundle_class(entry, co), 1) for co in coords])
     twists = range(-4, 5)
-    expected = [rr.chi(entry, rr.twist_by_h(entry, c, t)) for t in twists]
+    expected = [rr.chi(entry, rr.twist(c, t * entry.polarization)) for t in twists]
     for t in twists:
         rr._twisted_weights(entry, t)
     products = []
@@ -201,7 +208,6 @@ def test_chi_twisted_builds_no_twisted_chern_data(entry, monkeypatch):
 
     monkeypatch.setattr(chow, "multiply", counted)
     monkeypatch.setattr(rr, "twist", refused)
-    monkeypatch.setattr(rr, "twist_by_h", refused)
     n = entry.dimension
     for i, (t, value) in enumerate(zip(twists, expected)):
         products.clear()
@@ -233,7 +239,7 @@ def test_power_sums_are_taken_once_per_chern_data(entry, monkeypatch):
             data.append(ChernData(rep.rank, rep.c1_mult * H, Fraction(rep.c2_dot_h, entry.hn()) * H * H, 0 * H**3))
         assert any(isinstance(v, Fraction) and v.denominator > 1 for c in data for v in c.c2.coeffs)
     twists = range(-n, 1)
-    expected = [[rr.chi(entry, rr.twist_by_h(entry, c, t)) for t in twists] for c in data]
+    expected = [[rr.chi(entry, rr.twist(c, t * entry.polarization)) for t in twists] for c in data]
     for t in twists:
         rr._twisted_weights(entry, t)
     calls = []
@@ -259,14 +265,13 @@ def test_chi_errors_are_typed_and_raised_before_any_weight():
     H = p2.ring.gen("H")
     missing, foreign = ChernData(1, H), line_chern(p4, (1,))
     rr._twisted_weights.cache_clear()
-    rr._todd_weights.cache_clear()
     with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(4\) needs c1 to c4$"):
         rr.chi_twisted(p4, foreign, 2)
     with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(2\) needs c1 to c2$"):
         rr.chi(p2, missing)
     with pytest.raises(VarietyMismatchError):
         rr.chi_twisted(p2, foreign, -1)
-    assert rr._twisted_weights.cache_info().currsize == rr._todd_weights.cache_info().currsize == 0
+    assert rr._twisted_weights.cache_info().currsize == 0
     assert missing._ch is None and foreign._ch is None
     with pytest.raises(InfeasibleError, match="^chi is not an integer: 5/2$"):
         rr.chi(p2, ChernData(1, H, Fraction(1, 2) * H * H))
@@ -498,7 +503,7 @@ def test_twist_transform_matches_table_chern():
     fl = catalog.flag3()
     c = build_table(fl, [((-1, 3), 1), ((2, 0), 1)], (0, 0)).chern
     shifted = build_table(fl, [((0, 4), 1), ((3, 1), 1)], (0, 0)).chern
-    assert rr.twist_by_h(fl, c, 1) == shifted
+    assert rr.twist(c, fl.polarization) == shifted
 
 
 def test_table_chern_rr_consistency():

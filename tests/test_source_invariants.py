@@ -106,10 +106,10 @@ def test_only_cohomology_calls_an_engine():
 
 
 def test_rr_raises_no_bare_value_error():
-    """Every input check in ``rr``, ``monads`` and ``cli`` raises a typed ``InstantonLabError``
-    (each one in ``rr`` and ``monads`` a ``ValueError``), so the CLI can tell bad input from an
-    internal bug."""
-    for module in ("rr.py", "monads.py", "cli.py"):
+    """Every input check in ``rr``, ``monads``, ``cli`` and ``cohomology`` raises a typed
+    ``InstantonLabError`` (each one in ``rr``, ``monads`` and ``cohomology`` a ``ValueError``), so
+    the CLI can tell bad input from an internal bug."""
+    for module in ("rr.py", "monads.py", "cli.py", "cohomology.py"):
         (path,) = [p for p in SOURCES if p.name == module]
         raised = [
             node.exc.func if isinstance(node.exc, ast.Call) else node.exc
