@@ -25,7 +25,7 @@ from functools import cache, cached_property
 
 from . import chow
 from .chow import ChowClass, ChowRingPresentation
-from .errors import UnknownVarietyError, UnsupportedBundleError
+from .errors import MalformedDataError, UnknownVarietyError, UnsupportedBundleError
 from .util import FrozenValue
 
 
@@ -64,7 +64,7 @@ class VarietyCatalogEntry(FrozenValue):
         object.__setattr__(self, "curve_model", curve_model)
         object.__setattr__(self, "deg_h", deg_h)
         if self.hn() <= 0:
-            raise ValueError(f"polarization of {self.variety_id} is not numerically ample")
+            raise UnknownVarietyError(f"polarization of {self.variety_id} is not numerically ample")
 
     def __hash__(self) -> int:  # the id's hash, cached by str; equality still reads every field
         return hash(self.variety_id)
@@ -301,17 +301,17 @@ def entry_ring(entry_id: str) -> ChowRingPresentation:
 
 
 def check_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """``coords`` as a tuple of ints of the entry's Picard rank, or ``ValueError``: bools and numeric
-    strings pass through ``int()``, a number it would change (1.9, ``Fraction(5, 2)``) is refused."""
+    """``coords`` as a tuple of ints of the entry's Picard rank, or ``MalformedDataError``: bools and
+    numeric strings pass through ``int()``, a number it would change (1.9, ``Fraction(5, 2)``) is refused."""
     if type(coords) is tuple and len(coords) == entry.picard_rank() and all(type(c) is int for c in coords):
         return coords
     raw = tuple(coords)
     coords = tuple(map(int, raw))
     for c, k in zip(raw, coords):
         if k != c and not isinstance(c, str):
-            raise ValueError(f"line-bundle coordinate {c!r} on {entry.variety_id} is not an integer")
+            raise MalformedDataError(f"line-bundle coordinate {c!r} on {entry.variety_id} is not an integer")
     if len(coords) != entry.picard_rank():
-        raise ValueError(
+        raise MalformedDataError(
             f"{entry.variety_id} expects {entry.picard_rank()} line-bundle coordinates, got {coords}"
         )
     return coords

@@ -276,7 +276,7 @@ class ChowClass(FrozenValue):
 
     def __pow__(self, k: int) -> "ChowClass":
         if k < 0:
-            raise ValueError("negative powers are not defined in the Chow ring")
+            raise MalformedDataError("negative powers are not defined in the Chow ring")
         out = self.ring.one()
         for _ in range(k):
             out = multiply(out, self)

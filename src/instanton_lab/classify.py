@@ -23,6 +23,7 @@ from . import catalog, cohomology, instanton
 from .catalog import VarietyCatalogEntry
 # build_table: unused here; bench/tests/test_bench.py reads classify.build_table
 from .cohomology import CohVector, build_table  # noqa: F401
+from .errors import MalformedDataError, UnsupportedBundleError
 from .util import fields_json
 
 #: default half-width of enumeration boxes; all known families and their
@@ -187,11 +188,13 @@ def classify_lines(
     closed-form family (``_FAMILIES``) inside the box, an int of at least 4.
     """
     if type(box) is not int:
-        raise ValueError(f"box must be an int, got {box!r}")
+        raise MalformedDataError(f"box must be an int, got {box!r}")
     if box < 4:
-        raise ValueError("box >= 4")
+        raise MalformedDataError("box >= 4")
     if (entry.kind, defect) not in _FAMILIES:
-        raise ValueError(f"no closed-form line-bundle family on {entry.variety_id} with defect {defect}")
+        raise UnsupportedBundleError(
+            f"no closed-form line-bundle family on {entry.variety_id} with defect {defect}"
+        )
     candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), entry.picard_rank()))
     found, rejections = _sift(entry, candidates, defect)
     member = _FAMILIES[entry.kind, defect]

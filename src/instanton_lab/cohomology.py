@@ -362,9 +362,10 @@ Bundles = list[tuple[tuple[int, ...], int]]
 
 
 class CohomologyTable(FrozenValue):
-    """Cohomology vectors of one sheaf over the twist window that starts at ``tmin``, one row
-    per twist; each row is ``(h^0, ..., h^n)``, so the rows give the window's end and the
-    dimension n."""
+    """One sheaf's rows ``(h^0, ..., h^n)`` over the twist window from ``tmin``, which give the
+    window's end and n.  The constructor is the one place a table is checked: an unknown variety
+    raises ``UnknownVarietyError``; a rank below 1, no rows, rows that are not ``(h^0, ..., h^n)``
+    on that variety or Chern data of another rank raise ``MalformedDataError``."""
 
     __slots__ = _fields = ("variety_id", "rank", "tmin", "rows", "chern", "assumptions")
 
@@ -377,10 +378,15 @@ class CohomologyTable(FrozenValue):
         chern: ChernData | None = None,
         assumptions: tuple[str, ...] = (),
     ):
+        n = entry_ring(variety_id).top_degree
+        if rank < 1:
+            raise MalformedDataError("rank must be positive")
         if not rows:
             raise MalformedDataError("empty window")
-        if len(set(map(len, rows))) != 1:
-            raise MalformedDataError("rows of different lengths")
+        if any(len(row) != n + 1 for row in rows):
+            raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
+        if chern is not None and chern.rank != rank:
+            raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
         object.__setattr__(self, "variety_id", variety_id)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tmin", tmin)
@@ -399,18 +405,17 @@ class CohomologyTable(FrozenValue):
     def covers(self, a: int, b: int) -> bool:
         return self.tmin <= a and b < self.tmin + len(self.rows)
 
-    def require(self, twists: list[int]) -> None:
-        missing = tuple(sorted(t for t in set(twists) if not self.tmin <= t <= self.tmax))
-        if missing:
-            raise WindowError(
-                f"table window [{self.tmin}, {self.tmax}] is missing twists {list(missing)}",
-                missing,
-            )
+    def require(self, lo: int, hi: int) -> None:
+        """Raise ``WindowError`` naming the twists of ``[lo, hi]`` the table does not cover."""
+        if lo > hi or self.covers(lo, hi):
+            return
+        missing = tuple(t for t in range(lo, hi + 1) if not self.tmin <= t <= self.tmax)
+        raise WindowError(f"table window [{self.tmin}, {self.tmax}] is missing twists {list(missing)}", missing)
 
     def row(self, t: int) -> CohVector:
         i = t - self.tmin
         if not 0 <= i < len(self.rows):
-            self.require([t])
+            self.require(t, t)
         return self.rows[i]
 
     def h(self, i: int, t: int) -> int:
@@ -437,6 +442,7 @@ class CohomologyTable(FrozenValue):
 
     @staticmethod
     def from_json(data: dict) -> "CohomologyTable":
+        """Read a table, checking only the JSON's types and that its twists enumerate the window."""
         try:
             variety_id, rank = data["variety"], data["rank"]
             if type(variety_id) is not str:
@@ -451,17 +457,14 @@ class CohomologyTable(FrozenValue):
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
         numbers = itertools.chain((rank, tmin, tmax), twists, *(row.dims for row in rows))
-        if set(map(type, numbers)) != {int} or rank < 1:
-            raise MalformedDataError("rank, window, twists and dimensions must be ints, the rank positive")
+        if set(map(type, numbers)) != {int}:
+            raise MalformedDataError("rank, window, twists and dimensions must be ints")
         if type(assumptions) is not list or set(map(type, assumptions)) - {str}:
             raise MalformedDataError("assumptions must be a list of strings")
-        if chern is not None and (type(chern.rank) is not int or chern.rank != rank):
+        if chern is not None and type(chern.rank) is not int:
             raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
-        if not rows or twists != list(range(tmin, tmax + 1)):
+        if twists != list(range(tmin, tmax + 1)):
             raise MalformedDataError("rows do not enumerate a non-empty window")
-        n = ring.top_degree
-        if any(len(row) != n + 1 for row in rows):
-            raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
         return CohomologyTable(
             variety_id=variety_id,
             rank=rank,

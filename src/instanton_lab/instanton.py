@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .cohomology import CohomologyTable, CohVector
+from .errors import MalformedDataError
 from .util import FrozenValue
 
 #: one instanton condition ``(kind, i, t)``, see :class:`InstantonConditions`
@@ -55,9 +56,9 @@ class InstantonVerdict:
     def __post_init__(self) -> None:
         for _, q in self.admissible:
             if q < 0:
-                raise ValueError("quantum numbers are nonnegative")
+                raise MalformedDataError("quantum numbers are nonnegative")
         if self.is_ulrich and (0, 0) not in self.admissible:
-            raise ValueError("Ulrich verdicts must contain the pair (0, 0)")
+            raise MalformedDataError("Ulrich verdicts must contain the pair (0, 0)")
 
     def passes(self, defect: int | None = None) -> bool:
         if defect is None:
@@ -111,7 +112,7 @@ class InstantonConditions(FrozenValue):
 
     def __init__(self, n: int, defect: int):
         if n < 1 or defect not in (0, 1):
-            raise ValueError("need n >= 1 and defect in {0, 1}")
+            raise MalformedDataError("need n >= 1 and defect in {0, 1}")
         checks = [("zero", 0, -1), ("zero", n, defect - n)]
         for i in range(1, n - 1):
             checks += [("zero", i, -(i + 1)), ("zero", n - i, defect - n + i)]
@@ -190,8 +191,7 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
     are reported when both condition sets pass.
     """
     n = table.dimension
-    if not table.covers(-n, 0):
-        table.require(list(range(-n, 1)))  # raises, naming the missing twists
+    table.require(-n, 0)
     admissible: list[tuple[int, int]] = []
     notes: list[str] = []
     for defect in (0, 1):
@@ -216,7 +216,5 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
 def natural_cohomology_window(table: CohomologyTable, defect: int) -> bool:
     """At most one nonzero group per twist in the shifts ``defect - n <= t <= -1``."""
     n = table.dimension
-    shifts = range(defect - n, 0)
-    if not table.covers(defect - n, -1):
-        table.require(list(shifts))
-    return all(len(row.dims) - row.dims.count(0) <= 1 for row in map(table.row, shifts))
+    table.require(defect - n, -1)
+    return all(len(row.dims) - row.dims.count(0) <= 1 for row in map(table.row, range(defect - n, 0)))

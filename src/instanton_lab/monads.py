@@ -95,6 +95,8 @@ class MonadShape(FrozenValue):
         constraints: tuple[Constraint, ...] = (),
         notes: tuple[str, ...] = (),
     ):
+        if len(terms) != 3:
+            raise MalformedDataError(f"a monad shape has 3 terms, got {len(terms)}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "notes", notes)
@@ -133,11 +135,8 @@ class MonadShape(FrozenValue):
 
     @staticmethod
     def from_json(data: dict) -> "MonadShape":
-        terms = tuple(tuple(Summand.from_json(s) for s in term) for term in data["terms"])
-        if len(terms) != 3:
-            raise MalformedDataError(f"a monad shape has 3 terms, got {len(terms)}")
         return MonadShape(
-            terms,
+            tuple(tuple(Summand.from_json(s) for s in term) for term in data["terms"]),
             tuple(Constraint.from_json(c) for c in data["constraints"]),
             tuple(data["notes"]),
         )

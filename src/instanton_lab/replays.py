@@ -29,7 +29,14 @@ from typing import Callable
 from . import catalog, chow, cohomology, rr
 from .catalog import VarietyCatalogEntry
 from .cohomology import CohomologyTable, line_bundle_cohomology, serre_dual_vector
-from .errors import InfeasibleError, VarietyMismatchError, WindowError
+from .errors import (
+    InfeasibleError,
+    MalformedDataError,
+    UnknownVarietyError,
+    UnsupportedBundleError,
+    VarietyMismatchError,
+    WindowError,
+)
 from .rr import ChernData
 from .util import binom, fields_json
 
@@ -48,7 +55,7 @@ def chi_polynomial(n: int, defect: int, quantum: int, chi0: int, t: int) -> int:
     ``chi (t + 1 + defect t)`` on curves.
     """
     if n < 1:
-        raise ValueError("n >= 1")
+        raise UnsupportedBundleError("n >= 1")
     if n == 1:
         return chi0 * (t + 1 + defect * t)
     if (n, defect) == (2, 1):
@@ -75,7 +82,7 @@ def restriction_transform(n: int, defect: int, quantum: int) -> RestrictionResul
     section, valid only for n >= 5 (reported via ``extension_valid``).
     """
     if n <= 2:
-        raise ValueError("restriction needs n >= 3")
+        raise UnsupportedBundleError("restriction needs n >= 3")
     q = 2 * quantum if (n, defect) == (3, 1) else quantum
     return RestrictionResult(defect, q, extension_valid=n >= 5)
 
@@ -87,7 +94,7 @@ def pushforward_model(table: CohomologyTable, degree: int) -> CohomologyTable:
     Chern data does not transport and is dropped.
     """
     if degree < 1:
-        raise ValueError("the degree h^n is positive")
+        raise MalformedDataError("the degree h^n is positive")
     return CohomologyTable(
         variety_id=f"projective_space({table.dimension})",
         rank=table.rank * degree,
@@ -99,8 +106,8 @@ def pushforward_model(table: CohomologyTable, degree: int) -> CohomologyTable:
 
 
 def direct_sum(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
-    """Entrywise sum over the common window; ranks add, Chern data is Whitney."""
-    if t1.variety_id != t2.variety_id or t1.dimension != t2.dimension:
+    """Entrywise sum over the common window of two tables on one variety; ranks add, Chern data is Whitney."""
+    if t1.variety_id != t2.variety_id:
         raise VarietyMismatchError(f"cannot sum tables on {t1.variety_id} and {t2.variety_id}")
     tmin, tmax = max(t1.tmin, t2.tmin), min(t1.tmax, t2.tmax)
     if tmin > tmax:
@@ -128,14 +135,12 @@ def ulrich_dual_table(
     ``h^i(F(t h)) = h^(n-i)(E((defect - n - 1 - t) h))``.  The transform is
     an involution and preserves instanton verdicts.  The output window is the
     input's reflected through ``t -> defect - n - 1 - t``, its rows the
-    input's in reverse order.  The table must live on ``entry``
-    (``VarietyMismatchError`` otherwise), and its Chern data, if any, are dualized too.
+    input's in reverse order.  The table must live on ``entry`` (``VarietyMismatchError``
+    otherwise, so its rows have the entry's dimension); its Chern data, if any, are dualized too.
     """
     n = table.dimension
     if table.variety_id != entry.variety_id:
         raise VarietyMismatchError(f"table on {table.variety_id!r} does not live on {entry.variety_id!r}")
-    if entry.dimension != n:
-        raise VarietyMismatchError("entry dimension does not match the table")
     rows = tuple(serre_dual_vector(row) for row in reversed(table.rows))
     chern = None if table.chern is None else rr.ulrich_dual_chern(entry, table.chern, defect)
     return CohomologyTable(
@@ -174,8 +179,7 @@ class RegularityReport:
 def regularity_report(table: CohomologyTable, defect: int) -> RegularityReport:
     """Locate v(E), compute the regularity bound w(E), and verify it on the window."""
     n = table.dimension
-    table.require([defect - 1])
-    w = table.h(1, defect - 1) + defect
+    w = table.h(1, defect - 1) + defect  # raises WindowError when the window misses defect - 1
     v = None
     for t in table.twists():
         if table.h(0, t) != 0:
@@ -214,7 +218,7 @@ class BettiShape:
 
     def __post_init__(self) -> None:
         if any(m < 0 for _, m in self.beta):
-            raise ValueError("Betti numbers are nonnegative")
+            raise MalformedDataError("Betti numbers are nonnegative")
 
     @staticmethod
     def from_dict(v: int, w: int, N: int, beta: dict[tuple[int, int], int]) -> "BettiShape":
@@ -251,9 +255,9 @@ def veronese_quantum(n: int, rank: int, d: int, hn: int) -> Fraction:
     ``(n+1)(d-1)`` even.
     """
     if not 1 <= n <= 3:
-        raise ValueError("1 <= n <= 3")
+        raise UnsupportedBundleError("1 <= n <= 3")
     if d < 1 or rank < 1 or hn < 1:
-        raise ValueError(f"need d, rank, hn >= 1 (O(dh) ample), got d={d}, rank={rank}, hn={hn}")
+        raise MalformedDataError(f"need d, rank, hn >= 1 (O(dh) ample), got d={d}, rank={rank}, hn={hn}")
     if ((n + 1) * (d - 1)) % 2:
         raise InfeasibleError(f"(n+1)(d-1) = {(n + 1) * (d - 1)} must be even")
     return Fraction((n - 1) ** n * rank * (d * d - 1) * hn, 2**n * math.factorial(n))
@@ -277,7 +281,7 @@ def horrocks_gate(n: int, rank: int, hn: int, quantum: int, defect: int) -> Horr
     ``rank h^n >= n - 1``; equality with n even forces Ulrich.
     """
     if n < 4:
-        raise ValueError("the gate applies from dimension 4 on")
+        raise UnsupportedBundleError("the gate applies from dimension 4 on")
     rkh = rank * hn
     notes: list[str] = []
     forced_acm = rkh < 2 * (n // 2)
@@ -330,7 +334,7 @@ def classify_cyclic_lines(n: int, u: int, v: int, defect: int) -> CyclicDecision
     ``v >= -n - 1`` with its equality cases, and the per-case parity checks.
     """
     if n < 2 or u < 1 or defect not in (0, 1):
-        raise ValueError("need n >= 2, u >= 1, defect in {0, 1}")
+        raise UnsupportedBundleError("need n >= 2, u >= 1, defect in {0, 1}")
     steps: list[str] = []
 
     def none(reason: str) -> CyclicDecision:
@@ -419,9 +423,9 @@ def hoppe_rank2(
 ) -> StabilityVerdict:
     """Section criterion on a cyclic entry, reading eps off the Chern data."""
     if c.rank != 2:
-        raise ValueError("the criterion is specific to rank two")
+        raise UnsupportedBundleError("the criterion is specific to rank two")
     if len(entry.ring.generators) != 1:
-        raise ValueError("the criterion needs a cyclic entry")
+        raise UnsupportedBundleError("the criterion needs a cyclic entry")
     eps = c.c1.coefficient(entry.ring.monomial(H=1))
     return hoppe_rank2_from_eps(eps, h0_norm, h0_norm_minus)
 
@@ -457,7 +461,7 @@ def cyclic_rank2_stability_cases(n: int, u: int, v: int, defect: int) -> Stabili
     index-two cyclic surface, which does not exist).
     """
     if n < 2 or u < 1 or defect not in (0, 1):
-        raise ValueError("need n >= 2, u >= 1, defect in {0, 1}")
+        raise UnsupportedBundleError("need n >= 2, u >= 1, defect in {0, 1}")
     eps = u * (n + 1 - defect) + v
     t_norm = (-eps) // 2
     if eps % 2 == 0:
@@ -515,9 +519,9 @@ class FanoBridgeReport:
 
 def fano_instanton_bridge(i_X: int, defect: int, epsilon: int) -> FanoBridgeReport:
     if not 1 <= i_X <= 4:
-        raise ValueError("cyclic Fano 3-folds have index 1..4")
+        raise UnknownVarietyError("cyclic Fano 3-folds have index 1..4")
     if defect not in (0, 1) or epsilon not in (0, 1):
-        raise ValueError("defect and epsilon lie in {0, 1}")
+        raise MalformedDataError("defect and epsilon lie in {0, 1}")
     q_eps = (i_X + 1 - epsilon) // 2
     t_norm = (i_X + defect) // 2 - 2
     if (i_X, defect) in ((4, 0), (4, 1), (3, 1)):
@@ -541,7 +545,7 @@ def fano_instanton_bridge(i_X: int, defect: int, epsilon: int) -> FanoBridgeRepo
 def curve_quantum(rank: int, deg: int, defect: int) -> int:
     """Quantum number ``defect rank deg / 2`` of an instanton bundle on a curve."""
     if defect not in (0, 1):
-        raise ValueError("defect in {0, 1}")
+        raise MalformedDataError("defect in {0, 1}")
     if defect and (rank * deg) % 2:
         raise InfeasibleError("defect 1 on a curve needs rank * deg even")
     return defect * rank * deg // 2
@@ -597,12 +601,12 @@ def scroll_construction_report(
     else:
         entry = scroll
     if entry.kind not in ("scroll_p1", "scroll_generic"):
-        raise ValueError("the construction lives on scroll entries")
+        raise UnsupportedBundleError("the construction lives on scroll entries")
     n, g, d = entry.dimension, entry.genus, entry.deg_g
     if n < 3:
-        raise ValueError("the construction needs scroll dimension >= 3")
+        raise UnsupportedBundleError("the construction needs scroll dimension >= 3")
     if k < 0:
-        raise ValueError("k >= 0")
+        raise MalformedDataError("k >= 0")
     ring = entry.ring
     h, f = ring.gen("h"), ring.gen("f")
     theta_deg = g - 1
@@ -708,7 +712,7 @@ def surface_quantum_formulas(kind: str, invariants: dict) -> int:
         if q < 0:
             raise InfeasibleError(f"negative quantum number {q}: infeasible input")
         return q
-    raise ValueError(f"unknown surface construction {kind!r}")
+    raise UnsupportedBundleError(f"unknown surface construction {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -747,7 +751,7 @@ def prime_fano_family(g_X: int, k: int) -> PrimeFanoReport:
     in a generically smooth moduli component of that dimension.
     """
     if g_X < 3 or k < 0:
-        raise ValueError("need g_X >= 3 and k >= 0")
+        raise UnknownVarietyError("need g_X >= 3 and k >= 0")
     return PrimeFanoReport(
         genus=g_X,
         k=k,
@@ -800,7 +804,7 @@ class SegreStableReport:
 def segre_stable_example(s: int) -> SegreStableReport:
     """Run the chi-additivity oracle on the unstable family member with s rulings."""
     if s < 0:
-        raise ValueError("s >= 0")
+        raise MalformedDataError("s >= 0")
     entry = catalog.triple_p1()
     ring = entry.ring
     h1, h2, h3 = (ring.gen(g) for g in ring.generators)

@@ -315,13 +315,14 @@ def test_scroll_window_rejects_bad_degrees():
 
 
 def test_tables_derive_their_dimension():
-    """A table's dimension is read off its rows ``(h^0, ..., h^n)``; rows of two lengths are refused."""
+    """A table's dimension is read off its rows ``(h^0, ..., h^n)``; rows that do not list
+    ``h^0, ..., h^n`` for the variety's n are refused."""
     assert "dimension" not in CohomologyTable._fields
     for entry in (catalog.curve(2, 3), catalog.quadric(4), catalog.scroll_p1((1, 1, 2, 3))):
         table = build_table(entry, (0,) * entry.picard_rank(), (-1, 1))
         assert table.dimension == entry.dimension
         assert CohomologyTable.from_json(table.to_json()).dimension == entry.dimension
-    with pytest.raises(ValueError, match=r"^rows of different lengths$"):
+    with pytest.raises(ValueError, match=r"^rows on projective_space\(2\) must list h\^0, \.\.\., h\^2$"):
         CohomologyTable("projective_space(2)", 1, 0, (CohVector((1, 0, 0)), CohVector((3, 0))))
 
 
@@ -518,9 +519,9 @@ def test_scroll_table_reads_the_entry_memo(monkeypatch, width):
 @pytest.mark.parametrize(
     "entry, bundles, window, theta, error, message",
     [
-        (catalog.projective_space(3), [((1, 2), 1)], (-3, 3), False, ValueError,
+        (catalog.projective_space(3), [((1, 2), 1)], (-3, 3), False, MalformedDataError,
          "projective_space(3) expects 1 line-bundle coordinates, got (1, 2)"),
-        (catalog.scroll_p1((1, 2, 2)), [((0, 1), 1), ((1,), 1)], (-3, 3), False, ValueError,
+        (catalog.scroll_p1((1, 2, 2)), [((0, 1), 1), ((1,), 1)], (-3, 3), False, MalformedDataError,
          "scroll_p1(1,2,2) expects 2 line-bundle coordinates, got (1,)"),
         (catalog.projective_space(3), [((1,), -1)], (-3, 3), False, MalformedDataError,
          "multiplicities must be nonnegative"),
@@ -587,12 +588,22 @@ def test_build_table_refuses_a_reversed_window_before_any_chern_or_memo_work(mon
 def test_cohomology_errors_are_typed_and_keep_their_messages():
     """Malformed values raise ``MalformedDataError``, engine parameters outside the catalog
     ``UnknownVarietyError`` and Bott's p out of range ``UnsupportedBundleError``; all are
-    ``ValueError``s."""
+    ``ValueError``s.  A table is refused where it is built: an unknown variety, a rank below 1,
+    rows that are not ``(h^0, ..., h^n)`` on its variety and Chern data of another rank."""
+    rank_two = build_table(catalog.projective_space(3), [((0,), 2)], (0, 0))
     cases = [
         (lambda: CohVector((1, -1)), MalformedDataError, "negative cohomology dimension in (1, -1)"),
         (lambda: CohVector((1,)) + CohVector((1, 0)), MalformedDataError, "cohomology vectors of different lengths"),
         (lambda: CohVector((1,)).scale(-1), MalformedDataError, "multiplicities must be nonnegative"),
         (lambda: CohomologyTable("projective_space(2)", 1, 0, ()), MalformedDataError, "empty window"),
+        (lambda: CohomologyTable("projective_space(3)", 1, -4, (CohVector((1, 0)),) * 5), MalformedDataError,
+         "rows on projective_space(3) must list h^0, ..., h^3"),
+        (lambda: CohomologyTable("no_such_variety", 1, 0, (CohVector((1, 0)),)), UnknownVarietyError,
+         "unknown variety key 'no_such_variety'"),
+        (lambda: CohomologyTable("projective_space(3)", 0, 0, (CohVector((1, 0, 0, 0)),)), MalformedDataError,
+         "rank must be positive"),
+        (lambda: CohomologyTable("projective_space(3)", 1, 0, (CohVector((1, 0, 0, 0)),), rank_two.chern),
+         MalformedDataError, "the chern block's rank 2 is not the table's rank 1"),
         (lambda: coh_projective_space(0, 1), UnknownVarietyError, "n >= 1"),
         (lambda: coh_quadric(1, 1), UnknownVarietyError, "n >= 2"),
         (lambda: coh_product([]), UnknownVarietyError, "at least one factor"),
@@ -621,6 +632,10 @@ def test_window_error_names_missing_twists():
         with pytest.raises(WindowError, match=rf"^table window \[-2, 0\] is missing twists \[{t}\]$") as exc:
             table.row(t)
         assert exc.value.missing == (t,)
+    table.require(-2, 0)
+    with pytest.raises(WindowError, match=r"^table window \[-2, 0\] is missing twists \[-4, -3, 1\]$") as exc:
+        table.require(-4, 1)
+    assert exc.value.missing == (-4, -3, 1)
 
 
 def test_scroll_generic_gives_window_only():

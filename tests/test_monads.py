@@ -329,3 +329,12 @@ def test_monad_shape_from_json_rejects_two_terms():
     data["terms"] = data["terms"][:2]
     with pytest.raises(MalformedDataError):
         MonadShape.from_json(data)
+
+
+def test_monad_shape_has_three_terms():
+    from instanton_lab.monads import MonadShape
+
+    terms = monad_pn(3, 0, 2, -2).terms
+    for bad in (terms[:2], terms + ((),), ((), ())):
+        with pytest.raises(MalformedDataError, match=rf"^a monad shape has 3 terms, got {len(bad)}$"):
+            MonadShape(bad)

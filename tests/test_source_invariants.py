@@ -106,18 +106,24 @@ def test_only_cohomology_calls_an_engine():
 
 
 def test_rr_raises_no_bare_value_error():
-    """Every input check in ``rr``, ``monads``, ``cli`` and ``cohomology`` raises a typed
-    ``InstantonLabError`` (each one in ``rr``, ``monads`` and ``cohomology`` a ``ValueError``), so
-    the CLI can tell bad input from an internal bug."""
-    for module in ("rr.py", "monads.py", "cli.py", "cohomology.py"):
-        (path,) = [p for p in SOURCES if p.name == module]
+    """Every input check in the package raises a typed ``InstantonLabError`` (each one a
+    ``ValueError`` subclass where a bare ``ValueError`` stood), so the CLI can tell bad input
+    from an internal bug.  Each module is covered, new ones by default; ``chow.py`` is exempt
+    because its one bare ``ValueError``, a degree map that misses a top normal form, is an
+    internal invariant of the Chow-ring presets, not a check on input."""
+    raising = set()
+    for path in SOURCES:
+        if path.name == "chow.py":
+            continue
         raised = [
             node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.Raise) and node.exc is not None
         ]
-        assert raised, module
-        assert [node.lineno for node in raised if getattr(node, "id", None) == "ValueError"] == [], module
+        if raised:
+            raising.add(path.name)
+        assert [node.lineno for node in raised if getattr(node, "id", None) == "ValueError"] == [], path.name
+    assert raising >= {"rr.py", "monads.py", "cli.py", "cohomology.py", "replays.py", "catalog.py"}
 
 
 def _used_names(tree: ast.AST) -> set[str]:
