@@ -26,7 +26,7 @@ from functools import cache, cached_property
 from . import chow
 from .chow import ChowClass, ChowRingPresentation
 from .errors import MalformedDataError, UnknownVarietyError, UnsupportedBundleError
-from .util import FrozenValue
+from .util import FrozenValue, parse_int
 
 
 class VarietyCatalogEntry(FrozenValue):
@@ -306,7 +306,7 @@ def check_coords(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> tuple[i
     if type(coords) is tuple and len(coords) == entry.picard_rank() and all(type(c) is int for c in coords):
         return coords
     raw = tuple(coords)
-    coords = tuple(map(int, raw))
+    coords = tuple(map(parse_int, raw))
     for c, k in zip(raw, coords):
         if k != c and not isinstance(c, str):
             raise MalformedDataError(f"line-bundle coordinate {c!r} on {entry.variety_id} is not an integer")
@@ -374,20 +374,20 @@ def parse_variety(text: str) -> VarietyCatalogEntry:
     if head in ("triple-p1", "p1p1p1", "p1xp1xp1"):
         return triple_p1()
     if head.startswith("p") and head[1:].isdigit():
-        return projective_space(int(head[1:]), u=int(opts.get("h", 1)))
+        return projective_space(parse_int(head[1:]), u=parse_int(opts.get("h", 1)))
     if head == "pn" and plain:
-        return projective_space(int(plain[0]), u=int(opts.get("h", 1)))
+        return projective_space(parse_int(plain[0]), u=parse_int(opts.get("h", 1)))
     if head.startswith("q") and head[1:].isdigit():
-        return quadric(int(head[1:]), u=int(opts.get("h", 1)))
+        return quadric(parse_int(head[1:]), u=parse_int(opts.get("h", 1)))
     if head == "quadric" and plain:
-        return quadric(int(plain[0]), u=int(opts.get("h", 1)))
+        return quadric(parse_int(plain[0]), u=parse_int(opts.get("h", 1)))
     if head == "scroll-p1":
-        degrees = tuple(int(x) for x in plain)
+        degrees = tuple(map(parse_int, plain))
         return scroll_p1(degrees)
     if head == "scroll":
-        return scroll_generic(int(opts["n"]), int(opts.get("g", 0)), int(opts["deg"]))
+        return scroll_generic(parse_int(opts["n"]), parse_int(opts.get("g", 0)), parse_int(opts["deg"]))
     if head == "curve":
-        return curve(int(opts.get("g", 0)), int(opts.get("deg", 1)), opts.get("model", "generic"))
+        return curve(parse_int(opts.get("g", 0)), parse_int(opts.get("deg", 1)), opts.get("model", "generic"))
     if head == "fano":
-        return prime_fano(int(opts["g"]))
+        return prime_fano(parse_int(opts["g"]))
     raise UnknownVarietyError(f"cannot parse variety {text!r}")

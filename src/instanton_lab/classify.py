@@ -1,12 +1,14 @@
 """Brute-force classification of instanton line bundles over lattice boxes.
 
 The classification routines enumerate line bundles on the sextic del Pezzo
-entries over a lattice box, sift them column-major through the instanton
-condition list (each condition reads one column, the rows at one twist of the
-candidates that passed the earlier ones, from the entry's line-bundle
-cohomology memo, keyed by translating the candidates' coordinate axes whole,
-so each twisted bundle reaches its exact engine once per process however many
-scans share it; only the box is checked), and compare the outcome against the
+entries over a lattice box, transpose them once into coordinate axes, sift
+them column-major through the instanton condition list (the first condition
+that reads a twist reads the column there, the rows of the candidates that
+passed the earlier ones, from the entry's line-bundle cohomology memo, keyed
+by translating the coordinate axes whole, and the column is kept for the later
+conditions, so a scan reads each (survivor, twist) row once and each twisted
+bundle reaches its exact engine once per process however many scans share
+it; only the box is checked), and compare the outcome against the
 closed-form families (exposing the boundary members explicitly rather than
 suppressing either side).  The paper's other replays live in
 :mod:`instanton_lab.replays`, so a scan compiles none of them.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import catalog, cohomology, instanton
 from .catalog import VarietyCatalogEntry
@@ -87,26 +89,28 @@ def _sift(
 ) -> tuple[list[FoundLine], tuple[tuple[instanton.Check, int], ...]]:
     """The members in candidate order, and how many candidates each condition rejected.
 
-    ``candidates`` are int tuples of the entry's Picard rank, unchecked.  Each
-    condition, in list order, filters the candidates that passed every
-    earlier one (:meth:`instanton.InstantonConditions.sift`), reading one
-    column of their rows from the entry's line-bundle memo
-    (``cohomology._rows``), keyed by the survivors translated by ``t h``
-    whole: transposed once, each coordinate axis shifted, every loop in C.
-    Nested boxes and the two defects share most twisted bundles, so each
-    distinct bundle reaches its engine once per process.
+    ``candidates`` are int tuples of the entry's Picard rank, unchecked,
+    transposed once into coordinate axes.  Each condition, in list order,
+    filters the candidates that passed every earlier one
+    (:meth:`instanton.InstantonConditions.sift`); the first condition that
+    reads twist t reads the survivors' rows there from the entry's
+    line-bundle memo (``cohomology._rows``), keyed by shifting each axis by
+    its share of ``t h``, every loop in C, and the sift keeps that column for
+    the later conditions and the members' quantum numbers.  Nested boxes and
+    the two defects share most twisted bundles, so each distinct bundle
+    reaches its engine once per process.
     """
-    n, h = entry.dimension, entry.h_coords
-    conditions = instanton.InstantonConditions(n, defect)
+    h = entry.h_coords
+    conditions = instanton._conditions(entry.dimension, defect)
     read, add, repeat = cohomology._rows(entry).__getitem__, operator.add, itertools.repeat
 
-    def column_of(t: int, survivors: list[tuple[int, ...]]) -> Iterator[CohVector]:
-        axes = [map(add, axis, repeat(t * v)) for axis, v in zip(zip(*survivors), h)]
-        return map(read, zip(*axes))
+    def column_of(t: int, axes: list[Sequence[int]]) -> Iterator[CohVector]:
+        return map(read, zip(*[map(add, axis, repeat(t * v)) for axis, v in zip(axes, h)]))
 
-    members, rejected = conditions.sift(candidates, column_of)
-    # the quantum number is h^1(E(-h))
-    found = [FoundLine(c, defect, row.dims[1]) for c, row in zip(members, column_of(-1, members))]
+    axes = list(zip(*candidates)) or [()] * len(h)
+    members, columns, rejected = conditions.sift(axes, column_of)
+    # the quantum number is h^1(E(-h)), read by the first condition
+    found = [FoundLine(c, defect, row.dims[1]) for c, row in zip(zip(*members), columns[-1])]
     return found, tuple(zip(conditions.checks, rejected))
 
 

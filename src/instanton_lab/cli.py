@@ -20,11 +20,12 @@ import json
 import sys
 from typing import TYPE_CHECKING, Callable
 
-# Only the modules every leaf runs are imported here: errors and the standard
-# library.  Each handler imports catalog, cohomology, rr, instanton, monads,
+# Only the modules every leaf runs are imported here: errors, util and the
+# standard library.  Each handler imports catalog, cohomology, rr, instanton, monads,
 # classify or replays where it calls them, so a call compiles no module
 # its subcommand does not run (`monad pn` compiles monads alone).
 from .errors import InstantonLabError, MalformedDataError, WindowError
+from .util import parse_int
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport
@@ -53,19 +54,22 @@ def parse_bundle(entry, text: str) -> list[tuple[tuple[int, ...], int]]:
         mult = 1
         if "^" in chunk:
             chunk, _, m = chunk.rpartition("^")
-            mult = int(m)
+            mult = parse_int(m)
         if chunk.lower().startswith("theta:"):
-            coords: tuple[int, ...] = catalog.theta_coords(entry, int(chunk.split(":", 1)[1]))
+            coords: tuple[int, ...] = catalog.theta_coords(entry, parse_int(chunk.split(":", 1)[1]))
         elif chunk.lower().startswith("o:"):
-            coords = (int(chunk.split(":", 1)[1]),)
+            coords = (parse_int(chunk.split(":", 1)[1]),)
         elif chunk.lower().startswith("h:"):
-            body = dict(p.split(":") for p in chunk.lower().split(","))
+            pairs = [p.split(":") for p in chunk.lower().split(",")]
+            if any(len(pair) != 2 for pair in pairs):
+                raise MalformedDataError(f"{chunk!r} is not of the form h:t or h:t,f:a")
+            body = dict(pairs)
             gens = entry.ring.generators
             if not body.keys() <= set(gens):
                 raise MalformedDataError(f"{entry.variety_id} has divisor classes {gens}, not {tuple(body)}")
-            coords = tuple(int(body.get(g, 0)) for g in gens)
+            coords = tuple(parse_int(body.get(g, 0)) for g in gens)
         else:
-            coords = tuple(int(x) for x in chunk.split(","))
+            coords = tuple(map(parse_int, chunk.split(",")))
         summands.append((catalog.check_coords(entry, coords), mult))
     return summands
 
@@ -99,7 +103,7 @@ def render_table(table: CohomologyTable) -> str:
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    return tuple(map(parse_int, text.split(",")))
 
 
 def _emit(args, payload_json: dict, text: str) -> int:
@@ -152,7 +156,11 @@ def cmd_check(args) -> int:
         from .cohomology import CohomologyTable
 
         with open(args.table) as fh:
-            table = CohomologyTable.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text
+                raise MalformedDataError(str(exc)) from None
+        table = CohomologyTable.from_json(data)
     elif args.table is None and args.variety is not None and args.bundle is not None:
         table, _ = _table_from_args(args)
     else:
@@ -337,8 +345,10 @@ def cmd_resolution_check(args) -> int:
     beta: dict[tuple[int, int], int] = {}
     for chunk in filter(None, args.beta.split(";")):
         pos, _, mult = chunk.partition(":")
-        p, i = (int(x) for x in pos.split(","))
-        beta[(p, i)] = int(mult)
+        p_i = _int_tuple(pos)
+        if len(p_i) != 2:
+            raise MalformedDataError(f"--beta entry {chunk!r} is not of the form p,i:mult")
+        beta[p_i] = parse_int(mult)
     shape = BettiShape.from_dict(args.v, args.w, args.ambient, beta)
     ok = betti_shape_check(
         shape, lambda t: chi_polynomial(args.n, args.defect, args.quantum, args.chi0, t)
@@ -510,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.missing:
             print(f"missing twists: {list(exc.missing)}", file=sys.stderr)
         return EXIT_INPUT
-    except (InstantonLabError, ValueError, OSError) as exc:
+    except (InstantonLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

@@ -37,7 +37,13 @@ from collections.abc import Callable, Sequence
 
 from . import rr
 from .catalog import VarietyCatalogEntry, check_coords, entry_ring, line_bundle_class
-from .errors import MalformedDataError, UnknownVarietyError, UnsupportedBundleError, WindowError
+from .errors import (
+    MalformedDataError,
+    UnknownVarietyError,
+    UnsupportedBundleError,
+    VarietyMismatchError,
+    WindowError,
+)
 from .rr import ChernData
 from .util import FrozenValue, binom
 
@@ -365,7 +371,8 @@ class CohomologyTable(FrozenValue):
     """One sheaf's rows ``(h^0, ..., h^n)`` over the twist window from ``tmin``, which give the
     window's end and n.  The constructor is the one place a table is checked: an unknown variety
     raises ``UnknownVarietyError``; a rank below 1, no rows, rows that are not ``(h^0, ..., h^n)``
-    on that variety or Chern data of another rank raise ``MalformedDataError``."""
+    on that variety or Chern data of another rank raise ``MalformedDataError``; Chern data on
+    another ring raise ``VarietyMismatchError``."""
 
     __slots__ = _fields = ("variety_id", "rank", "tmin", "rows", "chern", "assumptions")
 
@@ -378,7 +385,8 @@ class CohomologyTable(FrozenValue):
         chern: ChernData | None = None,
         assumptions: tuple[str, ...] = (),
     ):
-        n = entry_ring(variety_id).top_degree
+        ring = entry_ring(variety_id)
+        n = ring.top_degree
         if rank < 1:
             raise MalformedDataError("rank must be positive")
         if not rows:
@@ -387,6 +395,8 @@ class CohomologyTable(FrozenValue):
             raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
         if chern is not None and chern.rank != rank:
             raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
+        if chern is not None and chern.c1.ring is not ring:
+            raise VarietyMismatchError(f"Chern data on {chern.variety_id!r} does not live on {variety_id!r}")
         object.__setattr__(self, "variety_id", variety_id)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tmin", tmin)

@@ -21,10 +21,9 @@ Betti shapes), live in :mod:`instanton_lab.replays`.
 from __future__ import annotations
 
 import functools
-import itertools
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from itertools import compress
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .cohomology import CohomologyTable, CohVector
 from .errors import MalformedDataError
@@ -32,7 +31,7 @@ from .util import FrozenValue
 
 #: one instanton condition ``(kind, i, t)``, see :class:`InstantonConditions`
 Check = tuple[str, int, int]
-_Candidate = TypeVar("_Candidate")
+_Coordinate = TypeVar("_Coordinate")
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,11 @@ class InstantonConditions(FrozenValue):
     h^(n-1)(E((defect - n) h))``; then, for defect 1 only, the chi equality
     ``("chi", n, -n)``, meaning ``chi(E) = (-1)^n chi(E(-n h))``.  Every
     twist lies in ``[-n, 0]``.  Checks read columns ``t -> rows``, the row
-    at twist t of every sheaf under test, through :meth:`sides`, the one
+    at twist t of every sheaf under test, through :meth:`passes`, the one
     place that says what each check compares; :meth:`failures` runs the
     list on one sheaf and :meth:`sift` filters many candidates column-major,
-    one check and one column of the survivors' rows at a time.
+    one check at a time over the survivors' coordinate axes, reading each
+    twist's column once and keeping it for the later checks.
     """
 
     #: ``checks`` follows from the two fields, so it is neither compared nor shown
@@ -126,58 +126,73 @@ class InstantonConditions(FrozenValue):
         object.__setattr__(self, "checks", tuple(checks))
 
     @staticmethod
-    def sides(check: Check, column: Callable[[int], Iterable[CohVector]]) -> tuple[list[int], list[int]]:
-        """The two per-sheaf sequences ``check`` requires equal, reading only the columns it needs.
+    def passes(check: Check, column: Callable[[int], Iterable[CohVector]]) -> list[bool]:
+        """Per sheaf under test, whether ``check`` holds, in one pass over the columns it needs.
 
         ``column(t)`` is the row at twist t of every sheaf under test.  A
-        vanishing compares ``h^i(E(t h))`` with 0, the q equality ``h^1(E(-h))``
-        with ``h^i(E(t h))`` and the chi equality ``chi(E)`` with ``(-1)^i
-        chi(E(t h))``; columns are read left to right.
+        vanishing asks ``h^i(E(t h)) = 0``, the q equality ``h^1(E(-h)) =
+        h^i(E(t h))`` and the chi equality ``chi(E) = (-1)^i chi(E(t h))``;
+        columns are read left to right.
         """
         kind, i, t = check
         if kind == "zero":
-            left = [row.dims[i] for row in column(t)]
-            return left, [0] * len(left)
+            return [not row.dims[i] for row in column(t)]
         if kind == "q":
-            return [row.dims[1] for row in column(-1)], [row.dims[i] for row in column(t)]
-        return [row.chi() for row in column(0)], [(-1) ** i * row.chi() for row in column(t)]
+            return [a.dims[1] == b.dims[i] for a, b in zip(column(-1), column(t))]
+        sign = (-1) ** i
+        return [a.chi() == sign * b.chi() for a, b in zip(column(0), column(t))]
 
     def failures(self, row: Callable[[int], CohVector]) -> Iterator[str]:
-        """Yield a note for each failing condition of one sheaf, in list order, lazily."""
-        sides, defect, column = self.sides, self.defect, lambda t: (row(t),)
+        """Yield a note for each failing condition of one sheaf, in list order, lazily.
+
+        A note reads its condition's rows again, which costs a table less than keeping them.
+        """
+        passes, defect, column = self.passes, self.defect, lambda t: (row(t),)
         for check in self.checks:
-            (left,), (right,) = sides(check, column)
-            if left == right:
+            if passes(check, column)[0]:
                 continue
             kind, i, t = check
             if kind == "zero":
-                yield f"delta={defect}: h^{i}(E({t}h)) = {left} != 0"
+                yield f"delta={defect}: h^{i}(E({t}h)) = {row(t).dims[i]} != 0"
             elif kind == "q":
-                yield f"delta={defect}: h^1(E(-h)) = {left} != h^{i}(E({t}h)) = {right}"
+                yield f"delta={defect}: h^1(E(-h)) = {row(-1).dims[1]} != h^{i}(E({t}h)) = {row(t).dims[i]}"
             else:
-                yield f"delta={defect}: chi(E) = {left} != (-1)^{i} chi(E({t}h)) = {right}"
+                yield f"delta={defect}: chi(E) = {row(0).chi()} != (-1)^{i} chi(E({t}h)) = {(-1) ** i * row(t).chi()}"
 
     def sift(
         self,
-        candidates: Iterable[_Candidate],
-        column_of: Callable[[int, list[_Candidate]], Iterable[CohVector]],
-    ) -> tuple[list[_Candidate], tuple[int, ...]]:
+        axes: Iterable[Sequence[_Coordinate]],
+        column_of: Callable[[int, list[Sequence[_Coordinate]]], Iterable[CohVector]],
+    ) -> tuple[list[Sequence[_Coordinate]], dict[int, list[CohVector]], tuple[int, ...]]:
         """Filter candidates condition-major: one pass per check, over the survivors.
 
-        ``column_of(t, survivors)`` is the survivors' rows at twist t, in their
-        order, possibly a lazy iterator.  A candidate meets exactly the checks
-        that running its list alone, up to the first failure, would reach.
-        Returns the candidates that pass every check, in order, and per check
-        the number it rejected: the candidates whose first failing condition it is.
+        ``axes`` holds the candidates as coordinate axes, one sequence per
+        coordinate, all of one length.  ``column_of(t, axes)`` is the rows at
+        twist t of the candidates those axes hold, in their order, possibly a
+        lazy iterator; it is called once per twist, by the first check that
+        reads it, and the column is kept.  After each check every axis and
+        every kept column drops the candidates it rejected, so a candidate
+        meets exactly the checks that running its list alone, up to the first
+        failure, would reach, and no row is read twice.  Returns the axes of
+        the candidates that pass every check, their kept columns by twist,
+        and per check the number it rejected: the candidates whose first
+        failing condition it is.
         """
-        survivors = list(candidates)
-        rejected = []
+        axes, columns, rejected = list(axes), {}, []
+
+        def column(t: int) -> list[CohVector]:
+            if t not in columns:
+                columns[t] = list(column_of(t, axes))
+            return columns[t]
+
         for check in self.checks:
-            left, right = self.sides(check, lambda t: column_of(t, survivors))
-            kept = list(itertools.compress(survivors, map(operator.eq, left, right)))
-            rejected.append(len(survivors) - len(kept))
-            survivors = kept
-        return survivors, tuple(rejected)
+            keep = self.passes(check, column)
+            dropped = keep.count(False)
+            rejected.append(dropped)
+            if dropped:
+                axes = [list(compress(axis, keep)) for axis in axes]
+                columns = {t: list(compress(rows, keep)) for t, rows in columns.items()}
+        return axes, columns, tuple(rejected)
 
 
 _conditions = functools.cache(InstantonConditions)  # immutable: one list per (n, defect)

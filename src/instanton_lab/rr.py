@@ -4,7 +4,7 @@ Everything here is exact: Euler characteristics are integers computed with
 :class:`fractions.Fraction` intermediates, slopes are exact rationals, and
 the bracket ``[x]`` appearing in normalization twists is the floor.
 ``Fraction`` is imported inside the functions that build rationals (the
-Bernoulli numbers, the Riemann-Roch weights :func:`_twisted_weights`,
+Bernoulli numbers, log td(X) and the Riemann-Roch weights :func:`_twisted_weights`,
 :func:`slope` and :func:`quantum_chern_identity`; :func:`chi_twisted` only to
 report a value that is not an integer), not at module level, so a call that
 builds no rational, such as the ``cohom`` and ``check`` commands, never loads
@@ -17,7 +17,8 @@ Hirzebruch's ``exp(sum_k lambda_k p_k(T_X))``, read off the tangent class the
 entry declares, in any dimension; the Chern characters of T_X and E come from
 the same Newton's identities.  ``exp(t h) td(T_X)`` is one exponential,
 ``exp(t h + sum_k lambda_k p_k(T_X))``, and enters as one integer vector of
-weights over the ring basis per entry and twist, built once and kept;
+weights over the ring basis per entry and twist, built once and kept (the
+exponent's log td(X) is kept per entry, so a new twist costs one exponential);
 ``n! ch(E)`` is taken from the power sums of E on the first call and kept on
 the :class:`ChernData`.  So a call is one dot product and one exact division,
 and never builds the Chern data of ``E(t h)``.
@@ -193,21 +194,33 @@ def _bernoulli(m: int) -> Fraction:
 
 
 @cache
+def _log_td(entry: VarietyCatalogEntry) -> ChowClass:
+    """``log td(X) = sum_k lambda_k p_k(T_X)`` of the declared tangent class, once per entry.
+
+    ``lambda_k`` is the coefficient of x^k in ``log(x / (1 - e^-x))``: 1/2 for k = 1, otherwise
+    ``-B_k / (k k!)``, zero for odd k > 1.
+    """
+    from fractions import Fraction
+
+    n, log_td = entry.dimension, entry.ring.zero()
+    for k, pk in enumerate(_power_sums(tuple(entry.tangent.part(r) for r in range(1, n + 1))), 1):
+        log_td = log_td + (Fraction(1, 2) if k == 1 else -_bernoulli(k) / (k * factorial(k))) * pk
+    return log_td
+
+
+@cache
 def _twisted_weights(entry: VarietyCatalogEntry, t: int) -> tuple[tuple[int, ...], int]:
     """``(w, D)``: integers ``w_k = D int b_k exp(t h) td(X)`` over the ring basis ``b_k``, reduced
     by their gcd, with Hirzebruch's Todd class ``td(X) = exp(sum_k lambda_k p_k(T_X))`` of the
-    declared tangent class; the two exponentials are one, ``exp(t h + log td(X))``.
+    declared tangent class; the two exponentials are one, ``exp(t h + log td(X))``, and log td(X)
+    (:func:`_log_td`) is kept per entry, so a new twist costs one exponential.
 
-    ``lambda_k`` is the coefficient of x^k in ``log(x / (1 - e^-x))``: 1/2 for k = 1, otherwise
-    ``-B_k / (k k!)``, zero for odd k > 1.  ``w_0 / D = int exp(t h) td_n`` is chi(O_X(t h)),
-    Noether's formula at t = 0.
+    ``w_0 / D = int exp(t h) td_n`` is chi(O_X(t h)), Noether's formula at t = 0.
     """
     from fractions import Fraction
 
     ring, n = entry.ring, entry.dimension
-    exponent = t * entry.polarization
-    for k, pk in enumerate(_power_sums(tuple(entry.tangent.part(r) for r in range(1, n + 1))), 1):
-        exponent = exponent + (Fraction(1, 2) if k == 1 else -_bernoulli(k) / (k * factorial(k))) * pk
+    exponent = t * entry.polarization + _log_td(entry)
     # x = L exponent is integral, and n! L^n exp(exponent) = sum_j (n!/j!) L^(n-j) x^j: int products only
     L = lcm(*(Fraction(c).denominator for c in exponent.coeffs))
     x = ChowClass(ring, tuple(int(c * L) for c in exponent.coeffs))

@@ -1,8 +1,11 @@
-"""Small exact-arithmetic helpers and the base of the package's immutable value types."""
+"""Small exact-arithmetic helpers, the typed integer parser and the base of the package's
+immutable value types."""
 
 from __future__ import annotations
 
 import math
+
+from .errors import MalformedDataError
 
 
 class FrozenValue:
@@ -85,3 +88,11 @@ def binom(m: int, k: int) -> int:
     for i in range(k):
         num *= m - i
     return num // math.factorial(k)
+
+
+def parse_int(value: object) -> int:
+    """``int(value)``; a refusal raises ``MalformedDataError`` in ``int()``'s own words."""
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise MalformedDataError(str(exc)) from None

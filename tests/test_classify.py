@@ -263,13 +263,12 @@ def lazy_pairs(entry, candidates, defect):
     conditions = instanton.InstantonConditions(entry.dimension, defect)
     pairs = []
     for coords in candidates:
-        def row(t, coords=coords):
-            return cohomology.line_bundle_cohomology(entry, catalog.twist_coords(entry, coords, t))
+        def column(t, coords=coords):
+            return (cohomology.line_bundle_cohomology(entry, catalog.twist_coords(entry, coords, t)),)
 
         for check in conditions.checks:
             pairs.append((coords, check))
-            (left,), (right,) = conditions.sides(check, lambda t, row=row: (row(t),))
-            if left != right:
+            if not conditions.passes(check, column)[0]:
                 break
     return pairs
 
@@ -284,35 +283,61 @@ def test_scan_evaluates_only_the_checks_the_lazy_order_reaches(monkeypatch, fami
     candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), entry.picard_rank()))
     expected = lazy_pairs(entry, candidates, defect)
 
-    class Tagged(list):
-        """A column of rows that knows its candidates."""
+    class Tagged:
+        """A row that knows its candidate."""
 
-        def __init__(self, candidates, rows):
-            super().__init__(rows)
-            self.candidates = list(candidates)
+        def __init__(self, candidate, row):
+            self.candidate, self.dims, self.chi = candidate, row.dims, row.chi
 
-    sift, sides = instanton.InstantonConditions.sift, instanton.InstantonConditions.sides
+    sift, passes = instanton.InstantonConditions.sift, instanton.InstantonConditions.passes
     evaluated = []
 
-    def tagging_sift(self, candidates, column_of):
-        return sift(self, candidates, lambda t, survivors: Tagged(survivors, column_of(t, survivors)))
+    def tagging_sift(self, axes, column_of):
+        def tagged(t, axes):
+            return [Tagged(c, row) for c, row in zip(zip(*axes), column_of(t, axes))]
 
-    def recording_sides(check, column):
+        return sift(self, axes, tagged)
+
+    def recording_passes(check, column):
         read = []
 
         def watched(t):
             read.append(column(t))
             return read[-1]
 
-        result = sides(check, watched)
-        evaluated.extend((candidate, check) for candidate in read[0].candidates)
+        result = passes(check, watched)
+        evaluated.extend((row.candidate, check) for row in read[0])
         return result
 
     monkeypatch.setattr(instanton.InstantonConditions, "sift", tagging_sift)
-    monkeypatch.setattr(instanton.InstantonConditions, "sides", staticmethod(recording_sides))
+    monkeypatch.setattr(instanton.InstantonConditions, "passes", staticmethod(recording_passes))
     classify_lines(box, defect)
     assert len(evaluated) == len(expected)
     assert sorted(evaluated) == sorted(expected)
+
+
+#: memo reads of one box-10 scan: each (survivor, twist) row the lazy order
+#: reaches, once
+READS_AT_BOX_10 = {("flag", 0): 506, ("flag", 1): 431, ("segre", 0): 4510, ("segre", 1): 3364}
+
+
+@pytest.mark.parametrize("family, defect", READS_AT_BOX_10)
+def test_scan_reads_each_twisted_row_once(monkeypatch, family, defect):
+    entry, classify_lines = {
+        "flag": (catalog.flag3(), classify_flag_lines),
+        "segre": (catalog.triple_p1(), classify_segre_lines),
+    }[family]
+    memo, keys = cohomology._rows(entry), []
+
+    class Counted:
+        def __getitem__(self, coords):
+            keys.append(coords)
+            return memo[coords]
+
+    monkeypatch.setattr(cohomology, "_rows", lambda e: Counted() if e is entry else memo)
+    report = classify_lines(10, defect)
+    assert len(keys) == READS_AT_BOX_10[family, defect]
+    assert len(report.found) == REJECTIONS_AT_BOX_10[family, defect][1]
 
 
 def test_classify_cyclic_witnesses():

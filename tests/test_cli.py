@@ -517,6 +517,61 @@ def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
     assert out == "" and "Traceback" in err and "ZeroDivisionError" in err
 
 
+def test_an_internal_value_error_exits_3_with_traceback(capsys, monkeypatch):
+    """Input refusals are typed, so a bare ``ValueError`` is a bug of the program, not bad input."""
+    def broken(args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "cmd_veronese", broken)
+    code, out, err = run(capsys, "veronese", "--n", "3", "--rank", "2", "--d", "2", "--hn", "2")
+    assert code == cli.EXIT_INTERNAL
+    assert out == "" and "Traceback" in err and "ValueError: internal" in err
+
+
+NOT_AN_INT = "error: invalid literal for int() with base 10: 'x'\n"
+BETA = ("resolution-check", "--ambient", "3", "--v", "0", "--w", "0", "--n", "3", "--defect", "0",
+        "--quantum", "0", "--chi0", "1", "--beta")
+
+#: argv with a malformed value at each of the CLI's own integer parse sites -> its one error line
+MALFORMED_INTEGERS = {
+    # parse_bundle: a multiplicity, theta:s, O:t, h:t,f:a and a plain coordinate tuple
+    ("cohom", "--variety", "p3", "--bundle", "1^x"): NOT_AN_INT,
+    ("cohom", "--variety", "curve:g=2,deg=3", "--bundle", "theta:x"): NOT_AN_INT,
+    ("cohom", "--variety", "fano:g=5", "--bundle", "O:x"): NOT_AN_INT,
+    ("cohom", "--variety", "scroll-p1:1,1,2", "--bundle", "h:1,f:x"): NOT_AN_INT,
+    ("cohom", "--variety", "scroll-p1:1,1,2", "--bundle", "h:1,f"):
+        "error: 'h:1,f' is not of the form h:t or h:t,f:a\n",
+    ("cohom", "--variety", "flag3", "--bundle", "1,x"): NOT_AN_INT,
+    # parse_variety
+    ("cohom", "--variety", "p3:h=x", "--bundle", "0"): NOT_AN_INT,
+    ("cohom", "--variety", "quadric:x", "--bundle", "0"): NOT_AN_INT,
+    ("cohom", "--variety", "scroll-p1:1,x", "--bundle", "0"): NOT_AN_INT,
+    ("cohom", "--variety", "scroll:n=x,deg=4", "--bundle", "0"): NOT_AN_INT,
+    ("cohom", "--variety", "curve:g=x", "--bundle", "0"): NOT_AN_INT,
+    ("cohom", "--variety", "fano:g=x", "--bundle", "0"): NOT_AN_INT,
+    # _int_tuple
+    ("monad", "scroll3", "--deg", "3", "--rank", "2", "--quantum", "0", "--inputs", "1,x,2"): NOT_AN_INT,
+    ("scroll", "--degrees", "1,x", "--k", "1"): NOT_AN_INT,
+    # resolution-check's --beta
+    (*BETA, "0,x:1"): NOT_AN_INT,
+    (*BETA, "0,0:x"): NOT_AN_INT,
+    (*BETA, "0:1"): "error: --beta entry '0:1' is not of the form p,i:mult\n",
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INTEGERS, ids=" ".join)
+def test_malformed_integers_exit_2_with_one_error_line(capsys, argv):
+    assert run(capsys, *argv) == (2, "", MALFORMED_INTEGERS[argv])
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-text"])
+def test_unreadable_table_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "table.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def _leaves(parser, path=(), options=()):
     """(path, options along the path) for every leaf parser, help excluded."""
     parser.declare()  # a leaf declares its options on its first parse

@@ -25,7 +25,13 @@ from instanton_lab.cohomology import (
     line_bundle_cohomology,
     serre_dual_vector,
 )
-from instanton_lab.errors import MalformedDataError, UnknownVarietyError, UnsupportedBundleError, WindowError
+from instanton_lab.errors import (
+    MalformedDataError,
+    UnknownVarietyError,
+    UnsupportedBundleError,
+    VarietyMismatchError,
+    WindowError,
+)
 from instanton_lab.util import binom
 from test_acceptance import serre_dual_coords
 
@@ -619,6 +625,19 @@ def test_cohomology_errors_are_typed_and_keep_their_messages():
             call()
         assert type(exc.value) is error and str(exc.value) == message
         assert isinstance(exc.value, ValueError)
+
+
+def test_a_table_refuses_chern_data_of_another_variety():
+    """Chern data on another ring are refused where the table is built, in ``rr.chi_twisted``'s
+    words, so no table writes JSON that its own reader refuses."""
+    flag = build_table(catalog.flag3(), [((1, 0), 1), ((0, 1), 1)], (-3, 0))
+    with pytest.raises(VarietyMismatchError) as exc:
+        CohomologyTable("projective_space(3)", 2, -3, flag.rows, chern=flag.chern)
+    assert str(exc.value) == "Chern data on 'flag3' does not live on 'projective_space(3)'"
+    with pytest.raises(VarietyMismatchError) as chi_exc:
+        rr.chi_twisted(catalog.projective_space(3), flag.chern, 0)
+    assert str(chi_exc.value) == str(exc.value)
+    assert CohomologyTable.from_json(flag.to_json()) == flag
 
 
 def test_window_error_names_missing_twists():

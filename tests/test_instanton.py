@@ -505,23 +505,26 @@ def test_condition_list_stops_at_the_first_failure():
 
         return row
 
-    def column_of(t, names):
+    def column_of(t, axes):
+        (names,) = axes
         return [row_of(name)(t) for name in names]
 
     conditions = instanton.InstantonConditions(3, 0)
-    members, rejected = conditions.sift(list(tables), column_of)
-    assert members == ["O"]
+    members, columns, rejected = conditions.sift([list(tables)], column_of)
+    assert members == [["O"]]
     assert rejected == (1, 1, 0, 0, 0)
     assert [t for name, t in read if name == "O(1)"] == [-1]
     assert [t for name, t in read if name == "O(-1)"] == [-1, -3]
-    assert [t for name, t in read if name == "O"] == [-1, -3, -2, -2, -1, -3]
+    # each twist is read once, by the first check that needs it, and kept
+    assert [t for name, t in read if name == "O"] == [-1, -3, -2]
+    assert columns == {t: [tables["O"].row(t)] for t in (-1, -3, -2)}
     # one pass per check: every read of a check precedes the reads of the next
     assert read[:3] == [("O(1)", -1), ("O", -1), ("O(-1)", -1)]
-    # the table route reads as lazily
+    # the table route reads as lazily; the note reads its row again
     read.clear()
     assert next(conditions.failures(row_of("O(1)"))) == "delta=0: h^0(E(-1h)) = 1 != 0"
-    assert read == [("O(1)", -1)]
-    assert conditions.sift([], column_of) == ([], (0, 0, 0, 0, 0))
+    assert read == [("O(1)", -1), ("O(1)", -1)]
+    assert conditions.sift([[]], column_of) == ([[]], {-1: [], -3: [], -2: []}, (0, 0, 0, 0, 0))
 
 
 THREEFOLDS = (
@@ -560,10 +563,12 @@ def holds(check, table):
 @settings(max_examples=60, deadline=None)
 def test_sift_keeps_exactly_the_sheaves_without_failures(tables, defect):
     conditions = instanton.InstantonConditions(3, defect)
-    members, rejected = conditions.sift(range(len(tables)), lambda t, kept: [tables[k].row(t) for k in kept])
+    (members,), _, rejected = conditions.sift(
+        [range(len(tables))], lambda t, axes: [tables[k].row(t) for k in axes[0]]
+    )
     failing = [[c for c in conditions.checks if not holds(c, table)] for table in tables]
     notes = [list(conditions.failures(table.row)) for table in tables]
-    assert members == [k for k, table_notes in enumerate(notes) if not table_notes]
+    assert list(members) == [k for k, table_notes in enumerate(notes) if not table_notes]
     assert list(map(len, notes)) == list(map(len, failing))
     for table_notes, checks in zip(notes, failing):
         if checks:

@@ -5,6 +5,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,6 +256,31 @@ def test_power_sums_are_taken_once_per_chern_data(entry, monkeypatch):
         assert [rr.chi_twisted(entry, c, t) for t in twists] == values
         assert rr.chi(entry, c) == values[-1]
         assert len(calls) == 1, (c, len(calls))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [catalog.projective_space(3), catalog.flag3(), catalog.scroll_p1((1, 1, 2)), catalog.prime_fano(7)],
+    ids=lambda e: e.variety_id,
+)
+def test_log_td_is_taken_once_per_entry(entry, monkeypatch):
+    """New twists of one entry, from cold caches, take the power sums of the tangent class once:
+    log td(X) is kept per entry, and each twist adds t h to it.  The weights are unchanged."""
+    twists = range(-2, 3)
+    expected = [rr._twisted_weights(entry, t) for t in twists]
+    monkeypatch.setattr(rr, "_log_td", cache(rr._log_td.__wrapped__))
+    monkeypatch.setattr(rr, "_twisted_weights", cache(rr._twisted_weights.__wrapped__))
+    tangent = tuple(entry.tangent.part(r) for r in range(1, entry.dimension + 1))
+    calls = []
+    power_sums = rr._power_sums
+
+    def counted(chern):
+        calls.append(chern)
+        return power_sums(chern)
+
+    monkeypatch.setattr(rr, "_power_sums", counted)
+    assert [rr._twisted_weights(entry, t) for t in twists] == expected
+    assert calls == [tangent]
 
 
 def test_chi_errors_are_typed_and_raised_before_any_weight():

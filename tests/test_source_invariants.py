@@ -183,7 +183,7 @@ def test_only_the_input_boundaries_check_coordinates():
 
 def test_only_instanton_evaluates_the_condition_kinds():
     """What each instanton condition compares is written once, in
-    ``instanton.InstantonConditions.sides``: no other module compares anything
+    ``instanton.InstantonConditions.passes``: no other module compares anything
     with the check kinds ``"zero"``, ``"q"`` or ``"chi"``."""
     kinds = {"zero", "q", "chi"}
 
