@@ -1,14 +1,14 @@
 """Brute-force classification of instanton line bundles over lattice boxes.
 
 The classification routines enumerate line bundles on the sextic del Pezzo
-entries over a lattice box, transpose them once into coordinate axes, sift
-them column-major through the instanton condition list (the first condition
-that reads a twist reads the column there, the rows of the candidates that
-passed the earlier ones, from the entry's line-bundle cohomology memo, keyed
-by translating the coordinate axes whole, and the column is kept for the later
-conditions, so a scan reads each (survivor, twist) row once and each twisted
-bundle reaches its exact engine once per process however many scans share
-it; only the box is checked), and compare the outcome against the
+entries over a lattice box, as indices into the sorted box, sift them
+column-major through the instanton condition list (the first condition that
+reads a twist reads the column there, the rows of the candidates that passed
+the earlier ones, from the entry's line-bundle cohomology memo, keyed by the
+sorted box of the range shifted by the twist, built whole in C, and the column
+is kept for the later conditions, so a scan reads each (survivor, twist) row
+once and each twisted bundle reaches its exact engine once per process however
+many scans share it; only the box is checked), and compare the outcome against the
 closed-form families (exposing the boundary members explicitly rather than
 suppressing either side).  The paper's other replays live in
 :mod:`instanton_lab.replays`, so a scan compiles none of them.
@@ -17,9 +17,10 @@ suppressing either side).  The paper's other replays live in
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from . import catalog, cohomology, instanton
 from .catalog import VarietyCatalogEntry
@@ -85,32 +86,47 @@ class ClassificationReport:
 
 
 def _sift(
-    entry: VarietyCatalogEntry, candidates: list[tuple[int, ...]], defect: int
+    entry: VarietyCatalogEntry,
+    keys_at: Callable[[int], Iterable[tuple[int, ...]]],
+    count: int,
+    defect: int,
 ) -> tuple[list[FoundLine], tuple[tuple[instanton.Check, int], ...]]:
     """The members in candidate order, and how many candidates each condition rejected.
 
-    ``candidates`` are int tuples of the entry's Picard rank, unchecked,
-    transposed once into coordinate axes.  Each condition, in list order,
-    filters the candidates that passed every earlier one
-    (:meth:`instanton.InstantonConditions.sift`); the first condition that
-    reads twist t reads the survivors' rows there from the entry's
-    line-bundle memo (``cohomology._rows``), keyed by shifting each axis by
-    its share of ``t h``, every loop in C, and the sift keeps that column for
-    the later conditions and the members' quantum numbers.  Nested boxes and
-    the two defects share most twisted bundles, so each distinct bundle
-    reaches its engine once per process.
+    ``keys_at(t)`` is the whole candidate list twisted by ``t h``, in candidate
+    order: ``count`` int tuples of the entry's Picard rank, unchecked.  Each
+    condition, in list order, filters the indices of the candidates that passed
+    every earlier one (:meth:`instanton.InstantonConditions.sift`); the first
+    condition that reads twist t reads the survivors' rows there from the
+    entry's line-bundle memo (``cohomology._rows``), straight from ``keys_at(t)``
+    while every candidate survives and by index into it once one has not, and
+    the sift keeps that column for the later conditions and the members'
+    quantum numbers.  The members' coordinates are read back from the last key
+    list indexed, shifted by ``-t h``.  Nested boxes and the two defects share
+    most twisted bundles, so each distinct bundle reaches its engine once per
+    process.
     """
     h = entry.h_coords
     conditions = instanton._conditions(entry.dimension, defect)
-    read, add, repeat = cohomology._rows(entry).__getitem__, operator.add, itertools.repeat
+    read = cohomology._rows(entry).__getitem__
+    twist, keys = 0, None  # the twist and key list the survivors were last indexed in
 
-    def column_of(t: int, axes: list[Sequence[int]]) -> Iterator[CohVector]:
-        return map(read, zip(*[map(add, axis, repeat(t * v)) for axis, v in zip(axes, h)]))
+    def column_of(t: int, survivors: list[int] | None) -> Iterator[CohVector]:
+        nonlocal twist, keys
+        if survivors is None:
+            return map(read, keys_at(t))
+        twist, keys = t, list(keys_at(t))
+        return map(read, map(keys.__getitem__, survivors))
 
-    axes = list(zip(*candidates)) or [()] * len(h)
-    members, columns, rejected = conditions.sift(axes, column_of)
+    survivors, columns, rejected = conditions.sift(count, column_of)
+    if keys is None:
+        keys = list(keys_at(twist))
+    shift = [twist * v for v in h]
     # the quantum number is h^1(E(-h)), read by the first condition
-    found = [FoundLine(c, defect, row.dims[1]) for c, row in zip(zip(*members), columns[-1])]
+    found = [
+        FoundLine(tuple(map(operator.sub, keys[i], shift)), defect, row.dims[1])
+        for i, row in zip(survivors, columns[-1])
+    ]
     return found, tuple(zip(conditions.checks, rejected))
 
 
@@ -190,6 +206,12 @@ def classify_lines(
     lexicographically minimal representative), which are symmetries of both
     scanned kinds.  The oracle's members are compared with the kind's
     closed-form family (``_FAMILIES``) inside the box, an int of at least 4.
+
+    Where coordinate permutations are symmetries, h is ``v (1, ..., 1)``, so
+    twisting by ``t h`` shifts every coordinate by ``t v`` and maps the sorted
+    box onto the sorted box of the shifted range, in the same order: each
+    twisted candidate list is one ``combinations_with_replacement`` call.  A
+    non-uniform h raises ``UnsupportedBundleError`` before any read.
     """
     if type(box) is not int:
         raise MalformedDataError(f"box must be an int, got {box!r}")
@@ -199,8 +221,15 @@ def classify_lines(
         raise UnsupportedBundleError(
             f"no closed-form line-bundle family on {entry.variety_id} with defect {defect}"
         )
-    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), entry.picard_rank()))
-    found, rejections = _sift(entry, candidates, defect)
+    h = entry.h_coords
+    v, rank = h[0], len(h)
+    if h != (v,) * rank:
+        raise UnsupportedBundleError(f"the sorted box needs a uniform h; {entry.variety_id} has h = {h}")
+
+    def keys_at(t: int) -> Iterator[tuple[int, ...]]:
+        return itertools.combinations_with_replacement(range(t * v - box, t * v + box + 1), rank)
+
+    found, rejections = _sift(entry, keys_at, math.comb(2 * box + rank, rank), defect)
     member = _FAMILIES[entry.kind, defect]
     lines = [FoundLine(c, defect, q) for c, q in map(member, range(box + 1))] if member else []
     family = [f for f in lines if max(map(abs, f.coordinates)) <= box]

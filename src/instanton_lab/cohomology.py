@@ -370,9 +370,10 @@ Bundles = list[tuple[tuple[int, ...], int]]
 class CohomologyTable(FrozenValue):
     """One sheaf's rows ``(h^0, ..., h^n)`` over the twist window from ``tmin``, which give the
     window's end and n.  The constructor is the one place a table is checked: an unknown variety
-    raises ``UnknownVarietyError``; a rank below 1, no rows, rows that are not ``(h^0, ..., h^n)``
-    on that variety or Chern data of another rank raise ``MalformedDataError``; Chern data on
-    another ring raise ``VarietyMismatchError``."""
+    raises ``UnknownVarietyError``; a rank or tmin that is not an int, a rank below 1, rows that
+    are not a non-empty tuple of ``CohVector`` ``(h^0, ..., h^n)`` on that variety, assumptions
+    that are not a tuple of strings or Chern data of another rank raise ``MalformedDataError``;
+    Chern data on another ring raise ``VarietyMismatchError``."""
 
     __slots__ = _fields = ("variety_id", "rank", "tmin", "rows", "chern", "assumptions")
 
@@ -387,12 +388,18 @@ class CohomologyTable(FrozenValue):
     ):
         ring = entry_ring(variety_id)
         n = ring.top_degree
+        if type(rank) is not int or type(tmin) is not int:
+            raise MalformedDataError(f"rank and tmin must be ints, got {rank!r} and {tmin!r}")
         if rank < 1:
             raise MalformedDataError("rank must be positive")
         if not rows:
             raise MalformedDataError("empty window")
-        if any(len(row) != n + 1 for row in rows):
+        if type(rows) is not tuple or set(map(type, rows)) != {CohVector}:
+            raise MalformedDataError("rows must be a tuple of CohVectors")
+        if any(len(row.dims) != n + 1 for row in rows):
             raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
+        if type(assumptions) is not tuple or assumptions and set(map(type, assumptions)) != {str}:
+            raise MalformedDataError(f"assumptions must be a tuple of strings, got {assumptions!r}")
         if chern is not None and chern.rank != rank:
             raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
         if chern is not None and chern.c1.ring is not ring:

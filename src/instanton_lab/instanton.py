@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cohomology import CohomologyTable, CohVector
 from .errors import MalformedDataError
@@ -31,7 +31,6 @@ from .util import FrozenValue
 
 #: one instanton condition ``(kind, i, t)``, see :class:`InstantonConditions`
 Check = tuple[str, int, int]
-_Coordinate = TypeVar("_Coordinate")
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,9 @@ class InstantonConditions(FrozenValue):
     at twist t of every sheaf under test, through :meth:`passes`, the one
     place that says what each check compares; :meth:`failures` runs the
     list on one sheaf and :meth:`sift` filters many candidates column-major,
-    one check at a time over the survivors' coordinate axes, reading each
-    twist's column once and keeping it for the later checks.
+    one check at a time over the indices of the survivors, reading each
+    twist's column once and keeping it for the later checks.  Both n and the
+    defect must be ints.
     """
 
     #: ``checks`` follows from the two fields, so it is neither compared nor shown
@@ -111,6 +111,8 @@ class InstantonConditions(FrozenValue):
     _fields = ("n", "defect")
 
     def __init__(self, n: int, defect: int):
+        if type(n) is not int or type(defect) is not int:
+            raise MalformedDataError(f"n and the defect must be ints, got {n!r} and {defect!r}")
         if n < 1 or defect not in (0, 1):
             raise MalformedDataError("need n >= 1 and defect in {0, 1}")
         checks = [("zero", 0, -1), ("zero", n, defect - n)]
@@ -160,29 +162,30 @@ class InstantonConditions(FrozenValue):
                 yield f"delta={defect}: chi(E) = {row(0).chi()} != (-1)^{i} chi(E({t}h)) = {(-1) ** i * row(t).chi()}"
 
     def sift(
-        self,
-        axes: Iterable[Sequence[_Coordinate]],
-        column_of: Callable[[int, list[Sequence[_Coordinate]]], Iterable[CohVector]],
-    ) -> tuple[list[Sequence[_Coordinate]], dict[int, list[CohVector]], tuple[int, ...]]:
+        self, count: int, column_of: Callable[[int, list[int] | None], Iterable[CohVector]]
+    ) -> tuple[Sequence[int], dict[int, list[CohVector]], tuple[int, ...]]:
         """Filter candidates condition-major: one pass per check, over the survivors.
 
-        ``axes`` holds the candidates as coordinate axes, one sequence per
-        coordinate, all of one length.  ``column_of(t, axes)`` is the rows at
-        twist t of the candidates those axes hold, in their order, possibly a
-        lazy iterator; it is called once per twist, by the first check that
-        reads it, and the column is kept.  After each check every axis and
-        every kept column drops the candidates it rejected, so a candidate
-        meets exactly the checks that running its list alone, up to the first
-        failure, would reach, and no row is read twice.  Returns the axes of
-        the candidates that pass every check, their kept columns by twist,
-        and per check the number it rejected: the candidates whose first
+        The candidates are the indices ``0, ..., count - 1``; the survivors are
+        ``None``, meaning all of them, until a check rejects one, and then the
+        list of the indices that passed every check so far.
+        ``column_of(t, survivors)`` is the rows at twist t of the survivors, in
+        index order, possibly a lazy iterator; it is called once per twist, by
+        the first check that reads it, and the column is kept.  After each check
+        that rejects a candidate the survivors and every kept column drop it, so
+        a candidate meets exactly the checks that running its list alone, up to
+        the first failure, would reach, and no row is read twice.  Returns the
+        indices of the candidates that pass every check, their kept columns by
+        twist, and per check the number it rejected: the candidates whose first
         failing condition it is.
         """
-        axes, columns, rejected = list(axes), {}, []
+        survivors: list[int] | None = None
+        columns: dict[int, list[CohVector]] = {}
+        rejected = []
 
         def column(t: int) -> list[CohVector]:
             if t not in columns:
-                columns[t] = list(column_of(t, axes))
+                columns[t] = list(column_of(t, survivors))
             return columns[t]
 
         for check in self.checks:
@@ -190,12 +193,14 @@ class InstantonConditions(FrozenValue):
             dropped = keep.count(False)
             rejected.append(dropped)
             if dropped:
-                axes = [list(compress(axis, keep)) for axis in axes]
+                survivors = list(compress(range(count) if survivors is None else survivors, keep))
                 columns = {t: list(compress(rows, keep)) for t, rows in columns.items()}
-        return axes, columns, tuple(rejected)
+        return range(count) if survivors is None else survivors, columns, tuple(rejected)
 
 
-_conditions = functools.cache(InstantonConditions)  # immutable: one list per (n, defect)
+#: immutable: one list per (n, defect); typed, so ``True`` or ``1.0`` reaches the
+#: constructor's refusal instead of the list cached for 1
+_conditions = functools.lru_cache(maxsize=None, typed=True)(InstantonConditions)
 
 
 def check_instanton(table: CohomologyTable) -> InstantonVerdict:

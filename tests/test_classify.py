@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
@@ -23,7 +24,7 @@ from instanton_lab.replays import (
     surface_quantum_formulas,
 )
 from instanton_lab.cohomology import build_table
-from instanton_lab.errors import InfeasibleError
+from instanton_lab.errors import InfeasibleError, MalformedDataError, UnsupportedBundleError
 from instanton_lab.rr import ChernData
 
 
@@ -76,6 +77,32 @@ def test_classify_lines_checks_its_box(box, message):
         classify.classify_lines(catalog.flag3(), box, 0)
 
 
+@pytest.mark.parametrize("defect", [True, 1.0])
+def test_classify_lines_needs_an_int_defect(defect):
+    """A defect equal to 1 but not an int is refused, not echoed into the report, even after
+    a defect-1 scan has shared its condition list."""
+    classify.classify_lines(catalog.flag3(), 4, 1)
+    with pytest.raises(MalformedDataError, match="^n and the defect must be ints, got 3 and "):
+        classify.classify_lines(catalog.flag3(), 4, defect)
+
+
+#: SHA-256 of the JSON of every box 4-10 report of both families and both
+#: defects, with its rejection histogram, in sweep order
+SWEEP_SHA256 = "9aa9d926329bc871c29d652d1519e33d9886c9f2672f929e3ec88220de6ebff1"
+
+
+def test_every_scan_is_byte_identical_to_its_golden():
+    reports = [
+        classify.classify_lines(entry, box, defect)
+        for entry in (catalog.flag3(), catalog.triple_p1())
+        for defect in (0, 1)
+        for box in range(4, 11)
+    ]
+    blob = json.dumps([[r.to_json(), r.rejections] for r in reports], sort_keys=True)
+    assert len(reports) == 28
+    assert hashlib.sha256(blob.encode()).hexdigest() == SWEEP_SHA256
+
+
 def reference_scan(entry, candidates, defect):
     """The members by the table route: one full table and verdict per candidate."""
     n = entry.dimension
@@ -118,11 +145,50 @@ def scans(draw):
     return entry, draw(st.permutations(candidates)), draw(st.sampled_from((0, 1)))
 
 
+def shifted_keys(entry, candidates):
+    """The key source of a candidate list: each tuple shifted by ``t h``, in list order."""
+
+    def keys_at(t):
+        return [catalog.twist_coords(entry, coords, t) for coords in candidates]
+
+    return keys_at
+
+
 @given(scans())
 @settings(max_examples=60, deadline=None)
 def test_scan_matches_the_table_reference(scan):
     entry, candidates, defect = scan
-    assert classify._sift(entry, candidates, defect)[0] == reference_scan(entry, candidates, defect)
+    found, _ = classify._sift(entry, shifted_keys(entry, candidates), len(candidates), defect)
+    assert found == reference_scan(entry, candidates, defect)
+
+
+@pytest.mark.parametrize("box", range(4, 11))
+@pytest.mark.parametrize("entry", [catalog.flag3(), catalog.triple_p1()], ids=["flag", "segre"])
+def test_sorted_box_keys_are_the_candidates_shifted(monkeypatch, entry, box):
+    """A scan's key source at twist t is its sorted box shifted by ``t h``, whole and in order."""
+    sources = []
+
+    def recording_sift(entry, keys_at, count, defect):
+        sources.append((keys_at, count))
+        return [], ()
+
+    monkeypatch.setattr(classify, "_sift", recording_sift)
+    classify.classify_lines(entry, box, 0)
+    ((keys_at, count),) = sources
+    candidates = list(itertools.combinations_with_replacement(range(-box, box + 1), entry.picard_rank()))
+    assert count == len(candidates)
+    for t in range(-3, 1):
+        assert list(keys_at(t)) == shifted_keys(entry, candidates)(t)
+
+
+def test_classify_lines_refuses_a_non_uniform_h_before_any_read(monkeypatch):
+    """The sorted box shifts whole only when h is ``v (1, ..., 1)``."""
+    scroll = catalog.scroll_p1((1, 2))
+    monkeypatch.setitem(classify._FAMILIES, ("scroll_p1", 0), None)
+    monkeypatch.setattr(cohomology, "_ROWS", {})
+    with pytest.raises(UnsupportedBundleError, match="uniform h"):
+        classify.classify_lines(scroll, 4, 0)
+    assert not cohomology._ROWS
 
 
 @pytest.mark.parametrize("defect", [0, 1])
@@ -292,11 +358,12 @@ def test_scan_evaluates_only_the_checks_the_lazy_order_reaches(monkeypatch, fami
     sift, passes = instanton.InstantonConditions.sift, instanton.InstantonConditions.passes
     evaluated = []
 
-    def tagging_sift(self, axes, column_of):
-        def tagged(t, axes):
-            return [Tagged(c, row) for c, row in zip(zip(*axes), column_of(t, axes))]
+    def tagging_sift(self, count, column_of):
+        def tagged(t, survivors):
+            indices = range(count) if survivors is None else survivors
+            return [Tagged(candidates[k], row) for k, row in zip(indices, column_of(t, survivors))]
 
-        return sift(self, axes, tagged)
+        return sift(self, count, tagged)
 
     def recording_passes(check, column):
         read = []

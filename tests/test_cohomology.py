@@ -595,7 +595,8 @@ def test_cohomology_errors_are_typed_and_keep_their_messages():
     """Malformed values raise ``MalformedDataError``, engine parameters outside the catalog
     ``UnknownVarietyError`` and Bott's p out of range ``UnsupportedBundleError``; all are
     ``ValueError``s.  A table is refused where it is built: an unknown variety, a rank below 1,
-    rows that are not ``(h^0, ..., h^n)`` on its variety and Chern data of another rank."""
+    rows that are not ``(h^0, ..., h^n)`` on its variety and Chern data of another rank; fields
+    of the wrong type are refused there too (``test_a_table_refuses_fields_of_the_wrong_type``)."""
     rank_two = build_table(catalog.projective_space(3), [((0,), 2)], (0, 0))
     cases = [
         (lambda: CohVector((1, -1)), MalformedDataError, "negative cohomology dimension in (1, -1)"),
@@ -625,6 +626,29 @@ def test_cohomology_errors_are_typed_and_keep_their_messages():
             call()
         assert type(exc.value) is error and str(exc.value) == message
         assert isinstance(exc.value, ValueError)
+
+
+P3_ROW = CohVector((1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(rows=((1, 0, 0, 0),)), "rows must be a tuple of CohVectors"),
+        (dict(rows=[P3_ROW]), "rows must be a tuple of CohVectors"),
+        (dict(rank=True), "rank and tmin must be ints, got True and 0"),
+        (dict(tmin=-3.0), "rank and tmin must be ints, got 1 and -3.0"),
+        (dict(assumptions="ab"), "assumptions must be a tuple of strings, got 'ab'"),
+        (dict(assumptions=(1,)), "assumptions must be a tuple of strings, got (1,)"),
+    ],
+)
+def test_a_table_refuses_fields_of_the_wrong_type(fields, message):
+    """Each field is checked where the table is built, so no table reaches a check or JSON
+    with plain tuples as rows, a bool rank, a float window or a string split into assumptions."""
+    args = dict(variety_id="projective_space(3)", rank=1, tmin=0, rows=(P3_ROW,)) | fields
+    with pytest.raises(MalformedDataError) as exc:
+        CohomologyTable(**args)
+    assert str(exc.value) == message
 
 
 def test_a_table_refuses_chern_data_of_another_variety():

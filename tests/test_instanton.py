@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from instanton_lab import catalog, instanton, rr
 from instanton_lab.cohomology import CohomologyTable, CohVector, build_table
-from instanton_lab.errors import InfeasibleError, VarietyMismatchError, WindowError
+from instanton_lab.errors import InfeasibleError, MalformedDataError, VarietyMismatchError, WindowError
 from instanton_lab.instanton import check_instanton, natural_cohomology_window
 from instanton_lab.monads import rank_from_chi
 from instanton_lab.replays import (
@@ -488,6 +488,17 @@ def test_condition_list_order():
         instanton.InstantonConditions(3, 2)
 
 
+@pytest.mark.parametrize("n, defect", [(3.0, 0), (3, True), (3, 1.0), (True, 0), ("3", 0)])
+def test_condition_lists_need_int_fields(n, defect):
+    """A bool or float n or defect is refused by name, through the shared lists too, even
+    once the list of the equal int pair is shared."""
+    for shared in [(3, 0), (3, 1), (1, 0)]:
+        instanton._conditions(*shared)
+    for build in (instanton.InstantonConditions, instanton._conditions):
+        with pytest.raises(MalformedDataError, match="^n and the defect must be ints, got "):
+            build(n, defect)
+
+
 def test_condition_list_stops_at_the_first_failure():
     """``sift`` reads a candidate's rows only up to its first failing condition."""
     p3 = catalog.projective_space(3)
@@ -505,13 +516,15 @@ def test_condition_list_stops_at_the_first_failure():
 
         return row
 
-    def column_of(t, axes):
-        (names,) = axes
-        return [row_of(name)(t) for name in names]
+    names = list(tables)
+
+    def column_of(t, survivors):
+        indices = range(len(names)) if survivors is None else survivors
+        return [row_of(names[k])(t) for k in indices]
 
     conditions = instanton.InstantonConditions(3, 0)
-    members, columns, rejected = conditions.sift([list(tables)], column_of)
-    assert members == [["O"]]
+    members, columns, rejected = conditions.sift(len(names), column_of)
+    assert [names[k] for k in members] == ["O"]
     assert rejected == (1, 1, 0, 0, 0)
     assert [t for name, t in read if name == "O(1)"] == [-1]
     assert [t for name, t in read if name == "O(-1)"] == [-1, -3]
@@ -524,7 +537,7 @@ def test_condition_list_stops_at_the_first_failure():
     read.clear()
     assert next(conditions.failures(row_of("O(1)"))) == "delta=0: h^0(E(-1h)) = 1 != 0"
     assert read == [("O(1)", -1), ("O(1)", -1)]
-    assert conditions.sift([[]], column_of) == ([[]], {-1: [], -3: [], -2: []}, (0, 0, 0, 0, 0))
+    assert conditions.sift(0, lambda t, survivors: ()) == (range(0), {-1: [], -3: [], -2: []}, (0, 0, 0, 0, 0))
 
 
 THREEFOLDS = (
@@ -563,8 +576,9 @@ def holds(check, table):
 @settings(max_examples=60, deadline=None)
 def test_sift_keeps_exactly_the_sheaves_without_failures(tables, defect):
     conditions = instanton.InstantonConditions(3, defect)
-    (members,), _, rejected = conditions.sift(
-        [range(len(tables))], lambda t, axes: [tables[k].row(t) for k in axes[0]]
+    indices = range(len(tables))
+    members, _, rejected = conditions.sift(
+        len(tables), lambda t, survivors: [tables[k].row(t) for k in (indices if survivors is None else survivors)]
     )
     failing = [[c for c in conditions.checks if not holds(c, table)] for table in tables]
     notes = [list(conditions.failures(table.row)) for table in tables]
