@@ -271,6 +271,7 @@ _ENTRY_ID_RE = re.compile(
 )
 
 
+@cache  # every table checks its id here; an id that raises is not kept
 def entry_ring(entry_id: str) -> ChowRingPresentation:
     """Chow ring of the catalog entry with this id, the inverse of the id formats above.
 

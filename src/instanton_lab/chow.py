@@ -290,7 +290,11 @@ class ChowClass(FrozenValue):
 
     def to_json(self) -> list[list]:
         """``[[exponents, coefficient], ...]``; a coefficient that is not an integer is a ``"p/q"`` string."""
-        return [[list(m), c.numerator if c.denominator == 1 else str(c)] for m, c in self.terms]
+        return [
+            [list(m), c if type(c) is int else c.numerator if c.denominator == 1 else str(c)]
+            for m, c in zip(self.ring.basis, self.coeffs)
+            if c
+        ]
 
     @staticmethod
     def from_json(variety_id: str, data: Iterable) -> "ChowClass":

@@ -25,8 +25,11 @@ sweeps of boxes 4-10 on the two sextic del Pezzo 3-folds.
 Tables collect the cohomology vectors of one bundle over a twist window and
 are the raw material the instanton checker consumes.  A table stores the
 window's first twist and one row per twist, so the window cannot disagree
-with its rows.  It reads each summand's column over the window from the
-memo, twist by twist, and sums the columns as plain integers.
+with its rows.  :func:`build_table` works on the whole window at once: each
+summand's keys come from one ``zip`` of shifted coordinate ranges, its
+column from one ``map`` over the memo, and the summands are scaled and
+summed in one flat pass over their dimensions, which is split into rows.
+The constructor checks every row in set passes over the whole window.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Callable, Sequence
+from functools import partial, reduce
+from math import comb
 
 from . import rr
 from .catalog import VarietyCatalogEntry, check_coords, entry_ring, line_bundle_class
@@ -54,6 +59,8 @@ class CohVector(FrozenValue):
     __slots__ = _fields = ("dims",)
 
     def __init__(self, dims: tuple[int, ...]):
+        if type(dims) is not tuple:
+            raise MalformedDataError(f"cohomology dimensions must be a tuple, got {dims!r}")
         if dims and min(dims) < 0:
             raise MalformedDataError(f"negative cohomology dimension in {dims}")
         object.__setattr__(self, "dims", dims)
@@ -82,6 +89,10 @@ class CohVector(FrozenValue):
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.dims) if d)
+
+
+#: a vector's dims, read in C by the table passes
+_dims = operator.attrgetter("dims")
 
 
 def zero_vector(n: int) -> CohVector:
@@ -352,28 +363,32 @@ def chi_scroll_line(entry: VarietyCatalogEntry, t: int, a: int) -> int:
 
     For ``t >= 0`` this is Riemann-Roch for the symmetric power of the
     defining bundle; inside the vanishing window it is zero; below, Serre
-    duality.  Certified for both the split and the generic scroll model.
+    duality maps ``(t, a)`` to ``(-n - t, d - 2 + 2g - a)`` and the sign
+    ``(-1)^n``.  Certified for both the split and the generic scroll model.
     """
     n, d, g = entry.dimension, entry.deg_g, entry.genus
     if 1 - n <= t <= -1:
         return 0
-    if t >= 0:
-        rank = binom(t + n - 1, n - 1)
-        deg = d * binom(t + n - 1, n)
-        return rank * (1 - g + a) + deg
-    return (-1) ** n * chi_scroll_line(entry, -n - t, d - 2 + 2 * g - a)
+    sign = 1
+    if t < 0:
+        t, a, sign = -n - t, d - 2 + 2 * g - a, (-1) ** n
+    return sign * (comb(t + n - 1, n - 1) * (1 - g + a) + d * comb(t + n - 1, n))
 
 
 Bundles = list[tuple[tuple[int, ...], int]]
 
+#: a JSON row's twist and dimensions
+_twist_of, _dims_of = operator.itemgetter("t"), operator.itemgetter("h")
+
 
 class CohomologyTable(FrozenValue):
     """One sheaf's rows ``(h^0, ..., h^n)`` over the twist window from ``tmin``, which give the
-    window's end and n.  The constructor is the one place a table is checked: an unknown variety
-    raises ``UnknownVarietyError``; a rank or tmin that is not an int, a rank below 1, rows that
-    are not a non-empty tuple of ``CohVector`` ``(h^0, ..., h^n)`` on that variety, assumptions
-    that are not a tuple of strings or Chern data of another rank raise ``MalformedDataError``;
-    Chern data on another ring raise ``VarietyMismatchError``."""
+    window's end and n.  The constructor is the one place a table is checked, in set passes over
+    the whole window: a variety id that is not a string, a rank or tmin that is not an int, a rank
+    below 1, rows that are not a non-empty tuple of ``CohVector`` ``(h^0, ..., h^n)`` of ints on
+    that variety, assumptions that are not a tuple of strings, and Chern data that are not
+    ``ChernData`` or are of another rank raise ``MalformedDataError``; an unknown variety raises
+    ``UnknownVarietyError`` and Chern data on another ring ``VarietyMismatchError``."""
 
     __slots__ = _fields = ("variety_id", "rank", "tmin", "rows", "chern", "assumptions")
 
@@ -386,6 +401,8 @@ class CohomologyTable(FrozenValue):
         chern: ChernData | None = None,
         assumptions: tuple[str, ...] = (),
     ):
+        if type(variety_id) is not str:
+            raise MalformedDataError(f"the variety must be a catalog id string, not {variety_id!r}")
         ring = entry_ring(variety_id)
         n = ring.top_degree
         if type(rank) is not int or type(tmin) is not int:
@@ -396,14 +413,20 @@ class CohomologyTable(FrozenValue):
             raise MalformedDataError("empty window")
         if type(rows) is not tuple or set(map(type, rows)) != {CohVector}:
             raise MalformedDataError("rows must be a tuple of CohVectors")
-        if any(len(row.dims) != n + 1 for row in rows):
+        dims = tuple(map(_dims, rows))
+        if set(map(len, dims)) != {n + 1}:
             raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
+        if set(map(type, itertools.chain.from_iterable(dims))) != {int}:
+            raise MalformedDataError(f"cohomology dimensions on {variety_id} must be ints")
         if type(assumptions) is not tuple or assumptions and set(map(type, assumptions)) != {str}:
             raise MalformedDataError(f"assumptions must be a tuple of strings, got {assumptions!r}")
-        if chern is not None and chern.rank != rank:
-            raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
-        if chern is not None and chern.c1.ring is not ring:
-            raise VarietyMismatchError(f"Chern data on {chern.variety_id!r} does not live on {variety_id!r}")
+        if chern is not None:
+            if type(chern) is not ChernData:
+                raise MalformedDataError(f"the chern block must be ChernData or None, got {chern!r}")
+            if chern.rank != rank:
+                raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
+            if chern.c1.ring is not ring:
+                raise VarietyMismatchError(f"Chern data on {chern.variety_id!r} does not live on {variety_id!r}")
         object.__setattr__(self, "variety_id", variety_id)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tmin", tmin)
@@ -449,7 +472,7 @@ class CohomologyTable(FrozenValue):
             "variety": self.variety_id,
             "rank": self.rank,
             "window": {"tmin": self.tmin, "tmax": self.tmax},
-            "rows": [{"t": t, "h": list(row.dims)} for t, row in zip(self.twists(), self.rows)],
+            "rows": [{"t": t, "h": list(dims)} for t, dims in zip(self.twists(), map(_dims, self.rows))],
         }
         if self.chern is not None:
             out["chern"] = self.chern.to_json()
@@ -459,23 +482,24 @@ class CohomologyTable(FrozenValue):
 
     @staticmethod
     def from_json(data: dict) -> "CohomologyTable":
-        """Read a table, checking only the JSON's types and that its twists enumerate the window."""
+        """Read a table, checking the JSON's own types and that its twists enumerate the window;
+        the constructor checks the rows."""
         try:
             variety_id, rank = data["variety"], data["rank"]
             if type(variety_id) is not str:
                 raise MalformedDataError(f"the variety must be a catalog id string, not {variety_id!r}")
             ring = entry_ring(variety_id)
             tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
-            rows_sorted = sorted(data["rows"], key=lambda r: r["t"])
-            twists = [r["t"] for r in rows_sorted]
-            rows = tuple(CohVector(tuple(r["h"])) for r in rows_sorted)
+            rows_sorted = sorted(data["rows"], key=_twist_of)
+            twists = list(map(_twist_of, rows_sorted))
+            rows = tuple(map(CohVector, map(tuple, map(_dims_of, rows_sorted))))
             assumptions = data.get("assumptions", [])
             chern = ChernData.from_json(ring.variety_id, data["chern"]) if data.get("chern") else None
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
-        numbers = itertools.chain((rank, tmin, tmax), twists, *(row.dims for row in rows))
-        if set(map(type, numbers)) != {int}:
-            raise MalformedDataError("rank, window, twists and dimensions must be ints")
+        # the dimensions are the constructor's to check
+        if set(map(type, itertools.chain((rank, tmin, tmax), twists))) != {int}:
+            raise MalformedDataError("rank, window and twists must be ints")
         if type(assumptions) is not list or set(map(type, assumptions)) - {str}:
             raise MalformedDataError("assumptions must be a list of strings")
         if chern is not None and type(chern.rank) is not int:
@@ -518,16 +542,19 @@ def build_table(
     tmin, tmax = window
     if tmin > tmax:
         raise MalformedDataError(f"window ({tmin}, {tmax}) has tmin > tmax")
-    n = entry.dimension
-    twists = range(tmin, tmax + 1)
-    sums = [[0] * (n + 1) for _ in twists]
-    rows, step = _rows(entry), entry.h_coords
+    size, read, step = tmax - tmin + 1, _rows(entry).__getitem__, entry.h_coords
+    columns = []
     for coords, mult in bundles:
-        column = [rows[tuple([c + t * v for c, v in zip(coords, step)])].dims for t in twists]
-        for acc, dims in zip(sums, column):
-            for i, h in enumerate(dims):
-                acc[i] += mult * h
-    rows = tuple(CohVector(tuple(acc)) for acc in sums)
+        # the summand's keys over the window: each coordinate c moves by its h coordinate v per twist
+        ranges = [
+            range(c + tmin * v, c + (tmax + 1) * v, v) if v else itertools.repeat(c, size)
+            for c, v in zip(coords, step)
+        ]
+        dims = itertools.chain.from_iterable(map(_dims, map(read, zip(*ranges))))
+        columns.append(map(operator.mul, dims, itertools.repeat(mult)))
+    # one flat pass sums the scaled columns; it is split into rows of n + 1 as it runs
+    flat = reduce(partial(map, operator.add), columns)
+    rows = tuple(map(CohVector, zip(*[flat] * (entry.dimension + 1))))
     chern = None
     if with_chern:
         chern = rr.chern_of_line_bundle_sum([(line_bundle_class(entry, c), m) for c, m in bundles])

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from instanton_lab import catalog, classify, cohomology, rr
+from instanton_lab import catalog, classify, cohomology, instanton, rr
 from instanton_lab.cohomology import (
     CohomologyTable,
     CohVector,
@@ -200,6 +202,30 @@ def test_scroll_chi_consistency():
         for t in range(-6, 5):
             for a in range(-4, 5):
                 assert coh_scroll_p1(degrees, t, a).chi() == chi_scroll_line(entry, t, a)
+
+
+def recursive_chi_scroll_line(entry, t, a):
+    """``chi_scroll_line`` by its definition: Riemann-Roch for the symmetric power at ``t >= 0``,
+    zero inside the vanishing window, and below it a recursive call at the Serre-dual twist."""
+    n, d, g = entry.dimension, entry.deg_g, entry.genus
+    if 1 - n <= t <= -1:
+        return 0
+    if t >= 0:
+        return binom(t + n - 1, n - 1) * (1 - g + a) + d * binom(t + n - 1, n)
+    return (-1) ** n * recursive_chi_scroll_line(entry, -n - t, d - 2 + 2 * g - a)
+
+
+#: split scrolls of dimension 2-6 and generic scrolls of dimension 2-6 over curves of genus 0-3
+CHI_SCROLLS = [catalog.scroll_p1((1,) * (n - 2) + (2, 3)) for n in range(2, 7)] + [
+    catalog.scroll_generic(n, g, n + g) for n in range(2, 7) for g in range(4)
+]
+
+
+@pytest.mark.parametrize("entry", CHI_SCROLLS, ids=lambda e: e.variety_id)
+def test_chi_scroll_line_is_its_recursive_definition(entry):
+    grid = list(itertools.product(range(-15, 16), range(-20, 21)))
+    expected = [recursive_chi_scroll_line(entry, t, a) for t, a in grid]
+    assert [chi_scroll_line(entry, t, a) for t, a in grid] == expected
 
 
 def _product(*dims):
@@ -502,6 +528,66 @@ def test_build_table_sums_line_bundle_cohomology(entry, bundles, window, theta):
     assert table.rows == per_twist_table_rows(entry, bundles, window, theta)
 
 
+#: entries whose h coordinates include 0 (scrolls), exceed 1 (P^3 with h = O(2)) or are all 1
+ROW_ENTRIES = [
+    catalog.scroll_p1((1, 2)),
+    catalog.scroll_p1((1, 1, 3)),
+    catalog.projective_space(3, u=2),
+    catalog.quadric(3),
+    catalog.flag3(),
+    catalog.triple_p1(),
+    catalog.curve(1, 2, "generic"),
+]
+
+
+@st.composite
+def table_cases(draw):
+    """An entry, 1-3 summands of multiplicity 0-3 and total rank at least 1, and a window of 1-7 twists."""
+    entry = draw(st.sampled_from(ROW_ENTRIES))
+    coords = st.tuples(*[st.integers(-4, 4)] * entry.picard_rank())
+    bundles = draw(
+        st.lists(st.tuples(coords, st.integers(0, 3)), min_size=1, max_size=3).filter(
+            lambda b: sum(m for _, m in b) >= 1
+        )
+    )
+    tmin = draw(st.integers(-8, 3))
+    return entry, bundles, (tmin, tmin + draw(st.integers(0, 6)))
+
+
+@given(table_cases())
+@example((catalog.scroll_p1((1, 2)), [((0, 1), 0), ((1, -2), 2)], (3, 3)))
+@example((catalog.projective_space(3, u=2), [((1,), 1), ((-3,), 0)], (-4, 2)))
+@settings(max_examples=80, deadline=None)
+def test_build_table_rows_are_the_per_twist_sums(case):
+    entry, bundles, window = case
+    assert build_table(entry, bundles, window).rows == per_twist_table_rows(entry, bundles, window)
+
+
+@pytest.mark.parametrize(
+    "entry, bundles",
+    [
+        (catalog.scroll_p1((1, 2, 2)), [((0, 1), 1), ((-1, 0), 0), ((2, -3), 2)]),
+        (catalog.projective_space(3, u=2), [((1,), 1), ((-2,), 3)]),
+        (catalog.flag3(), [((1, -1), 2), ((0, 0), 1)]),
+    ],
+    ids=lambda value: value.variety_id if isinstance(value, catalog.VarietyCatalogEntry) else None,
+)
+def test_build_table_reads_each_summand_twist_once(monkeypatch, entry, bundles):
+    """Each (summand, twist) key reaches the memo exactly once per table, multiplicity 0 included."""
+    window = (-4, 3)
+    reads = []
+
+    class Watched(cohomology._LineBundleRows):
+        def __getitem__(self, coords):
+            reads.append(coords)
+            return super().__getitem__(coords)
+
+    monkeypatch.setitem(cohomology._ROWS, entry, Watched(entry))
+    build_table(entry, bundles, window)
+    keys = [catalog.twist_coords(entry, coords, t) for coords, _ in bundles for t in range(window[0], window[1] + 1)]
+    assert Counter(reads) == Counter(keys)
+
+
 @pytest.mark.parametrize("width", [1, 5, 20, 40])
 def test_scroll_table_reads_the_entry_memo(monkeypatch, width):
     """A split-scroll table fills the entry's memo with each twisted summand, and
@@ -540,9 +626,12 @@ def test_scroll_table_reads_the_entry_memo(monkeypatch, width):
         (catalog.projective_space(3), [((1,), 0)], (-3, 3), False, MalformedDataError, "rank must be positive"),
         (catalog.scroll_p1((1, 2, 2)), [((1, 0), 0)], (-3, 3), False, MalformedDataError,
          "rank must be positive"),
+        # a summand of multiplicity 0 is still read, so its engine's refusal stands
+        (catalog.scroll_generic(3, 2, 5), [((0, 1), 1), ((3, -7), 0)], (-2, -1), False, UnsupportedBundleError,
+         "only the vanishing window is exact on generic scrolls; use chi_scroll_line"),
     ],
     ids=["coord-count", "scroll-coord-count", "negative-mult", "scroll-negative-mult", "theta-non-curve",
-         "scroll-generic-outside", "zero-rank", "scroll-zero-rank"],
+         "scroll-generic-outside", "zero-rank", "scroll-zero-rank", "scroll-generic-zero-mult-read"],
 )
 def test_build_table_errors(entry, bundles, window, theta, error, message):
     with pytest.raises(error) as exc:
@@ -600,6 +689,9 @@ def test_cohomology_errors_are_typed_and_keep_their_messages():
     rank_two = build_table(catalog.projective_space(3), [((0,), 2)], (0, 0))
     cases = [
         (lambda: CohVector((1, -1)), MalformedDataError, "negative cohomology dimension in (1, -1)"),
+        # a list would make the table unhashable
+        (lambda: CohVector([1, 0, 0, 0]), MalformedDataError,
+         "cohomology dimensions must be a tuple, got [1, 0, 0, 0]"),
         (lambda: CohVector((1,)) + CohVector((1, 0)), MalformedDataError, "cohomology vectors of different lengths"),
         (lambda: CohVector((1,)).scale(-1), MalformedDataError, "multiplicities must be nonnegative"),
         (lambda: CohomologyTable("projective_space(2)", 1, 0, ()), MalformedDataError, "empty window"),
@@ -640,11 +732,20 @@ P3_ROW = CohVector((1, 0, 0, 0))
         (dict(tmin=-3.0), "rank and tmin must be ints, got 1 and -3.0"),
         (dict(assumptions="ab"), "assumptions must be a tuple of strings, got 'ab'"),
         (dict(assumptions=(1,)), "assumptions must be a tuple of strings, got (1,)"),
+        (dict(rows=(P3_ROW, CohVector((1.5, 0, 0, 0)))),
+         "cohomology dimensions on projective_space(3) must be ints"),
+        (dict(rows=(CohVector((True, 0, 0, 0)),)), "cohomology dimensions on projective_space(3) must be ints"),
+        (dict(variety_id=3), "the variety must be a catalog id string, not 3"),
+        (dict(variety_id=["projective_space(3)"]),
+         "the variety must be a catalog id string, not ['projective_space(3)']"),
+        (dict(chern="c1"), "the chern block must be ChernData or None, got 'c1'"),
     ],
 )
 def test_a_table_refuses_fields_of_the_wrong_type(fields, message):
     """Each field is checked where the table is built, so no table reaches a check or JSON
-    with plain tuples as rows, a bool rank, a float window or a string split into assumptions."""
+    with plain tuples as rows, float or bool dimensions, a bool rank, a float window, a string
+    split into assumptions, a variety id that is not a string or Chern data that are not
+    ``ChernData``."""
     args = dict(variety_id="projective_space(3)", rank=1, tmin=0, rows=(P3_ROW,)) | fields
     with pytest.raises(MalformedDataError) as exc:
         CohomologyTable(**args)
@@ -719,6 +820,50 @@ def test_table_json_roundtrip_on_entry_ids(entry, bundles, window, theta):
     again = CohomologyTable.from_json(data)
     assert again.to_json() == table.to_json()
     assert again == table
+
+
+#: the table_io families: split scrolls of 2-6 split degrees, P^4, Q^4 and two curve models
+TABLE_IO_ENTRIES = [
+    catalog.scroll_p1((1, 2)),
+    catalog.scroll_p1((1, 1, 2)),
+    catalog.scroll_p1((1, 2, 2, 3)),
+    catalog.scroll_p1((1, 1, 2, 3, 3)),
+    catalog.scroll_p1((1, 1, 1, 2, 2, 3)),
+    catalog.projective_space(4),
+    catalog.quadric(4),
+    catalog.curve(0, 2, "exact_p1"),
+    catalog.curve(2, 3, "generic"),
+]
+
+
+def table_io_bundles(entry):
+    """One summand of multiplicity 1 or 2 at each coordinate tuple in [-1, 1], then each pair of
+    distinct tuples with a multiplicity pair from 0-2 taken in turn, total rank at least 1."""
+    coords = list(itertools.product((-1, 0, 1), repeat=entry.picard_rank()))
+    singles = [[(c, m)] for c in coords for m in (1, 2)]
+    mults = itertools.cycle([(0, 1), (1, 1), (2, 1), (1, 0), (1, 2), (2, 2), (0, 2), (2, 0)])
+    pairs = [[(a, ma), (b, mb)] for (a, b), (ma, mb) in zip(itertools.combinations(coords, 2), mults)]
+    return singles + pairs
+
+
+#: SHA-256 of each grid table's JSON, its verdict's JSON and the JSON of its round trip
+TABLE_IO_SHA256 = "62b3d3b4b7df54f3ba6dd2def3b637733f43cab5c980e71b6f80e0fddf354c3d"
+
+
+def test_table_io_tables_are_byte_identical_to_their_golden():
+    """Tables on the table_io families over the windows (-n - w, w), w in {0, 6, 9}: each table's
+    JSON, its verdict's JSON and the JSON of the table read back from its serialized JSON."""
+    out = []
+    for entry in TABLE_IO_ENTRIES:
+        n = entry.dimension
+        for w in (0, 6, 9):
+            for bundles in table_io_bundles(entry):
+                table = build_table(entry, bundles, (-n - w, w))
+                again = CohomologyTable.from_json(json.loads(json.dumps(table.to_json())))
+                out.append([table.to_json(), instanton.check_instanton(table).to_json(), again.to_json()])
+    assert len(out) == 918
+    blob = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_IO_SHA256
 
 
 @given(st.lists(st.integers(0, 9), min_size=2, max_size=6))
