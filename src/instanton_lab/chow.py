@@ -175,12 +175,15 @@ class ChowRingPresentation(FrozenValue):
                 coeffs[k] += coeff
                 continue
             if len(mono) != len(self.generators) or any(not isinstance(e, int) or e < 0 for e in mono):
-                raise MalformedDataError(
-                    f"{list(mono)} is not an exponent vector over {list(self.generators)} on {self.variety_id!r}"
-                )
+                raise self.not_exponents(mono)
             for m, c in self.normalize_monomial(mono).items():
                 coeffs[index[m]] += c * coeff
         return ChowClass(self, tuple(coeffs))
+
+    def not_exponents(self, mono: tuple) -> MalformedDataError:
+        return MalformedDataError(
+            f"{list(mono)} is not an exponent vector over {list(self.generators)} on {self.variety_id!r}"
+        )
 
     def is_normal(self, mono: Monomial) -> bool:
         return not any(rule.divides(mono) for rule in self.relations)
@@ -300,14 +303,22 @@ class ChowClass(FrozenValue):
     def from_json(variety_id: str, data: Iterable) -> "ChowClass":
         """Parse ``[[exponents, coefficient], ...]``, the inverse of :meth:`to_json`.
 
-        Raises :class:`MalformedDataError` on a repeated monomial or a
-        coefficient that is neither an integer nor a ``"p/q"`` string;
-        :meth:`ChowRingPresentation.from_dict` checks the monomials themselves.
+        Raises :class:`MalformedDataError` on a term that is not such a pair,
+        exponents that are not ints (a float or bool would hash like one), a
+        repeated monomial or a coefficient that is neither an integer nor a
+        ``"p/q"`` string; :meth:`ChowRingPresentation.from_dict` checks the
+        exponent vectors' length and signs.
         """
         ring = ring_for(variety_id)
         terms: dict[Monomial, int] = {}
-        for m, c in data:
-            mono = tuple(m)
+        for term in data:
+            try:
+                m, c = term
+                mono = tuple(m)
+            except (TypeError, ValueError):
+                raise MalformedDataError(f"{term!r} is not an [exponents, coefficient] pair") from None
+            if set(map(type, mono)) != {int}:
+                raise ring.not_exponents(mono)
             if mono in terms:
                 raise MalformedDataError(f"monomial {list(mono)} is repeated on {variety_id!r}")
             if type(c) is str and re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", c):

@@ -61,7 +61,11 @@ class CohVector(FrozenValue):
     def __init__(self, dims: tuple[int, ...]):
         if type(dims) is not tuple:
             raise MalformedDataError(f"cohomology dimensions must be a tuple, got {dims!r}")
-        if dims and min(dims) < 0:
+        try:
+            negative = dims and min(dims) < 0
+        except TypeError:  # a dimension that does not compare with 0
+            raise MalformedDataError(f"cohomology dimensions must be ints, got {dims!r}") from None
+        if negative:
             raise MalformedDataError(f"negative cohomology dimension in {dims}")
         object.__setattr__(self, "dims", dims)
 
@@ -482,8 +486,9 @@ class CohomologyTable(FrozenValue):
 
     @staticmethod
     def from_json(data: dict) -> "CohomologyTable":
-        """Read a table, checking the JSON's own types and that its twists enumerate the window;
-        the constructor checks the rows."""
+        """Read a table, checking what only the JSON has: the window's ends and the twists are ints
+        and enumerate the window, and ``assumptions`` is a list of strings.  The constructors
+        check the rest."""
         try:
             variety_id, rank = data["variety"], data["rank"]
             if type(variety_id) is not str:
@@ -497,14 +502,12 @@ class CohomologyTable(FrozenValue):
             chern = ChernData.from_json(ring.variety_id, data["chern"]) if data.get("chern") else None
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
-        # the dimensions are the constructor's to check
-        if set(map(type, itertools.chain((rank, tmin, tmax), twists))) != {int}:
-            raise MalformedDataError("rank, window and twists must be ints")
+        if set(map(type, itertools.chain((tmin, tmax), twists))) != {int}:
+            raise MalformedDataError("window and twists must be ints")
         if type(assumptions) is not list or set(map(type, assumptions)) - {str}:
             raise MalformedDataError("assumptions must be a list of strings")
-        if chern is not None and type(chern.rank) is not int:
-            raise MalformedDataError(f"the chern block's rank {chern.rank!r} is not the table's rank {rank}")
-        if twists != list(range(tmin, tmax + 1)):
+        # the row count first, so the window's width sets no work
+        if len(twists) != tmax - tmin + 1 or twists != list(range(tmin, tmax + 1)):
             raise MalformedDataError("rows do not enumerate a non-empty window")
         return CohomologyTable(
             variety_id=variety_id,

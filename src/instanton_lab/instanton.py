@@ -78,16 +78,6 @@ class InstantonVerdict:
             "notes": list(self.notes),
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "InstantonVerdict":
-        return InstantonVerdict(
-            tuple((p["defect"], p["quantum"]) for p in data["admissible"]),
-            data["ulrich"],
-            data["wic"],
-            data["natural"],
-            tuple(data["notes"]),
-        )
-
 
 class InstantonConditions(FrozenValue):
     """The finite instanton condition list for one defect on an n-fold, as data.

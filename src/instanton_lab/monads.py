@@ -62,10 +62,6 @@ class Summand(FrozenValue):
             out["c1"] = self.c1_each
         return out
 
-    @staticmethod
-    def from_json(data: dict) -> "Summand":
-        return Summand(data["summand"], data["rank"], data["multiplicity"], data.get("c1"))
-
 
 class Constraint(FrozenValue):
     """A named integer equation the middle term must satisfy."""
@@ -78,10 +74,6 @@ class Constraint(FrozenValue):
         object.__setattr__(self, "value", value)
 
     to_json = fields_json
-
-    @staticmethod
-    def from_json(data: dict) -> "Constraint":
-        return Constraint(data["name"], data["description"], data["value"])
 
 
 class MonadShape(FrozenValue):
@@ -132,14 +124,6 @@ class MonadShape(FrozenValue):
         return " -> ".join(side(t) for t in self.terms)
 
     to_json = fields_json
-
-    @staticmethod
-    def from_json(data: dict) -> "MonadShape":
-        return MonadShape(
-            tuple(tuple(Summand.from_json(s) for s in term) for term in data["terms"]),
-            tuple(Constraint.from_json(c) for c in data["constraints"]),
-            tuple(data["notes"]),
-        )
 
     def to_markdown(self) -> str:
         lines = [f"`{self.render()}`"]

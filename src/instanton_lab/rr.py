@@ -59,6 +59,8 @@ class ChernData(FrozenValue):
     _fields = ("rank", "c1", "c2", "c3")
 
     def __init__(self, rank: int, c1: ChowClass, c2: ChowClass | None = None, c3: ChowClass | None = None):
+        if type(rank) is not int:
+            raise MalformedDataError(f"the Chern rank must be an int, got {rank!r}")
         if rank < 1:
             raise MalformedDataError("rank must be positive")
         if not c1.is_homogeneous(1):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -301,6 +302,26 @@ def test_from_json_rejects_malformed_monomials(data):
 def test_from_json_rejects_repeated_monomials_and_non_integer_coefficients(data, match):
     with pytest.raises(MalformedDataError, match=match):
         chow.ChowClass.from_json("flag3", data)
+
+
+@pytest.mark.parametrize("data", ["x", [[[1], 1, 2]], [[[1]]], [5], [[5, 1]]])
+def test_from_json_refuses_a_term_that_is_not_an_exponents_coefficient_pair(data):
+    with pytest.raises(MalformedDataError, match=r"is not an \[exponents, coefficient\] pair$"):
+        chow.ChowClass.from_json("projective_space(3)", data)
+
+
+@pytest.mark.parametrize(
+    "ring, data, mono",
+    [
+        ("projective_space(3)", [[[1.0], 1]], "[1.0]"),
+        ("projective_space(3)", [[[True], 2]], "[True]"),
+        ("flag3", [[[0, True], 1]], "[0, True]"),
+    ],
+)
+def test_from_json_refuses_exponents_that_are_not_ints(ring, data, mono):
+    """A float or bool exponent hashes like an int and would hit a basis monomial."""
+    with pytest.raises(MalformedDataError, match=rf"^{re.escape(mono)} is not an exponent vector over "):
+        chow.ChowClass.from_json(ring, data)
 
 
 def test_from_json_rewrites_non_normal_monomials():

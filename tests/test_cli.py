@@ -59,12 +59,13 @@ def test_check_exit_codes(capsys):
 
 
 def test_check_verdict_json_roundtrip(capsys):
-    from instanton_lab.instanton import InstantonVerdict
+    from instanton_lab.instanton import check_instanton
 
     code, out, _ = run(capsys, "check", "--variety", "q3", "--bundle", "O:0", "--json")
     assert code == 0
-    verdict = InstantonVerdict.from_json(json.loads(out))
+    verdict = check_instanton(build_table(catalog.quadric(3), (0,), (-4, 1)))
     assert verdict.admissible == ((1, 0),)
+    assert json.loads(out) == verdict.to_json()
 
 
 def test_check_from_table_file(tmp_path, capsys):
@@ -280,9 +281,16 @@ def _float_twist(data):
         lambda data: data["chern"].update(rank=2.5),
         lambda data: data["chern"].update(rank=True),
         lambda data: data["chern"].update(rank=7),
+        lambda data: data["chern"].update(c1="x"),
+        lambda data: data["chern"].update(c1=[[[1, 0], 1, 2]]),
+        lambda data: data["chern"].update(c1=[[[1.0, 0], 1]]),
+        lambda data: data["chern"].update(c1=[[[True, 0], 1]]),
+        lambda data: data["rows"][0].update(h="0000"),
+        lambda data: data["rows"][0].update(h={"a": 1}),
     ],
     ids=["float-dim", "bool-dim", "float-window", "float-twist", "negative-rank", "string-rank", "bool-rank",
-         "string-assumptions", "int-assumption", "float-chern-rank", "bool-chern-rank", "other-chern-rank"],
+         "string-assumptions", "int-assumption", "float-chern-rank", "bool-chern-rank", "other-chern-rank",
+         "string-c1", "three-item-term", "float-exponent", "bool-exponent", "string-dims", "dict-dims"],
 )
 def test_malformed_table_exits_2(tmp_path, capsys, mutate):
     data = build_table(catalog.flag3(), (-1, 3), (-4, 0)).to_json()
@@ -292,7 +300,7 @@ def test_malformed_table_exits_2(tmp_path, capsys, mutate):
     with pytest.raises(MalformedDataError):
         CohomologyTable.from_json(json.loads(path.read_text()))
     code, out, err = run(capsys, "check", "--table", str(path))
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def _six_entry_rows(data):
@@ -385,14 +393,14 @@ def test_bad_variety_exit(capsys):
 
 
 def test_monad_json_roundtrip_via_cli(capsys):
-    from instanton_lab.monads import MonadShape, monad_pn
+    from instanton_lab.monads import monad_pn
 
     code, out, _ = run(
         capsys, "monad", "pn", "--n", "3", "--defect", "0", "--rank", "2",
         "--quantum", "2", "--json",
     )
     assert code == 0
-    assert MonadShape.from_json(json.loads(out)) == monad_pn(3, 0, 2, -2)
+    assert json.loads(out) == monad_pn(3, 0, 2, -2).to_json()
 
 
 def test_monad_pn_rank_prints_what_its_chi0_prints(capsys):
@@ -564,7 +572,7 @@ def test_malformed_integers_exit_2_with_one_error_line(capsys, argv):
     assert run(capsys, *argv) == (2, "", MALFORMED_INTEGERS[argv])
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-text"])
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[1]"], ids=["not-json", "not-text", "list"])
 def test_unreadable_table_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "table.json"
     path.write_bytes(content)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -378,6 +379,20 @@ def test_tables_derive_their_window_end():
         CohomologyTable.from_json(data)
 
 
+def test_the_window_width_sets_no_work_in_from_json():
+    """Four rows that claim the window [-3, 10^6] are refused by their count, before any range is built."""
+    data = build_table(catalog.projective_space(3), (0,), (-3, 0)).to_json()
+    data["window"]["tmax"] = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedDataError, match=r"^rows do not enumerate a non-empty window$"):
+            CohomologyTable.from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_prime_fano_engine_takes_the_genus():
     assert cohomology.coh_cyclic_fano_index1(5, 1) == line_bundle_cohomology(catalog.prime_fano(5), (1,))
     with pytest.raises(ValueError, match=r"^prime Fano 3-folds have genus >= 3$"):
@@ -689,6 +704,7 @@ def test_cohomology_errors_are_typed_and_keep_their_messages():
     rank_two = build_table(catalog.projective_space(3), [((0,), 2)], (0, 0))
     cases = [
         (lambda: CohVector((1, -1)), MalformedDataError, "negative cohomology dimension in (1, -1)"),
+        (lambda: CohVector(("a", 0)), MalformedDataError, "cohomology dimensions must be ints, got ('a', 0)"),
         # a list would make the table unhashable
         (lambda: CohVector([1, 0, 0, 0]), MalformedDataError,
          "cohomology dimensions must be a tuple, got [1, 0, 0, 0]"),

@@ -75,12 +75,6 @@ def test_curve_theta_family():
     assert check_instanton(table0).admissible == ((0, 0),)
 
 
-def test_verdict_json_roundtrip():
-    verdict = check_instanton(triple_table((-1, 1, 3)))
-    again = instanton.InstantonVerdict.from_json(verdict.to_json())
-    assert again == verdict
-
-
 def test_natural_cohomology_window():
     assert natural_cohomology_window(triple_table((0, 1, 2)), 0)
     assert natural_cohomology_window(triple_table((-1, 1, 3)), 0)

@@ -311,26 +311,6 @@ def test_spinor_rank():
     assert [spinor_rank(n) for n in (2, 3, 4, 5, 6)] == [1, 2, 2, 4, 4]
 
 
-def test_monad_shape_json_roundtrip():
-    from instanton_lab.monads import MonadShape
-
-    for shape in (
-        monad_pn(3, 0, 2, -2),
-        monad_pn(3, 1, 1, 0, 2, 2),
-        monad_acm(catalog.quadric(3), 1, 2, h1E=1, hn1E=1),
-    ):
-        assert MonadShape.from_json(shape.to_json()) == shape
-
-
-def test_monad_shape_from_json_rejects_two_terms():
-    from instanton_lab.monads import MonadShape
-
-    data = monad_pn(3, 0, 2, -2).to_json()
-    data["terms"] = data["terms"][:2]
-    with pytest.raises(MalformedDataError):
-        MonadShape.from_json(data)
-
-
 def test_monad_shape_has_three_terms():
     from instanton_lab.monads import MonadShape
 

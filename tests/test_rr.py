@@ -311,6 +311,11 @@ def test_chern_data_and_its_builders_raise_typed_errors():
     H, Hq = p3.polarization, q3.polarization
     cases = [
         (MalformedDataError, "rank must be positive", lambda: ChernData(0, H)),
+        (MalformedDataError, "the Chern rank must be an int, got True", lambda: ChernData(True, H)),
+        (MalformedDataError, "the Chern rank must be an int, got 2.0", lambda: ChernData(2.0, H)),
+        (MalformedDataError, "the Chern rank must be an int, got '1'", lambda: ChernData("1", H)),
+        (MalformedDataError, "'x' is not an [exponents, coefficient] pair",
+         lambda: ChernData.from_json(p3.variety_id, {"rank": 1, "c1": "x"})),
         (MalformedDataError, "c1 must be homogeneous of degree 1", lambda: ChernData(1, H * H)),
         (MalformedDataError, "c2 must be homogeneous of degree 2", lambda: ChernData(1, H, H)),
         (VarietyMismatchError, "Chern classes live on different varieties", lambda: ChernData(1, H, Hq * Hq)),

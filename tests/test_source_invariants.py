@@ -203,6 +203,25 @@ def test_only_instanton_evaluates_the_condition_kinds():
     assert compares["instanton.py"]
 
 
+def test_only_tables_and_their_parts_are_read_from_json():
+    """A table is the one value the package reads back (``check --table``): only
+    ``CohomologyTable`` and the ``ChernData`` and ``ChowClass`` it holds define
+    ``from_json``, and no module-level function does."""
+    readers, defined = set(), 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += sum(isinstance(node, ast.FunctionDef) and node.name == "from_json" for node in ast.walk(tree))
+        readers |= {
+            (path.name, cls.name)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "from_json"
+        }
+    assert readers == {("cohomology.py", "CohomologyTable"), ("rr.py", "ChernData"), ("chow.py", "ChowClass")}
+    assert defined == len(readers)
+
+
 def test_benchmark_layers_resolve():
     """Every ``(module, attribute)`` the benchmark tracer wraps exists in the package.
 
