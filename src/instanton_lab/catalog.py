@@ -271,14 +271,21 @@ _ENTRY_ID_RE = re.compile(
 )
 
 
-@cache  # every table checks its id here; an id that raises is not kept
 def entry_ring(entry_id: str) -> ChowRingPresentation:
-    """Chow ring of the catalog entry with this id, the inverse of the id formats above.
+    """Chow ring of the catalog entry with this id, the inverse of the id formats above: the one
+    place a table's or a Chern block's variety id is resolved.
 
-    Entry ids that are ring ids (``flag3``, ``projective_space(3)``,
-    ``prime_fano(5)``, ...) go to :func:`chow.preset_ring` as they are; any
-    other id raises :class:`UnknownVarietyError`.
+    An id that is not a ``str`` raises :class:`MalformedDataError` before anything hashes it.
+    Entry ids that are ring ids (``flag3``, ``projective_space(3)``, ``prime_fano(5)``, ...) go
+    to :func:`chow.preset_ring` as they are; any other id raises :class:`UnknownVarietyError`.
     """
+    if type(entry_id) is not str:
+        raise MalformedDataError(f"the variety must be a catalog id string, not {entry_id!r}")
+    return _entry_ring(entry_id)
+
+
+@cache  # every table checks its id here; an id that raises is not kept
+def _entry_ring(entry_id: str) -> ChowRingPresentation:
     m = _ENTRY_ID_RE.fullmatch(entry_id)
     if m is None:
         return chow.preset_ring(entry_id)

@@ -39,12 +39,13 @@ EXIT_INTERNAL = 3
 
 
 def parse_bundle(entry, text: str) -> list[tuple[tuple[int, ...], int]]:
-    """Parse a bundle descriptor into (coordinates, multiplicity) summands.
+    """Parse a bundle descriptor into (coordinates, multiplicity) summands of ints.
 
     Summands are '+'-separated, each ``COORDS`` or ``COORDS^MULT``; COORDS is
     a comma tuple in the entry's divisor basis, or ``O:t`` on cyclic entries,
     ``h:t`` / ``h:t,f:a`` on scrolls, ``theta:s`` on curves: the degree of
     :func:`catalog.theta_coords`, so theta and plain summands mix freely.
+    :func:`cohomology.build_table` checks each summand's coordinates against the entry.
     """
     from . import catalog
 
@@ -70,19 +71,17 @@ def parse_bundle(entry, text: str) -> list[tuple[tuple[int, ...], int]]:
             coords = tuple(parse_int(body.get(g, 0)) for g in gens)
         else:
             coords = tuple(map(parse_int, chunk.split(",")))
-        summands.append((catalog.check_coords(entry, coords), mult))
+        summands.append((coords, mult))
     return summands
 
 
 def parse_window(text: str) -> tuple[int, int]:
+    """``TMIN:TMAX`` as two ints; :func:`cohomology.build_table` refuses a reversed window."""
     a, _, b = text.partition(":")
     try:
-        lo, hi = int(a), int(b)
+        return int(a), int(b)
     except ValueError:
         raise MalformedDataError(f"window {text!r} is not of the form TMIN:TMAX") from None
-    if lo > hi:
-        raise MalformedDataError(f"window {text!r} has tmin > tmax")
-    return lo, hi
 
 
 def render_table(table: CohomologyTable) -> str:

@@ -388,10 +388,11 @@ _twist_of, _dims_of = operator.itemgetter("t"), operator.itemgetter("h")
 class CohomologyTable(FrozenValue):
     """One sheaf's rows ``(h^0, ..., h^n)`` over the twist window from ``tmin``, which give the
     window's end and n.  The constructor is the one place a table is checked, in set passes over
-    the whole window: a variety id that is not a string, a rank or tmin that is not an int, a rank
-    below 1, rows that are not a non-empty tuple of ``CohVector`` ``(h^0, ..., h^n)`` of ints on
-    that variety, assumptions that are not a tuple of strings, and Chern data that are not
-    ``ChernData`` or are of another rank raise ``MalformedDataError``; an unknown variety raises
+    the whole window.  Its variety id resolves through :func:`catalog.entry_ring`, which refuses
+    an id that is not a string; a rank or tmin that is not an int, a rank below 1, rows that are
+    not a non-empty tuple of ``CohVector`` ``(h^0, ..., h^n)`` of ints on that variety,
+    assumptions that are not a tuple of strings, and Chern data that are not ``ChernData`` or are
+    of another rank raise ``MalformedDataError``; an unknown variety raises
     ``UnknownVarietyError`` and Chern data on another ring ``VarietyMismatchError``."""
 
     __slots__ = _fields = ("variety_id", "rank", "tmin", "rows", "chern", "assumptions")
@@ -405,8 +406,6 @@ class CohomologyTable(FrozenValue):
         chern: ChernData | None = None,
         assumptions: tuple[str, ...] = (),
     ):
-        if type(variety_id) is not str:
-            raise MalformedDataError(f"the variety must be a catalog id string, not {variety_id!r}")
         ring = entry_ring(variety_id)
         n = ring.top_degree
         if type(rank) is not int or type(tmin) is not int:
@@ -486,26 +485,23 @@ class CohomologyTable(FrozenValue):
 
     @staticmethod
     def from_json(data: dict) -> "CohomologyTable":
-        """Read a table, checking what only the JSON has: the window's ends and the twists are ints
-        and enumerate the window, and ``assumptions`` is a list of strings.  The constructors
-        check the rest."""
+        """Read a table, checking only what the JSON alone has: its keys, window ends and twists
+        that are ints and enumerate the window, and ``assumptions`` that is a list.  The variety
+        id resolves in :func:`catalog.entry_ring`, and the constructors check the rest."""
         try:
             variety_id, rank = data["variety"], data["rank"]
-            if type(variety_id) is not str:
-                raise MalformedDataError(f"the variety must be a catalog id string, not {variety_id!r}")
-            ring = entry_ring(variety_id)
             tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
             rows_sorted = sorted(data["rows"], key=_twist_of)
             twists = list(map(_twist_of, rows_sorted))
             rows = tuple(map(CohVector, map(tuple, map(_dims_of, rows_sorted))))
             assumptions = data.get("assumptions", [])
-            chern = ChernData.from_json(ring.variety_id, data["chern"]) if data.get("chern") else None
+            chern = ChernData.from_json(variety_id, data["chern"]) if data.get("chern") else None
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
         if set(map(type, itertools.chain((tmin, tmax), twists))) != {int}:
             raise MalformedDataError("window and twists must be ints")
-        if type(assumptions) is not list or set(map(type, assumptions)) - {str}:
-            raise MalformedDataError("assumptions must be a list of strings")
+        if type(assumptions) is not list:
+            raise MalformedDataError("assumptions must be a list")
         # the row count first, so the window's width sets no work
         if len(twists) != tmax - tmin + 1 or twists != list(range(tmin, tmax + 1)):
             raise MalformedDataError("rows do not enumerate a non-empty window")

@@ -353,28 +353,19 @@ def classify_cyclic_lines(n: int, u: int, v: int, defect: int) -> CyclicDecision
             f"sections: w = {w} > u - 1 = {u - 1}, so h^0(L(-h)) != 0 against an effective generator"
         )
     steps.append(f"section bound holds: w = {w} <= u - 1")
-    # the bound forces v <= -n - 1 + defect, i.e. projective space or, with
-    # defect 1, the quadric
+    # 2w <= 2u - 2 reads v <= -u(n - 1 - defect) - 2; with v >= -n - 1 and 2w even this
+    # leaves (v, u) = (-n - 1, 1) for defect 0, and for defect 1 either (n, u, v) = (3, 2, -4)
+    # or v = -n with n = 2 or u = 1
+    if defect == 0:
+        steps.append("projective space, ordinary: u = 1 and L = O")
+        return CyclicDecision(n, u, v, defect, 1, w, tuple(steps))
     if v == -n - 1:
-        if defect == 0:
-            if u == 1:
-                steps.append("projective space, ordinary: u = 1 and L = O")
-                return CyclicDecision(n, u, v, defect, 1, w, tuple(steps))
-            return none(f"(n-1)(u-1) = {(n - 1) * (u - 1)} > 0 violates the section bound")
-        if (n, u) == (3, 2):
-            steps.append("projective 3-space polarized by O(2), non-ordinary: L = O(1)")
-            return CyclicDecision(n, u, v, defect, 2, w, tuple(steps))
-        return none("projective space with defect 1 admits only (n, u) = (3, 2)")
-    if v == -n:
-        if defect == 0:
-            return none("index-n cyclic n-folds carry no ordinary instanton line bundle")
-        if n == 2:
-            return none("the index-2 surface is the quadric P^1 x P^1, which is not cyclic")
-        if u == 1:
-            steps.append("quadric hypersurface, non-ordinary: L = O")
-            return CyclicDecision(n, u, v, defect, 3, w, tuple(steps))
-        return none(f"(n-2)(u-1) = {(n - 2) * (u - 1)} > 0 violates the section bound")
-    return none(f"v = {v} is incompatible with the section bound (needs v <= {-n - 1 + defect})")
+        steps.append("projective 3-space polarized by O(2), non-ordinary: L = O(1)")
+        return CyclicDecision(n, u, v, defect, 2, w, tuple(steps))
+    if n == 2:
+        return none("the index-2 surface is the quadric P^1 x P^1, which is not cyclic")
+    steps.append("quadric hypersurface, non-ordinary: L = O")
+    return CyclicDecision(n, u, v, defect, 3, w, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -729,18 +720,7 @@ class PrimeFanoReport:
     higher_end_vanish: bool
     moduli_dim: int
 
-    def to_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "k": self.k,
-            "rank": self.rank,
-            "c1": f"{self.c1_mult}h",
-            "c2h": self.c2_dot_h,
-            "quantum": self.quantum,
-            "h1_end": self.h1_end,
-            "higher_end_vanish": self.higher_end_vanish,
-            "moduli_dim": self.moduli_dim,
-        }
+    to_json = fields_json
 
 
 def prime_fano_family(g_X: int, k: int) -> PrimeFanoReport:

@@ -38,7 +38,7 @@ from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING
 
 from . import chow
-from .catalog import VarietyCatalogEntry
+from .catalog import VarietyCatalogEntry, entry_ring
 from .chow import ChowClass
 from .errors import InfeasibleError, MalformedDataError, UnsupportedBundleError, VarietyMismatchError
 from .util import FrozenValue, binom
@@ -91,10 +91,18 @@ class ChernData(FrozenValue):
 
     @staticmethod
     def from_json(variety_id: str, data: dict) -> "ChernData":
-        def cls(key: str) -> ChowClass | None:
-            return ChowClass.from_json(variety_id, data[key]) if key in data else None
+        """Read :meth:`to_json`'s block on the catalog entry ``variety_id``, any id
+        :func:`catalog.entry_ring` resolves.  A block that is not a dict with ``rank`` and ``c1``
+        raises ``MalformedDataError``; the constructors check the values."""
+        ring_id = entry_ring(variety_id).variety_id
 
-        return ChernData(data["rank"], ChowClass.from_json(variety_id, data["c1"]), cls("c2"), cls("c3"))
+        def cls(key: str) -> ChowClass | None:
+            return ChowClass.from_json(ring_id, data[key]) if key in data else None
+
+        try:
+            return ChernData(data["rank"], ChowClass.from_json(ring_id, data["c1"]), cls("c2"), cls("c3"))
+        except (KeyError, TypeError) as exc:
+            raise MalformedDataError(f"malformed Chern data ({type(exc).__name__}: {exc})") from None
 
 
 def whitney_sum(a: ChernData, b: ChernData) -> ChernData:

@@ -7,7 +7,7 @@ import pytest
 
 from instanton_lab import catalog, rr
 from instanton_lab.cohomology import chi_scroll_line, line_bundle_cohomology
-from instanton_lab.errors import UnknownVarietyError
+from instanton_lab.errors import MalformedDataError, UnknownVarietyError
 
 ENTRIES = [
     catalog.projective_space(3),
@@ -258,19 +258,39 @@ def test_parse_variety():
     assert catalog.parse_variety("scroll:n=3,g=1,deg=4").kind == "scroll_generic"
     assert catalog.parse_variety("curve:g=2,deg=4").deg_h == 4
     assert catalog.parse_variety("fano:g=5").genus == 5
+    assert catalog.parse_variety("pn:3") == catalog.projective_space(3)
+    assert catalog.parse_variety("pn:3,h=2") == catalog.projective_space(3, u=2)
     with pytest.raises(UnknownVarietyError):
         catalog.parse_variety("grassmannian")
 
 
-def test_invalid_entries_rejected():
-    with pytest.raises(UnknownVarietyError):
-        catalog.curve(0, 2, "theta-model")
-    with pytest.raises(UnknownVarietyError):
-        catalog.curve(1, 2, "exact_p1")
-    with pytest.raises(UnknownVarietyError):
-        catalog.scroll_p1((0, 1, 1))
-    with pytest.raises(UnknownVarietyError):
-        catalog.prime_fano(2)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: catalog.curve(0, 2, "theta-model"), "unknown curve model 'theta-model'"),
+        (lambda: catalog.curve(1, 2, "exact_p1"), "the exact_p1 curve model requires genus 0"),
+        (lambda: catalog.scroll_p1((0, 1, 1)), "scroll over P^1 needs >= 2 split degrees, all >= 1: (0, 1, 1)"),
+        (lambda: catalog.prime_fano(2), "prime Fano 3-folds have genus >= 3"),
+        (lambda: catalog.projective_space(0), "projective_space(0) with h=O(1) is not a catalog entry"),
+        (lambda: catalog.quadric(1), "quadric(1) with h=O(1) is not a catalog entry"),
+        (lambda: catalog.scroll_generic(1, 0, 3), "scroll(1) over genus 0 of degree 3 is not admissible"),
+        (lambda: catalog.curve(-1, 1), "curve(genus=-1, deg_h=1) is not admissible"),
+    ],
+    ids=["curve-model", "exact-p1-genus", "scroll-p1-degree", "fano-genus", "pn-dimension", "quadric-dimension",
+         "scroll-generic-rank", "curve-genus"],
+)
+def test_invalid_entries_rejected(call, message):
+    with pytest.raises(UnknownVarietyError) as exc:
+        call()
+    assert type(exc.value) is UnknownVarietyError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry_id", [["x"], 5, None, b"flag3"], ids=repr)
+def test_entry_ring_refuses_an_id_that_is_not_a_string(entry_id):
+    """The id is checked before the cache hashes it, so an unhashable one is refused too."""
+    with pytest.raises(MalformedDataError) as exc:
+        catalog.entry_ring(entry_id)
+    assert str(exc.value) == f"the variety must be a catalog id string, not {entry_id!r}"
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)

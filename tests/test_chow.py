@@ -134,6 +134,14 @@ def test_variety_mismatch():
         multiply(a, b)
 
 
+def test_negative_powers_are_refused():
+    H = preset_ring("projective_space(3)").gen("H")
+    assert H**0 == H.ring.one()
+    with pytest.raises(MalformedDataError) as exc:
+        H**-1
+    assert str(exc.value) == "negative powers are not defined in the Chow ring"
+
+
 def test_scalars_are_exact():
     """Classes scale by an int or a Fraction only, and rational classes integrate exactly."""
     H = preset_ring("projective_space(3)").gen("H")

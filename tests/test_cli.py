@@ -132,6 +132,14 @@ def test_malformed_window_names_the_form(capsys, window):
     assert f"window {window!r} is not of the form TMIN:TMAX" in err
 
 
+@pytest.mark.parametrize("command", ["cohom", "check", "chi"])
+def test_reversed_window_exits_2_with_the_table_builders_message(capsys, command):
+    """``parse_window`` reads two ints; ``build_table`` refuses the reversed window."""
+    assert cli.parse_window("3:1") == (3, 1)
+    argv = (command, "--variety", "p3", "--bundle", "O:0", "--window", "3:1")
+    assert run(capsys, *argv) == (2, "", "error: window (3, 1) has tmin > tmax\n")
+
+
 def test_monad_pn_render(capsys):
     code, out, _ = run(
         capsys, "monad", "pn", "--n", "3", "--defect", "0", "--rank", "2", "--quantum", "2"
@@ -145,6 +153,14 @@ def test_monad_quadric(capsys):
         capsys, "monad", "quadric", "--n", "3", "--rank", "2", "--quantum", "3"
     )
     assert code == 0 and "s = 4" in out
+
+
+def test_monad_quadric_on_even_n_leaves_the_split_open(capsys):
+    argv = ("monad", "quadric", "--n", "4", "--rank", "2", "--quantum", "1")
+    text = "spinor multiplicity s = 2 (s' + s''; split undetermined without spinor pairings)\n"
+    assert run(capsys, *argv) == (0, text, "")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out) == {"s_total": 2, "split": None}
 
 
 def test_classify_flag_cli(capsys):
@@ -357,6 +373,23 @@ def test_scroll_cli(capsys):
     assert code == 0
     assert "quantum number (chi-additivity): 1" in out
     assert "h^1(E (x) E^v) = 8" in out
+
+
+def test_scroll_cli_over_a_generic_curve_and_at_k_0(capsys):
+    """``--n/--deg`` builds a generic scroll (chi-level); k = 0 adds the non-split Ulrich pair."""
+    assert run(capsys, "scroll", "--n", "3", "--deg", "4", "--k", "1") == (0, (
+        "scroll scroll_generic(3;g=0;deg=4): k = 1\n"
+        "quantum number (chi-additivity): 1  [chi-level]\n"
+        "decomposable: False\n"
+        "h^1(E (x) E^v) = 10\n"
+    ), "")
+    assert run(capsys, "scroll", "--degrees", "1,1,1", "--k", "0") == (0, (
+        "scroll scroll_p1(1,1,1): k = 0\n"
+        "quantum number (chi-additivity): 0  [exact]\n"
+        "decomposable: True (O((g+theta)f) (+) O(h+theta f))\n"
+        "h^1(E (x) E^v) = 2\n"
+        "non-split Ulrich pair variant: h^1(End) = 2\n"
+    ), "")
 
 
 def test_fano_cli(capsys):

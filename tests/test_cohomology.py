@@ -379,6 +379,29 @@ def test_tables_derive_their_window_end():
         CohomologyTable.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        (dict(variety=["flag3"]), MalformedDataError, "the variety must be a catalog id string, not ['flag3']"),
+        (dict(variety=5), MalformedDataError, "the variety must be a catalog id string, not 5"),
+        (dict(variety="grassmannian(2,4)"), UnknownVarietyError, "unknown variety key 'grassmannian(2,4)'"),
+        (dict(assumptions=[1]), MalformedDataError, "assumptions must be a tuple of strings, got (1,)"),
+        (dict(assumptions="ab"), MalformedDataError, "assumptions must be a list"),
+        (dict(chern={"rank": 2}), MalformedDataError, "malformed Chern data (KeyError: 'c1')"),
+    ],
+    ids=["list-variety", "int-variety", "unknown-variety", "int-assumption", "string-assumptions", "chern-keys"],
+)
+def test_the_table_reader_leaves_each_rule_to_its_owner(change, error, message):
+    """The reader checks JSON shape alone: the variety id is refused by ``catalog.entry_ring``
+    (with or without a Chern block), an assumption's type by the constructor and a Chern block's
+    keys by its own reader, each in its owner's words."""
+    for with_chern in (True, False):
+        data = build_table(catalog.flag3(), [((1, 0), 1), ((0, 1), 1)], (-3, 0), with_chern).to_json()
+        with pytest.raises(error) as exc:
+            CohomologyTable.from_json(data | change)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_the_window_width_sets_no_work_in_from_json():
     """Four rows that claim the window [-3, 10^6] are refused by their count, before any range is built."""
     data = build_table(catalog.projective_space(3), (0,), (-3, 0)).to_json()
@@ -644,9 +667,10 @@ def test_scroll_table_reads_the_entry_memo(monkeypatch, width):
         # a summand of multiplicity 0 is still read, so its engine's refusal stands
         (catalog.scroll_generic(3, 2, 5), [((0, 1), 1), ((3, -7), 0)], (-2, -1), False, UnsupportedBundleError,
          "only the vanishing window is exact on generic scrolls; use chi_scroll_line"),
+        (catalog.projective_space(3), [], (-3, 3), False, UnsupportedBundleError, "empty bundle descriptor"),
     ],
     ids=["coord-count", "scroll-coord-count", "negative-mult", "scroll-negative-mult", "theta-non-curve",
-         "scroll-generic-outside", "zero-rank", "scroll-zero-rank", "scroll-generic-zero-mult-read"],
+         "scroll-generic-outside", "zero-rank", "scroll-zero-rank", "scroll-generic-zero-mult-read", "empty"],
 )
 def test_build_table_errors(entry, bundles, window, theta, error, message):
     with pytest.raises(error) as exc:

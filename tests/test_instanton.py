@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from instanton_lab import catalog, instanton, rr
+from instanton_lab import catalog, instanton, replays, rr
 from instanton_lab.cohomology import CohomologyTable, CohVector, build_table
-from instanton_lab.errors import InfeasibleError, MalformedDataError, VarietyMismatchError, WindowError
+from instanton_lab.errors import (
+    InfeasibleError,
+    MalformedDataError,
+    UnknownVarietyError,
+    UnsupportedBundleError,
+    VarietyMismatchError,
+    WindowError,
+)
 from instanton_lab.instanton import check_instanton, natural_cohomology_window
 from instanton_lab.monads import rank_from_chi
 from instanton_lab.replays import (
@@ -584,3 +594,85 @@ def test_sift_keeps_exactly_the_sheaves_without_failures(tables, defect):
             assert (f"chi(E({t}h))" if kind == "chi" else f"h^{i}(E({t}h))") in table_notes[0]
     firsts = [checks[0] for checks in failing if checks]
     assert rejected == tuple(firsts.count(check) for check in conditions.checks)
+
+
+def test_verdict_invariants_are_typed():
+    """A verdict refuses a negative quantum number and an Ulrich flag without the pair (0, 0)."""
+    cases = [
+        (((0, -1),), False, "quantum numbers are nonnegative"),
+        (((1, 0),), True, "Ulrich verdicts must contain the pair (0, 0)"),
+    ]
+    for admissible, is_ulrich, message in cases:
+        with pytest.raises(MalformedDataError) as exc:
+            instanton.InstantonVerdict(admissible, is_ulrich, False, True, ())
+        assert type(exc.value) is MalformedDataError and str(exc.value) == message
+
+
+def test_regularity_report_past_a_window_without_sections():
+    """With no sections in the window, v is the first twist past it and only a lower bound; the
+    bound's twists the window misses are listed as unverified."""
+    rep = regularity_report(build_table(catalog.projective_space(3), (0,), (-1, -1)), 0)
+    assert (rep.v, rep.v_is_lower_bound, rep.w) == (0, True, 0)
+    assert rep.violations == () and rep.unverified == (-2, -3) and not rep.regularity_confirmed
+
+
+def test_stability_cases_mark_unlisted_failures():
+    """Failures outside the listed exceptions, on inputs no cyclic n-fold realizes, read ``unlisted``."""
+    below_the_index = replays.cyclic_rank2_stability_cases(3, 1, -10, 0)
+    assert (below_the_index.semistable_guaranteed, below_the_index.exception_semistable) == (False, "unlisted")
+    assert below_the_index.exception_stable is None
+    index_two_surface = replays.cyclic_rank2_stability_cases(2, 1, -2, 1)
+    assert (index_two_surface.semistable_guaranteed, index_two_surface.stable_guaranteed) == (True, False)
+    assert (index_two_surface.exception_semistable, index_two_surface.exception_stable) == (None, "unlisted")
+
+
+def test_replay_refusals_are_typed_and_keep_their_messages():
+    p3, flag = catalog.projective_space(3), catalog.flag3()
+    structure_sheaf = build_table(p3, (0,), (0, 1))
+    genus0 = dict(z=1, defect=1, q_irr=0, h1_Oh=0, N=0)
+    cases = [
+        (UnsupportedBundleError, "n >= 1", lambda: chi_polynomial(0, 0, 0, 1, 0)),
+        (MalformedDataError, "the degree h^n is positive", lambda: pushforward_model(structure_sheaf, 0)),
+        (WindowError, "the table windows do not overlap",
+         lambda: direct_sum(structure_sheaf, build_table(p3, (0,), (3, 4)))),
+        (MalformedDataError, "Betti numbers are nonnegative", lambda: BettiShape.from_dict(0, 1, 3, {(0, 0): -1})),
+        *((UnsupportedBundleError, "need n >= 2, u >= 1, defect in {0, 1}", call) for call in (
+            lambda: replays.classify_cyclic_lines(1, 1, -2, 0),
+            lambda: replays.cyclic_rank2_stability_cases(3, 0, -4, 0),
+        )),
+        (UnsupportedBundleError, "the criterion is specific to rank two",
+         lambda: replays.hoppe_rank2(p3, rr.chern_of_line_bundle_sum([(p3.polarization, 1)]), 0)),
+        (UnsupportedBundleError, "the criterion needs a cyclic entry",
+         lambda: replays.hoppe_rank2(flag, rr.chern_of_line_bundle_sum([(flag.polarization, 2)]), 0)),
+        (MalformedDataError, "defect and epsilon lie in {0, 1}", lambda: replays.fano_instanton_bridge(1, 2, 0)),
+        (MalformedDataError, "defect in {0, 1}", lambda: replays.curve_quantum(2, 3, 2)),
+        (UnsupportedBundleError, "the construction lives on scroll entries",
+         lambda: replays.scroll_construction_report(catalog.flag3(), 1)),
+        (UnsupportedBundleError, "the construction needs scroll dimension >= 3",
+         lambda: replays.scroll_construction_report((1, 1), 1)),
+        (MalformedDataError, "k >= 0", lambda: replays.scroll_construction_report((1, 1, 1), -1)),
+        (InfeasibleError, "negative quantum number -1: infeasible input",
+         lambda: replays.surface_quantum_formulas("genus0", genus0)),
+        (UnsupportedBundleError, "unknown surface construction 'k3'",
+         lambda: replays.surface_quantum_formulas("k3", {})),
+        (UnknownVarietyError, "need g_X >= 3 and k >= 0", lambda: replays.prime_fano_family(2, 0)),
+        (MalformedDataError, "s >= 0", lambda: replays.segre_stable_example(-1)),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+#: sha256 of the decisions' reprs over the grid below, taken on the five-way case analysis
+CYCLIC_GRID_DIGEST = "763e20d30bf1800a296eb22c741fada0007f9c52692a66687671ba55f9505e45"
+
+
+def test_cyclic_decisions_over_a_grid_are_pinned():
+    """Every ``classify_cyclic_lines`` decision on n in [2, 15], u in [1, 39], v in [-60, 59] and
+    both defects, assertion, witness and steps, hashes to the digest the case analysis had before
+    the section bound's unreachable branches were removed."""
+    digest = hashlib.sha256()
+    for n, u, v, defect in itertools.product(range(2, 16), range(1, 40), range(-60, 60), (0, 1)):
+        digest.update(repr(replays.classify_cyclic_lines(n, u, v, defect)).encode())
+    assert digest.hexdigest() == CYCLIC_GRID_DIGEST

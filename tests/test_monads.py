@@ -154,6 +154,12 @@ def test_monad_input_errors_are_typed():
         (InfeasibleError, "non-ordinary rank must be even", chi_from_rank, (1, 1, 0, 3)),
         (UnsupportedBundleError, "monads are synthesized for n >= 2", chi_from_rank, (1, 0, 0, 2)),
         (UnsupportedBundleError, "monads are synthesized for n >= 2", rank_from_chi, (1, 1, 0, 1)),
+        (InfeasibleError, "b0, b1 must be at least chi(E)", monad_pn, (3, 1, 1, 2, 1, 3)),
+        (InfeasibleError, "spinor split (2, 2) inconsistent with total 2", monad_quadric_ordinary,
+         (4, 2, 1, (0, 0))),
+        (InfeasibleError, "non-ordinary instanton bundles on P^n have even rank", monad_space_nonordinary,
+         (3, 3, 1, 0, 0)),
+        (InfeasibleError, "multiplicities are nonnegative", monad_quadric_nonordinary, (3, 2, 1, -1, 0, 0)),
     ]
     for error, message, fn, args in cases:
         with pytest.raises(error) as exc:
@@ -191,6 +197,20 @@ def test_monad_quadric_ordinary_counts():
         monad_quadric_ordinary(3, 3, 1)  # odd rank
     shape = monad_quadric_ordinary_shape(3, 2, 1)
     assert shape.cohomology_rank() == 2
+
+
+def test_spinor_split_swaps_the_pairings_when_n_is_2_mod_4():
+    """``(h^0 - h^1)(E (x) S')`` pairs with ``s'`` when 4 divides n, with ``s''`` when n = 2 mod 4."""
+    assert monad_quadric_ordinary(4, 2, 1, spinor_chi=(0, -2)).split == (2, 0)
+    assert monad_quadric_ordinary(6, 2, 1, spinor_chi=(-4, -3)).split == (1, 0)
+
+
+def test_an_undetermined_middle_term_leaves_rank_and_c1_open():
+    """The aCM middle term ``B_aCM`` has no rank or c1, so neither alternating sum is determined."""
+    shape = monad_acm(catalog.quadric(3), 0, 2)
+    assert shape.terms[1][0].rank is None and shape.terms[1][0].c1_each is None
+    assert shape.term_rank(1) is None
+    assert shape.cohomology_rank() is None and shape.alternating_c1() is None
 
 
 def test_monad_space_nonordinary():

@@ -22,6 +22,7 @@ REPORTS = {
     "FanoBridgeReport": lambda: replays.fano_instanton_bridge(1, 0, 1),
     "SegreStableReport": lambda: replays.segre_stable_example(2),
     "ScrollConstructionReport": lambda: replays.scroll_construction_report((1, 1, 2), 1),
+    "PrimeFanoReport": lambda: replays.prime_fano_family(5, 1),
 }
 
 #: fields a report keeps out of its JSON

@@ -15,6 +15,7 @@ from instanton_lab.cohomology import build_table, coh_projective_space
 from instanton_lab.errors import (
     InfeasibleError,
     MalformedDataError,
+    UnknownVarietyError,
     UnsupportedBundleError,
     VarietyMismatchError,
 )
@@ -306,6 +307,18 @@ def test_chi_errors_are_typed_and_raised_before_any_weight():
     assert issubclass(UnsupportedBundleError, ValueError) and issubclass(InfeasibleError, ValueError)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [catalog.scroll_p1((1, 1, 2)), catalog.scroll_generic(3, 2, 5), catalog.projective_space(3, u=2),
+     catalog.quadric(4, u=3), catalog.curve(2, 3, "generic"), catalog.flag3()],
+    ids=lambda e: e.variety_id,
+)
+def test_chern_data_read_on_any_catalog_id(entry):
+    """The Chern reader resolves a table's entry id, not only a ring id, through ``catalog.entry_ring``."""
+    t = build_table(entry, [((-1,) + (0,) * (entry.picard_rank() - 1), 2)], (0, 0))
+    assert ChernData.from_json(t.variety_id, t.chern.to_json()) == t.chern
+
+
 def test_chern_data_and_its_builders_raise_typed_errors():
     p2, p3, q3 = catalog.projective_space(2), catalog.projective_space(3), catalog.quadric(3)
     H, Hq = p3.polarization, q3.polarization
@@ -316,6 +329,16 @@ def test_chern_data_and_its_builders_raise_typed_errors():
         (MalformedDataError, "the Chern rank must be an int, got '1'", lambda: ChernData("1", H)),
         (MalformedDataError, "'x' is not an [exponents, coefficient] pair",
          lambda: ChernData.from_json(p3.variety_id, {"rank": 1, "c1": "x"})),
+        # a block that is not a dict of the written keys
+        (MalformedDataError, "malformed Chern data (TypeError: 'int' object is not iterable)",
+         lambda: ChernData.from_json(p3.variety_id, {"rank": 1, "c1": 5})),
+        (MalformedDataError, "malformed Chern data (KeyError: 'c1')",
+         lambda: ChernData.from_json(p3.variety_id, {"rank": 1})),
+        (MalformedDataError, "malformed Chern data (TypeError: ", lambda: ChernData.from_json(p3.variety_id, [1])),
+        (MalformedDataError, "the variety must be a catalog id string, not 3",
+         lambda: ChernData.from_json(3, {"rank": 1, "c1": [[[1], 1]]})),
+        (UnknownVarietyError, "unknown variety key 'grassmannian(2,4)'",
+         lambda: ChernData.from_json("grassmannian(2,4)", {"rank": 1, "c1": [[[1], 1]]})),
         (MalformedDataError, "c1 must be homogeneous of degree 1", lambda: ChernData(1, H * H)),
         (MalformedDataError, "c2 must be homogeneous of degree 2", lambda: ChernData(1, H, H)),
         (VarietyMismatchError, "Chern classes live on different varieties", lambda: ChernData(1, H, Hq * Hq)),

@@ -163,9 +163,10 @@ def test_every_imported_name_is_used():
 
 
 def test_only_the_input_boundaries_check_coordinates():
-    """Coordinates are checked where they enter the package: ``catalog``,
-    ``cohomology`` and ``cli`` call ``check_coords``, and no other module does,
-    so scans (which build their own candidates) never check one per candidate."""
+    """Coordinates are checked where they enter the package: ``catalog`` and
+    ``cohomology`` call ``check_coords``, and no other module does, so scans
+    (which build their own candidates) never check one per candidate and the
+    CLI leaves a descriptor's coordinates to ``build_table``."""
 
     def calls_check_coords(node):
         if not isinstance(node, ast.Call):
@@ -178,7 +179,22 @@ def test_only_the_input_boundaries_check_coordinates():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if calls_check_coords(node)
     }
-    assert callers == {"catalog.py", "cohomology.py", "cli.py"}
+    assert callers == {"catalog.py", "cohomology.py"}
+
+
+def test_the_table_reader_resolves_no_variety_id():
+    """A table's variety id is resolved once, by ``catalog.entry_ring`` in the constructor and
+    in ``ChernData.from_json``: the body of ``CohomologyTable.from_json`` names no resolver."""
+    (path,) = [p for p in SOURCES if p.name == "cohomology.py"]
+    (table,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "CohomologyTable"
+    ]
+    (reader,) = [node for node in table.body if isinstance(node, ast.FunctionDef) and node.name == "from_json"]
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(reader)}
+    assert names & {"entry_ring", "preset_ring", "ring_for"} == set()
+    assert "from_json" in names
 
 
 def test_only_instanton_evaluates_the_condition_kinds():
