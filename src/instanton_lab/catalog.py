@@ -20,13 +20,18 @@ coefficients of h and K_X; nothing per variety kind is tabulated twice.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 from . import chow
 from .chow import ChowClass, ChowRingPresentation
 from .errors import MalformedDataError, UnknownVarietyError, UnsupportedBundleError
 from .util import FrozenValue, parse_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class VarietyCatalogEntry(FrozenValue):
@@ -88,6 +93,19 @@ class VarietyCatalogEntry(FrozenValue):
         """Degree of the polarization, ``integrate(h^n)``."""
         return chow.integrate(self.h_power(self.dimension))
 
+    @cached_property
+    def _h_weights(self) -> tuple[int, ...]:
+        ring, h_top = self.ring, self.h_power(self.dimension - 1)
+        return tuple(chow.integrate(ring.from_dict({b: 1}) * h_top) for b in ring.basis)
+
+    def h_degree(self, cls: ChowClass) -> int | Fraction:
+        """``cls . h^(n-1)``: one dot product with the weights ``integrate(b h^(n-1))`` over the
+        ring basis ``b``, computed once per entry.  The one place a class meets ``h^(n-1)``: slopes,
+        normalization twists and the slope condition read it.  A class on another ring raises
+        ``VarietyMismatchError``."""
+        cls._check(self.polarization)
+        return sum(map(operator.mul, cls.coeffs, self._h_weights))
+
     def picard_rank(self) -> int:
         """Picard rank as modeled (the length of line-bundle coordinate tuples)."""
         return len(self.ring.generators)
@@ -95,6 +113,11 @@ class VarietyCatalogEntry(FrozenValue):
     def _degree_one_coords(self, cls: ChowClass) -> tuple[int, ...]:
         ring = self.ring
         return tuple(cls.coefficient(ring.monomial(**{g: 1})) for g in ring.generators)
+
+    @cached_property
+    def _divisor_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The degree-one generators' coefficients at each basis index, one column per index."""
+        return tuple(zip(*(g.coeffs for g in self.ring.gens())))
 
     @cached_property
     def canonical(self) -> ChowClass:
@@ -346,12 +369,7 @@ def canonical_coords(entry: VarietyCatalogEntry) -> tuple[int, ...]:
 def line_bundle_class(entry: VarietyCatalogEntry, coords: tuple[int, ...]) -> ChowClass:
     """First Chern class of the line bundle with the given coordinates."""
     coords = check_coords(entry, coords)
-    ring = entry.ring
-    gens = ring.gens()
-    acc = ring.zero()
-    for c, g in zip(coords, gens):
-        acc = acc + c * g
-    return acc
+    return ChowClass(entry.ring, tuple([sum(map(operator.mul, coords, col)) for col in entry._divisor_columns]))
 
 
 def parse_variety(text: str) -> VarietyCatalogEntry:

@@ -537,6 +537,8 @@ def curve_quantum(rank: int, deg: int, defect: int) -> int:
     """Quantum number ``defect rank deg / 2`` of an instanton bundle on a curve."""
     if defect not in (0, 1):
         raise MalformedDataError("defect in {0, 1}")
+    if rank < 1:
+        raise MalformedDataError("rank >= 1")
     if defect and (rank * deg) % 2:
         raise InfeasibleError("defect 1 on a curve needs rank * deg even")
     return defect * rank * deg // 2
@@ -661,6 +663,13 @@ def scroll_construction_report(
     )
 
 
+#: the invariants each surface construction reads, in the order its formula takes them
+_SURFACE_INVARIANTS = {
+    "mukai": ("deg_D", "chi_O", "h2", "Kh", "defect"),
+    "genus0": ("z", "defect", "q_irr", "h1_Oh", "N"),
+}
+
+
 def surface_quantum_formulas(kind: str, invariants: dict) -> int:
     """Quantum numbers of the two rank-two constructions on smooth surfaces.
 
@@ -672,38 +681,33 @@ def surface_quantum_formulas(kind: str, invariants: dict) -> int:
     ``z, defect, q_irr, h1_Oh, N`` and returns
     ``z + (1 + defect)(q - 1) + (1 - defect)(h^1(O(h)) - N - 1)``, subject to
     the degree bound ``z >= (1 - defect)(N + 1) + 1`` and nonnegativity.
+
+    An unknown construction raises ``UnsupportedBundleError``, a missing invariant
+    ``MalformedDataError`` naming it.
     """
+    needs = _SURFACE_INVARIANTS.get(kind) if isinstance(kind, str) else None
+    if needs is None:
+        raise UnsupportedBundleError(f"unknown surface construction {kind!r}")
+    for key in needs:
+        if key not in invariants:
+            raise MalformedDataError(f"the {kind} construction needs the invariant {key!r}")
     if kind == "mukai":
-        deg_D, chi_O, h2, Kh, defect = (
-            invariants["deg_D"],
-            invariants["chi_O"],
-            invariants["h2"],
-            invariants["Kh"],
-            invariants["defect"],
-        )
+        deg_D, chi_O, h2, Kh, defect = map(invariants.__getitem__, needs)
         q = Fraction(deg_D - 2 * chi_O) - Fraction(
             (defect**2 - 4 * defect + 5) * h2 + (3 - defect) * Kh, 2
         )
         if q.denominator != 1:
             raise InfeasibleError(f"half-integer quantum number {q}: parity-inconsistent inputs")
         return int(q)
-    if kind == "genus0":
-        z, defect, q_irr, h1_Oh, N = (
-            invariants["z"],
-            invariants["defect"],
-            invariants["q_irr"],
-            invariants["h1_Oh"],
-            invariants["N"],
+    z, defect, q_irr, h1_Oh, N = map(invariants.__getitem__, needs)
+    if z < (1 - defect) * (N + 1) + 1:
+        raise InfeasibleError(
+            f"z = {z} violates the degree bound z >= {(1 - defect) * (N + 1) + 1}"
         )
-        if z < (1 - defect) * (N + 1) + 1:
-            raise InfeasibleError(
-                f"z = {z} violates the degree bound z >= {(1 - defect) * (N + 1) + 1}"
-            )
-        q = z + (1 + defect) * (q_irr - 1) + (1 - defect) * (h1_Oh - N - 1)
-        if q < 0:
-            raise InfeasibleError(f"negative quantum number {q}: infeasible input")
-        return q
-    raise UnsupportedBundleError(f"unknown surface construction {kind!r}")
+    q = z + (1 + defect) * (q_irr - 1) + (1 - defect) * (h1_Oh - N - 1)
+    if q < 0:
+        raise InfeasibleError(f"negative quantum number {q}: infeasible input")
+    return q
 
 
 @dataclass(frozen=True)
@@ -728,8 +732,11 @@ def prime_fano_family(g_X: int, k: int) -> PrimeFanoReport:
 
     Rank two, ``c1 = 3h``, ``c2 h = 5 g_X - 1 + k``, simple with
     ``h^1(End) = 4 + g_X + 2k`` and no higher End cohomology; the member sits
-    in a generically smooth moduli component of that dimension.
+    in a generically smooth moduli component of that dimension.  A k that is not an int
+    (bools included) raises ``MalformedDataError``.
     """
+    if type(k) is not int:
+        raise MalformedDataError(f"the quantum number k must be an int, got {k!r}")
     if g_X < 3 or k < 0:
         raise UnknownVarietyError("need g_X >= 3 and k >= 0")
     return PrimeFanoReport(

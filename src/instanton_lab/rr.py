@@ -28,6 +28,12 @@ from the cohomology engines instead.
 
 The Chern-class arithmetic covers Whitney sums, twists, duals and the rank-two
 Serre construction on a codimension-two cycle (:func:`serre_construction_chern`).
+A sum of line bundles ``(+) O(D_i)^m_i`` has ``c = prod (1 + D_i)^m_i``
+(:func:`chern_of_line_bundle_sum`): the classes are multiplied by ``1 + D`` in
+place, one copy at a time, and one :class:`ChernData` is built at the end.
+Slopes, normalization twists and the slope condition pair c_1 and K_X with
+``h^(n-1)`` through :meth:`VarietyCatalogEntry.h_degree`, one dot product with
+weights kept per entry.
 """
 
 from __future__ import annotations
@@ -119,20 +125,36 @@ def whitney_sum(a: ChernData, b: ChernData) -> ChernData:
 
 
 def chern_of_line_bundle_sum(summands: list[tuple[ChowClass, int]]) -> ChernData:
-    """Whitney Chern data of a direct sum of line bundles ``(+) O(D_i)^m_i``."""
+    """Chern data of a direct sum of line bundles ``(+) O(D_i)^m_i``: the product
+    ``prod (1 + D_i)^m_i`` through c3, taken in place from the first copy on, one copy at a
+    time (``c3 += c2 D``, ``c2 += c1 D``, ``c1 += D``), with one :class:`ChernData` at the end.
+
+    Summands are checked in order: a negative multiplicity and a D that is not homogeneous of
+    degree 1 (at any multiplicity, 0 included) raise ``MalformedDataError``, and a copy on a ring
+    other than the first copy's raises ``VarietyMismatchError``; a multiplicity-0 summand adds
+    nothing.  An empty list or total rank 0 raises ``MalformedDataError``.
+    """
     if not summands:
         raise MalformedDataError("empty direct sum has no Chern data")
-    total = None
+    rank, c = 0, None
     for D, m in summands:
         if m < 0:
             raise MalformedDataError("multiplicities must be nonnegative")
-        n, zero = D.ring.top_degree, D.ring.zero()
-        line = ChernData(1, D, zero if n >= 2 else None, zero if n >= 3 else None)
+        if not D.is_homogeneous(1):
+            raise MalformedDataError("c1 must be homogeneous of degree 1")
+        if not m:
+            continue
+        rank += m
+        if c is None:
+            # the first copy: c = 1 + D, c_k for 1 <= k <= min(n, 3)
+            c, m = [D] + [D.ring.zero()] * (min(D.ring.top_degree, 3) - 1), m - 1
         for _ in range(m):
-            total = line if total is None else whitney_sum(total, line)
-    if total is None:
+            for k in range(len(c) - 1, 0, -1):
+                c[k] = c[k] + chow.multiply(c[k - 1], D)
+            c[0] = c[0] + D
+    if c is None:
         raise MalformedDataError("rank must be positive")
-    return total
+    return ChernData(rank, *c)
 
 
 def twist(c: ChernData, D: ChowClass) -> ChernData:
@@ -294,8 +316,7 @@ def slope(entry: VarietyCatalogEntry, c: ChernData) -> Fraction:
     """mu_h(E) = c1(E) . h^(n-1) / rank, exact."""
     from fractions import Fraction
 
-    n = entry.dimension
-    return Fraction(chow.integrate(c.c1 * entry.h_power(n - 1)), c.rank)
+    return Fraction(entry.h_degree(c.c1), c.rank)
 
 
 def normalization_twist(entry: VarietyCatalogEntry, c: ChernData) -> int:
@@ -306,18 +327,14 @@ def normalization_twist(entry: VarietyCatalogEntry, c: ChernData) -> int:
     right size), and the bracket is the floor, so that e.g. ``c1 = 3h`` on an
     index-one Fano 3-fold normalizes by ``floor(-3/2) = -2``.
     """
-    n = entry.dimension
-    return -chow.integrate(c.c1 * entry.h_power(n - 1)) // (c.rank * entry.hn())
+    return -entry.h_degree(c.c1) // (c.rank * entry.hn())
 
 
 def slope_condition(entry: VarietyCatalogEntry, c: ChernData, defect: int) -> bool:
     """Exact test of ``2 c1 . h^(n-1) = rank ((n+1-defect) h^n + K h^(n-1))``."""
     n = entry.dimension
-    lhs = 2 * chow.integrate(c.c1 * entry.h_power(n - 1))
-    rhs = c.rank * (
-        (n + 1 - defect) * entry.hn() + chow.integrate(entry.canonical * entry.h_power(n - 1))
-    )
-    return lhs == rhs
+    rhs = c.rank * ((n + 1 - defect) * entry.hn() + entry.h_degree(entry.canonical))
+    return 2 * entry.h_degree(c.c1) == rhs
 
 
 def cyclic_c1(rank: int, defect: int, u: int, v: int, n: int) -> int | None:

@@ -676,3 +676,49 @@ def test_cyclic_decisions_over_a_grid_are_pinned():
     for n, u, v, defect in itertools.product(range(2, 16), range(1, 40), range(-60, 60), (0, 1)):
         digest.update(repr(replays.classify_cyclic_lines(n, u, v, defect)).encode())
     assert digest.hexdigest() == CYCLIC_GRID_DIGEST
+
+
+
+def assert_refusals(cases):
+    for error, message, call in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_surface_quantum_formulas_name_the_invariant_they_miss():
+    assert_refusals([
+        (MalformedDataError, "the mukai construction needs the invariant 'deg_D'",
+         lambda: replays.surface_quantum_formulas("mukai", {})),
+        (MalformedDataError, "the mukai construction needs the invariant 'Kh'",
+         lambda: replays.surface_quantum_formulas("mukai", dict(deg_D=3, chi_O=1, h2=1, defect=0))),
+        (MalformedDataError, "the genus0 construction needs the invariant 'z'",
+         lambda: replays.surface_quantum_formulas("genus0", {})),
+        (MalformedDataError, "the genus0 construction needs the invariant 'N'",
+         lambda: replays.surface_quantum_formulas("genus0", dict(z=7, defect=1, q_irr=2, h1_Oh=0))),
+        (UnsupportedBundleError, "unknown surface construction 'k3'",
+         lambda: replays.surface_quantum_formulas("k3", {"z": 1})),
+    ])
+
+
+def test_curve_quantum_refuses_a_rank_below_one():
+    assert_refusals([
+        (MalformedDataError, "rank >= 1", lambda: replays.curve_quantum(-2, 3, 1)),
+        (MalformedDataError, "rank >= 1", lambda: replays.curve_quantum(0, 3, 0)),
+        (MalformedDataError, "defect in {0, 1}", lambda: replays.curve_quantum(-2, 3, 2)),
+    ])
+    assert replays.curve_quantum(1, 4, 1) == 2
+
+
+def test_prime_fano_family_refuses_a_quantum_number_that_is_not_an_int():
+    """Bools are refused too; k < 0 keeps its old refusal."""
+    assert_refusals([
+        (MalformedDataError, "the quantum number k must be an int, got True",
+         lambda: replays.prime_fano_family(5, True)),
+        (MalformedDataError, "the quantum number k must be an int, got 1.0",
+         lambda: replays.prime_fano_family(5, 1.0)),
+        (MalformedDataError, "the quantum number k must be an int, got '1'",
+         lambda: replays.prime_fano_family(5, "1")),
+        (UnknownVarietyError, "need g_X >= 3 and k >= 0", lambda: replays.prime_fano_family(5, -1)),
+    ])
+    assert replays.prime_fano_family(5, 0).quantum == 0

@@ -205,6 +205,13 @@ def test_spinor_split_swaps_the_pairings_when_n_is_2_mod_4():
     assert monad_quadric_ordinary(6, 2, 1, spinor_chi=(-4, -3)).split == (1, 0)
 
 
+@pytest.mark.parametrize("spinor_chi", [(1, 2, 3), (1,), (1.5, 2), (True, 0), "ab", 7], ids=repr)
+def test_spinor_chi_must_be_a_pair_of_ints(spinor_chi):
+    with pytest.raises(MalformedDataError) as exc:
+        monad_quadric_ordinary(4, 2, 1, spinor_chi=spinor_chi)
+    assert str(exc.value) == f"spinor_chi must be a pair of ints, got {spinor_chi!r}"
+
+
 def test_an_undetermined_middle_term_leaves_rank_and_c1_open():
     """The aCM middle term ``B_aCM`` has no rank or c1, so neither alternating sum is determined."""
     shape = monad_acm(catalog.quadric(3), 0, 2)

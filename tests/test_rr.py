@@ -638,3 +638,145 @@ def test_rational_chern_data_round_trips_through_json():
 def test_chow_json_reads_only_ints_and_p_over_q(coefficient):
     with pytest.raises(MalformedDataError, match="is not an integer or 'p/q'"):
         chow.ChowClass.from_json("prime_fano(6)", [[[2], coefficient]])
+
+
+# --------------------------------------------------------------------------
+# Line-bundle sums as (1 + D) products, and the pairing with h^(n-1)
+# --------------------------------------------------------------------------
+
+
+def whitney_fold(summands):
+    """Chern data of ``(+) O(D_i)^m_i`` as a fold of :func:`rr.whitney_sum` over one rank-one
+    :class:`ChernData` per copy: the reference for :func:`rr.chern_of_line_bundle_sum`."""
+    if not summands:
+        raise MalformedDataError("empty direct sum has no Chern data")
+    total = None
+    for D, m in summands:
+        if m < 0:
+            raise MalformedDataError("multiplicities must be nonnegative")
+        n, zero = D.ring.top_degree, D.ring.zero()
+        line = ChernData(1, D, zero if n >= 2 else None, zero if n >= 3 else None)
+        for _ in range(m):
+            total = line if total is None else rr.whitney_sum(total, line)
+    if total is None:
+        raise MalformedDataError("rank must be positive")
+    return total
+
+
+def generator_sum(entry, coords):
+    """``sum c_i gen_i`` one generator at a time: the reference for :func:`catalog.line_bundle_class`."""
+    acc = entry.ring.zero()
+    for c, g in zip(coords, entry.ring.gens()):
+        acc = acc + c * g
+    return acc
+
+
+def test_chern_of_line_bundle_sum_refusals_keep_type_and_message():
+    """Each refusal keeps its type and message, checked in summand order: a non-homogeneous D is
+    refused at every multiplicity, 0 included; a multiplicity-0 summand on another ring is accepted,
+    and one with a copy is compared with the ring of the first copy."""
+    p3, q3 = catalog.projective_space(3), catalog.quadric(3)
+    H, Hq = p3.polarization, q3.polarization
+    P1, P2 = catalog.curve(1, 3).polarization, catalog.curve(2, 3).polarization
+    nonnegative, homogeneous = "multiplicities must be nonnegative", "c1 must be homogeneous of degree 1"
+    cases = [
+        (MalformedDataError, "empty direct sum has no Chern data", []),
+        (MalformedDataError, nonnegative, [(H, 1), (H, -1)]),
+        (MalformedDataError, nonnegative, [(H, -1), (H * H, 1)]),
+        (MalformedDataError, homogeneous, [(H * H, 1), (H, -1)]),
+        (MalformedDataError, homogeneous, [(H, 1), (H * H, 0)]),
+        (MalformedDataError, homogeneous, [(H, 1), (Hq * Hq, 0)]),
+        (MalformedDataError, homogeneous, [(H + p3.ring.one(), 2)]),
+        (MalformedDataError, "rank must be positive", [(H, 0)]),
+        (MalformedDataError, "rank must be positive", [(H, 0), (Hq, 0)]),
+        (VarietyMismatchError, "classes on 'projective_space(3)' and 'quadric(3)' cannot be combined",
+         [(H, 1), (Hq, 1)]),
+        (VarietyMismatchError, "classes on 'projective_space(3)' and 'quadric(3)' cannot be combined",
+         [(H, 1), (Hq, 1), (H, -1)]),
+        (VarietyMismatchError, "classes on 'quadric(3)' and 'projective_space(3)' cannot be combined",
+         [(H, 0), (Hq, 1), (H, 2)]),
+        (VarietyMismatchError, "classes on 'curve(1)' and 'curve(2)' cannot be combined", [(P1, 1), (P2, 2)]),
+    ]
+    for error, message, summands in cases:
+        with pytest.raises(error) as exc:
+            rr.chern_of_line_bundle_sum(summands)
+        assert type(exc.value) is error and str(exc.value) == message, summands
+    line = rr.chern_of_line_bundle_sum([(H, 1)])
+    assert rr.chern_of_line_bundle_sum([(Hq, 0), (H, 1)]) == line
+    assert rr.chern_of_line_bundle_sum([(H, 1), (Hq, 0)]) == line
+    assert rr.chern_of_line_bundle_sum([(Hq, 0), (H, 1), (P1, 0)]) == line
+
+
+def test_the_h_pairing_refuses_a_class_on_another_ring():
+    """Slopes, normalization twists and the slope condition refuse Chern data on another ring."""
+    p3, q3 = catalog.projective_space(3), catalog.quadric(3)
+    c = ChernData(1, q3.polarization)
+    for call in (rr.slope, rr.normalization_twist, lambda e, c: rr.slope_condition(e, c, 0)):
+        with pytest.raises(VarietyMismatchError) as exc:
+            call(p3, c)
+        assert str(exc.value) == "classes on 'quadric(3)' and 'projective_space(3)' cannot be combined"
+
+
+#: every catalog kind at dimensions 1-6: the rational ring of prime_fano, both scroll families and
+#: both curve models
+EVERY_KIND = [
+    *(catalog.projective_space(n, u) for n in range(1, 7) for u in (1, 2)),
+    *(catalog.quadric(n) for n in range(2, 7)),
+    catalog.flag3(),
+    catalog.triple_p1(),
+    *(catalog.scroll_p1(tuple(range(1, n + 1))) for n in range(2, 7)),
+    *(catalog.scroll_generic(n, n % 4, n + 1) for n in range(2, 7)),
+    catalog.curve(0, 2, "exact_p1"),
+    *(catalog.curve(g, g + 1, "generic") for g in range(4)),
+    *(catalog.prime_fano(g) for g in (3, 5, 12)),
+]
+
+
+@st.composite
+def line_bundle_sums(draw):
+    """An entry of :data:`EVERY_KIND` and 1-3 summands ``(coords, m)``, coordinates in [-3, 3] and
+    multiplicities in [0, 3]."""
+    entry = draw(st.sampled_from(EVERY_KIND))
+    coords = st.tuples(*[st.integers(-3, 3)] * entry.picard_rank())
+    return entry, draw(st.lists(st.tuples(coords, st.integers(0, 3)), min_size=1, max_size=3))
+
+
+@given(line_bundle_sums())
+def test_line_bundle_class_is_the_generator_sum(drawn):
+    entry, summands = drawn
+    for coords, _ in summands:
+        got = catalog.line_bundle_class(entry, coords)
+        assert got == generator_sum(entry, coords) and got.ring is entry.ring
+        assert list(map(type, got.coeffs)) == [int] * len(entry.ring.basis)
+
+
+@given(line_bundle_sums())
+def test_chern_of_line_bundle_sum_is_the_whitney_fold(drawn):
+    """Field by field, missing classes included, and in JSON."""
+    entry, summands = drawn
+    classes = [(catalog.line_bundle_class(entry, coords), m) for coords, m in summands]
+    if not sum(m for _, m in summands):
+        with pytest.raises(MalformedDataError, match="^rank must be positive$"):
+            rr.chern_of_line_bundle_sum(classes)
+        return
+    got, ref = rr.chern_of_line_bundle_sum(classes), whitney_fold(classes)
+    assert [getattr(got, f) for f in ChernData._fields] == [getattr(ref, f) for f in ChernData._fields]
+    assert (got.c2 is None, got.c3 is None) == (entry.dimension < 2, entry.dimension < 3)
+    assert got.to_json() == ref.to_json()
+
+
+@given(line_bundle_sums(), st.integers(0, 1))
+def test_the_h_pairings_are_the_integrate_route(drawn, defect):
+    """Slopes, normalization twists and both sides of the slope condition, against
+    ``integrate(x * h_power(n - 1))``, on the drawn sum and on a rank-two class that meets the condition."""
+    entry, summands = drawn
+    n, h_top = entry.dimension, entry.h_power(entry.dimension - 1)
+    on_condition = ChernData(2, (n + 1 - defect) * entry.polarization + entry.canonical)
+    drawn_sum = [(catalog.line_bundle_class(entry, coords), m + 1) for coords, m in summands]
+    for c in (rr.chern_of_line_bundle_sum(drawn_sum), on_condition):
+        c1h, Kh = chow.integrate(c.c1 * h_top), chow.integrate(entry.canonical * h_top)
+        assert (entry.h_degree(c.c1), entry.h_degree(entry.canonical)) == (c1h, Kh)
+        assert rr.slope(entry, c) == Fraction(c1h, c.rank)
+        assert rr.normalization_twist(entry, c) == -c1h // (c.rank * entry.hn())
+        assert rr.slope_condition(entry, c, defect) == (2 * c1h == c.rank * ((n + 1 - defect) * entry.hn() + Kh))
+    assert rr.slope_condition(entry, on_condition, defect)

@@ -238,6 +238,23 @@ def test_only_tables_and_their_parts_are_read_from_json():
     assert defined == len(readers)
 
 
+def test_only_the_catalog_pairs_a_class_with_h_to_the_n_minus_1():
+    """``c . h^(n-1)`` has one owner, ``VarietyCatalogEntry.h_degree`` and the weights it keeps:
+    no call ``h_power(... - 1)`` outside ``catalog.py``, and one inside it.  Other powers, such as
+    ``quantum_chern_identity``'s ``h^(n-2)``, are not this pairing."""
+
+    def pairs_with_h_top(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "h_power" and node.args):
+            return False
+        (arg,) = node.args
+        return isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub) and getattr(arg.right, "value", None) == 1
+
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    sites = {name: [node.lineno for node in ast.walk(tree) if pairs_with_h_top(node)] for name, tree in trees.items()}
+    assert {name: lines for name, lines in sites.items() if lines and name != "catalog.py"} == {}
+    assert len(sites["catalog.py"]) == 1
+
+
 def test_benchmark_layers_resolve():
     """Every ``(module, attribute)`` the benchmark tracer wraps exists in the package.
 
