@@ -90,7 +90,11 @@ class VarietyCatalogEntry(FrozenValue):
         return self._h_powers[k] if 0 <= k <= self.dimension else self.polarization**k
 
     def hn(self) -> int:
-        """Degree of the polarization, ``integrate(h^n)``."""
+        """Degree of the polarization, ``integrate(h^n)``, computed once per entry."""
+        return self._hn
+
+    @cached_property
+    def _hn(self) -> int:
         return chow.integrate(self.h_power(self.dimension))
 
     @cached_property

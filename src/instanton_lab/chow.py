@@ -12,7 +12,10 @@ of basis monomials as a sparse basis vector (one rewrite per pair), and the
 degree of each basis monomial.  A :class:`ChowClass` is its presentation
 plus a coefficient vector over that basis, so :func:`multiply` is a
 contraction with the table, :func:`integrate` a dot product with the degree
-vector, and sums and scalar multiples are index arithmetic.  Only
+vector, and sums and scalar multiples are index arithmetic; a linear
+combination ``sum s a`` of any length is one pass over the coefficient
+vectors (:func:`combine`), and a homogeneity test one look at the basis
+indices of the other degrees.  Only
 :meth:`ChowRingPresentation.from_dict` (which reads JSON and arbitrary
 monomials) rewrites per call.
 
@@ -118,6 +121,11 @@ class ChowRingPresentation(FrozenValue):
         return tuple(map(sum, self.basis))
 
     @cached_property
+    def off_grade(self) -> dict[int, tuple[int, ...]]:
+        """``off_grade[r]``: the basis indices of degree other than r, for ``0 <= r <= top_degree``."""
+        return {r: tuple(k for k, g in enumerate(self.grades) if g != r) for r in range(self.top_degree + 1)}
+
+    @cached_property
     def table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """``table[i][j]``: basis monomial i times basis monomial j, as ``((k, coeff), ...)``.
 
@@ -156,9 +164,17 @@ class ChowRingPresentation(FrozenValue):
         return tuple(self.gen(name) for name in self.generators)
 
     def one(self) -> "ChowClass":
-        return self.from_dict({(0,) * len(self.generators): 1})
+        return self._one
 
     def zero(self) -> "ChowClass":
+        return self._zero
+
+    @cached_property
+    def _one(self) -> "ChowClass":
+        return self.from_dict({(0,) * len(self.generators): 1})
+
+    @cached_property
+    def _zero(self) -> "ChowClass":
         return ChowClass(self, (0,) * len(self.basis))
 
     def from_dict(self, terms: Mapping[Monomial, int]) -> "ChowClass":
@@ -249,7 +265,9 @@ class ChowClass(FrozenValue):
         return not any(self.coeffs)
 
     def is_homogeneous(self, r: int) -> bool:
-        return all(g == r for g, c in zip(self.ring.grades, self.coeffs) if c)
+        """No coefficient off degree r is nonzero (so the zero class is homogeneous of every degree)."""
+        coeffs, others = self.coeffs, self.ring.off_grade.get(r)
+        return not any(coeffs if others is None else map(coeffs.__getitem__, others))
 
     def part(self, r: int) -> "ChowClass":
         """The degree-r component, such as c_r of a total Chern class."""
@@ -364,6 +382,22 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
                 cij = ci * cj
                 for k, t in row[j]:
                     acc[k] += cij * t
+    return ChowClass(ring, tuple(acc))
+
+
+def combine(terms: Iterable[tuple["int | Fraction", ChowClass]]) -> ChowClass:
+    """The linear combination ``sum s a`` of one or more ``(s, a)`` pairs with exact scalars ``s``.
+
+    Every ring is checked first (a class on another ring than the first one raises
+    ``VarietyMismatchError`` as ``+`` does); the scaled vectors are then summed in one pass
+    over the basis, through one chain of lazy maps."""
+    (s, first), *rest = terms
+    ring = first.ring
+    acc = map(operator.mul, first.coeffs, itertools.repeat(s))
+    for s, a in rest:
+        if a.ring is not ring:
+            first._check(a)
+        acc = map(operator.add, acc, map(operator.mul, a.coeffs, itertools.repeat(s)))
     return ChowClass(ring, tuple(acc))
 
 

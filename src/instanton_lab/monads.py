@@ -314,8 +314,8 @@ def monad_quadric_ordinary(
     ``s = (rank + 2 quantum) / 2^[(n-1)/2]``; divisibility failure means no
     such monad exists.  For even n, ``spinor_chi`` supplies
     ``(h^0 - h^1)(E (x) S')`` and ``(h^0 - h^1)(E (x) S'')`` to resolve the
-    split (swapped when n = 2 mod 4); anything but a pair of ints there raises
-    ``MalformedDataError``.
+    split (swapped when n = 2 mod 4); anything but a pair of ints there, and a pair given on odd
+    n, where there is no split, raises ``MalformedDataError``.
     """
     if n < 3:
         raise UnsupportedBundleError("quadric monads need n >= 3")
@@ -323,6 +323,8 @@ def monad_quadric_ordinary(
         isinstance(spinor_chi, (tuple, list)) and len(spinor_chi) == 2 and all(type(x) is int for x in spinor_chi)
     ):
         raise MalformedDataError(f"spinor_chi must be a pair of ints, got {spinor_chi!r}")
+    if spinor_chi is not None and n % 2:
+        raise MalformedDataError(f"spinor_chi splits the spinor multiplicity on even n only, not on n = {n}")
     if rank % 2:
         raise InfeasibleError("ordinary instanton bundles on quadrics have even rank")
     denom = spinor_rank(n)

@@ -534,7 +534,13 @@ def fano_instanton_bridge(i_X: int, defect: int, epsilon: int) -> FanoBridgeRepo
 
 
 def curve_quantum(rank: int, deg: int, defect: int) -> int:
-    """Quantum number ``defect rank deg / 2`` of an instanton bundle on a curve."""
+    """Quantum number ``defect rank deg / 2`` of an instanton bundle on a curve.
+
+    A rank, deg or defect that is not an int, bools included, raises ``MalformedDataError``.
+    """
+    for name, value in (("rank", rank), ("deg", deg), ("defect", defect)):
+        if type(value) is not int:
+            raise MalformedDataError(f"the curve {name} must be an int, got {value!r}")
     if defect not in (0, 1):
         raise MalformedDataError("defect in {0, 1}")
     if rank < 1:
@@ -682,8 +688,8 @@ def surface_quantum_formulas(kind: str, invariants: dict) -> int:
     ``z + (1 + defect)(q - 1) + (1 - defect)(h^1(O(h)) - N - 1)``, subject to
     the degree bound ``z >= (1 - defect)(N + 1) + 1`` and nonnegativity.
 
-    An unknown construction raises ``UnsupportedBundleError``, a missing invariant
-    ``MalformedDataError`` naming it.
+    An unknown construction raises ``UnsupportedBundleError``, a missing invariant or one that is
+    not an int (bools included) ``MalformedDataError`` naming it.
     """
     needs = _SURFACE_INVARIANTS.get(kind) if isinstance(kind, str) else None
     if needs is None:
@@ -691,6 +697,9 @@ def surface_quantum_formulas(kind: str, invariants: dict) -> int:
     for key in needs:
         if key not in invariants:
             raise MalformedDataError(f"the {kind} construction needs the invariant {key!r}")
+    for key in needs:
+        if type(invariants[key]) is not int:
+            raise MalformedDataError(f"the {kind} invariant {key!r} must be an int, got {invariants[key]!r}")
     if kind == "mukai":
         deg_D, chi_O, h2, Kh, defect = map(invariants.__getitem__, needs)
         q = Fraction(deg_D - 2 * chi_O) - Fraction(

@@ -20,8 +20,12 @@ the same Newton's identities.  ``exp(t h) td(T_X)`` is one exponential,
 weights over the ring basis per entry and twist, built once and kept (the
 exponent's log td(X) is kept per entry, so a new twist costs one exponential);
 ``n! ch(E)`` is taken from the power sums of E on the first call and kept on
-the :class:`ChernData`.  So a call is one dot product and one exact division,
-and never builds the Chern data of ``E(t h)``.
+the :class:`ChernData`.  Each power sum ``p_k`` and ``n! ch(E)`` is one pass of
+:func:`chow.combine` over the coefficient vectors of its terms, and so are
+log td(X) and the exponential's sum, so the first call builds one class per
+``p_k`` and one for ``n! ch(E)`` besides its ``n(n-1)/2`` products.  So a later
+call is one dot product and one exact division, and no call builds the Chern
+data of ``E(t h)``.
 :class:`ChernData` stops at c_3, so :func:`chi_twisted` takes sheaves on
 entries of dimension at most 3; higher-dimensional Euler characteristics come
 from the cohomology engines instead.
@@ -33,7 +37,8 @@ A sum of line bundles ``(+) O(D_i)^m_i`` has ``c = prod (1 + D_i)^m_i``
 place, one copy at a time, and one :class:`ChernData` is built at the end.
 Slopes, normalization twists and the slope condition pair c_1 and K_X with
 ``h^(n-1)`` through :meth:`VarietyCatalogEntry.h_degree`, one dot product with
-weights kept per entry.
+weights kept per entry, and read ``h^n`` (:meth:`VarietyCatalogEntry.hn`), kept
+per entry too.
 """
 
 from __future__ import annotations
@@ -207,13 +212,13 @@ def serre_construction_chern(
 
 def _power_sums(c: tuple[ChowClass, ...]) -> list[ChowClass]:
     """Power sums ``p_1, ..., p_n`` of the Chern roots, from ``c = (c_1, ..., c_n)`` by Newton's
-    identities ``p_k = sum_(i<k) (-1)^(i-1) c_i p_(k-i) + (-1)^(k-1) k c_k``."""
+    identities ``p_k = sum_(i<k) (-1)^(i-1) c_i p_(k-i) + (-1)^(k-1) k c_k``: each p_k is one
+    :func:`chow.combine` of its ``k - 1`` products and ``c_k``."""
     p: list[ChowClass] = []
     for k in range(1, len(c) + 1):
-        acc = (-1) ** (k - 1) * k * c[k - 1]
-        for i in range(1, k):
-            acc = acc + (-1) ** (i - 1) * (c[i - 1] * p[k - i - 1])
-        p.append(acc)
+        terms = [((-1) ** (k - 1) * k, c[k - 1])]
+        terms += [((-1) ** (i - 1), chow.multiply(c[i - 1], p[k - i - 1])) for i in range(1, k)]
+        p.append(chow.combine(terms))
     return p
 
 
@@ -234,10 +239,10 @@ def _log_td(entry: VarietyCatalogEntry) -> ChowClass:
     """
     from fractions import Fraction
 
-    n, log_td = entry.dimension, entry.ring.zero()
-    for k, pk in enumerate(_power_sums(tuple(entry.tangent.part(r) for r in range(1, n + 1))), 1):
-        log_td = log_td + (Fraction(1, 2) if k == 1 else -_bernoulli(k) / (k * factorial(k))) * pk
-    return log_td
+    p = _power_sums(tuple(entry.tangent.part(r) for r in range(1, entry.dimension + 1)))
+    return chow.combine(
+        [(Fraction(1, 2) if k == 1 else -_bernoulli(k) / (k * factorial(k)), pk) for k, pk in enumerate(p, 1)]
+    )
 
 
 @cache
@@ -256,9 +261,10 @@ def _twisted_weights(entry: VarietyCatalogEntry, t: int) -> tuple[tuple[int, ...
     # x = L exponent is integral, and n! L^n exp(exponent) = sum_j (n!/j!) L^(n-j) x^j: int products only
     L = lcm(*(Fraction(c).denominator for c in exponent.coeffs))
     x = ChowClass(ring, tuple(int(c * L) for c in exponent.coeffs))
-    total, power = ring.zero(), ring.one()
-    for j in range(n + 1):
-        total, power = total + factorial(n) // factorial(j) * L ** (n - j) * power, power * x
+    powers = [ring.one()]
+    for _ in range(n):
+        powers.append(chow.multiply(powers[-1], x))
+    total = chow.combine([(factorial(n) // factorial(j) * L ** (n - j), xj) for j, xj in enumerate(powers)])
     w, D = [chow.integrate(ring.from_dict({b: 1}) * total) for b in ring.basis], factorial(n) * L**n
     g = gcd(D, *w)
     return tuple(v // g for v in w), D // g
@@ -281,16 +287,14 @@ def chi_twisted(entry: VarietyCatalogEntry, c: ChernData, t: int) -> int:
             f"Chern data on {c.variety_id!r} does not live on {entry.variety_id!r}"
         )
     n = entry.dimension
-    chern = (c.c1, c.c2, c.c3)[:n]
-    if n > 3 or None in chern:
+    if n > 3 or (n > 1 and c.c2 is None) or (n > 2 and c.c3 is None):
         raise UnsupportedBundleError(f"Riemann-Roch on {entry.variety_id} needs c1 to c{n}")
     ch = c._ch
     if ch is None:
         # n! ch(E) = n! rank + sum_k (n!/k!) p_k(E), once per Chern data
-        total = factorial(n) * c.rank * entry.ring.one()
-        for k, pk in enumerate(_power_sums(chern), 1):
-            total = total + factorial(n) // factorial(k) * pk
-        ch = total.coeffs
+        p = _power_sums((c.c1, c.c2, c.c3)[:n])
+        terms = [(factorial(n) * c.rank, entry.ring.one())]
+        ch = chow.combine(terms + [(factorial(n) // factorial(k), pk) for k, pk in enumerate(p, 1)]).coeffs
         object.__setattr__(c, "_ch", ch)
     weights, D = _twisted_weights(entry, t)
     num = sum(map(operator.mul, ch, weights))

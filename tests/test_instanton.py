@@ -710,6 +710,40 @@ def test_curve_quantum_refuses_a_rank_below_one():
     assert replays.curve_quantum(1, 4, 1) == 2
 
 
+def test_curve_quantum_refuses_inputs_that_are_not_ints():
+    """Rank, deg and defect are each refused when not an int, bools included, before any other check."""
+    assert_refusals([
+        (MalformedDataError, "the curve rank must be an int, got 2.5", lambda: replays.curve_quantum(2.5, 2, 0)),
+        (MalformedDataError, "the curve rank must be an int, got True", lambda: replays.curve_quantum(True, 2, 1)),
+        (MalformedDataError, "the curve deg must be an int, got 4.0", lambda: replays.curve_quantum(2, 4.0, 1)),
+        (MalformedDataError, "the curve deg must be an int, got False", lambda: replays.curve_quantum(2, False, 0)),
+        (MalformedDataError, "the curve defect must be an int, got True", lambda: replays.curve_quantum(2, 4, True)),
+        (MalformedDataError, "the curve defect must be an int, got '1'", lambda: replays.curve_quantum(2, 4, "1")),
+        (MalformedDataError, "the curve rank must be an int, got -1.0", lambda: replays.curve_quantum(-1.0, 3, 2)),
+    ])
+    assert [replays.curve_quantum(2, 4, 1), replays.curve_quantum(3, 5, 0)] == [4, 0]
+
+
+def test_surface_quantum_formulas_refuse_invariants_that_are_not_ints():
+    """Each invariant is typed after every key is found, and the refusal names it."""
+    genus0 = dict(z=7, defect=1, q_irr=2, h1_Oh=0, N=5)
+    mukai = dict(deg_D=30, chi_O=2, h2=4, Kh=0, defect=0)
+    assert_refusals([
+        (MalformedDataError, "the genus0 invariant 'z' must be an int, got True",
+         lambda: replays.surface_quantum_formulas("genus0", dict(z=True, defect=1, q_irr=1, h1_Oh=0, N=0))),
+        (MalformedDataError, "the genus0 invariant 'N' must be an int, got 5.0",
+         lambda: replays.surface_quantum_formulas("genus0", {**genus0, "N": 5.0})),
+        (MalformedDataError, "the mukai invariant 'h2' must be an int, got 4.5",
+         lambda: replays.surface_quantum_formulas("mukai", {**mukai, "h2": 4.5})),
+        (MalformedDataError, "the mukai invariant 'defect' must be an int, got False",
+         lambda: replays.surface_quantum_formulas("mukai", {**mukai, "defect": False})),
+        (MalformedDataError, "the mukai construction needs the invariant 'Kh'",
+         lambda: replays.surface_quantum_formulas("mukai", dict(deg_D=3.5, chi_O=1, h2=1, defect=0))),
+    ])
+    assert replays.surface_quantum_formulas("genus0", genus0) == 9
+    assert replays.surface_quantum_formulas("mukai", mukai) == 16
+
+
 def test_prime_fano_family_refuses_a_quantum_number_that_is_not_an_int():
     """Bools are refused too; k < 0 keeps its old refusal."""
     assert_refusals([

@@ -212,6 +212,19 @@ def test_spinor_chi_must_be_a_pair_of_ints(spinor_chi):
     assert str(exc.value) == f"spinor_chi must be a pair of ints, got {spinor_chi!r}"
 
 
+@pytest.mark.parametrize("n, quantum", [(3, 1), (5, 1), (7, 3)])
+def test_spinor_chi_is_refused_on_odd_n(n, quantum):
+    """Odd quadrics have one spinor bundle and no split; the pair checks and n >= 3 come first."""
+    with pytest.raises(MalformedDataError) as exc:
+        monad_quadric_ordinary(n, 2, quantum, spinor_chi=(0, 0))
+    assert str(exc.value) == f"spinor_chi splits the spinor multiplicity on even n only, not on n = {n}"
+    with pytest.raises(MalformedDataError, match=r"^spinor_chi must be a pair of ints, got \(1, 2, 3\)$"):
+        monad_quadric_ordinary(n, 2, quantum, spinor_chi=(1, 2, 3))
+    with pytest.raises(UnsupportedBundleError, match="^quadric monads need n >= 3$"):
+        monad_quadric_ordinary(1, 2, 1, spinor_chi=(0, 0))
+    assert monad_quadric_ordinary(n, 2, quantum) == monad_quadric_ordinary(n, 2, quantum, spinor_chi=None)
+
+
 def test_an_undetermined_middle_term_leaves_rank_and_c1_open():
     """The aCM middle term ``B_aCM`` has no rank or c1, so neither alternating sum is determined."""
     shape = monad_acm(catalog.quadric(3), 0, 2)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -287,23 +289,29 @@ def test_log_td_is_taken_once_per_entry(entry, monkeypatch):
 def test_chi_errors_are_typed_and_raised_before_any_weight():
     """Missing Chern classes raise ``UnsupportedBundleError`` and another variety's data
     ``VarietyMismatchError``, both before a weight is built or ch(E) is kept on the data; a
-    value that is not an integer raises ``InfeasibleError``.  All three are ``ValueError``s."""
-    p2, p4 = catalog.projective_space(2), catalog.projective_space(4)
-    H = p2.ring.gen("H")
-    missing, foreign = ChernData(1, H), line_chern(p4, (1,))
+    value that is not an integer raises ``InfeasibleError``.  All three are ``ValueError``s.  A
+    twist that is not an exact scalar raises ``*``'s ``TypeError``."""
+    p2, p3, p4 = catalog.projective_space(2), catalog.projective_space(3), catalog.projective_space(4)
+    H, H3 = p2.ring.gen("H"), p3.ring.gen("H")
+    missing, no_c3, foreign = ChernData(1, H), ChernData(2, 2 * H3, H3 * H3), line_chern(p4, (1,))
     rr._twisted_weights.cache_clear()
     with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(4\) needs c1 to c4$"):
         rr.chi_twisted(p4, foreign, 2)
     with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(2\) needs c1 to c2$"):
         rr.chi(p2, missing)
+    with pytest.raises(UnsupportedBundleError, match=r"^Riemann-Roch on projective_space\(3\) needs c1 to c3$"):
+        rr.chi_twisted(p3, no_c3, -1)
     with pytest.raises(VarietyMismatchError):
         rr.chi_twisted(p2, foreign, -1)
     assert rr._twisted_weights.cache_info().currsize == 0
-    assert missing._ch is None and foreign._ch is None
+    assert missing._ch is None and no_c3._ch is None and foreign._ch is None
     with pytest.raises(InfeasibleError, match="^chi is not an integer: 5/2$"):
         rr.chi(p2, ChernData(1, H, Fraction(1, 2) * H * H))
     with pytest.raises(InfeasibleError, match="^chi is not an integer: 1/2$"):
         rr.chi_twisted(p2, ChernData(1, H, Fraction(1, 2) * H * H), -1)
+    for t in (2.5, "1"):
+        with pytest.raises(TypeError, match=rf"^Chow classes scale by exact scalars \(int or Fraction\), not {t!r}$"):
+            rr.chi_twisted(p2, ChernData(1, H, H * H), t)
     assert issubclass(UnsupportedBundleError, ValueError) and issubclass(InfeasibleError, ValueError)
 
 
@@ -780,3 +788,210 @@ def test_the_h_pairings_are_the_integrate_route(drawn, defect):
         assert rr.normalization_twist(entry, c) == -c1h // (c.rank * entry.hn())
         assert rr.slope_condition(entry, c, defect) == (2 * c1h == c.rank * ((n + 1 - defect) * entry.hn() + Kh))
     assert rr.slope_condition(entry, on_condition, defect)
+
+
+# --------------------------------------------------------------------------
+# Power sums, n! ch(E), log td(X) and the weights as one linear combination each
+# --------------------------------------------------------------------------
+
+
+def chain_power_sums(c):
+    """Newton's identities as a chain of ``ChowClass`` sums and scalar multiples, one temporary
+    class per step: the reference for :func:`rr._power_sums`."""
+    p = []
+    for k in range(1, len(c) + 1):
+        acc = (-1) ** (k - 1) * k * c[k - 1]
+        for i in range(1, k):
+            acc = acc + (-1) ** (i - 1) * (c[i - 1] * p[k - i - 1])
+        p.append(acc)
+    return p
+
+
+def chain_ch(entry, c):
+    """``n! ch(E)`` summed one class at a time from ``n! rank`` times the class 1: the reference
+    for the coefficients :func:`rr.chi_twisted` keeps on the data."""
+    n = entry.dimension
+    total = math.factorial(n) * c.rank * entry.ring.from_dict({(0,) * len(entry.ring.generators): 1})
+    for k, pk in enumerate(chain_power_sums((c.c1, c.c2, c.c3)[:n]), 1):
+        total = total + math.factorial(n) // math.factorial(k) * pk
+    return total.coeffs
+
+
+def chain_log_td(entry):
+    """``sum_k lambda_k p_k(T_X)`` summed one class at a time: the reference for :func:`rr._log_td`."""
+    n, log_td = entry.dimension, chow.ChowClass(entry.ring, (0,) * len(entry.ring.basis))
+    for k, pk in enumerate(chain_power_sums(tuple(entry.tangent.part(r) for r in range(1, n + 1))), 1):
+        lam = Fraction(1, 2) if k == 1 else -rr._bernoulli(k) / (k * math.factorial(k))
+        log_td = log_td + lam * pk
+    return log_td
+
+
+def chain_twisted_weights(entry, t):
+    """The weights of ``exp(t h + log td(X))`` with the exponential summed one power at a time:
+    the reference for :func:`rr._twisted_weights`."""
+    ring, n = entry.ring, entry.dimension
+    exponent = t * entry.polarization + chain_log_td(entry)
+    L = math.lcm(*(Fraction(c).denominator for c in exponent.coeffs))
+    x = chow.ChowClass(ring, tuple(int(c * L) for c in exponent.coeffs))
+    total, power = chow.ChowClass(ring, (0,) * len(ring.basis)), ring.from_dict({(0,) * len(ring.generators): 1})
+    for j in range(n + 1):
+        total, power = total + math.factorial(n) // math.factorial(j) * L ** (n - j) * power, power * x
+    w, D = [chow.integrate(ring.from_dict({b: 1}) * total) for b in ring.basis], math.factorial(n) * L**n
+    g = math.gcd(D, *w)
+    return tuple(v // g for v in w), D // g
+
+
+def chain_combination(terms):
+    """``sum s a`` as a chain of ``+`` and scalar ``*``: the reference for :func:`chow.combine`."""
+    (s, a), *rest = terms
+    acc = s * a
+    for s, a in rest:
+        acc = acc + s * a
+    return acc
+
+
+def generator_is_homogeneous(cls, r):
+    """The reference for :meth:`ChowClass.is_homogeneous`: every nonzero coefficient sits in degree r."""
+    return all(g == r for g, c in zip(cls.ring.grades, cls.coeffs) if c)
+
+
+#: every catalog kind of dimension 1-3, where Riemann-Roch applies; prime_fano's classes are rational
+RR_KINDS = [
+    *(catalog.projective_space(n, u) for n in range(1, 4) for u in (1, 2)),
+    catalog.quadric(2),
+    catalog.quadric(3),
+    catalog.flag3(),
+    catalog.triple_p1(),
+    catalog.scroll_p1((1, 2)),
+    catalog.scroll_p1((1, 1, 2)),
+    catalog.scroll_generic(2, 1, 3),
+    catalog.scroll_generic(3, 2, 4),
+    catalog.curve(0, 2, "exact_p1"),
+    *(catalog.curve(g, g + 1, "generic") for g in range(3)),
+    *(catalog.prime_fano(g) for g in (3, 5, 12)),
+]
+
+#: the coefficients of drawn classes: mostly zero, ints of both signs and rationals
+COEFFICIENTS = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def rr_chern_data(draw):
+    """An entry of :data:`RR_KINDS` and fresh Chern data on it with c_1, ..., c_n: a line-bundle
+    sum (1-3 summands of multiplicity 1-2) or a Serre construction (a Z with rational coefficients
+    allowed), then 0-2 of a twist by a line bundle, the dual and a JSON round trip."""
+    entry = draw(st.sampled_from(RR_KINDS))
+
+    def line():
+        return catalog.line_bundle_class(entry, draw(st.tuples(*[st.integers(-3, 3)] * entry.picard_rank())))
+
+    if draw(st.booleans()):
+        c = rr.chern_of_line_bundle_sum([(line(), draw(st.integers(1, 2))) for _ in range(draw(st.integers(1, 3)))])
+    else:
+        grades = entry.ring.grades
+        Z = chow.ChowClass(entry.ring, tuple(draw(COEFFICIENTS) if g == 2 else 0 for g in grades))
+        c = rr.serre_construction_chern(entry, line(), line(), Z)
+    for step in draw(st.lists(st.sampled_from(["twist", "dual", "json"]), max_size=2)):
+        if step == "twist":
+            c = rr.twist(c, line())
+        elif step == "dual":
+            c = rr.dual(c)
+        else:
+            c = ChernData.from_json(entry.variety_id, json.loads(json.dumps(c.to_json())))
+    return entry, c
+
+
+@given(rr_chern_data())
+def test_power_sums_and_the_kept_ch_are_the_chains(drawn):
+    """The first call keeps the reference ``n! ch(E)`` on the data, and chi is the reference
+    coefficients paired with the weights (or refused as not an integer)."""
+    entry, c = drawn
+    n = entry.dimension
+    chern = (c.c1, c.c2, c.c3)[:n]
+    assert rr._power_sums(chern) == chain_power_sums(chern)
+    assert c._ch is None
+    ch = chain_ch(entry, c)
+    weights, D = rr._twisted_weights(entry, 0)
+    num = sum(map(operator.mul, ch, weights))
+    if num % (math.factorial(n) * D):
+        with pytest.raises(InfeasibleError):
+            rr.chi(entry, c)
+    else:
+        assert rr.chi(entry, c) == num // (math.factorial(n) * D)
+    assert c._ch == ch and len(c._ch) == len(entry.ring.basis)
+
+
+@pytest.mark.parametrize("entry", RR_KINDS, ids=lambda e: e.variety_id)
+def test_log_td_and_the_weights_are_the_chains(entry):
+    assert rr._log_td.__wrapped__(entry) == chain_log_td(entry)
+    for t in range(-6, 7):
+        assert rr._twisted_weights.__wrapped__(entry, t) == chain_twisted_weights(entry, t), t
+
+
+@given(rr_chern_data(), st.data())
+def test_is_homogeneous_is_the_generator(drawn, data):
+    """On the drawn Chern classes, their power sums, the tangent class, 0, 1 and a drawn class,
+    for every degree in [-1, n + 1]: the zero class is homogeneous of each."""
+    entry, c = drawn
+    ring, n = entry.ring, entry.dimension
+    drawn_class = chow.ChowClass(ring, tuple(data.draw(COEFFICIENTS) for _ in ring.basis))
+    classes = [c.c1, c.c2, c.c3, *rr._power_sums((c.c1, c.c2, c.c3)[:n]), entry.tangent, ring.one(), drawn_class]
+    for cls in [x for x in classes if x is not None] + [ring.zero()]:
+        for r in range(-1, n + 2):
+            assert cls.is_homogeneous(r) == generator_is_homogeneous(cls, r), (cls, r)
+    assert all(ring.zero().is_homogeneous(r) for r in range(-1, n + 2))
+
+
+@given(st.sampled_from(RR_KINDS), st.data())
+def test_combine_is_the_chain_of_sums_and_scalar_multiples(entry, data):
+    ring = entry.ring
+    count = data.draw(st.integers(1, 5))
+    terms = [
+        (data.draw(COEFFICIENTS), chow.ChowClass(ring, tuple(data.draw(COEFFICIENTS) for _ in ring.basis)))
+        for _ in range(count)
+    ]
+    got = chow.combine(terms)
+    assert got == chain_combination(terms) and got.ring is ring
+
+
+def test_combine_refuses_mixed_rings_as_plus_does():
+    """A class on another ring than the first term's raises ``+``'s error, wherever it sits."""
+    H, Hq = catalog.projective_space(3).polarization, catalog.quadric(3).polarization
+    P1, P2 = catalog.curve(1, 3).polarization, catalog.curve(2, 3).polarization
+    for terms in ([(1, H), (2, Hq)], [(1, H), (1, H), (3, Hq)], [(2, Hq), (1, H)], [(1, P1), (1, P2), (1, P1)]):
+        with pytest.raises(VarietyMismatchError) as got:
+            chow.combine(terms)
+        with pytest.raises(VarietyMismatchError) as ref:
+            chain_combination(terms)
+        assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value), terms
+
+
+@pytest.mark.parametrize("entry", [catalog.flag3(), catalog.projective_space(3)], ids=lambda e: e.variety_id)
+def test_the_first_chi_call_makes_three_products_and_the_h_pairings_integrate_nothing(entry, monkeypatch):
+    """With the weights of each twist cached, the first chi on a fresh rank-2 Chern data makes
+    the n(n-1)/2 = 3 products of Newton's identities and later twists none; once the entry has
+    been used, normalization twists, slopes and the slope condition make no ``integrate`` call."""
+    twists = range(-3, 4)
+    for t in twists:
+        rr._twisted_weights(entry, t)
+    rho = entry.picard_rank()
+    lines = [catalog.line_bundle_class(entry, (1,) * rho), catalog.line_bundle_class(entry, (-2,) * rho)]
+    rr.normalization_twist(entry, rr.chern_of_line_bundle_sum([(lines[0], 1)]))
+    products, integrals = [], []
+    multiply, integrate = rr.chow.multiply, rr.chow.integrate
+    monkeypatch.setattr(rr.chow, "multiply", lambda a, b: products.append((a, b)) or multiply(a, b))
+    monkeypatch.setattr(rr.chow, "integrate", lambda a: integrals.append(a) or integrate(a))
+    c = rr.chern_of_line_bundle_sum([(lines[0], 1), (lines[1], 1)])
+    assert c.rank == 2 and c._ch is None
+    products.clear()
+    rr.chi_twisted(entry, c, twists[0])
+    assert len(products) == 3
+    for t in twists:
+        products.clear()
+        rr.chi_twisted(entry, c, t)
+        assert products == [], t
+    rr.normalization_twist(entry, c)
+    rr.slope(entry, c)
+    rr.slope_condition(entry, c, 0)
+    assert integrals == []
+    assert entry.ring.one() is entry.ring.one() and entry.ring.zero() is entry.ring.zero()
