@@ -21,7 +21,6 @@ coefficients of h and K_X; nothing per variety kind is tabulated twice.
 from __future__ import annotations
 
 import operator
-import re
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
@@ -289,23 +288,19 @@ def prime_fano(genus: int) -> VarietyCatalogEntry:
     )
 
 
-#: the constructors' entry-id formats that are not ring ids themselves
-_ENTRY_ID_RE = re.compile(
-    r"(?P<cyclic>projective_space|quadric)\((?P<n>\d+);h=[1-9]\d*\)"
-    r"|scroll_p1\((?P<degrees>[1-9]\d*(?:,[1-9]\d*)+)\)"
-    r"|scroll_generic\((?P<scroll_n>\d+);g=\d+;deg=(?P<deg_g>\d+)\)"
-    r"|curve\((?P<genus>\d+);deg=[1-9]\d*;(?:exact_p1|generic)\)"
+#: entry-id name -> the family's constructor; the names are the entries' kinds
+_CONSTRUCTORS = dict(
+    projective_space=projective_space, quadric=quadric, flag3=flag3, triple_p1=triple_p1, curve=curve,
+    scroll_p1=lambda *degrees: scroll_p1(degrees), scroll_generic=scroll_generic, prime_fano=prime_fano,
 )
 
 
 def entry_ring(entry_id: str) -> ChowRingPresentation:
-    """Chow ring of the catalog entry with this id, the inverse of the id formats above: the one
-    place a table's or a Chern block's variety id is resolved.
-
-    An id that is not a ``str`` raises :class:`MalformedDataError` before anything hashes it.
-    Entry ids that are ring ids (``flag3``, ``projective_space(3)``, ``prime_fano(5)``, ...) go
-    to :func:`chow.preset_ring` as they are; any other id raises :class:`UnknownVarietyError`.
-    """
+    """Chow ring of the catalog entry with this id, the one place a table's or a Chern block's
+    variety id is resolved: the constructor the id names rebuilds the entry from its arguments
+    (:func:`chow.read_id`), and the id is accepted only when the entry's id is the same string.
+    An id that is not a ``str`` raises :class:`MalformedDataError` before anything hashes it, any
+    other id :class:`UnknownVarietyError` (a constructor's own one passes through)."""
     if type(entry_id) is not str:
         raise MalformedDataError(f"the variety must be a catalog id string, not {entry_id!r}")
     return _entry_ring(entry_id)
@@ -313,17 +308,14 @@ def entry_ring(entry_id: str) -> ChowRingPresentation:
 
 @cache  # every table checks its id here; an id that raises is not kept
 def _entry_ring(entry_id: str) -> ChowRingPresentation:
-    m = _ENTRY_ID_RE.fullmatch(entry_id)
-    if m is None:
-        return chow.preset_ring(entry_id)
-    if m["cyclic"]:
-        return chow.preset_ring(f"{m['cyclic']}({m['n']})")
-    if m["degrees"]:
-        degrees = [int(a) for a in m["degrees"].split(",")]
-        return chow.preset_ring(f"scroll({len(degrees)},{sum(degrees)})")
-    if m["scroll_n"]:
-        return chow.preset_ring(f"scroll({m['scroll_n']},{m['deg_g']})")
-    return chow.preset_ring(f"curve({m['genus']})")
+    name, args = chow.read_id(entry_id)
+    try:
+        entry = _CONSTRUCTORS[name](*args) if name in _CONSTRUCTORS else None
+    except TypeError:  # arguments of the wrong count or type
+        entry = None
+    if entry is None or entry.variety_id != entry_id:
+        raise UnknownVarietyError(f"unknown variety key {entry_id!r}")
+    return entry.ring
 
 
 # --------------------------------------------------------------------------

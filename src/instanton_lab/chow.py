@@ -20,8 +20,8 @@ indices of the other degrees.  Only
 monomials) rewrites per call.
 
 There is one presentation object per ring id, and classes combine only when
-they hold the same object.  Ring ids are parsed (by :func:`preset_ring`) only
-when classes are read back from JSON.
+they hold the same object.  A ring id, written once by its builder, is read
+back from JSON (:func:`preset_ring`) by rebuilding the ring it names.
 
 The presentations shipped here are complete rewrite systems: rewriting any
 monomial of degree above the variety dimension reaches zero, and all rewrite
@@ -36,7 +36,7 @@ import itertools
 import operator
 import re
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedDataError, UnknownVarietyError, VarietyMismatchError
 from .util import FrozenValue
@@ -286,11 +286,7 @@ class ChowClass(FrozenValue):
     def __mul__(self, other: "ChowClass | int | Fraction") -> "ChowClass":
         if type(other) is ChowClass:
             return multiply(self, other)
-        if not isinstance(other, int):
-            from fractions import Fraction  # loaded only where a rational class is built
-
-            if not isinstance(other, Fraction):
-                raise TypeError(f"Chow classes scale by exact scalars (int or Fraction), not {other!r}")
+        _check_scalar(other)
         return ChowClass(self.ring, tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -385,16 +381,30 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     return ChowClass(ring, tuple(acc))
 
 
-def combine(terms: Iterable[tuple["int | Fraction", ChowClass]]) -> ChowClass:
+def _check_scalar(s: object) -> None:
+    """Refuse a scalar that is not exact: an int (``True`` included) or a Fraction."""
+    if not isinstance(s, int):
+        from fractions import Fraction  # loaded only where a rational class is built
+
+        if not isinstance(s, Fraction):
+            raise TypeError(f"Chow classes scale by exact scalars (int or Fraction), not {s!r}")
+
+
+def combine(terms: Sequence[tuple["int | Fraction", ChowClass]]) -> ChowClass:
     """The linear combination ``sum s a`` of one or more ``(s, a)`` pairs with exact scalars ``s``.
 
-    Every ring is checked first (a class on another ring than the first one raises
-    ``VarietyMismatchError`` as ``+`` does); the scaled vectors are then summed in one pass
-    over the basis, through one chain of lazy maps."""
+    Each term is checked as it is chained, before any coefficient is computed: a scalar that is
+    not exact raises ``*``'s ``TypeError``, a class on another ring than the first one ``+``'s
+    ``VarietyMismatchError``.  The scaled vectors are then summed in one pass over the basis,
+    through one chain of lazy maps.  An empty list raises ``MalformedDataError``."""
+    if not terms:
+        raise MalformedDataError("a linear combination needs at least one (scalar, class) pair")
     (s, first), *rest = terms
+    _check_scalar(s)
     ring = first.ring
     acc = map(operator.mul, first.coeffs, itertools.repeat(s))
     for s, a in rest:
+        _check_scalar(s)
         if a.ring is not ring:
             first._check(a)
         acc = map(operator.add, acc, map(operator.mul, a.coeffs, itertools.repeat(s)))
@@ -512,7 +522,6 @@ def scroll_ring(n: int, deg_g: int) -> ChowRingPresentation:
 _PRESETS = {
     "projective_space": (projective_space_ring, (1,)),
     "quadric": (quadric_ring, (2,)),
-    "quadric_numerical": (quadric_ring, (2,)),
     "flag3": (flag3_ring, ()),
     "triple_p1": (triple_p1_ring, ()),
     "scroll": (scroll_ring, (2, 1)),
@@ -520,30 +529,39 @@ _PRESETS = {
     "prime_fano": (prime_fano_ring, (3,)),
 }
 
-_ID_RE = re.compile(r"^(?P<name>[a-z_0-9]+?)(?:\((?P<args>-?\d+(?:,-?\d+)*)\))?$")
+
+def _read_arg(text: str) -> "int | str":
+    word = text.rpartition("=")[2]
+    try:
+        return int(word) if str(int(word)) == word else word
+    except ValueError:  # a word, or more digits than int() reads
+        return word
+
+
+def read_id(text: str) -> tuple[str, tuple["int | str", ...]]:
+    """The one id splitter: a ring or entry id ``name`` or ``name(a;b,c;k=v)`` as its name and
+    arguments, with ``k=`` dropped and ints read from their own spelling.  Loose, never raising:
+    a caller accepts an id only when the value it rebuilds from it has the same id."""
+    name, _, rest = text.partition("(")
+    return name, tuple(map(_read_arg, rest.removesuffix(")").replace(";", ",").split(","))) if rest else ()
 
 
 def preset_ring(variety_id: str) -> ChowRingPresentation:
-    """Presentation for a ring id, built on first use.
-
-    Accepted ids: ``projective_space(n)``, ``quadric(n)`` (alias
-    ``quadric_numerical(n)``), ``flag3``, ``triple_p1``, ``scroll(n,deg_g)``,
-    ``curve(g)`` and ``prime_fano(g)``, plus any id registered through
-    :func:`cyclic_numerical_ring`.  The degree map fixes the polarization
-    degrees ``h^n = 1`` on projective space, ``2`` on the quadric, ``6`` on
-    the two sextic del Pezzo entries, ``deg_g`` on scrolls and ``2g - 2`` on
-    prime Fano 3-folds.
-    """
+    """Presentation for a ring id: the registered one, or the ring its named builder makes from
+    its arguments (:func:`read_id`) if that ring has this id; else :class:`UnknownVarietyError`.
+    The builders write ``projective_space(n)``, ``quadric(n)``, ``flag3``, ``triple_p1``,
+    ``scroll(n,deg_g)``, ``curve(g)`` and ``prime_fano(g)``, whose degree maps fix ``h^n = 1``
+    on projective space, ``2`` on the quadric, ``6`` on the two sextic del Pezzo entries,
+    ``deg_g`` on scrolls and ``2g - 2`` on prime Fano 3-folds."""
     ring = _REGISTRY.get(variety_id)
-    if ring is not None:
-        return ring
-    m = _ID_RE.match(variety_id)
-    if m and m.group("name") in _PRESETS:
-        build, lower = _PRESETS[m.group("name")]
-        args = [int(x) for x in m.group("args").split(",")] if m.group("args") else []
-        if len(args) == len(lower) and all(a >= lo for a, lo in zip(args, lower)):
-            return build(*args)
-    raise UnknownVarietyError(f"unknown variety key {variety_id!r}")
+    if ring is None:
+        name, args = read_id(variety_id)
+        build, lower = _PRESETS.get(name, (None, ()))
+        if build and len(args) == len(lower) and all(type(a) is int and a >= lo for a, lo in zip(args, lower)):
+            ring = build(*args)
+    if ring is None or ring.variety_id != variety_id:
+        raise UnknownVarietyError(f"unknown variety key {variety_id!r}")
+    return ring
 
 
 #: the name :meth:`ChowClass.from_json` resolves ring ids through;

@@ -236,7 +236,9 @@ def monad_acm(
     ``C = O^c (+) O(h)^q`` with ``a = defect h^(n-1)(E(-n h))`` and
     ``c = defect h^1(E)``; the middle term is an undetermined aCM bundle
     subject to the emitted constraints, whose right-hand sides are computed
-    by the exact cohomology engines.
+    by the exact cohomology engines.  With defect 0 a note says that A is the
+    Ulrich dual of C, and that B is Ulrich when the first two constraints,
+    h^0(B(-h)) and h^n(B(-n h)), are both 0.
     """
     from .catalog import canonical_coords, twist_coords
     from .cohomology import line_bundle_cohomology
@@ -279,7 +281,10 @@ def monad_acm(
     ]
     notes = ()
     if defect == 0:
-        notes = ("A = C^{U,h}: the ordinary monad is Ulrich-dual-symmetric and B is Ulrich",)
+        note = "A = C^{U,h}: the ordinary monad is Ulrich-dual-symmetric"
+        if constraints[0].value == constraints[1].value == 0:
+            note += " and B is Ulrich"
+        notes = (note,)
     return MonadShape((A, B, C), tuple(constraints), notes)
 
 

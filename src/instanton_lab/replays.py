@@ -96,7 +96,7 @@ def pushforward_model(table: CohomologyTable, degree: int) -> CohomologyTable:
     if degree < 1:
         raise MalformedDataError("the degree h^n is positive")
     return CohomologyTable(
-        variety_id=f"projective_space({table.dimension})",
+        variety_id=catalog.projective_space(table.dimension).variety_id,
         rank=table.rank * degree,
         tmin=table.tmin,
         rows=table.rows,

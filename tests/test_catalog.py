@@ -4,9 +4,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from instanton_lab import catalog, rr
-from instanton_lab.cohomology import chi_scroll_line, line_bundle_cohomology
+from instanton_lab import catalog, chow, rr
+from instanton_lab.cohomology import ENGINES, chi_scroll_line, line_bundle_cohomology
 from instanton_lab.errors import MalformedDataError, UnknownVarietyError
 
 ENTRIES = [
@@ -21,6 +22,18 @@ ENTRIES = [
     catalog.curve(0, 2, "exact_p1"),
     catalog.prime_fano(5),
 ]
+
+#: entries over a small grid of every constructor's arguments
+GRID = (
+    [catalog.projective_space(n, u) for n in range(1, 5) for u in range(1, 4)]
+    + [catalog.quadric(n, u) for n in range(2, 6) for u in range(1, 4)]
+    + [catalog.flag3(), catalog.triple_p1()]
+    + [catalog.scroll_p1(d) for d in [(1, 1), (2, 1), (1, 3), (3, 1, 2), (1, 1, 1), (2, 2, 1, 1), (1, 1, 1, 1, 1)]]
+    + [catalog.scroll_generic(n, g, d) for n in range(2, 5) for g in range(3) for d in range(1, 4)]
+    + [catalog.curve(0, d, "exact_p1") for d in range(1, 4)]
+    + [catalog.curve(g, d) for g in range(4) for d in range(1, 4)]
+    + [catalog.prime_fano(g) for g in range(3, 9)]
+)
 
 #: literal (picard rank, coordinates of h, coordinates of K_X) per entry
 COORDS = {
@@ -61,7 +74,9 @@ def test_coords_match_literals(entry):
     assert catalog.canonical_coords(entry) == K
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.variety_id)
+@pytest.mark.parametrize(
+    "entry", ENTRIES + [e for e in GRID if e not in ENTRIES], ids=lambda e: e.variety_id
+)
 def test_entry_ring_inverts_entry_ids(entry):
     assert catalog.entry_ring(entry.variety_id) is entry.ring
 
@@ -77,11 +92,67 @@ def test_entry_ring_inverts_entry_ids(entry):
         "curve(-1;deg=3;generic)",
         "prime_fano(2)",
         "grassmannian(2,4)",
+        # spellings no constructor writes: a default polarization, unsorted degrees, exact_p1
+        # above genus 0, a padded integer, the ring-only ids and the old quadric alias
+        "projective_space(3;h=1)",
+        "scroll_p1(2,1)",
+        "curve(2;deg=3;exact_p1)",
+        "projective_space(03)",
+        "scroll(3,3)",
+        "curve(2)",
+        "quadric_numerical(3)",
+        "quadric(3;u=2)",
+        "scroll_generic(3,2,5)",
+        "curve(2;3;generic)",
+        "flag3()",
+        "prime_fano(5;h=1)",
     ],
 )
 def test_entry_ring_rejects_other_ids(entry_id):
-    with pytest.raises(UnknownVarietyError):
+    with pytest.raises(UnknownVarietyError) as exc:
         catalog.entry_ring(entry_id)
+    assert type(exc.value) is UnknownVarietyError
+
+
+def test_entry_ring_refuses_an_integer_too_long_for_int():
+    """A 5 000-digit argument is read as a word: the id is refused as unknown, not with int()'s
+    ``ValueError``, by the entry reader and the ring reader alike."""
+    for resolve in (catalog.entry_ring, chow.preset_ring):
+        for entry_id in ("projective_space(" + "9" * 5000 + ")", "curve(2;deg=" + "9" * 5000 + ";generic)"):
+            with pytest.raises(UnknownVarietyError) as exc:
+                resolve(entry_id)
+            assert type(exc.value) is UnknownVarietyError
+            assert str(exc.value) == f"unknown variety key {entry_id!r}"
+
+
+def test_the_constructor_names_are_the_engine_kinds():
+    """An entry id's name is its kind, and ``entry_ring`` knows a constructor for every engine."""
+    assert all(chow.read_id(entry.variety_id)[0] == entry.kind for entry in GRID)
+    assert set(catalog._CONSTRUCTORS) == set(ENGINES) == {entry.kind for entry in GRID}
+
+
+def _rebuilt_entry(entry_id):
+    """The entry that the public constructor an id names builds from the id's arguments."""
+    name, args = chow.read_id(entry_id)
+    return catalog.scroll_p1(args) if name == "scroll_p1" else getattr(catalog, name)(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([e.variety_id for e in GRID]), st.integers(0, 10**6), st.sampled_from(["del", "ins", "sub"]),
+       st.sampled_from("0123456789-(),;=_ hgdeqxp\u0663"))
+def test_an_edited_id_names_its_own_entry_or_is_unknown(entry_id, at, edit, char):
+    """One character deleted, inserted or replaced: the id resolves only to the ring of an entry
+    whose id is exactly the edited string, and is otherwise refused as unknown."""
+    at %= len(entry_id) + 1
+    rest = entry_id[at:] if edit == "ins" else entry_id[at + 1:]
+    edited = entry_id[:at] + ("" if edit == "del" else char) + rest
+    try:
+        ring = catalog.entry_ring(edited)
+    except UnknownVarietyError as exc:
+        assert type(exc) is UnknownVarietyError
+        return
+    entry = _rebuilt_entry(edited)
+    assert entry.variety_id == edited and ring is entry.ring
 
 
 def test_canonical_twist_coords():

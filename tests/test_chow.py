@@ -108,7 +108,9 @@ def test_multiply_examples():
 
 
 def test_quadric_alias():
-    assert preset_ring("quadric_numerical(3)").variety_id == "quadric(3)"
+    """No builder writes ``quadric_numerical(n)``, so it names no ring."""
+    with pytest.raises(UnknownVarietyError):
+        preset_ring("quadric_numerical(3)")
 
 
 def test_unknown_variety():
@@ -116,6 +118,46 @@ def test_unknown_variety():
         preset_ring("grassmannian(2,4)")
     with pytest.raises(UnknownVarietyError):
         preset_ring("prime_fano(2)")
+
+
+#: ring ids of the builders, and spellings no builder writes
+BUILT_RING_IDS = [
+    *(f"projective_space({n})" for n in range(1, 6)), *(f"quadric({n})" for n in range(2, 6)), "flag3",
+    "triple_p1", *(f"scroll({n},{d})" for n in range(2, 5) for d in range(1, 5)),
+    *(f"curve({g})" for g in range(4)), *(f"prime_fano({g})" for g in range(3, 9)),
+]
+UNBUILT_RING_IDS = [
+    "projective_space(03)", "projective_space(3;h=1)", "projective_space(n=3)", "projective_space(+3)",
+    "projective_space(3 )", "projective_space(1_0)", "projective_space(3", "scroll(3, 3)", "scroll(3,3,)",
+    "scroll(3;3)", "flag3()", "triple_p1(1)", "curve(2;deg=3;generic)", "scroll_p1(1,1,1)", "", "(", ")",
+]
+
+
+@pytest.mark.parametrize("ring_id", BUILT_RING_IDS)
+def test_preset_ring_resolves_each_builder_id_to_itself(ring_id):
+    assert preset_ring(ring_id).variety_id == ring_id
+
+
+@pytest.mark.parametrize("ring_id", UNBUILT_RING_IDS, ids=range(len(UNBUILT_RING_IDS)))
+def test_preset_ring_refuses_ids_no_builder_writes(ring_id):
+    """The ring an id's arguments build must have that id, so no other spelling resolves."""
+    with pytest.raises(UnknownVarietyError) as exc:
+        preset_ring(ring_id)
+    assert type(exc.value) is UnknownVarietyError and str(exc.value) == f"unknown variety key {ring_id!r}"
+
+
+def test_read_id_reads_names_ints_and_words():
+    assert chow.read_id("flag3") == ("flag3", ())
+    assert chow.read_id("scroll(3,4)") == ("scroll", (3, 4))
+    assert chow.read_id("curve(2;deg=3;generic)") == ("curve", (2, 3, "generic"))
+    assert chow.read_id("projective_space(03;h=-2)") == ("projective_space", ("03", -2))
+    assert chow.read_id("projective_space(" + "9" * 5000 + ")") == ("projective_space", ("9" * 5000,))
+
+
+@given(st.text())
+def test_read_id_never_raises(text):
+    name, args = chow.read_id(text)
+    assert type(name) is str and all(type(a) in (int, str) for a in args)
 
 
 def test_preset_ring_needs_no_catalog_entry():

@@ -348,6 +348,32 @@ def test_table_without_chern_is_checked_against_its_variety(tmp_path, capsys, mu
         assert "h^0, ..., h^3" in err
 
 
+@pytest.mark.parametrize("with_chern", [True, False], ids=["chern", "no-chern"])
+@pytest.mark.parametrize(
+    "entry, variety",
+    [
+        (catalog.projective_space(3), "projective_space(3;h=1)"),
+        (catalog.projective_space(3), "projective_space(03)"),
+        (catalog.quadric(3), "quadric_numerical(3)"),
+        (catalog.scroll_p1((1, 1, 1)), "scroll(3,3)"),
+        (catalog.curve(2, 3), "curve(2)"),
+        (catalog.scroll_p1((1, 2)), "scroll_p1(2,1)"),
+        (catalog.curve(2, 3), "curve(2;deg=3;exact_p1)"),
+        (catalog.projective_space(3), "projective_space(" + "9" * 5000 + ")"),
+    ],
+    ids=["default-h", "padded", "alias", "scroll-ring", "curve-ring", "unsorted", "exact-p1-genus-2", "5000-digits"],
+)
+def test_check_table_refuses_ids_no_constructor_writes(tmp_path, capsys, entry, variety, with_chern):
+    """A table's variety must be an id a catalog constructor writes: another spelling of a table's
+    own entry exits 2 with one error line, a 5 000-digit dimension included."""
+    data = build_table(entry, (0,) * entry.picard_rank(), (-3, 0), with_chern=with_chern).to_json()
+    data["variety"] = variety
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_cyclic_cli(capsys):
     code, out, _ = run(
         capsys, "classify", "cyclic", "--n", "3", "--u", "1", "--v", "-3", "--defect", "1"

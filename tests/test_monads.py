@@ -100,7 +100,8 @@ def test_monad_acm_ordinary():
         assert shape.terms[2][0].multiplicity == 0
         assert shape.terms[2][1].label == "O(h)"
         assert shape.terms[2][1].multiplicity == 3
-        assert any("Ulrich" in note for note in shape.notes)
+        if entry.kind != "flag3":  # Q^3 and scroll_p1(1,1,1), where h^0(B(-h)) = h^n(B(-n h)) = 0
+            assert any("B is Ulrich" in note for note in shape.notes)
 
 
 def test_monad_acm_quadric_forces_ulrich_middle():
@@ -110,6 +111,19 @@ def test_monad_acm_quadric_forces_ulrich_middle():
     assert by_name["h0_B_minus_h"] == 0
     assert by_name["hn_B_low"] == 0
     assert by_name["chi_B_symmetry"] == 0
+
+
+@pytest.mark.parametrize("entry", [catalog.flag3(), catalog.triple_p1()], ids=lambda e: e.variety_id)
+@pytest.mark.parametrize("quantum", [1, 2, 3])
+def test_monad_acm_calls_b_ulrich_only_where_its_constraints_vanish(entry, quantum):
+    """At defect 0, B is Ulrich only if h^0(B(-h)) and h^n(B(-n h)) are 0; on the flag and the
+    triple product both are q h^0(omega(2h)) = q, so the note keeps only the dual symmetry."""
+    shape = monad_acm(entry, 0, quantum)
+    by_name = {c.name: c.value for c in shape.constraints}
+    assert by_name["h0_B_minus_h"] == by_name["hn_B_low"] == quantum
+    assert shape.notes == ("A = C^{U,h}: the ordinary monad is Ulrich-dual-symmetric",)
+    for ulrich in (catalog.quadric(3), catalog.scroll_p1((1, 1, 1))):
+        assert monad_acm(ulrich, 0, quantum).notes == (shape.notes[0] + " and B is Ulrich",)
 
 
 def test_monad_acm_pn_defect1_matches_quasilinear():

@@ -966,6 +966,23 @@ def test_combine_refuses_mixed_rings_as_plus_does():
         assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value), terms
 
 
+def test_combine_scales_by_exact_scalars_as_times_does():
+    """A scalar that is not an int or a Fraction raises ``*``'s ``TypeError``, wherever it sits,
+    before any coefficient is computed; ``True`` is an int, as in ``True * H``.  An empty
+    combination raises ``MalformedDataError``."""
+    H = catalog.projective_space(2).polarization
+    for bad in (2.5, "2", None):
+        with pytest.raises(TypeError) as ref:
+            bad * H
+        for terms in ([(bad, H), (1, H)], [(1, H), (bad, H)], [(bad, H)]):
+            with pytest.raises(TypeError) as got:
+                chow.combine(terms)
+            assert str(got.value) == str(ref.value), terms
+    assert chow.combine([(True, H), (Fraction(1, 2), H)]) == True * H + Fraction(1, 2) * H
+    with pytest.raises(MalformedDataError):
+        chow.combine([])
+
+
 @pytest.mark.parametrize("entry", [catalog.flag3(), catalog.projective_space(3)], ids=lambda e: e.variety_id)
 def test_the_first_chi_call_makes_three_products_and_the_h_pairings_integrate_nothing(entry, monkeypatch):
     """With the weights of each twist cached, the first chi on a fresh rank-2 Chern data makes

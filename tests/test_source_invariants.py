@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import instanton_lab
@@ -281,3 +282,47 @@ def test_benchmark_layers_resolve():
             missing.append(f"{layer}: {modname}.{attr}")
     assert layers
     assert missing == []
+
+
+def _string_templates(tree: ast.AST):
+    """``(lineno, text)`` of every string literal, an f-string's fields written ``{}``."""
+    fields = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr) for v in node.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield node.lineno, "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in fields:
+            yield node.lineno, node.value
+
+
+def test_only_chow_splits_or_formats_a_ring_id():
+    """A ring id is written once, by its builder in ``chow.py``, and split only by ``chow.read_id``:
+    ``catalog.py`` imports no ``re``, only the catalog's entry reader calls ``read_id``, and no
+    module but ``chow.py`` holds a string or f-string that is a ring id with arguments."""
+    from instanton_lab import chow
+
+    names = "|".join(name for name, (_, lower) in chow._PRESETS.items() if lower)
+    ring_id = re.compile(rf"(?:{names})\((?:\{{\}}|\d+)(?:,(?:\{{\}}|\d+))*\)")
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    imports_re = [
+        node.lineno
+        for node in ast.walk(trees["catalog.py"])
+        if isinstance(node, ast.Import) and "re" in {a.name for a in node.names}
+        or isinstance(node, ast.ImportFrom) and node.module == "re"
+    ]
+    assert imports_re == []
+    readers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if "read_id" in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+    assert readers == {"chow.py", "catalog.py"}
+    formats = [
+        f"{name}:{line}: {text}"
+        for name, tree in trees.items()
+        if name != "chow.py"
+        for line, text in _string_templates(tree)
+        if ring_id.fullmatch(text)
+    ]
+    assert formats == []
+    assert any(ring_id.fullmatch(text) for _, text in _string_templates(trees["chow.py"]))
