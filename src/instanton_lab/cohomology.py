@@ -28,15 +28,17 @@ window's first twist and one row per twist, so the window cannot disagree
 with its rows.  :func:`build_table` works on the whole window at once: each
 summand's keys come from one ``zip`` of shifted coordinate ranges, its
 column from one ``map`` over the memo, and the summands are scaled and
-summed in one flat pass over their dimensions, which is split into rows.
-The constructor checks every row in set passes over the whole window.
+summed in one flat pass that is split into rows, made once per window with
+no constructor call per row, as ``from_json``'s are after one nonnegativity
+pass.  The constructor checks every row in set passes over the window.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable, Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial, reduce
 from math import comb
 
@@ -97,6 +99,13 @@ class CohVector(FrozenValue):
 
 #: a vector's dims, read in C by the table passes
 _dims = operator.attrgetter("dims")
+
+
+def _vectors(dims: Iterable[tuple[int, ...]], count: int) -> tuple[CohVector, ...]:
+    """``tuple(map(CohVector, dims))`` for ``count`` tuples ``CohVector`` is known to accept, in two C passes."""
+    rows = tuple(map(object.__new__, itertools.repeat(CohVector, count)))
+    deque(map(CohVector.dims.__set__, rows, dims), maxlen=0)
+    return rows
 
 
 def zero_vector(n: int) -> CohVector:
@@ -493,9 +502,14 @@ class CohomologyTable(FrozenValue):
             tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
             rows_sorted = sorted(data["rows"], key=_twist_of)
             twists = list(map(_twist_of, rows_sorted))
-            rows = tuple(map(CohVector, map(tuple, map(_dims_of, rows_sorted))))
+            dims = tuple(map(tuple, map(_dims_of, rows_sorted)))
+            try:  # one pass over the window; a row it cannot clear is refused by CohVector
+                clear = min(itertools.chain.from_iterable(dims), default=0) >= 0
+            except TypeError:
+                clear = False
+            rows = _vectors(dims, len(dims)) if clear else tuple(map(CohVector, dims))
             assumptions = data.get("assumptions", [])
-            chern = ChernData.from_json(variety_id, data["chern"]) if data.get("chern") else None
+            chern = ChernData.from_json(variety_id, data["chern"]) if "chern" in data else None
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
         if set(map(type, itertools.chain((tmin, tmax), twists))) != {int}:
@@ -553,7 +567,7 @@ def build_table(
         columns.append(map(operator.mul, dims, itertools.repeat(mult)))
     # one flat pass sums the scaled columns; it is split into rows of n + 1 as it runs
     flat = reduce(partial(map, operator.add), columns)
-    rows = tuple(map(CohVector, zip(*[flat] * (entry.dimension + 1))))
+    rows = _vectors(zip(*[flat] * (entry.dimension + 1)), size)
     chern = None
     if with_chern:
         chern = rr.chern_of_line_bundle_sum([(line_bundle_class(entry, c), m) for c, m in bundles])

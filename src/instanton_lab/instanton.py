@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
-from .cohomology import CohomologyTable, CohVector
+from .cohomology import CohomologyTable, CohVector, _dims
 from .errors import MalformedDataError
 from .util import FrozenValue
 
@@ -38,11 +39,11 @@ class InstantonVerdict:
     """Outcome of the finite condition list, for both defects at once.
 
     ``admissible`` collects every (defect, quantum) pair that passes;
-    ``notes`` records the first failing condition for the defects that do
-    not.  ``is_ulrich`` means (0, 0) passed; ``is_wic`` that the sheaf has no
-    intermediate cohomology in any twist; ``natural_window`` that each
-    admissible defect sees at most one nonzero group per twist in its
-    symmetry window.
+    ``notes`` records every failing condition of each defect that does
+    not, in list order, defect 0 first.  ``is_ulrich`` means (0, 0) passed;
+    ``is_wic`` that the sheaf has no intermediate cohomology in any twist;
+    ``natural_window`` that each admissible defect sees at most one nonzero
+    group per twist in its symmetry window.
     """
 
     admissible: tuple[tuple[int, int], ...]
@@ -87,17 +88,18 @@ class InstantonConditions(FrozenValue):
     equality ``("q", n - 1, defect - n)``, meaning ``h^1(E(-h)) =
     h^(n-1)(E((defect - n) h))``; then, for defect 1 only, the chi equality
     ``("chi", n, -n)``, meaning ``chi(E) = (-1)^n chi(E(-n h))``.  Every
-    twist lies in ``[-n, 0]``.  Checks read columns ``t -> rows``, the row
-    at twist t of every sheaf under test, through :meth:`passes`, the one
-    place that says what each check compares; :meth:`failures` runs the
-    list on one sheaf and :meth:`sift` filters many candidates column-major,
-    one check at a time over the indices of the survivors, reading each
-    twist's column once and keeping it for the later checks.  Both n and the
-    defect must be ints.
+    twist lies in ``[-n, 0]``.  What each check compares is written once per
+    traffic shape.  Scans read columns ``t -> rows``, the row at twist t of
+    every sheaf under test, through :meth:`passes`: :meth:`sift` filters
+    many candidates column-major, one check at a time over the survivors,
+    reading each twist's column once and keeping it for the later checks.
+    One table's verdict reads its flat window through :meth:`notes`, and a
+    reference test keeps the two equal.  Both n and the defect must be ints.
     """
 
-    #: ``checks`` follows from the two fields, so it is neither compared nor shown
-    __slots__ = ("n", "defect", "checks")
+    #: ``checks`` and ``_places`` (the vanishings' getter, the vanishings, the places of h^1(E(-h)) and
+    #: h^(n-1)(E((defect - n) h)) in :meth:`notes`'s window) follow from the two fields, so are neither compared nor shown
+    __slots__ = ("n", "defect", "checks", "_places")
     _fields = ("n", "defect")
 
     def __init__(self, n: int, defect: int):
@@ -110,12 +112,15 @@ class InstantonConditions(FrozenValue):
             checks += [("zero", i, -(i + 1)), ("zero", n - i, defect - n + i)]
         if defect:
             checks += [("zero", i, -i) for i in range(2, n - 1)]
+        vanishings = tuple(checks)
         checks.append(("q", n - 1, defect - n))
         if defect:
             checks.append(("chi", n, -n))
+        zeros = itemgetter(*[(t + n) * (n + 1) + i for _, i, t in vanishings])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "defect", defect)
         object.__setattr__(self, "checks", tuple(checks))
+        object.__setattr__(self, "_places", (zeros, vanishings, (n - 1) * (n + 1) + 1, defect * (n + 1) + n - 1))
 
     @staticmethod
     def passes(check: Check, column: Callable[[int], Iterable[CohVector]]) -> list[bool]:
@@ -134,22 +139,23 @@ class InstantonConditions(FrozenValue):
         sign = (-1) ** i
         return [a.chi() == sign * b.chi() for a, b in zip(column(0), column(t))]
 
-    def failures(self, row: Callable[[int], CohVector]) -> Iterator[str]:
-        """Yield a note for each failing condition of one sheaf, in list order, lazily.
-
-        A note reads its condition's rows again, which costs a table less than keeping them.
-        """
-        passes, defect, column = self.passes, self.defect, lambda t: (row(t),)
-        for check in self.checks:
-            if passes(check, column)[0]:
-                continue
-            kind, i, t = check
-            if kind == "zero":
-                yield f"delta={defect}: h^{i}(E({t}h)) = {row(t).dims[i]} != 0"
-            elif kind == "q":
-                yield f"delta={defect}: h^1(E(-h)) = {row(-1).dims[1]} != h^{i}(E({t}h)) = {row(t).dims[i]}"
-            else:
-                yield f"delta={defect}: chi(E) = {row(0).chi()} != (-1)^{i} chi(E({t}h)) = {(-1) ** i * row(t).chi()}"
+    def notes(self, window: tuple[int, ...]) -> list[str]:
+        """A note for each failing condition of one sheaf, in list order, read off ``window``, its rows
+        at ``-n, ..., 0`` as one flat tuple (``h^i(E(t h))`` at ``(t + n) (n + 1) + i``): the vanishings
+        by one ``itemgetter``, then the q pair and the chi pair."""
+        zeros, vanishings, q1, qi, n, defect = *self._places, self.n, self.defect
+        notes = []
+        if any(values := zeros(window)):
+            notes = [f"delta={defect}: h^{i}(E({t}h)) = {v} != 0" for (_, i, t), v in zip(vanishings, values) if v]
+        if window[q1] != window[qi]:
+            notes.append(f"delta={defect}: h^1(E(-h)) = {window[q1]} != h^{n - 1}(E({defect - n}h)) = {window[qi]}")
+        if defect:
+            top = n * (n + 1)  # the rows at 0 and at -n
+            chi = sum(window[top::2]) - sum(window[top + 1 :: 2])
+            chi_t = (-1) ** n * (sum(window[: n + 1 : 2]) - sum(window[1 : n + 1 : 2]))
+            if chi != chi_t:
+                notes.append(f"delta={defect}: chi(E) = {chi} != (-1)^{n} chi(E({-n}h)) = {chi_t}")
+        return notes
 
     def sift(
         self, count: int, column_of: Callable[[int, list[int] | None], Iterable[CohVector]]
@@ -202,13 +208,13 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
     """
     n = table.dimension
     table.require(-n, 0)
+    window = tuple(chain.from_iterable(map(_dims, table.rows[-n - table.tmin : 1 - table.tmin])))
     admissible: list[tuple[int, int]] = []
     notes: list[str] = []
     for defect in (0, 1):
-        fails = list(_conditions(n, defect).failures(table.row))
-        if fails:
-            notes.extend(fails)
-        else:
+        fails = _conditions(n, defect).notes(window)
+        notes += fails
+        if not fails:
             admissible.append((defect, table.h(1, -1)))
     is_ulrich = (0, 0) in admissible
     is_wic = False

@@ -416,6 +416,95 @@ def test_the_window_width_sets_no_work_in_from_json():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        ([1, -1, 0], "negative cohomology dimension in (1, -1, 0)"),
+        ([1, "a", 0], "cohomology dimensions must be ints, got (1, 'a', 0)"),
+        ([1, True, 0], "cohomology dimensions on projective_space(2) must be ints"),
+        ([1, 0.5, 0], "cohomology dimensions on projective_space(2) must be ints"),
+        ([1, json.loads("NaN"), 0], "cohomology dimensions on projective_space(2) must be ints"),
+        ("100", "cohomology dimensions must be ints, got ('1', '0', '0')"),
+        ([1, 0], "rows on projective_space(2) must list h^0, ..., h^2"),
+        (5, "malformed cohomology table (TypeError: 'int' object is not iterable)"),
+    ],
+    ids=["negative", "string", "bool", "float", "nan", "string-h", "short", "int-h"],
+)
+def test_the_table_reader_refuses_a_malformed_row(h, message):
+    """A malformed middle row is refused in the words of the value that owns its rule: ``CohVector``
+    for a negative or incomparable dimension, the constructor for a non-int one or a short row, the
+    reader for ``h`` that is not a list."""
+    data = build_table(catalog.projective_space(2), (0,), (-1, 1)).to_json()
+    data["rows"][1]["h"] = h
+    with pytest.raises(MalformedDataError) as exc:
+        CohomologyTable.from_json(data)
+    assert type(exc.value) is MalformedDataError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("chern, message", [
+    ({}, "malformed Chern data (KeyError: 'rank')"),
+    ([], "malformed Chern data (TypeError: list indices must be integers or slices, not str)"),
+    (0, "malformed Chern data (TypeError: 'int' object is not subscriptable)"),
+    (False, "malformed Chern data (TypeError: 'bool' object is not subscriptable)"),
+    ("", "malformed Chern data (TypeError: string indices must be integers, not 'str')"),
+    (None, "malformed Chern data (TypeError: 'NoneType' object is not subscriptable)"),
+], ids=["dict", "list", "zero", "false", "empty-string", "null"])
+def test_the_table_reader_reads_every_chern_block_it_is_given(chern, message):
+    """A falsy ``chern`` value is a block ``ChernData.from_json`` refuses, not a table without one."""
+    data = build_table(catalog.projective_space(2), (0,), (-1, 1)).to_json() | {"chern": chern}
+    with pytest.raises(MalformedDataError) as exc:
+        CohomologyTable.from_json(data)
+    assert type(exc.value) is MalformedDataError and str(exc.value) == message
+
+
+@given(st.lists(st.lists(st.integers(0, 10**30), max_size=7).map(tuple), max_size=8))
+def test_bulk_rows_are_the_constructor_rows(dims):
+    """``_vectors`` makes what ``tuple(map(CohVector, dims))`` makes: equal, frozen vectors
+    that hold the very dims tuples."""
+    rows = cohomology._vectors(iter(dims), len(dims))
+    assert rows == tuple(map(CohVector, dims))
+    assert [type(row) for row in rows] == [CohVector] * len(dims)
+    assert all(row.dims is d for row, d in zip(rows, dims))
+    for row in rows:
+        with pytest.raises(AttributeError):
+            row.dims = ()
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 10**30)] * (n + 1)), min_size=1, max_size=6)
+))
+def test_the_table_reader_makes_the_constructor_rows(dims):
+    """``from_json`` on nonnegative rows gives the table built from ``tuple(map(CohVector, dims))``."""
+    n = len(dims[0]) - 1
+    table = CohomologyTable(catalog.projective_space(n).variety_id, 1, -2, tuple(map(CohVector, dims)))
+    again = CohomologyTable.from_json(json.loads(json.dumps(table.to_json())))
+    assert again == table and again.rows == tuple(map(CohVector, dims))
+
+
+def test_table_makers_call_no_vector_constructor_per_row(monkeypatch):
+    """On a warm memo ``build_table`` and ``from_json`` make their rows with no ``CohVector.__init__``
+    call; a row ``from_json``'s nonnegativity pass cannot clear sends every row to ``CohVector``."""
+    entry = catalog.scroll_p1((1, 2, 2))
+    bundles = [((0, 1), 1), ((1, 0), 2)]
+    table = build_table(entry, bundles, (-7, 5))
+    data = json.loads(json.dumps(table.to_json()))
+    calls = []
+    init = CohVector.__init__
+
+    def counted_init(self, dims):
+        calls.append(dims)
+        init(self, dims)
+
+    monkeypatch.setattr(CohVector, "__init__", counted_init)
+    assert build_table(entry, bundles, (-7, 5)) == table
+    assert CohomologyTable.from_json(data) == table
+    assert calls == []
+    data["rows"][3]["h"] = [0, "a", 0, 0]
+    with pytest.raises(MalformedDataError, match=r"^cohomology dimensions must be ints, got \(0, 'a', 0, 0\)$"):
+        CohomologyTable.from_json(data)
+    assert calls == [tuple(row["h"]) for row in data["rows"][:4]]
+
+
 def test_prime_fano_engine_takes_the_genus():
     assert cohomology.coh_cyclic_fano_index1(5, 1) == line_bundle_cohomology(catalog.prime_fano(5), (1,))
     with pytest.raises(ValueError, match=r"^prime Fano 3-folds have genus >= 3$"):

@@ -30,6 +30,7 @@ from instanton_lab.replays import (
     ulrich_dual_table,
     veronese_quantum,
 )
+from test_cohomology import TABLE_IO_ENTRIES, table_io_bundles
 
 
 def flag_table(a1, a2, window=(-4, 1)):
@@ -537,11 +538,35 @@ def test_condition_list_stops_at_the_first_failure():
     assert columns == {t: [tables["O"].row(t)] for t in (-1, -3, -2)}
     # one pass per check: every read of a check precedes the reads of the next
     assert read[:3] == [("O(1)", -1), ("O", -1), ("O(-1)", -1)]
-    # the table route reads as lazily; the note reads its row again
-    read.clear()
-    assert next(conditions.failures(row_of("O(1)"))) == "delta=0: h^0(E(-1h)) = 1 != 0"
-    assert read == [("O(1)", -1), ("O(1)", -1)]
     assert conditions.sift(0, lambda t, survivors: ()) == (range(0), {-1: [], -3: [], -2: []}, (0, 0, 0, 0, 0))
+
+
+def test_a_verdict_reads_one_flat_window(monkeypatch):
+    """``check_instanton`` makes no ``CohVector`` and calls no ``InstantonConditions.passes``: it
+    reads the rows of [-n, 0] once, as one flat tuple, through :meth:`InstantonConditions.notes`."""
+    tables = [build_table(catalog.projective_space(3), coords, (-5, 2)) for coords in [(0,), (1,), (2,), (-1,)]]
+    expected = [check_instanton(table) for table in tables]
+    calls = []
+    init, passes = CohVector.__init__, instanton.InstantonConditions.passes
+
+    def counted_init(self, dims):
+        calls.append("init")
+        init(self, dims)
+
+    def counted_passes(check, column):
+        calls.append("passes")
+        return passes(check, column)
+
+    monkeypatch.setattr(CohVector, "__init__", counted_init)
+    monkeypatch.setattr(instanton.InstantonConditions, "passes", staticmethod(counted_passes))
+    assert [check_instanton(table) for table in tables] == expected
+    assert calls == []
+    # every failing condition of each failing defect is noted, in list order
+    assert expected[0].is_ulrich and expected[2].notes == (
+        "delta=0: h^0(E(-1h)) = 4 != 0",
+        "delta=1: h^0(E(-1h)) = 4 != 0",
+        "delta=1: chi(E) = 10 != (-1)^3 chi(E(-3h)) = 0",
+    )
 
 
 THREEFOLDS = (
@@ -585,7 +610,7 @@ def test_sift_keeps_exactly_the_sheaves_without_failures(tables, defect):
         len(tables), lambda t, survivors: [tables[k].row(t) for k in (indices if survivors is None else survivors)]
     )
     failing = [[c for c in conditions.checks if not holds(c, table)] for table in tables]
-    notes = [list(conditions.failures(table.row)) for table in tables]
+    notes = [conditions.notes(flat_window(table)) for table in tables]
     assert list(members) == [k for k, table_notes in enumerate(notes) if not table_notes]
     assert list(map(len, notes)) == list(map(len, failing))
     for table_notes, checks in zip(notes, failing):
@@ -594,6 +619,89 @@ def test_sift_keeps_exactly_the_sheaves_without_failures(tables, defect):
             assert (f"chi(E({t}h))" if kind == "chi" else f"h^{i}(E({t}h))") in table_notes[0]
     firsts = [checks[0] for checks in failing if checks]
     assert rejected == tuple(firsts.count(check) for check in conditions.checks)
+
+
+def flat_window(table):
+    """The table's rows at ``-n, ..., 0`` as one flat tuple, the input of :meth:`InstantonConditions.notes`."""
+    n = table.dimension
+    return tuple(itertools.chain.from_iterable(table.row(t).dims for t in range(-n, 1)))
+
+
+def failures_loop(conditions, row):
+    """A note for each failing condition of one sheaf, in list order, from one
+    :meth:`InstantonConditions.passes` call per condition over a one-sheaf column and reading the
+    rows again for the note: the reference for :meth:`InstantonConditions.notes`."""
+    passes, defect, column = conditions.passes, conditions.defect, lambda t: (row(t),)
+    notes = []
+    for check in conditions.checks:
+        if passes(check, column)[0]:
+            continue
+        kind, i, t = check
+        if kind == "zero":
+            notes.append(f"delta={defect}: h^{i}(E({t}h)) = {row(t).dims[i]} != 0")
+        elif kind == "q":
+            notes.append(f"delta={defect}: h^1(E(-h)) = {row(-1).dims[1]} != h^{i}(E({t}h)) = {row(t).dims[i]}")
+        else:
+            chi, chi_t = row(0).chi(), (-1) ** i * row(t).chi()
+            notes.append(f"delta={defect}: chi(E) = {chi} != (-1)^{i} chi(E({t}h)) = {chi_t}")
+    return notes
+
+
+def reference_verdict(table):
+    """:func:`check_instanton` with the failures loop over ``table.row``: its reference."""
+    n = table.dimension
+    table.require(-n, 0)
+    admissible, notes = [], []
+    for defect in (0, 1):
+        fails = failures_loop(instanton.InstantonConditions(n, defect), table.row)
+        if fails:
+            notes.extend(fails)
+        else:
+            admissible.append((defect, table.h(1, -1)))
+    is_wic = any(
+        n == 1 or q == 0 and (d == 0 or (table.h(1, 0) == 0 and table.h(n - 1, -n) == 0)) for d, q in admissible
+    )
+    defects = [d for d, _ in admissible] or [0]
+    natural = all(natural_cohomology_window(table, d) for d in defects)
+    return instanton.InstantonVerdict(tuple(admissible), (0, 0) in admissible, is_wic, natural, tuple(notes))
+
+
+@st.composite
+def window_tables(draw):
+    """A table on P^n, n in 1-6, over a window from at or below -n to at or above 0, with arbitrary
+    nonnegative rows, geometric or not: sparse ones, which pass many conditions, or dense ones."""
+    n = draw(st.integers(1, 6))
+    tmin, tmax = draw(st.integers(-n - 3, -n)), draw(st.integers(0, 3))
+    size = (tmax - tmin + 1) * (n + 1)
+    values = st.integers(0, 3) | st.integers(0, 10**30)
+    if draw(st.booleans()):
+        flat = [0] * size
+        for k, v in draw(st.dictionaries(st.integers(0, size - 1), values, max_size=4)).items():
+            flat[k] = v
+    else:
+        flat = draw(st.lists(values, min_size=size, max_size=size))
+    rows = tuple(CohVector(tuple(flat[k : k + n + 1])) for k in range(0, size, n + 1))
+    return CohomologyTable(catalog.projective_space(n).variety_id, 1, tmin, rows)
+
+
+@given(window_tables())
+@settings(max_examples=300, deadline=None)
+def test_check_instanton_is_the_failures_loop(table):
+    assert check_instanton(table) == reference_verdict(table)
+
+
+def test_check_instanton_is_the_failures_loop_on_the_table_io_grid():
+    """Engine-built sums on the table_io families, over windows from -n - w to w."""
+    checked = passed = 0
+    for entry in TABLE_IO_ENTRIES:
+        n = entry.dimension
+        for w in (0, 3):
+            for bundles in table_io_bundles(entry):
+                table = build_table(entry, bundles, (-n - w, w), with_chern=False)
+                verdict = check_instanton(table)
+                assert verdict == reference_verdict(table), (entry.variety_id, bundles, w)
+                checked, passed = checked + 1, passed + bool(verdict.admissible)
+    assert checked == 612 and 0 < passed < checked
 
 
 def test_verdict_invariants_are_typed():

@@ -326,3 +326,32 @@ def test_only_chow_splits_or_formats_a_ring_id():
     ]
     assert formats == []
     assert any(ring_id.fullmatch(text) for _, text in _string_templates(trees["chow.py"]))
+
+
+def test_only_the_bulk_helper_makes_vectors_without_their_constructor():
+    """``cohomology._vectors`` is the one place in the package that names ``__new__`` or a slot's
+    ``__set__``, so every other ``CohVector`` passes its constructor's checks; only ``build_table``
+    and ``CohomologyTable.from_json`` call it, on dims they have checked."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    owners = {}
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owners.setdefault(id(node), (name, func.name))
+    bypasses = {
+        owners.get(id(node), (name, None))
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("__new__", "__set__")
+    }
+    assert bypasses == {("cohomology.py", "_vectors")}
+    callers = {
+        owners.get(id(node), (name, None))
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_vectors"
+    }
+    assert callers == {("cohomology.py", "build_table"), ("cohomology.py", "from_json")}
+    names = [name for name, tree in trees.items() for node in ast.walk(tree) if getattr(node, "id", None) == "_vectors"]
+    assert names == ["cohomology.py"] * 2
