@@ -93,9 +93,8 @@ def render_table(table: CohomologyTable) -> str:
         head,
         sep,
     ]
-    for t in table.twists():
-        row = table.row(t)
-        lines.append(f"| {t} | " + " | ".join(str(v) for v in row.dims) + f" | {row.chi()} |")
+    for t, dims in zip(table.twists(), table.dims):
+        lines.append(f"| {t} | " + " | ".join(str(v) for v in dims) + f" | {table.chi_at(t)} |")
     for a in table.assumptions:
         lines.append(f"(assumption: {a})")
     return "\n".join(lines)

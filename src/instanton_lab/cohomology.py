@@ -22,23 +22,23 @@ once and keeps the vector for the life of the process, so scans, tables and
 The memo holds each line bundle visited: about 2 500 vectors after the
 sweeps of boxes 4-10 on the two sextic del Pezzo 3-folds.
 
-Tables collect the cohomology vectors of one bundle over a twist window and
-are the raw material the instanton checker consumes.  A table stores the
-window's first twist and one row per twist, so the window cannot disagree
-with its rows.  :func:`build_table` works on the whole window at once: each
-summand's keys come from one ``zip`` of shifted coordinate ranges, its
-column from one ``map`` over the memo, and the summands are scaled and
-summed in one flat pass that is split into rows, made once per window with
-no constructor call per row, as ``from_json``'s are after one nonnegativity
-pass.  The constructor checks every row in set passes over the window.
+Tables collect the cohomology of one bundle over a twist window and are the
+raw material the instanton checker consumes.  A table stores the window's
+first twist and its ``dims``, one plain int tuple ``(h^0, ..., h^n)`` per
+twist, so the window cannot disagree with its rows; ``rows`` shows them as
+``CohVector`` values on request.  :func:`build_table` works on the whole
+window at once: each summand's keys come from one ``zip`` of shifted
+coordinate ranges, its column from one ``map`` over the memo, and the
+summands are scaled and summed in one flat pass that is split into rows.
+The constructor checks every row, whoever made it, in set passes over the
+window.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from functools import partial, reduce
 from math import comb
 
@@ -97,15 +97,8 @@ class CohVector(FrozenValue):
         return tuple(i for i, d in enumerate(self.dims) if d)
 
 
-#: a vector's dims, read in C by the table passes
+#: a vector's dims, read in C by :func:`build_table`
 _dims = operator.attrgetter("dims")
-
-
-def _vectors(dims: Iterable[tuple[int, ...]], count: int) -> tuple[CohVector, ...]:
-    """``tuple(map(CohVector, dims))`` for ``count`` tuples ``CohVector`` is known to accept, in two C passes."""
-    rows = tuple(map(object.__new__, itertools.repeat(CohVector, count)))
-    deque(map(CohVector.dims.__set__, rows, dims), maxlen=0)
-    return rows
 
 
 def zero_vector(n: int) -> CohVector:
@@ -395,23 +388,24 @@ _twist_of, _dims_of = operator.itemgetter("t"), operator.itemgetter("h")
 
 
 class CohomologyTable(FrozenValue):
-    """One sheaf's rows ``(h^0, ..., h^n)`` over the twist window from ``tmin``, which give the
-    window's end and n.  The constructor is the one place a table is checked, in set passes over
+    """One sheaf's cohomology ``dims``, one int tuple ``(h^0, ..., h^n)`` per twist of the window
+    from ``tmin``, which give the window's end and n; ``rows`` and :meth:`row` show them as
+    ``CohVector`` values.  The constructor is the one place a table is checked, in set passes over
     the whole window.  Its variety id resolves through :func:`catalog.entry_ring`, which refuses
-    an id that is not a string; a rank or tmin that is not an int, a rank below 1, rows that are
-    not a non-empty tuple of ``CohVector`` ``(h^0, ..., h^n)`` of ints on that variety,
+    an id that is not a string; a rank or tmin that is not an int, a rank below 1, dims that are
+    not a non-empty tuple of tuples ``(h^0, ..., h^n)`` of nonnegative ints on that variety,
     assumptions that are not a tuple of strings, and Chern data that are not ``ChernData`` or are
     of another rank raise ``MalformedDataError``; an unknown variety raises
     ``UnknownVarietyError`` and Chern data on another ring ``VarietyMismatchError``."""
 
-    __slots__ = _fields = ("variety_id", "rank", "tmin", "rows", "chern", "assumptions")
+    __slots__ = _fields = ("variety_id", "rank", "tmin", "dims", "chern", "assumptions")
 
     def __init__(
         self,
         variety_id: str,
         rank: int,
         tmin: int,
-        rows: tuple[CohVector, ...],
+        dims: tuple[tuple[int, ...], ...],
         chern: ChernData | None = None,
         assumptions: tuple[str, ...] = (),
     ):
@@ -421,15 +415,17 @@ class CohomologyTable(FrozenValue):
             raise MalformedDataError(f"rank and tmin must be ints, got {rank!r} and {tmin!r}")
         if rank < 1:
             raise MalformedDataError("rank must be positive")
-        if not rows:
+        if not dims:
             raise MalformedDataError("empty window")
-        if type(rows) is not tuple or set(map(type, rows)) != {CohVector}:
-            raise MalformedDataError("rows must be a tuple of CohVectors")
-        dims = tuple(map(_dims, rows))
+        if type(dims) is not tuple or set(map(type, dims)) != {tuple}:
+            raise MalformedDataError("dims must be a tuple of int tuples, one per twist")
         if set(map(len, dims)) != {n + 1}:
             raise MalformedDataError(f"rows on {variety_id} must list h^0, ..., h^{n}")
-        if set(map(type, itertools.chain.from_iterable(dims))) != {int}:
+        flat = tuple(itertools.chain.from_iterable(dims))
+        if set(map(type, flat)) != {int}:
             raise MalformedDataError(f"cohomology dimensions on {variety_id} must be ints")
+        if min(flat) < 0:
+            raise MalformedDataError(f"negative cohomology dimension in {next(d for d in dims if min(d) < 0)}")
         if type(assumptions) is not tuple or assumptions and set(map(type, assumptions)) != {str}:
             raise MalformedDataError(f"assumptions must be a tuple of strings, got {assumptions!r}")
         if chern is not None:
@@ -442,20 +438,24 @@ class CohomologyTable(FrozenValue):
         object.__setattr__(self, "variety_id", variety_id)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "tmin", tmin)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "chern", chern)
         object.__setattr__(self, "assumptions", assumptions)
 
     @property
+    def rows(self) -> tuple[CohVector, ...]:
+        return tuple(map(CohVector, self.dims))
+
+    @property
     def tmax(self) -> int:
-        return self.tmin + len(self.rows) - 1
+        return self.tmin + len(self.dims) - 1
 
     @property
     def dimension(self) -> int:
-        return len(self.rows[0].dims) - 1
+        return len(self.dims[0]) - 1
 
     def covers(self, a: int, b: int) -> bool:
-        return self.tmin <= a and b < self.tmin + len(self.rows)
+        return self.tmin <= a and b < self.tmin + len(self.dims)
 
     def require(self, lo: int, hi: int) -> None:
         """Raise ``WindowError`` naming the twists of ``[lo, hi]`` the table does not cover."""
@@ -464,27 +464,31 @@ class CohomologyTable(FrozenValue):
         missing = tuple(t for t in range(lo, hi + 1) if not self.tmin <= t <= self.tmax)
         raise WindowError(f"table window [{self.tmin}, {self.tmax}] is missing twists {list(missing)}", missing)
 
-    def row(self, t: int) -> CohVector:
+    def _at(self, t: int) -> tuple[int, ...]:
         i = t - self.tmin
-        if not 0 <= i < len(self.rows):
+        if not 0 <= i < len(self.dims):
             self.require(t, t)
-        return self.rows[i]
+        return self.dims[i]
+
+    def row(self, t: int) -> CohVector:
+        return CohVector(self._at(t))
 
     def h(self, i: int, t: int) -> int:
-        return self.row(t)[i]
+        return self._at(t)[i]
 
     def chi_at(self, t: int) -> int:
-        return self.row(t).chi()
+        dims = self._at(t)
+        return sum(dims[::2]) - sum(dims[1::2])
 
     def twists(self) -> range:
-        return range(self.tmin, self.tmin + len(self.rows))
+        return range(self.tmin, self.tmin + len(self.dims))
 
     def to_json(self) -> dict:
         out: dict = {
             "variety": self.variety_id,
             "rank": self.rank,
             "window": {"tmin": self.tmin, "tmax": self.tmax},
-            "rows": [{"t": t, "h": list(dims)} for t, dims in zip(self.twists(), map(_dims, self.rows))],
+            "rows": [{"t": t, "h": list(dims)} for t, dims in zip(self.twists(), self.dims)],
         }
         if self.chern is not None:
             out["chern"] = self.chern.to_json()
@@ -495,25 +499,23 @@ class CohomologyTable(FrozenValue):
     @staticmethod
     def from_json(data: dict) -> "CohomologyTable":
         """Read a table, checking only what the JSON alone has: its keys, window ends and twists
-        that are ints and enumerate the window, and ``assumptions`` that is a list.  The variety
-        id resolves in :func:`catalog.entry_ring`, and the constructors check the rest."""
+        that are ints and enumerate the window, each row's ``h`` that is a list, and ``assumptions``
+        that is a list.  The variety id resolves in :func:`catalog.entry_ring`, and the constructors
+        check the rest."""
         try:
             variety_id, rank = data["variety"], data["rank"]
             tmin, tmax = data["window"]["tmin"], data["window"]["tmax"]
             rows_sorted = sorted(data["rows"], key=_twist_of)
             twists = list(map(_twist_of, rows_sorted))
-            dims = tuple(map(tuple, map(_dims_of, rows_sorted)))
-            try:  # one pass over the window; a row it cannot clear is refused by CohVector
-                clear = min(itertools.chain.from_iterable(dims), default=0) >= 0
-            except TypeError:
-                clear = False
-            rows = _vectors(dims, len(dims)) if clear else tuple(map(CohVector, dims))
+            hs = list(map(_dims_of, rows_sorted))
             assumptions = data.get("assumptions", [])
             chern = ChernData.from_json(variety_id, data["chern"]) if "chern" in data else None
         except (KeyError, TypeError) as exc:
             raise MalformedDataError(f"malformed cohomology table ({type(exc).__name__}: {exc})") from None
         if set(map(type, itertools.chain((tmin, tmax), twists))) != {int}:
             raise MalformedDataError("window and twists must be ints")
+        if set(map(type, hs)) - {list}:
+            raise MalformedDataError(f"a row's h must be a list, got {next(h for h in hs if type(h) is not list)!r}")
         if type(assumptions) is not list:
             raise MalformedDataError("assumptions must be a list")
         # the row count first, so the window's width sets no work
@@ -523,7 +525,7 @@ class CohomologyTable(FrozenValue):
             variety_id=variety_id,
             rank=rank,
             tmin=tmin,
-            rows=rows,
+            dims=tuple(map(tuple, hs)),
             chern=chern,
             assumptions=tuple(assumptions),
         )
@@ -563,11 +565,11 @@ def build_table(
             range(c + tmin * v, c + (tmax + 1) * v, v) if v else itertools.repeat(c, size)
             for c, v in zip(coords, step)
         ]
-        dims = itertools.chain.from_iterable(map(_dims, map(read, zip(*ranges))))
-        columns.append(map(operator.mul, dims, itertools.repeat(mult)))
+        values = itertools.chain.from_iterable(map(_dims, map(read, zip(*ranges))))
+        columns.append(map(operator.mul, values, itertools.repeat(mult)))
     # one flat pass sums the scaled columns; it is split into rows of n + 1 as it runs
     flat = reduce(partial(map, operator.add), columns)
-    rows = _vectors(zip(*[flat] * (entry.dimension + 1)), size)
+    dims = tuple(zip(*[flat] * (entry.dimension + 1)))
     chern = None
     if with_chern:
         chern = rr.chern_of_line_bundle_sum([(line_bundle_class(entry, c), m) for c, m in bundles])
@@ -576,7 +578,7 @@ def build_table(
         variety_id=entry.variety_id,
         rank=rank,
         tmin=tmin,
-        rows=rows,
+        dims=dims,
         chern=chern,
         assumptions=assumptions,
     )

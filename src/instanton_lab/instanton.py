@@ -26,7 +26,7 @@ from itertools import chain, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .cohomology import CohomologyTable, CohVector, _dims
+from .cohomology import CohomologyTable, CohVector
 from .errors import MalformedDataError
 from .util import FrozenValue
 
@@ -208,7 +208,7 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
     """
     n = table.dimension
     table.require(-n, 0)
-    window = tuple(chain.from_iterable(map(_dims, table.rows[-n - table.tmin : 1 - table.tmin])))
+    window = tuple(chain.from_iterable(table.dims[-n - table.tmin : 1 - table.tmin]))
     admissible: list[tuple[int, int]] = []
     notes: list[str] = []
     for defect in (0, 1):
@@ -231,6 +231,7 @@ def check_instanton(table: CohomologyTable) -> InstantonVerdict:
 
 def natural_cohomology_window(table: CohomologyTable, defect: int) -> bool:
     """At most one nonzero group per twist in the shifts ``defect - n <= t <= -1``."""
-    n = table.dimension
+    n, tmin = table.dimension, table.tmin
     table.require(defect - n, -1)
-    return all(len(row.dims) - row.dims.count(0) <= 1 for row in map(table.row, range(defect - n, 0)))
+    # the rows at defect - n, ..., -1; an empty range is an empty slice
+    return all(len(dims) - dims.count(0) <= 1 for dims in table.dims[defect - n - tmin : -tmin])

@@ -22,13 +22,14 @@ paths, the lattice scans (:mod:`classify`) and the condition checker
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import catalog, chow, cohomology, rr
 from .catalog import VarietyCatalogEntry
-from .cohomology import CohomologyTable, line_bundle_cohomology, serre_dual_vector
+from .cohomology import CohomologyTable, line_bundle_cohomology
 from .errors import (
     InfeasibleError,
     MalformedDataError,
@@ -99,7 +100,7 @@ def pushforward_model(table: CohomologyTable, degree: int) -> CohomologyTable:
         variety_id=catalog.projective_space(table.dimension).variety_id,
         rank=table.rank * degree,
         tmin=table.tmin,
-        rows=table.rows,
+        dims=table.dims,
         chern=None,
         assumptions=table.assumptions,
     )
@@ -112,7 +113,8 @@ def direct_sum(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
     tmin, tmax = max(t1.tmin, t2.tmin), min(t1.tmax, t2.tmax)
     if tmin > tmax:
         raise WindowError("the table windows do not overlap")
-    rows = tuple(t1.row(t) + t2.row(t) for t in range(tmin, tmax + 1))
+    # both suffixes start at tmin, and the shorter ends at tmax
+    dims = tuple(tuple(map(operator.add, a, b)) for a, b in zip(t1.dims[tmin - t1.tmin :], t2.dims[tmin - t2.tmin :]))
     chern = None
     if t1.chern is not None and t2.chern is not None:
         chern = rr.whitney_sum(t1.chern, t2.chern)
@@ -120,7 +122,7 @@ def direct_sum(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
         variety_id=t1.variety_id,
         rank=t1.rank + t2.rank,
         tmin=tmin,
-        rows=rows,
+        dims=dims,
         chern=chern,
         assumptions=tuple(dict.fromkeys(t1.assumptions + t2.assumptions)),
     )
@@ -141,13 +143,13 @@ def ulrich_dual_table(
     n = table.dimension
     if table.variety_id != entry.variety_id:
         raise VarietyMismatchError(f"table on {table.variety_id!r} does not live on {entry.variety_id!r}")
-    rows = tuple(serre_dual_vector(row) for row in reversed(table.rows))
+    dims = tuple(row[::-1] for row in reversed(table.dims))
     chern = None if table.chern is None else rr.ulrich_dual_chern(entry, table.chern, defect)
     return CohomologyTable(
         variety_id=table.variety_id,
         rank=table.rank,
         tmin=defect - n - 1 - table.tmax,
-        rows=rows,
+        dims=dims,
         chern=chern,
         assumptions=table.assumptions,
     )

@@ -303,11 +303,14 @@ def _float_twist(data):
         lambda data: data["chern"].update(c1=[[[True, 0], 1]]),
         lambda data: data["rows"][0].update(h="0000"),
         lambda data: data["rows"][0].update(h={"a": 1}),
+        lambda data: data["rows"][0].update(h=5),
+        lambda data: data["rows"][0].update(h=None),
         *[lambda data, chern=chern: data.update(chern=chern) for chern in ({}, [], 0, False, "", None)],
     ],
     ids=["float-dim", "bool-dim", "float-window", "float-twist", "negative-rank", "string-rank", "bool-rank",
          "string-assumptions", "int-assumption", "float-chern-rank", "bool-chern-rank", "other-chern-rank",
          "string-c1", "three-item-term", "float-exponent", "bool-exponent", "string-dims", "dict-dims",
+         "int-dims", "null-dims",
          "dict-chern", "list-chern", "zero-chern", "false-chern", "empty-chern", "null-chern"],
 )
 def test_malformed_table_exits_2(tmp_path, capsys, mutate):

@@ -89,8 +89,7 @@ def test_curve_theta_family():
 def test_natural_cohomology_window():
     assert natural_cohomology_window(triple_table((0, 1, 2)), 0)
     assert natural_cohomology_window(triple_table((-1, 1, 3)), 0)
-    rows = (CohVector((1, 1, 0, 0)),) * 4
-    bad = CohomologyTable("projective_space(3)", 1, -3, rows)
+    bad = CohomologyTable("projective_space(3)", 1, -3, ((1, 1, 0, 0),) * 4)
     assert not natural_cohomology_window(bad, 0)
 
 
@@ -252,14 +251,14 @@ def test_regularity_report_triple_example():
 
 
 def test_regularity_report_flags_violation():
-    rows = (
-        CohVector((0, 1, 0, 0)),
-        CohVector((0, 1, 1, 0)),  # h^2(E(-2h)) != 0 while w = 1+0 ... constructed
-        CohVector((0, 1, 0, 0)),
-        CohVector((0, 1, 0, 0)),
-        CohVector((1, 1, 0, 0)),
+    dims = (
+        (0, 1, 0, 0),
+        (0, 1, 1, 0),  # h^2(E(-2h)) != 0 while w = 1+0 ... constructed
+        (0, 1, 0, 0),
+        (0, 1, 0, 0),
+        (1, 1, 0, 0),
     )
-    table = CohomologyTable("projective_space(3)", 1, -3, rows)
+    table = CohomologyTable("projective_space(3)", 1, -3, dims)
     rep = regularity_report(table, 0)
     assert rep.violations
 
@@ -451,8 +450,8 @@ def test_check_instanton_notes_pinned(entry, coords, notes):
 
 def test_check_instanton_notes_pinned_every_condition_failing():
     """A 5-fold table that fails every condition, in list order."""
-    rows = tuple(CohVector(tuple(i + 1 - t for i in range(6))) for t in range(-5, 1))
-    verdict = check_instanton(CohomologyTable("projective_space(5)", 1, -5, rows))
+    dims = tuple(tuple(i + 1 - t for i in range(6)) for t in range(-5, 1))
+    verdict = check_instanton(CohomologyTable("projective_space(5)", 1, -5, dims))
     assert verdict.notes == (
         "delta=0: h^0(E(-1h)) = 2 != 0",
         "delta=0: h^5(E(-5h)) = 11 != 0",
@@ -647,8 +646,16 @@ def failures_loop(conditions, row):
     return notes
 
 
+def reference_natural(table, defect):
+    """:func:`natural_cohomology_window` over ``table.row``: its reference."""
+    n = table.dimension
+    table.require(defect - n, -1)
+    return all(len(row.dims) - row.dims.count(0) <= 1 for row in map(table.row, range(defect - n, 0)))
+
+
 def reference_verdict(table):
-    """:func:`check_instanton` with the failures loop over ``table.row``: its reference."""
+    """:func:`check_instanton` with the failures loop and :func:`reference_natural` over
+    ``table.row``: its reference."""
     n = table.dimension
     table.require(-n, 0)
     admissible, notes = [], []
@@ -662,16 +669,13 @@ def reference_verdict(table):
         n == 1 or q == 0 and (d == 0 or (table.h(1, 0) == 0 and table.h(n - 1, -n) == 0)) for d, q in admissible
     )
     defects = [d for d, _ in admissible] or [0]
-    natural = all(natural_cohomology_window(table, d) for d in defects)
+    natural = all(reference_natural(table, d) for d in defects)
     return instanton.InstantonVerdict(tuple(admissible), (0, 0) in admissible, is_wic, natural, tuple(notes))
 
 
-@st.composite
-def window_tables(draw):
-    """A table on P^n, n in 1-6, over a window from at or below -n to at or above 0, with arbitrary
-    nonnegative rows, geometric or not: sparse ones, which pass many conditions, or dense ones."""
-    n = draw(st.integers(1, 6))
-    tmin, tmax = draw(st.integers(-n - 3, -n)), draw(st.integers(0, 3))
+def arbitrary_table(draw, n, tmin, tmax, rank=1):
+    """A table on P^n over ``[tmin, tmax]`` with arbitrary nonnegative rows, geometric or not:
+    sparse ones, which pass many conditions, or dense ones."""
     size = (tmax - tmin + 1) * (n + 1)
     values = st.integers(0, 3) | st.integers(0, 10**30)
     if draw(st.booleans()):
@@ -680,8 +684,15 @@ def window_tables(draw):
             flat[k] = v
     else:
         flat = draw(st.lists(values, min_size=size, max_size=size))
-    rows = tuple(CohVector(tuple(flat[k : k + n + 1])) for k in range(0, size, n + 1))
-    return CohomologyTable(catalog.projective_space(n).variety_id, 1, tmin, rows)
+    dims = tuple(tuple(flat[k : k + n + 1]) for k in range(0, size, n + 1))
+    return CohomologyTable(catalog.projective_space(n).variety_id, rank, tmin, dims)
+
+
+@st.composite
+def window_tables(draw):
+    """An :func:`arbitrary_table` on P^n, n in 1-6, over a window from at or below -n to at or above 0."""
+    n = draw(st.integers(1, 6))
+    return arbitrary_table(draw, n, draw(st.integers(-n - 3, -n)), draw(st.integers(0, 3)))
 
 
 @given(window_tables())

@@ -96,7 +96,7 @@ def test_reprs_list_the_fields_and_entries_leave_out_the_ring():
     )
     assert repr(build_table(line, (1,), (0, 0))) == (
         "CohomologyTable(variety_id='curve(0;deg=1;exact_p1)', rank=1, tmin=0, "
-        "rows=(CohVector(dims=(2, 0)),), "
+        "dims=((2, 0),), "
         f"chern=ChernData(rank=1, c1=ChowClass(ring={RING}, coeffs=(0, 1)), c2=None, c3=None), assumptions=())"
     )
 
